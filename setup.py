@@ -1,7 +1,7 @@
 """Build script: compiles the optional integer-matmul extension.
 
-The package is pure Python plus one small Cython kernel for the hot loop
-(products of small integer matrices during group closure). If Cython or a
+The package is pure Python plus one small Cython kernel for products of
+square integer matrices (``Matrix.__mul__``). If Cython or a
 C compiler is unavailable the install falls back to the pure-Python kernel;
 nothing else changes. Set WEYLPPAV_NO_EXT=1 to skip the extension on purpose.
 """

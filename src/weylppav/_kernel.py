@@ -3,10 +3,13 @@
 The compiled Cython extension is used when it is importable (and not
 disabled via WEYLPPAV_NO_EXT=1); the pure-Python implementation is the
 universal fallback and the reference for correctness. Both operate on
-flat row-major tuples of Python ints, the representation used by the
-group-closure loop. The compiled path bails out with OverflowError on
-entries that might not fit 64-bit arithmetic, in which case the exact
-pure path takes over, so results are identical by construction.
+flat row-major tuples of Python ints. The only caller is
+``Matrix.__mul__`` for square integer operands: the group closure and the
+exhaustive form check in ``verify`` use sparse column arithmetic of their
+own and do not go through this kernel. The compiled path bails out with
+OverflowError on entries that might not fit 64-bit arithmetic, in which
+case the exact pure path takes over, so results are identical by
+construction.
 """
 
 from __future__ import annotations

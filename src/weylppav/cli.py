@@ -138,7 +138,7 @@ def cmd_fixed_space(args) -> int:
         with open(args.file) as handle:
             data = json.load(handle)
         n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("n must be a positive integer")
         raw = data["generators"]
         if not raw:

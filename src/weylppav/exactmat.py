@@ -33,11 +33,17 @@ class NotSymmetric(ValueError):
 
 
 def _canon(x) -> Scalar:
-    """Normalize one entry: ints stay ints, integral Fractions collapse to int."""
-    if isinstance(x, int):
+    """Normalize one entry: ints stay ints, integral Fractions collapse to int.
+
+    ``bool`` is rejected: it is an ``int`` subclass, but a JSON ``true`` or a
+    comparison result in a matrix is a mistake, not the number 1.
+    """
+    if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
 
 
@@ -80,6 +86,20 @@ class Matrix:
         if len(flat) != nrows * ncols:
             raise ValueError("flat length does not match shape")
         return cls(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
+
+    @classmethod
+    def _from_int_flat(cls, flat: tuple, nrows: int, ncols: int) -> "Matrix":
+        """Trusted constructor for a tuple of plain ints of the given shape.
+
+        Skips the per-entry checks of ``__init__``; only for internal callers
+        whose entries are exact ints by construction (the group closure).
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "flat", flat)
+        object.__setattr__(m, "nrows", nrows)
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "_integral", True)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

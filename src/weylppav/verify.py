@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from . import reference
-from ._kernel import mat_mul_flat
 from .centralizer import centralizer_element, centralizer_level, modular_curve_report
 from .exactmat import Matrix, smith_normal_form, solve_affine
 from .ppav import (coroot_polarization_degree, divisor_chain,
@@ -243,17 +243,33 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
     return sec
 
 
-def _elements_preserve_form(group, gram) -> bool:
-    """Exhaustive g^t * gram * g == gram over all elements, on flat tuples."""
+def _elements_preserve_form(group, gram):
+    """Exhaustive g^t * gram * g == gram over all elements.
+
+    Returns None when every element passes, else the first failure as
+    (element index, (i, j), computed, expected). Only the upper triangle is
+    compared: g^t * gram * g is exactly symmetric when gram is. Entry (i, j)
+    is col_i . (gram * col_j); every column of a Weyl group element is a
+    root, so gram * col is cached by the exact column tuple.
+    """
+    if not gram.is_symmetric():
+        raise ValueError("symmetric form required")
     n = group.dimension
+    s_rows = gram.rows()
     s_flat = gram.flat
-    for el in group.elements:
+    gram_col = {}
+    for index, el in enumerate(group.elements):
         f = el.flat
-        f_t = tuple(f[j::n] for j in range(n))
-        f_t = tuple(x for col in f_t for x in col)
-        if mat_mul_flat(f_t, mat_mul_flat(s_flat, f, n), n) != s_flat:
-            return False
-    return True
+        cols = [f[j::n] for j in range(n)]
+        for j, col in enumerate(cols):
+            s_col = gram_col.get(col)
+            if s_col is None:
+                s_col = gram_col[col] = tuple(sum(map(mul, row, col)) for row in s_rows)
+            for i in range(j + 1):
+                value = sum(map(mul, cols[i], s_col))
+                if value != s_flat[i * n + j]:
+                    return index, (i, j), value, s_flat[i * n + j]
+    return None
 
 
 def check_group_orders(max_rank: int) -> Section:
@@ -266,8 +282,14 @@ def check_group_orders(max_rank: int) -> Section:
             group = generate_group(refl, ENUMERATION_LIMIT + 1)
             sec.add(f"{system}: enumerated order {group.order} = expected {order}",
                     not group.truncated and group.order == order)
+            witness = _elements_preserve_form(group, gram)
+            detail = ""
+            if witness is not None:
+                index, cell, value, expected = witness
+                detail = (f"element {index}: entry {cell} of g^t * gram * g "
+                          f"is {value}, expected {expected}")
             sec.add(f"{system}: every element preserves the Gram form",
-                    _elements_preserve_form(group, gram))
+                    witness is None, detail)
         else:
             ok = (check_invariance(refl, gram)
                   and all(abs(g.det()) == 1 for g in refl)

@@ -1,9 +1,13 @@
 """Finite closure of integer matrix groups.
 
 Breadth-first closure under products from a generator set, used to realize
-reflection groups explicitly and to verify their orders. The closure loop
-multiplies flat integer tuples through the selected kernel backend; see
-``_kernel`` for the compiled/pure split.
+reflection groups explicitly and to verify their orders. Elements are flat
+row-major integer tuples, and each product ``el * g`` is formed sparsely as
+``el + el * (g - I)``: a simple reflection differs from the identity in one
+row only (Humphreys, *Reflection Groups and Coxeter Groups*, 1.12), so a
+product rewrites the few columns where ``g - I`` is nonzero instead of
+doing a dense n^3 multiply. The arithmetic is exact for any integer
+generator; the cost is O(n * nnz(g - I)) per product.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from ._kernel import mat_mul_flat
 from .exactmat import Matrix
 from .rootsys import RootSystemId
 
@@ -40,6 +43,19 @@ class MatrixGroup:
         return len(self.elements)
 
 
+def _sparse_update(g_flat, n: int) -> list:
+    """Flat-index form of ``el -> el * g`` as updates ``out[dst] += v * el[src]``.
+
+    ``out`` starts as a copy of ``el``. For each nonzero entry v of g - I at
+    (r, c), and every row k, entry (k, c) of the product gains
+    v * el[k, r]; ``src`` always indexes the unmodified ``el``.
+    """
+    return [(k + c, k + r, v)
+            for r in range(n) for c in range(n)
+            if (v := g_flat[r * n + c] - (r == c))
+            for k in range(0, n * n, n)]
+
+
 def generate_group(generators, cap: int) -> MatrixGroup:
     """Close a set of unimodular integer matrices under multiplication.
 
@@ -58,7 +74,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     if cap < 1:
         raise ValueError("cap must be positive")
 
-    gen_flats = [g.flat for g in gens]
+    updates = [_sparse_update(g.flat, n) for g in gens]
     ident = Matrix.identity(n).flat
     seen = {ident}
     frontier = [ident]
@@ -66,8 +82,11 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     while frontier and not truncated:
         nxt = []
         for el in frontier:
-            for g in gen_flats:
-                prod = mat_mul_flat(el, g, n)
+            for update in updates:
+                out = list(el)
+                for dst, src, v in update:
+                    out[dst] += v * el[src]
+                prod = tuple(out)
                 if prod not in seen:
                     if len(seen) >= cap:
                         truncated = True
@@ -78,7 +97,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
                 break
         frontier = nxt
 
-    elements = tuple(Matrix.from_flat(f, n, n) for f in sorted(seen))
+    elements = tuple(Matrix._from_int_flat(f, n, n) for f in sorted(seen))
     return MatrixGroup(dimension=n, elements=elements,
                        generators=tuple(gens), truncated=truncated)
 

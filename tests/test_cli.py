@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,12 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+# SHA-256 of the `verify-all --max-rank 8` report at the seed commit 58b3be1.
+RANK8_REPORT_SHA256 = "7f3d5c02971508ac30107794086a0d42ef66a7b5578e881c61b2a6b97927f042"
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestQueries:
@@ -178,6 +189,22 @@ class TestFixedSpace:
         code, _, _ = run(capsys, "fixed-space", str(f))
         assert code == 2
 
+    def test_bool_n_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps({"n": True, "generators": [{"matrix": [[1, 0], [0, 1]]}]}))
+        code, out, err = run(capsys, "fixed-space", str(f))
+        assert code == 2
+        assert out == "" and "n must be a positive integer" in err
+        assert "Traceback" not in err
+
+    def test_bool_entries_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps({"n": 1, "generators": [{"matrix": [[True, 0], [0, True]]}]}))
+        code, out, err = run(capsys, "fixed-space", str(f))
+        assert code == 2
+        assert out == "" and "bool" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fixed-space", str(tmp_path / "absent.json"))
         assert code == 2
@@ -198,6 +225,7 @@ class TestVerifyAll:
         payload = json.loads(out)
         assert payload["status"] == "pass"
         assert payload["summary"]["documented_discrepancy"] == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == RANK8_REPORT_SHA256
 
     def test_rank_below_minimum_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify-all", "--max-rank", "1")
@@ -207,6 +235,19 @@ class TestVerifyAll:
         _, out1, _ = run(capsys, "verify-all", "--max-rank", "3")
         _, out2, _ = run(capsys, "verify-all", "--max-rank", "3")
         assert out1 == out2
+
+    def test_output_independent_of_hash_seed(self):
+        def report(hash_seed):
+            path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+            proc = subprocess.run(
+                [sys.executable, "-m", "weylppav.cli", "verify-all", "--max-rank", "5"],
+                env=env, capture_output=True, timeout=300, check=True)
+            return proc.stdout
+
+        first = report("1")
+        assert json.loads(first)["status"] == "pass"
+        assert report("2") == first
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         import weylppav.cli as cli_mod

@@ -25,6 +25,19 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             Matrix([[1.0, 0], [0, 1]])
 
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError, match="bool"):
+            Matrix([[True, 0], [0, True]])
+        with pytest.raises(TypeError, match="bool"):
+            Matrix.from_flat((1, False, 0, 1), 2, 2)
+
+    def test_int_subclass_stored_as_int(self):
+        class Tagged(int):
+            pass
+
+        m = Matrix([[Tagged(3)]])
+        assert m[0, 0] == 3 and type(m[0, 0]) is int and m.is_integral()
+
     def test_integral_fraction_collapses_to_int(self):
         m = Matrix([[F(4, 2), F(1, 3)]])
         assert m[0, 0] == 2 and isinstance(m[0, 0], int)

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from weylppav import Matrix, RootSystemId, riemann_family
+import pytest
+
+from weylppav import (Matrix, RootSystemId, generate_group, gram_matrix,
+                      riemann_family, simple_reflections)
 from weylppav import reference
 from weylppav import verify
 from weylppav.verify import (_proportional, _same_span, _spanned_by,
@@ -37,8 +40,6 @@ class TestRunVerification:
         assert report["summary"]["documented_discrepancy"] == 1
 
     def test_rejects_rank_below_two(self):
-        import pytest
-
         with pytest.raises(ValueError):
             run_verification(1)
 
@@ -71,3 +72,61 @@ class TestRunVerification:
         assert statuses["E7: computed z0 vs printed table"] == \
             "documented-discrepancy"
         assert all(s != "fail" for s in statuses.values())
+
+
+def skewed_gram(system):
+    """The Gram form with its (0, 1) and (1, 0) entries raised by one."""
+    rows = [list(r) for r in gram_matrix(system).rows()]
+    rows[0][1] += 1
+    rows[1][0] += 1
+    return Matrix(rows)
+
+
+def first_dense_failure(group, form):
+    """First (index, (i, j)) with (g^t form g)[i, j] != form[i, j], upper
+    triangle scanned column by column, by dense products."""
+    n = form.nrows
+    for index, g in enumerate(group.elements):
+        image = g.T * form * g
+        for j in range(n):
+            for i in range(j + 1):
+                if image[i, j] != form[i, j]:
+                    return index, (i, j), image[i, j], form[i, j]
+    return None
+
+
+class TestFormWitness:
+    def test_true_form_passes(self):
+        system = RootSystemId.parse("B3")
+        group = generate_group(simple_reflections(system), 1000)
+        assert verify._elements_preserve_form(group, gram_matrix(system)) is None
+
+    @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
+    def test_witness_matches_dense_check(self, tag):
+        system = RootSystemId.parse(tag)
+        group = generate_group(simple_reflections(system), 1000)
+        form = skewed_gram(system)
+        witness = verify._elements_preserve_form(group, form)
+        assert witness is not None
+        assert witness == first_dense_failure(group, form)
+
+    def test_rejects_asymmetric_form(self):
+        system = RootSystemId.parse("A2")
+        group = generate_group(simple_reflections(system), 100)
+        with pytest.raises(ValueError):
+            verify._elements_preserve_form(group, Matrix([[2, 0], [-1, 2]]))
+
+    def test_wrong_form_fails_exactly_one_check(self, monkeypatch):
+        def wrong(system):
+            return skewed_gram(system) if str(system) == "G2" else gram_matrix(system)
+
+        monkeypatch.setattr(verify, "gram_matrix", wrong)
+        sec = verify.check_group_orders(3)
+        failed = [c for c in sec.checks if c.status == "fail"]
+        assert [c.name for c in failed] == ["G2: every element preserves the Gram form"]
+        system = RootSystemId.parse("G2")
+        index, cell, value, expected = first_dense_failure(
+            generate_group(simple_reflections(system), 1000), skewed_gram(system))
+        assert failed[0].detail == (f"element {index}: entry {cell} of "
+                                    f"g^t * gram * g is {value}, expected {expected}")
+        assert all(c.detail == "" for c in sec.checks if c.status == "pass")

@@ -1,11 +1,36 @@
 import pytest
 
 from weylppav import (Matrix, NonUnimodularGenerator, RootSystemId, check_invariance,
-                      expected_order, generate_group, gram_matrix, simple_reflections)
+                      diagram_automorphisms, expected_order, generate_group,
+                      gram_matrix, simple_reflections)
+from weylppav._kernel import mat_mul_flat_py
 
 
 def refl(tag):
     return simple_reflections(RootSystemId.parse(tag))
+
+
+def dense_closure(gens, cap):
+    """Breadth-first closure with dense products: the reference semantics."""
+    n = gens[0].nrows
+    flats = [g.flat for g in gens]
+    ident = Matrix.identity(n).flat
+    seen, frontier, truncated = {ident}, [ident], False
+    while frontier and not truncated:
+        nxt = []
+        for el in frontier:
+            for g in flats:
+                prod = mat_mul_flat_py(el, g, n)
+                if prod not in seen:
+                    if len(seen) >= cap:
+                        truncated = True
+                        break
+                    seen.add(prod)
+                    nxt.append(prod)
+            if truncated:
+                break
+        frontier = nxt
+    return sorted(seen), truncated
 
 
 class TestGenerateGroup:
@@ -53,6 +78,21 @@ class TestGenerateGroup:
         group = generate_group(refl("G2"), 5)
         assert group.truncated
         assert group.order <= 5
+
+    @pytest.mark.parametrize("gens", [
+        refl("G2"), refl("B3"), refl("A4"),
+        diagram_automorphisms(RootSystemId.parse("D4")),
+        [Matrix([[0, -1], [1, 1]])],  # order 6, not an involution
+    ], ids=["G2", "B3", "A4", "D4-automorphisms", "order-6"])
+    @pytest.mark.parametrize("cap", [1, 5, 37, 10 ** 4])
+    def test_truncation_matches_dense_closure(self, gens, cap):
+        # The sparse product must leave the breadth-first order, and hence
+        # the truncated element set, exactly as a dense closure has it.
+        expected, expected_truncated = dense_closure(gens, cap)
+        group = generate_group(gens, cap)
+        assert [el.flat for el in group.elements] == expected
+        assert group.truncated == expected_truncated
+        assert all(el.is_integral() for el in group.elements)
 
     def test_deterministic_canonical_order(self):
         g1 = generate_group(refl("B3"), 10 ** 4)
