@@ -12,7 +12,6 @@ entry points:
   cli            command-line front end (console script: weylppav)
 """
 
-from ._kernel import USING_COMPILED
 from .centralizer import (CentralizerReport, DeterminantNotOne, LevelViolation,
                           centralizer_element, centralizer_level,
                           modular_curve_report)
@@ -33,6 +32,9 @@ from .weyl import (MatrixGroup, NonUnimodularGenerator, check_invariance,
                    expected_order, generate_group)
 
 __version__ = "0.1.0"
+
+# Always False: there is no compiled backend. Kept importable for existing callers.
+USING_COMPILED = False
 
 __all__ = [
     "AffineMatrixSpace", "AffineSolution", "CartanData", "CentralizerReport",

@@ -1,51 +1,26 @@
-"""Integer matrix-multiply kernel with import-time backend selection.
+"""Exact dense matrix product on flat row-major tuples.
 
-The compiled Cython extension is used when it is importable (and not
-disabled via WEYLPPAV_NO_EXT=1); the pure-Python implementation is the
-universal fallback and the reference for correctness. Both operate on
-flat row-major tuples of Python ints. The only caller is
-``Matrix.__mul__`` for square integer operands: the group closure and the
-exhaustive form check in ``verify`` use sparse column arithmetic of their
-own and do not go through this kernel. The compiled path bails out with
-OverflowError on entries that might not fit 64-bit arithmetic, in which
-case the exact pure path takes over, so results are identical by
-construction.
+The one product loop behind ``Matrix.__mul__``, for any n*k by k*m shape
+and any exact scalars (Python ints and ``fractions.Fraction``). The group
+closure and the exhaustive form check in ``verify`` use sparse column
+arithmetic of their own and do not go through it.
 """
 
 from __future__ import annotations
 
-import os
 from operator import mul
 
-if os.environ.get("WEYLPPAV_NO_EXT") == "1":
-    _compiled = None
-else:
-    try:
-        from . import _intmul as _compiled
-    except ImportError:
-        _compiled = None
 
-USING_COMPILED = _compiled is not None
-
-
-def mat_mul_flat_py(a, b, n):
-    """Flat row-major product of two n*n matrices of exact scalars."""
-    cols = [b[j::n] for j in range(n)]
+def mat_mul_flat(a, b, n, k, m):
+    """Flat row-major product of an n*k matrix ``a`` and a k*m matrix ``b``."""
+    cols = [b[j::m] for j in range(m)]
     out = []
-    for i in range(0, n * n, n):
-        row = a[i:i + n]
+    for i in range(0, n * k, k):
+        row = a[i:i + k]
         out.extend(sum(map(mul, row, col)) for col in cols)
     return tuple(out)
 
 
-if _compiled is not None:
-
-    def mat_mul_flat(a, b, n):
-        """Product via the compiled kernel, exact fallback on overflow."""
-        try:
-            return _compiled.mat_mul_flat(a, b, n)
-        except OverflowError:
-            return mat_mul_flat_py(a, b, n)
-
-else:
-    mat_mul_flat = mat_mul_flat_py
+# Second name kept importable: perfbench/tracing.py looks it up, and the
+# dense reference closure in tests/test_weyl.py calls it.
+mat_mul_flat_py = mat_mul_flat

@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import reference
+from . import __version__, reference
 from .centralizer import modular_curve_report
 from .exactmat import Matrix
 from .ppav import (coroot_polarization_degree, divisor_chain,
@@ -185,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weylppav",
         description="Exact Riemann-matrix families for root systems: "
                     "query and verify.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
     parser.add_argument("--json", action="store_true",

@@ -92,7 +92,8 @@ class Matrix:
         """Trusted constructor for a tuple of plain ints of the given shape.
 
         Skips the per-entry checks of ``__init__``; only for internal callers
-        whose entries are exact ints by construction (the group closure).
+        whose entries are exact ints by construction (the group closure and
+        integer matrix products).
         """
         m = object.__new__(cls)
         object.__setattr__(m, "flat", flat)
@@ -195,16 +196,10 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            if (self._integral and other._integral
-                    and self.nrows == self.ncols == other.ncols):
-                return Matrix.from_flat(mat_mul_flat(self.flat, other.flat, self.nrows),
-                                        self.nrows, self.ncols)
-            cols = [other.col(j) for j in range(other.ncols)]
-            out = []
-            for i in range(self.nrows):
-                r = self.row(i)
-                out.append([sum(a * b for a, b in zip(r, c)) for c in cols])
-            return Matrix(out)
+            flat = mat_mul_flat(self.flat, other.flat, self.nrows, self.ncols, other.ncols)
+            if self._integral and other._integral:
+                return Matrix._from_int_flat(flat, self.nrows, other.ncols)
+            return Matrix.from_flat(flat, self.nrows, other.ncols)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

@@ -28,9 +28,9 @@ class MatrixGroup:
     """Closure result: elements in canonical order plus a truncation flag.
 
     ``elements`` is sorted lexicographically on the flattened entries, so
-    two runs (or two backends) produce identical output. When ``truncated``
-    is True the closure hit the cap and ``elements`` holds exactly what had
-    been found, in the same canonical order.
+    two runs produce identical output. When ``truncated`` is True the
+    closure hit the cap and ``elements`` holds exactly what had been found,
+    in the same canonical order.
     """
 
     dimension: int

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import weylppav
 from weylppav import Matrix, embed_block_diag, riemann_family, RootSystemId
 from weylppav.cli import main, parse_scalar
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
@@ -109,6 +110,18 @@ class TestQueries:
         _, compact, _ = run(capsys, "--json", "z0", "G2")
         _, default, _ = run(capsys, "z0", "G2")
         assert compact == default
+
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"weylppav {weylppav.__version__}\n"
+        assert captured.err == ""
+
+    def test_version_matches_project_metadata(self):
+        pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+        assert f'version = "{weylppav.__version__}"' in pyproject
 
 
 class TestGroupOrder:

@@ -67,6 +67,55 @@ class TestMatrixBasics:
             Matrix([[1, 2], [3]])
 
 
+def reference_product(a, b):
+    """Row-by-column product of two lists of rows."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+class TestProducts:
+    def assert_product(self, a, b):
+        result = Matrix(a) * Matrix(b)
+        expected = Matrix(reference_product(a, b))
+        assert (result.nrows, result.ncols) == (len(a), len(b[0]))
+        assert result == expected
+        assert hash(result) == hash(expected)
+        assert result.is_integral() == expected.is_integral()
+        assert all(type(x) is int or x.denominator != 1 for x in result.flat)
+        return result
+
+    def test_integer_2x3_by_3x4(self):
+        a = [[1, -2, 3], [0, 4, -5]]
+        b = [[2, 0, -1, 7], [1, 3, 0, -2], [-4, 1, 6, 0]]
+        result = self.assert_product(a, b)
+        assert result.is_integral()
+        assert result.rows() == [(-12, -3, 17, 11), (24, 7, -30, -8)]
+
+    def test_row_by_column(self, rng):
+        for k in (1, 2, 5, 9):
+            row = [[rng.randint(-9, 9) for _ in range(k)]]
+            col = [[rng.randint(-9, 9)] for _ in range(k)]
+            assert self.assert_product(row, col).is_integral()
+            assert self.assert_product(col, row).is_integral()
+
+    def test_mixed_3x2_by_2x3(self):
+        a = [[F(1, 2), 1], [2, F(-1, 3)], [0, F(3, 2)]]
+        b = [[2, F(1, 4), -1], [F(3, 1), 6, F(2, 3)]]
+        result = self.assert_product(a, b)
+        assert not result.is_integral()
+        assert result.row(0) == (4, F(49, 8), F(1, 6))
+
+    def test_mixed_product_collapses_to_integral(self):
+        result = self.assert_product([[F(1, 2), F(3, 2)]], [[2], [F(2, 3)]])
+        assert result.is_integral() and result.flat == (2,)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            Matrix([[1, 2, 3], [4, 5, 6]]) * Matrix([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]]) * Matrix([[1, 2]])
+
+
 class TestInverse:
     def test_identity(self):
         assert Matrix.identity(3).inverse() == Matrix.identity(3)
@@ -236,3 +285,34 @@ class TestPositiveDefinite:
     def test_not_symmetric_raises(self):
         with pytest.raises(NotSymmetric):
             Matrix([[1, 2], [0, 1]]).is_positive_definite()
+
+    def test_zero_leading_minor(self):
+        assert not Matrix([[0, 0], [0, 1]]).is_positive_definite()
+        assert not Matrix([[0, 1], [1, 0]]).is_positive_definite()
+
+    def test_semidefinite_is_not_definite(self):
+        assert not Matrix([[1, 1], [1, 1]]).is_positive_definite()
+        assert not Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).is_positive_definite()
+
+    def test_fraction_entries(self):
+        hilbert = Matrix([[F(1, i + j + 1) for j in range(3)] for i in range(3)])
+        assert hilbert.is_positive_definite()
+        assert not (-hilbert).is_positive_definite()
+
+    def test_matches_leading_minor_oracle(self, rng):
+        outcomes = set()
+        for trial in range(60):
+            n = rng.randint(1, 5)
+            if trial % 2:
+                b = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                m = b.T * b + Matrix.diagonal([rng.randint(0, 1) for _ in range(n)])
+            else:
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = rng.randint(-3, 9)
+                m = Matrix(rows)
+            expected = all(oracle_det(m.submatrix(0, k, 0, k)) > 0 for k in range(1, n + 1))
+            assert m.is_positive_definite() == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}

@@ -1,6 +1,5 @@
-import pytest
-
-from weylppav._kernel import USING_COMPILED, mat_mul_flat, mat_mul_flat_py
+import weylppav
+from weylppav._kernel import mat_mul_flat, mat_mul_flat_py
 
 
 def flatten(rows):
@@ -11,45 +10,20 @@ class TestPureKernel:
     def test_small_product(self):
         a = flatten([[1, 2], [3, 4]])
         b = flatten([[0, 1], [1, 0]])
-        assert mat_mul_flat_py(a, b, 2) == flatten([[2, 1], [4, 3]])
+        assert mat_mul_flat_py(a, b, 2, 2, 2) == flatten([[2, 1], [4, 3]])
 
     def test_identity(self):
         ident = flatten([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         a = flatten([[1, -2, 3], [4, 5, -6], [-7, 8, 9]])
-        assert mat_mul_flat_py(a, ident, 3) == a
+        assert mat_mul_flat_py(a, ident, 3, 3, 3) == a
 
     def test_huge_entries_exact(self):
         big = 10 ** 40
         a = (big, 0, 0, big)
-        assert mat_mul_flat_py(a, a, 2) == (big * big, 0, 0, big * big)
+        assert mat_mul_flat_py(a, a, 2, 2, 2) == (big * big, 0, 0, big * big)
 
 
-@pytest.mark.skipif(not USING_COMPILED, reason="compiled kernel not built")
-class TestCompiledKernel:
-    def test_matches_pure_on_random(self, rng):
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            a = tuple(rng.randint(-50, 50) for _ in range(n * n))
-            b = tuple(rng.randint(-50, 50) for _ in range(n * n))
-            assert mat_mul_flat(a, b, n) == mat_mul_flat_py(a, b, n)
-
-    def test_overflow_falls_back_exactly(self):
-        big = 10 ** 30  # far beyond 64-bit
-        a = (big, 1, 0, big)
-        result = mat_mul_flat(a, a, 2)
-        assert result == mat_mul_flat_py(a, a, 2)
-        assert result[0] == big * big
-
-    def test_near_overflow_boundary(self, rng):
-        # entries just below and above the precheck threshold must agree
-        for mag in (2 ** 20, 2 ** 30, 2 ** 31):
-            a = tuple(rng.choice((-mag, mag)) for _ in range(16))
-            assert mat_mul_flat(a, a, 4) == mat_mul_flat_py(a, a, 4)
-
-    def test_compiled_rejects_oversize(self):
-        from weylppav import _intmul
-
-        n = 17
-        flat = tuple(0 for _ in range(n * n))
-        with pytest.raises(OverflowError):
-            _intmul.mat_mul_flat(flat, flat, n)
+class TestSinglePath:
+    def test_one_product_function(self):
+        assert mat_mul_flat is mat_mul_flat_py
+        assert weylppav.USING_COMPILED is False

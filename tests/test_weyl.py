@@ -20,7 +20,7 @@ def dense_closure(gens, cap):
         nxt = []
         for el in frontier:
             for g in flats:
-                prod = mat_mul_flat_py(el, g, n)
+                prod = mat_mul_flat_py(el, g, n, n, n)
                 if prod not in seen:
                     if len(seen) >= cap:
                         truncated = True
