@@ -6,9 +6,9 @@ file, or run the whole verification harness. Output is JSON on stdout;
 rationals are serialized as strings like "2/3" (plain "2" for integers)
 because JSON numbers cannot carry exactness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 unsupported input (a fixed-space generator with nonzero lower-left
-block).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(including input over one of the size limits below), 3 unsupported input
+(a fixed-space generator with nonzero lower-left block).
 """
 
 from __future__ import annotations
@@ -31,6 +31,13 @@ from .weyl import NonUnimodularGenerator, expected_order, generate_group
 
 USAGE_ERROR = 2
 UNSUPPORTED_INPUT = 3
+
+# Input size limits; larger input exits with USAGE_ERROR. Exact elimination
+# time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
+# 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
+# dense system in n(n+1)/2 unknowns.
+MAX_QUERY_RANK = 200
+MAX_FIXED_SPACE_N = 16
 
 
 def fmt_scalar(x) -> str:
@@ -55,10 +62,13 @@ def _emit(payload: dict, pretty: bool):
 
 def _parse_tag(tag: str) -> RootSystemId:
     try:
-        return RootSystemId.parse(tag)
+        system = RootSystemId.parse(tag)
+        if system.rank > MAX_QUERY_RANK:
+            raise ValueError(f"rank {system.rank} exceeds the limit {MAX_QUERY_RANK}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+    return system
 
 
 def cmd_z0(args) -> int:
@@ -140,6 +150,8 @@ def cmd_fixed_space(args) -> int:
         n = data["n"]
         if type(n) is not int or n < 1:
             raise ValueError("n must be a positive integer")
+        if n > MAX_FIXED_SPACE_N:
+            raise ValueError(f"n = {n} exceeds the limit {MAX_FIXED_SPACE_N}")
         raw = data["generators"]
         if not raw:
             raise ValueError("at least one generator required")

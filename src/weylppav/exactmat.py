@@ -7,16 +7,18 @@ toolkit relies on. Matrices are immutable (flat row-major tuples), so
 every operation below is a pure function and values can be shared freely
 across threads.
 
-Algorithms are the classical exact ones: Gauss-Jordan over Fraction for
-inversion and solving, and unimodular row/column reduction for the Smith
-normal form. No floating point appears anywhere.
+Algorithms are the classical exact ones. All Fraction elimination is in
+two routines: ``_rref`` (Gauss-Jordan, behind ``inverse`` and
+``solve_affine``) and ``_pivots`` (the forward pass, behind ``det`` and
+``is_positive_definite``). The Smith normal form uses unimodular row/column
+reduction. No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from ._kernel import mat_mul_flat
@@ -226,58 +228,38 @@ class Matrix:
     # -- exact linear algebra ----------------------------------------------------
 
     def det(self) -> Scalar:
-        """Exact determinant by Gaussian elimination over Fraction."""
+        """Exact determinant: (-1)^swaps times the product of the ``_pivots``."""
         if not self.is_square:
             raise ValueError("square matrix required")
-        n = self.nrows
-        a = [[Fraction(x) for x in self.row(i)] for i in range(n)]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv_p = 1 / a[c][c]
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    f = a[r][c] * inv_p
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return _canon(det)
+        pivots, swaps = _pivots(self)
+        if len(pivots) < self.nrows:
+            return 0
+        return _canon(prod(pivots, start=(-1) ** swaps))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan; raises Singular when det = 0."""
+        """Exact inverse: ``_rref`` of [self | I]; raises Singular when det = 0."""
         if not self.is_square:
             raise ValueError("square matrix required")
         n = self.nrows
         aug = [[Fraction(x) for x in self.row(i)]
                + [Fraction(1 if i == j else 0) for j in range(n)]
                for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv_p = 1 / aug[c][c]
-            aug[c] = [x * inv_p for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+        if len(_rref(aug, n)) < n:
+            raise Singular("matrix is singular")
         return Matrix(row[n:] for row in aug)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester test: every leading principal minor is positive (exact)."""
+        """Sylvester test in one ``_pivots`` pass (exact).
+
+        Without row swaps, leading minor k is the product of the first k
+        pivots; a swap means some leading minor is 0.
+        """
         if not self.is_square:
             raise ValueError("square matrix required")
         if not self.is_symmetric():
             raise NotSymmetric("symmetric matrix required")
-        for k in range(1, self.nrows + 1):
-            if self.submatrix(0, k, 0, k).det() <= 0:
-                return False
-        return True
+        pivots, swaps = _pivots(self)
+        return swaps == 0 and len(pivots) == self.nrows and all(p > 0 for p in pivots)
 
     def denominator_lcm(self) -> int:
         """Least positive integer N with N * self integral."""
@@ -288,6 +270,63 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.nrows))
         return f"Matrix[{body}]"
+
+
+# -- exact elimination --------------------------------------------------------
+
+
+def _pivots(m: Matrix) -> tuple:
+    """Forward elimination of a square matrix over Fraction: ``(pivots, swaps)``.
+
+    Pivots are listed in column order and stop at the first column without
+    one, so there are fewer than n exactly when m is singular.
+    """
+    n = m.nrows
+    a = [[Fraction(x) for x in m.row(i)] for i in range(n)]
+    pivots = []
+    swaps = 0
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            break
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            swaps += 1
+        pivots.append(a[c][c])
+        inv_p = 1 / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c] != 0:
+                f = a[r][c] * inv_p
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return pivots, swaps
+
+
+def _rref(aug: list, ncols: int) -> list:
+    """Gauss-Jordan over Fraction: reduce the rows of ``aug`` in place.
+
+    Pivots are sought in the first ``ncols`` columns; later columns (a
+    right-hand side, or the I of [A | I]) ride along. Returns the
+    ``(row, col)`` pivots in echelon order.
+    """
+    nr = len(aug)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nr) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv_p = 1 / aug[r][c]
+        aug[r] = [x * inv_p for x in aug[r]]
+        for i in range(nr):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nr:
+            break
+    return pivots
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -441,25 +480,8 @@ def solve_affine(coeff: Matrix, rhs: Sequence[Scalar]) -> AffineSolution:
     aug = [[Fraction(x) for x in coeff.row(i)] + [Fraction(rhs[i])]
            for i in range(nr)]
 
-    pivots = []  # (row, col) in echelon order
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = 1 / aug[r][c]
-        aug[r] = [x * inv_p for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nr:
-            break
-
-    if any(aug[i][nc] != 0 for i in range(r, nr)):
+    pivots = _rref(aug, nc)
+    if any(aug[i][nc] != 0 for i in range(len(pivots), nr)):
         return AffineSolution(particular=None, kernel_basis=())
 
     pivot_cols = {c: i for i, c in pivots}

@@ -84,8 +84,8 @@ def embed_block_diag(rho: Matrix) -> SymplecticMat:
     """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]]."""
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
-    if abs(rho.det()) != 1:
-        raise NonUnimodular(f"determinant is {rho.det()}")
+    if abs(det := rho.det()) != 1:
+        raise NonUnimodular(f"determinant is {det}")
     n = rho.nrows
     contragredient = rho.inverse().T
     zero = Matrix.zeros(n)
@@ -213,8 +213,8 @@ def verify_family_isomorphism(a: Matrix, z1: Matrix, z2: Matrix) -> bool:
     """
     if not (a.is_square and a.is_integral()):
         raise ValueError("square integer matrix required")
-    if abs(a.det()) != 1:
-        raise NonUnimodular(f"determinant is {a.det()}")
+    if abs(det := a.det()) != 1:
+        raise NonUnimodular(f"determinant is {det}")
     return a * z1 * a.T == z2
 
 
@@ -223,6 +223,6 @@ def verify_decomposition_witness(f: Matrix, d: Sequence[int], m: Matrix,
     """Check a splitting witness: F z0 = diag(d) M exactly."""
     if not (f.is_square and f.is_integral()):
         raise ValueError("square integer matrix required")
-    if abs(f.det()) != 1:
-        raise NonUnimodular(f"determinant is {f.det()}")
+    if abs(det := f.det()) != 1:
+        raise NonUnimodular(f"determinant is {det}")
     return f * z0 == Matrix.diagonal(list(d)) * m

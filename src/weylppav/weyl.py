@@ -69,8 +69,8 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     for g in gens:
         if not (g.is_square and g.nrows == n and g.is_integral()):
             raise ValueError("generators must be square integer matrices of equal size")
-        if abs(g.det()) != 1:
-            raise NonUnimodularGenerator(f"generator has determinant {g.det()}")
+        if abs(det := g.det()) != 1:
+            raise NonUnimodularGenerator(f"generator has determinant {det}")
     if cap < 1:
         raise ValueError("cap must be positive")
 

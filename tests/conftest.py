@@ -46,7 +46,8 @@ def oracle_inverse(m: Matrix) -> Matrix:
     n = m.nrows
     d = oracle_det(m)
     assert d != 0
-    adj = [[(-1) ** (i + j) * oracle_det(_delete(m, j, i)) / d
+    # the cofactor of a 1 x 1 matrix is the determinant of the empty matrix, 1
+    adj = [[(-1) ** (i + j) * (oracle_det(_delete(m, j, i)) if n > 1 else 1) / d
             for j in range(n)] for i in range(n)]
     return Matrix(adj)
 

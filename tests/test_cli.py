@@ -9,7 +9,7 @@ import pytest
 
 import weylppav
 from weylppav import Matrix, embed_block_diag, riemann_family, RootSystemId
-from weylppav.cli import main, parse_scalar
+from weylppav.cli import MAX_FIXED_SPACE_N, MAX_QUERY_RANK, main, parse_scalar
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
 
 
@@ -98,6 +98,22 @@ class TestQueries:
     def test_bad_tag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["z0", "Z9"])
+        assert exc.value.code == 2
+
+    def test_rank_limit_boundary(self, capsys):
+        assert MAX_QUERY_RANK == 200
+        payload = run_json(capsys, "cartan", f"A{MAX_QUERY_RANK}")
+        assert len(payload["cartan"]) == MAX_QUERY_RANK
+        for command in ("z0", "gram", "cartan", "decompose", "centralizer",
+                        "degrees"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"D{MAX_QUERY_RANK + 1}"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: rank 201 exceeds the limit 200\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["group-order", "B201", "--cap", "10"])
         assert exc.value.code == 2
 
     def test_pretty_flag(self, capsys):
@@ -217,6 +233,17 @@ class TestFixedSpace:
         assert code == 2
         assert out == "" and "bool" in err
         assert "Traceback" not in err
+
+    def test_n_limit_boundary(self, capsys, tmp_path):
+        assert MAX_FIXED_SPACE_N == 16
+        f = tmp_path / "gens.json"
+        write_generators(f, MAX_FIXED_SPACE_N, [Matrix.identity(2 * MAX_FIXED_SPACE_N)])
+        assert run_json(capsys, "fixed-space", str(f))["dimension"] == 136
+        write_generators(f, MAX_FIXED_SPACE_N + 1,
+                         [Matrix.identity(2 * MAX_FIXED_SPACE_N + 2)])
+        code, out, err = run(capsys, "fixed-space", str(f))
+        assert code == 2
+        assert out == "" and "n = 17 exceeds the limit 16" in err
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fixed-space", str(tmp_path / "absent.json"))

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from weylppav import (Matrix, NotSymmetric, RootSystemId, Singular, cartan_matrix,
-                      gram_matrix, smith_normal_form, solve_affine)
+from weylppav import (Matrix, NotSymmetric, RootSystemId, Singular, all_systems,
+                      cartan_matrix, gram_matrix, riemann_family, smith_normal_form,
+                      solve_affine)
 from conftest import oracle_det, oracle_inverse
 
 F = Fraction
@@ -128,8 +129,15 @@ class TestInverse:
         assert a2.inverse() == Matrix([[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]])
 
     def test_singular_raises(self):
-        with pytest.raises(Singular):
-            Matrix([[1, 2], [2, 4]]).inverse()
+        # the 3 x 3 cases lack a pivot in the last column (the sum of the
+        # first two) and in the middle column (twice the first)
+        for rows in ([[1, 2], [2, 4]],
+                     [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+                     [[1, 2, 3], [2, 4, 5], [3, 6, 7]]):
+            m = Matrix(rows)
+            assert oracle_det(m) == 0
+            with pytest.raises(Singular):
+                m.inverse()
 
     def test_inverse_times_self_is_identity(self, rng):
         for _ in range(25):
@@ -289,10 +297,25 @@ class TestPositiveDefinite:
     def test_zero_leading_minor(self):
         assert not Matrix([[0, 0], [0, 1]]).is_positive_definite()
         assert not Matrix([[0, 1], [1, 0]]).is_positive_definite()
+        # [[0, 1], [1, 0]] twice on the diagonal: after two row swaps every
+        # pivot is 1 and det is +1, but the first leading minor is 0
+        swap2 = Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        assert swap2.det() == oracle_det(swap2) == 1
+        assert not swap2.is_positive_definite()
 
     def test_semidefinite_is_not_definite(self):
         assert not Matrix([[1, 1], [1, 1]]).is_positive_definite()
         assert not Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).is_positive_definite()
+
+    def test_catalog_z0_without_det(self, monkeypatch):
+        z0s = [riemann_family(system).z0 for system in all_systems(8)]
+
+        def no_det(self):
+            raise AssertionError("is_positive_definite called det")
+
+        monkeypatch.setattr(Matrix, "det", no_det)
+        assert all(z0.is_positive_definite() for z0 in z0s)
+        assert not any((-z0).is_positive_definite() for z0 in z0s)
 
     def test_fraction_entries(self):
         hilbert = Matrix([[F(1, i + j + 1) for j in range(3)] for i in range(3)])
