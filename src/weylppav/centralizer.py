@@ -7,6 +7,9 @@ level is what parameterizes the family as a quotient of the upper
 half-plane by the congruence group of matrices whose upper-right entry is
 divisible by N (written Gamma^0(N); level 1 is the full modular group).
 
+N is the largest invariant factor of the Gram matrix S, because S = U * D * V
+with U, V unimodular; so the level is read off the Smith form, not an inverse.
+
 Exhaustiveness of this shape is an assumption recorded here, not something
 the toolkit proves; what it checks is that every constructed element is
 symplectic and commutes with the embedded generators.
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmat import Matrix
-from .ppav import riemann_family
+from .ppav import divisor_chain, riemann_family
 from .rootsys import RootSystemId, gram_matrix
 from .symplectic import SymplecticMat
 
@@ -40,8 +43,11 @@ class CentralizerReport:
 
 
 def centralizer_level(system: RootSystemId) -> int:
-    """Least N with N * z0 integral."""
-    return riemann_family(system).z0.denominator_lcm()
+    """Least N with N * z0 integral: the largest invariant factor of the Gram matrix.
+
+    S = U * D * V with U, V unimodular, so N * z0 is integral iff N * D^{-1} is.
+    """
+    return divisor_chain(system).divisors[0]
 
 
 def centralizer_element(system: RootSystemId, a: int, b: int, c: int,
@@ -53,9 +59,8 @@ def centralizer_element(system: RootSystemId, a: int, b: int, c: int,
     if b % level:
         raise LevelViolation(f"b = {b} is not a multiple of the level {level}")
     n = system.rank
-    z0 = riemann_family(system).z0
     ident = Matrix.identity(n)
-    top_right = b * z0
+    top_right = b * riemann_family(system).z0
     if not top_right.is_integral():
         raise AssertionError("level check should have guaranteed integrality")
     bottom_left = c * gram_matrix(system)  # z0^{-1} is the Gram matrix, always integral

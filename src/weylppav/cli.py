@@ -24,8 +24,7 @@ from .exactmat import Matrix
 from .ppav import (coroot_polarization_degree, divisor_chain,
                    elliptic_decomposition, riemann_family)
 from .rootsys import RootSystemId, cartan_data, gram_matrix, simple_reflections
-from .symplectic import (NotSymplectic, SymplecticMat, UnsupportedGenerator,
-                         fixed_symmetric_space)
+from .symplectic import SymplecticMat, UnsupportedGenerator, fixed_symmetric_space
 from .verify import run_verification
 from .weyl import NonUnimodularGenerator, expected_order, generate_group
 
@@ -35,9 +34,13 @@ UNSUPPORTED_INPUT = 3
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
 # time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
 # 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
-# dense system in n(n+1)/2 unknowns.
+# dense system in n(n+1)/2 unknowns. verify-all takes 14 s at rank 12 and
+# 41 s at rank 20. A closure stores cap * rank^2 entries at about 13 bytes
+# each; the limit admits verify-all's own cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
+MAX_VERIFY_RANK = 16
+MAX_GROUP_ENTRIES = 5_000_000
 
 
 def fmt_scalar(x) -> str:
@@ -126,6 +129,11 @@ def cmd_degrees(args) -> int:
 
 def cmd_group_order(args) -> int:
     system = _parse_tag(args.system)
+    entries = args.cap * system.rank ** 2
+    if entries > MAX_GROUP_ENTRIES:
+        print(f"error: --cap {args.cap} at rank {system.rank} allows {entries} "
+              f"stored entries, over the limit {MAX_GROUP_ENTRIES}", file=sys.stderr)
+        return USAGE_ERROR
     expected = expected_order(system)
     try:
         group = generate_group(simple_reflections(system), args.cap)
@@ -155,16 +163,9 @@ def cmd_fixed_space(args) -> int:
         raw = data["generators"]
         if not raw:
             raise ValueError("at least one generator required")
-        gens = []
-        for item in raw:
-            mat = Matrix(item["matrix"])
-            if mat.nrows != 2 * n or mat.ncols != 2 * n:
-                raise ValueError(f"generator must be {2 * n} x {2 * n}")
-            if not mat.is_integral():
-                raise ValueError("generator entries must be integers")
-            gens.append(SymplecticMat(n, mat))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            NotSymplectic) as exc:
+        gens = [SymplecticMat(n, Matrix(item["matrix"])) for item in raw]
+    except (OSError, RecursionError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
         print(f"error: malformed fixed-space input: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -186,6 +187,10 @@ def cmd_fixed_space(args) -> int:
 def cmd_verify_all(args) -> int:
     if args.max_rank < 2:
         print("error: --max-rank must be at least 2", file=sys.stderr)
+        return USAGE_ERROR
+    if args.max_rank > MAX_VERIFY_RANK:
+        print(f"error: --max-rank {args.max_rank} exceeds the limit {MAX_VERIFY_RANK}",
+              file=sys.stderr)
         return USAGE_ERROR
     report = run_verification(args.max_rank)
     _emit(report, args.pretty)
@@ -219,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-order", help="enumerate the reflection group")
     p.add_argument("system", help="root system tag")
     p.add_argument("--cap", type=int, required=True,
-                   help="hard cap on the number of elements explored")
+                   help="hard cap on the number of elements explored "
+                        f"(cap * rank^2 at most {MAX_GROUP_ENTRIES})")
     p.set_defaults(func=cmd_group_order)
 
     p = sub.add_parser("fixed-space",
@@ -230,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the whole verification harness")
     p.add_argument("--max-rank", type=int, default=8,
-                   help="largest rank to check (default 8, minimum 2)")
+                   help="largest rank to check (default 8, minimum 2, "
+                        f"maximum {MAX_VERIFY_RANK})")
     p.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -357,38 +357,30 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     survives), then repair divisibility of the trailing block by folding an
     offending row into the pivot row. Termination follows because the pivot
     magnitude strictly decreases on every retry.
+
+    One working matrix w = [[m, I_nr], [I_nc, 0]]: row operations on its first
+    nr rows build u, column operations on its first nc columns build v.
     """
     if not m.is_integral():
         raise ValueError("integer matrix required")
     nr, nc = m.nrows, m.ncols
-    a = [list(m.row(i)) for i in range(nr)]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    w = [list(m.row(i)) + [1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    w += [[1 if i == j else 0 for j in range(nc)] + [0] * nr for i in range(nc)]
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in w:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
         # row[dst] += q * row[src]
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
 
     def add_col(dst, src, q):
-        for row in a:
+        for row in w:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(nr, nc):
@@ -397,7 +389,7 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         piv_abs = 0
         for i in range(t, nr):
             for j in range(t, nc):
-                e = a[i][j]
+                e = w[i][j]
                 if e != 0 and (piv is None or abs(e) < piv_abs):
                     piv, piv_abs = (i, j), abs(e)
         if piv is None:
@@ -410,22 +402,22 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         while True:
             restart = False
             for i in range(t + 1, nr):
-                if a[i][t] == 0:
+                if w[i][t] == 0:
                     continue
-                q = a[i][t] // a[t][t]
+                q = w[i][t] // w[t][t]
                 add_row(i, t, -q)
-                if a[i][t] != 0:
+                if w[i][t] != 0:
                     swap_rows(t, i)  # remainder is strictly smaller
                     restart = True
                     break
             if restart:
                 continue
             for j in range(t + 1, nc):
-                if a[t][j] == 0:
+                if w[t][j] == 0:
                     continue
-                q = a[t][j] // a[t][t]
+                q = w[t][j] // w[t][t]
                 add_col(j, t, -q)
-                if a[t][j] != 0:
+                if w[t][j] != 0:
                     swap_cols(t, j)
                     restart = True
                     break
@@ -433,10 +425,10 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                 continue
             # Row and column of the pivot are clear; enforce divisibility of
             # the trailing block by the pivot.
-            p = a[t][t]
+            p = w[t][t]
             bad = None
             for i in range(t + 1, nr):
-                if any(x % p for x in a[i][t + 1:]):
+                if any(x % p for x in w[i][t + 1:nc]):
                     bad = i
                     break
             if bad is None:
@@ -445,11 +437,12 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         t += 1
 
     for i in range(min(nr, nc)):
-        if a[i][i] < 0:
-            negate_row(i)
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
 
-    d = Matrix([[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)])
-    return SnfResult(u=Matrix(u), d=d, v=Matrix(v))
+    d = Matrix([[w[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)])
+    return SnfResult(u=Matrix(row[nc:] for row in w[:nr]), d=d,
+                     v=Matrix(row[:nc] for row in w[nr:]))
 
 
 # -- affine solving ---------------------------------------------------------------

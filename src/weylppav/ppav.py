@@ -86,16 +86,6 @@ def elliptic_decomposition(system: RootSystemId) -> EllipticDecomposition:
     return EllipticDecomposition(factors=tuple(factors))
 
 
-def exponent_level(system: RootSystemId) -> int:
-    """Largest invariant factor; equals the least N with N * z0 integral."""
-    top = divisor_chain(system).divisors[0]
-    denom = riemann_family(system).z0.denominator_lcm()
-    if top != denom:
-        raise AssertionError(
-            f"{system}: largest invariant factor {top} != z0 denominator lcm {denom}")
-    return top
-
-
 def coroot_polarization_degree(system: RootSystemId) -> int:
     """Determinant of the primitive integral coroot Gram form."""
     deg = coroot_gram_matrix(system).det()

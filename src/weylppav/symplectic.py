@@ -61,7 +61,7 @@ class SymplecticMat:
 
     def __post_init__(self):
         if self.m.nrows != 2 * self.n or self.m.ncols != 2 * self.n:
-            raise ValueError("matrix size must be 2n x 2n")
+            raise ValueError(f"matrix size must be {2 * self.n} x {2 * self.n}")
         if not self.m.is_integral():
             raise ValueError("integer entries required")
         if not is_symplectic(self.m):

@@ -13,7 +13,7 @@ from math import prod
 from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
                       centralizer_level, coroot_polarization_degree,
                       check_invariance, divisor_chain, embed_block_diag,
-                      exponent_level, fixed_symmetric_space, gram_matrix,
+                      fixed_symmetric_space, gram_matrix,
                       is_symplectic, modular_action, riemann_family,
                       simple_reflections, verify_decomposition_witness,
                       verify_family_isomorphism)
@@ -68,7 +68,6 @@ def test_criterion_3_congruence_levels():
     for system in CATALOG:
         published = reference.expected_level(system)
         ok &= published == centralizer_level(system)
-        ok &= published == exponent_level(system)
         ok &= published == divisor_chain(system).divisors[0]
         ok &= published == riemann_family(system).z0.denominator_lcm()
     report(ok, "criterion 3: congruence levels agree across the published "

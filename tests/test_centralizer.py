@@ -1,10 +1,13 @@
+import json
+
 import pytest
 
 from weylppav import (DeterminantNotOne, LevelViolation, Matrix, RootSystemId,
                       all_systems, centralizer_element, centralizer_level,
                       diagram_automorphisms, divisor_chain, embed_block_diag,
-                      exponent_level, gram_matrix, is_symplectic,
+                      gram_matrix, is_symplectic,
                       modular_curve_report, riemann_family, simple_reflections)
+from weylppav.cli import main
 from weylppav.reference import expected_level
 
 CATALOG = list(all_systems(8))
@@ -22,8 +25,29 @@ class TestLevel:
         for system in CATALOG:
             level = centralizer_level(system)
             assert level == expected_level(system)
-            assert level == exponent_level(system)
+            assert level == riemann_family(system).z0.denominator_lcm()
             assert level == divisor_chain(system).divisors[0]
+
+    def test_level_needs_no_inverse(self, monkeypatch, capsys):
+        def no_inverse(self):
+            raise AssertionError("the level must not invert the Gram matrix")
+
+        monkeypatch.setattr(Matrix, "inverse", no_inverse)
+        for system in CATALOG:
+            assert centralizer_level(system) == expected_level(system)
+            assert modular_curve_report(system).level == expected_level(system)
+        assert main(["centralizer", "A56"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"system": "A56", "level": 57, "curve": "H_1/Gamma^0(57)"}
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_routes_agree_beyond_catalog(self, family):
+        # both parities of C and D: level 4 at odd rank, 2 at even rank
+        for rank in (9, 16, 23, 30):
+            system = RootSystemId(family, rank)
+            level = centralizer_level(system)
+            assert level == expected_level(system)
+            assert level == riemann_family(system).z0.denominator_lcm()
 
 
 class TestCentralizerElement:

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import weylppav
-from weylppav import Matrix, embed_block_diag, riemann_family, RootSystemId
-from weylppav.cli import MAX_FIXED_SPACE_N, MAX_QUERY_RANK, main, parse_scalar
+from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
+                      expected_order, riemann_family)
+from weylppav import verify
+from weylppav.cli import (MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
+                          MAX_VERIFY_RANK, main, parse_scalar)
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
 
 
@@ -163,6 +166,24 @@ class TestGroupOrder:
         assert code == 2
         assert "cap" in err
 
+    def test_entry_limit_boundary(self, capsys):
+        assert MAX_GROUP_ENTRIES == 5_000_000
+        cap = MAX_GROUP_ENTRIES // 4  # G2 stores rank^2 = 4 entries per element
+        assert run_json(capsys, "group-order", "G2", "--cap", str(cap))["matches"] is True
+        code, out, err = run(capsys, "group-order", "G2", "--cap", str(cap + 1))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --cap 1250001 at rank 2 allows 5000004 stored entries, "
+                       "over the limit 5000000\n")
+        code, out, err = run(capsys, "group-order", "E8", "--cap", str(10 ** 9))
+        assert code == 2 and out == "" and "64000000000" in err
+
+    def test_entry_limit_admits_verify_all_enumerations(self):
+        cap = verify.ENUMERATION_LIMIT + 1
+        for system in all_systems(8):
+            if expected_order(system) <= verify.ENUMERATION_LIMIT:
+                assert cap * system.rank ** 2 <= MAX_GROUP_ENTRIES, str(system)
+
 
 def write_generators(path, n, mats):
     path.write_text(json.dumps(
@@ -209,8 +230,10 @@ class TestFixedSpace:
     def test_wrong_shape_exits_2(self, capsys, tmp_path):
         f = tmp_path / "gens.json"
         write_generators(f, 3, [Matrix.identity(4)])
-        code, _, _ = run(capsys, "fixed-space", str(f))
+        code, out, err = run(capsys, "fixed-space", str(f))
         assert code == 2
+        assert out == ""
+        assert err == "error: malformed fixed-space input: matrix size must be 6 x 6\n"
 
     def test_non_symplectic_exits_2(self, capsys, tmp_path):
         f = tmp_path / "gens.json"
@@ -245,6 +268,17 @@ class TestFixedSpace:
         assert code == 2
         assert out == "" and "n = 17 exceeds the limit 16" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "gens.json"
+        depth = 100_000
+        f.write_text('{"n": 1, "generators": [{"matrix": '
+                     + "[" * depth + "]" * depth + "}]}")
+        code, out, err = run(capsys, "fixed-space", str(f))
+        assert code == 2
+        assert out == ""
+        assert "malformed fixed-space input" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fixed-space", str(tmp_path / "absent.json"))
         assert code == 2
@@ -270,6 +304,26 @@ class TestVerifyAll:
     def test_rank_below_minimum_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify-all", "--max-rank", "1")
         assert code == 2
+
+    def test_rank_limit_boundary(self, capsys, monkeypatch):
+        import weylppav.cli as cli_mod
+
+        assert MAX_VERIFY_RANK == 16
+        ranks = []
+
+        def record(rank):
+            ranks.append(rank)
+            return {"max_rank": rank, "sections": [], "summary": {}, "status": "pass"}
+
+        monkeypatch.setattr(cli_mod, "run_verification", record)
+        for rank in (8, 12, MAX_VERIFY_RANK):
+            code, _, _ = run(capsys, "verify-all", "--max-rank", str(rank))
+            assert code == 0
+        code, out, err = run(capsys, "verify-all", "--max-rank", str(MAX_VERIFY_RANK + 1))
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-rank 17 exceeds the limit 16\n"
+        assert ranks == [8, 12, MAX_VERIFY_RANK]
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify-all", "--max-rank", "3")

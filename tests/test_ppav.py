@@ -1,9 +1,10 @@
 from fractions import Fraction
 from math import prod
 
-from weylppav import (Matrix, RootSystemId, all_systems, coroot_polarization_degree,
-                      diagram_automorphisms, divisor_chain, elliptic_decomposition,
-                      exponent_level, gram_matrix, riemann_family)
+from weylppav import (Matrix, RootSystemId, all_systems, centralizer_level,
+                      coroot_polarization_degree, diagram_automorphisms,
+                      divisor_chain, elliptic_decomposition, gram_matrix,
+                      riemann_family)
 from weylppav.reference import (cyclic5_fixed_span, expected_degree,
                                 expected_divisor_chain, expected_level)
 
@@ -90,14 +91,15 @@ class TestEllipticDecomposition:
 
 
 class TestExponentLevel:
+    # The level is the exponent of Z^n / S Z^n: the largest invariant factor.
     def test_examples(self):
-        assert exponent_level(RootSystemId.parse("A6")) == 7
-        assert exponent_level(RootSystemId.parse("E6")) == 3
-        assert exponent_level(RootSystemId.parse("B5")) == 1
+        assert centralizer_level(RootSystemId.parse("A6")) == 7
+        assert centralizer_level(RootSystemId.parse("E6")) == 3
+        assert centralizer_level(RootSystemId.parse("B5")) == 1
 
     def test_equals_denominator_lcm_everywhere(self):
         for system in CATALOG:
-            level = exponent_level(system)
+            level = centralizer_level(system)
             assert level == riemann_family(system).z0.denominator_lcm()
             assert level == divisor_chain(system).divisors[0]
             assert level == expected_level(system)
@@ -126,4 +128,4 @@ class TestHigherRanks:
             assert gram_matrix(system) * z0 == Matrix.identity(system.rank)
             assert z0 == closed_form_z0(system)
             assert divisor_chain(system).divisors == expected_divisor_chain(system)
-            assert exponent_level(system) == expected_level(system)
+            assert centralizer_level(system) == expected_level(system)

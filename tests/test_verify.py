@@ -66,6 +66,15 @@ class TestRunVerification:
         sec = verify.check_riemann_matrices(8)
         assert any(c.status == "fail" for c in sec.checks)
 
+    def test_wrong_level_fails_exactly_one_check(self, monkeypatch):
+        original = verify.centralizer_level
+        monkeypatch.setattr(verify, "centralizer_level",
+                            lambda system: 4 if str(system) == "G2" else original(system))
+        sec = verify.check_levels(2)
+        failed = [c for c in sec.checks if c.status == "fail"]
+        assert [c.name for c in failed] == ["G2: level 3 agrees across all three routes"]
+        assert failed[0].detail == "chain 4, denominators 3"
+
     def test_e7_section_documents_not_fails(self):
         sec = verify.check_riemann_matrices(7)
         statuses = {c.name: c.status for c in sec.checks}
