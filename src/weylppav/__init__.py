@@ -19,7 +19,7 @@ from .exactmat import (AffineSolution, Matrix, NotSymmetric, Singular, SnfResult
                        smith_normal_form, solve_affine)
 from .ppav import (DivisorChain, EllipticDecomposition, RiemannFamily,
                    coroot_polarization_degree, divisor_chain,
-                   elliptic_decomposition, riemann_family)
+                   elliptic_decomposition, group_divisors, riemann_family)
 from .rootsys import (CartanData, RootSystemId, all_systems, cartan_data,
                       cartan_matrix, coroot_gram_matrix, diagram_automorphisms,
                       gram_matrix, simple_reflections)
@@ -47,7 +47,8 @@ __all__ = [
     "coroot_gram_matrix", "coroot_polarization_degree", "diagram_automorphisms",
     "divisor_chain", "elliptic_decomposition", "embed_block_diag",
     "expected_order", "fixed_symmetric_space", "generate_group",
-    "gram_matrix", "is_symplectic", "modular_action", "modular_curve_report",
-    "riemann_family", "simple_reflections", "smith_normal_form", "solve_affine",
-    "standard_form", "verify_decomposition_witness", "verify_family_isomorphism",
+    "gram_matrix", "group_divisors", "is_symplectic", "modular_action",
+    "modular_curve_report", "riemann_family", "simple_reflections",
+    "smith_normal_form", "solve_affine", "standard_form",
+    "verify_decomposition_witness", "verify_family_isomorphism",
 ]

@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import __version__, reference
 from .centralizer import modular_curve_report
 from .exactmat import Matrix
-from .ppav import (coroot_polarization_degree, divisor_chain,
-                   elliptic_decomposition, riemann_family)
+from .ppav import (coroot_polarization_degree, divisor_chain, group_divisors,
+                   riemann_family)
 from .rootsys import RootSystemId, cartan_data, gram_matrix, simple_reflections
 from .symplectic import SymplecticMat, UnsupportedGenerator, fixed_symmetric_space
 from .verify import run_verification
@@ -34,9 +34,11 @@ UNSUPPORTED_INPUT = 3
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
 # time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
 # 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
-# dense system in n(n+1)/2 unknowns. verify-all takes 14 s at rank 12 and
-# 41 s at rank 20. A closure stores cap * rank^2 entries at about 13 bytes
-# each; the limit admits verify-all's own cap (100,001) up to rank 7.
+# dense system in n(n+1)/2 unknowns. verify-all takes 7 s at rank 12 and
+# 34 s at rank 20. A closure holds cap elements of rank row ids each; its
+# peak memory is at most about 7 bytes per cap * rank^2 entry (tracemalloc,
+# E6, A7, B6 closed, E7, E8, A8 truncated at the limit), so about 35 MB. The
+# limit admits verify-all's own cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_VERIFY_RANK = 16
@@ -101,10 +103,9 @@ def cmd_cartan(args) -> int:
 def cmd_decompose(args) -> int:
     system = _parse_tag(args.system)
     chain = divisor_chain(system)
-    decomp = elliptic_decomposition(system)
     _emit({"system": str(system),
            "divisors": list(chain.divisors),
-           "decomposition": decomp.render()}, args.pretty)
+           "decomposition": group_divisors(chain).render()}, args.pretty)
     return 0
 
 

@@ -94,8 +94,8 @@ class Matrix:
         """Trusted constructor for a tuple of plain ints of the given shape.
 
         Skips the per-entry checks of ``__init__``; only for internal callers
-        whose entries are exact ints by construction (the group closure and
-        integer matrix products).
+        whose entries are exact ints by construction (``MatrixGroup.elements``
+        and integer matrix products).
         """
         m = object.__new__(cls)
         object.__setattr__(m, "flat", flat)

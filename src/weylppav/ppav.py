@@ -14,7 +14,6 @@ congruence level of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .exactmat import Matrix, smith_normal_form
 from .rootsys import RootSystemId, coroot_gram_matrix, gram_matrix
@@ -69,21 +68,19 @@ def riemann_family(system: RootSystemId) -> RiemannFamily:
 
 def divisor_chain(system: RootSystemId) -> DivisorChain:
     """Invariant factors of the Gram matrix, largest first."""
-    gram = gram_matrix(system)
-    diag = smith_normal_form(gram).diagonal()
-    chain = DivisorChain(divisors=tuple(reversed(diag)))
-    if prod(chain.divisors) != gram.det():
-        raise AssertionError(f"invariant factors of {system} do not multiply to det")
-    return chain
+    diag = smith_normal_form(gram_matrix(system)).diagonal()
+    return DivisorChain(divisors=tuple(reversed(diag)))
+
+
+def group_divisors(chain: DivisorChain) -> EllipticDecomposition:
+    """Group a divisor chain into (divisor, multiplicity) factors, smallest divisor first."""
+    ds = chain.divisors
+    return EllipticDecomposition(factors=tuple((d, ds.count(d)) for d in sorted(set(ds))))
 
 
 def elliptic_decomposition(system: RootSystemId) -> EllipticDecomposition:
-    """Group the divisor chain into (divisor, multiplicity) factors, smallest divisor first."""
-    chain = divisor_chain(system).divisors
-    factors = []
-    for d in sorted(set(chain)):
-        factors.append((d, chain.count(d)))
-    return EllipticDecomposition(factors=tuple(factors))
+    """Elliptic factors of the family: the grouped divisor chain."""
+    return group_divisors(divisor_chain(system))
 
 
 def coroot_polarization_degree(system: RootSystemId) -> int:

@@ -252,24 +252,37 @@ def _elements_preserve_form(group, gram):
     Returns None when every element passes, else the first failure as
     (element index, (i, j), computed, expected). Only the upper triangle is
     compared: g^t * gram * g is exactly symmetric when gram is. Entry (i, j)
-    is col_i . (gram * col_j); every column of a Weyl group element is a
-    root, so gram * col is cached by the exact column tuple.
+    is col_i . (gram * col_j). Each distinct column gets an id, and the
+    value is computed once per pair of column ids: every column of a Weyl
+    group element is a root, so the table holds at most |roots|^2 values.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
     n = group.dimension
+    rows = group.rows
     s_rows = gram.rows()
     s_flat = gram.flat
-    gram_col = {}
-    for index, el in enumerate(group.elements):
-        f = el.flat
-        cols = [f[j::n] for j in range(n)]
-        for j, col in enumerate(cols):
-            s_col = gram_col.get(col)
-            if s_col is None:
-                s_col = gram_col[col] = tuple(sum(map(mul, row, col)) for row in s_rows)
+    col_ids = {}
+    cols = []
+    s_cols = []
+    values = []  # values[b][a] = cols[a] . s_cols[b]
+    for index, code in enumerate(group.codes):
+        ids = []
+        for col in zip(*map(rows.__getitem__, code)):
+            c = col_ids.get(col)
+            if c is None:
+                c = col_ids[col] = len(cols)
+                cols.append(col)
+                s_cols.append(tuple(sum(map(mul, row, col)) for row in s_rows))
+                values.append({})
+            ids.append(c)
+        for j, b in enumerate(ids):
+            known = values[b]
             for i in range(j + 1):
-                value = sum(map(mul, cols[i], s_col))
+                a = ids[i]
+                value = known.get(a)
+                if value is None:
+                    value = known[a] = sum(map(mul, cols[a], s_cols[b]))
                 if value != s_flat[i * n + j]:
                     return index, (i, j), value, s_flat[i * n + j]
     return None

@@ -1,19 +1,24 @@
 """Finite closure of integer matrix groups.
 
 Breadth-first closure under products from a generator set, used to realize
-reflection groups explicitly and to verify their orders. Elements are flat
-row-major integer tuples, and each product ``el * g`` is formed sparsely as
-``el + el * (g - I)``: a simple reflection differs from the identity in one
-row only (Humphreys, *Reflection Groups and Coxeter Groups*, 1.12), so a
-product rewrites the few columns where ``g - I`` is nonzero instead of
-doing a dense n^3 multiply. The arithmetic is exact for any integer
-generator; the cost is O(n * nnz(g - I)) per product.
+reflection groups explicitly and to verify their orders. An element is the
+n-tuple of ids of its rows, taken from an intern table of row vectors.
+Row r of ``el * g`` is ``(row r of el) * g``, so each generator acts on row
+ids through a table of its own, and a product is n table lookups instead
+of an n^3 multiply. A finite group has finitely many distinct rows (for a
+Weyl group in the simple-root basis they lie in the orbits of the
+fundamental coweights), so the tables stay small; they grow only for rows
+of elements already found, so an infinite group still stops at the cap.
+The arithmetic is exact for any integer generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from math import factorial
+from operator import mul
 
 from .exactmat import Matrix
 from .rootsys import RootSystemId
@@ -27,33 +32,30 @@ class NonUnimodularGenerator(ValueError):
 class MatrixGroup:
     """Closure result: elements in canonical order plus a truncation flag.
 
-    ``elements`` is sorted lexicographically on the flattened entries, so
-    two runs produce identical output. When ``truncated`` is True the
-    closure hit the cap and ``elements`` holds exactly what had been found,
-    in the same canonical order.
+    ``rows`` holds the distinct rows of the elements, sorted, and each entry
+    of ``codes`` is one element as the tuple of indices into ``rows`` of
+    its rows. ``codes`` is sorted, which sorts the elements lexicographically
+    on their flattened entries, so two runs produce identical output. When
+    ``truncated`` is True the closure hit the cap and ``codes`` holds
+    exactly what had been found, in the same canonical order.
     """
 
     dimension: int
-    elements: tuple
+    rows: tuple
+    codes: tuple
     generators: tuple
     truncated: bool
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
-
-def _sparse_update(g_flat, n: int) -> list:
-    """Flat-index form of ``el -> el * g`` as updates ``out[dst] += v * el[src]``.
-
-    ``out`` starts as a copy of ``el``. For each nonzero entry v of g - I at
-    (r, c), and every row k, entry (k, c) of the product gains
-    v * el[k, r]; ``src`` always indexes the unmodified ``el``.
-    """
-    return [(k + c, k + r, v)
-            for r in range(n) for c in range(n)
-            if (v := g_flat[r * n + c] - (r == c))
-            for k in range(0, n * n, n)]
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements as ``Matrix`` objects, in the order of ``codes``."""
+        n, rows = self.dimension, self.rows
+        flats = (tuple(chain.from_iterable(map(rows.__getitem__, code))) for code in self.codes)
+        return tuple(Matrix._from_int_flat(flat, n, n) for flat in flats)
 
 
 def generate_group(generators, cap: int) -> MatrixGroup:
@@ -74,19 +76,37 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     if cap < 1:
         raise ValueError("cap must be positive")
 
-    updates = [_sparse_update(g.flat, n) for g in gens]
-    ident = Matrix.identity(n).flat
+    vectors = []  # row id -> row vector
+    ids = {}      # row vector -> row id
+
+    def intern(vec):
+        rid = ids.get(vec)
+        if rid is None:
+            rid = ids[vec] = len(vectors)
+            vectors.append(vec)
+        return rid
+
+    # acts[k][rid] is the id of vectors[rid] * gens[k]. The tables are
+    # filled together, on first use, and only up to the largest row id of
+    # the element at hand: the rows they intern are not chased further.
+    gen_cols = [[g.col(j) for j in range(n)] for g in gens]
+    acts = [[] for _ in gens]
+    filled = 0
+    ident = tuple(map(intern, Matrix.identity(n).rows()))
     seen = {ident}
     frontier = [ident]
     truncated = False
     while frontier and not truncated:
         nxt = []
         for el in frontier:
-            for update in updates:
-                out = list(el)
-                for dst, src, v in update:
-                    out[dst] += v * el[src]
-                prod = tuple(out)
+            top = max(el) + 1
+            if top > filled:
+                for cols, act in zip(gen_cols, acts):
+                    act.extend(intern(tuple(sum(map(mul, vectors[rid], col)) for col in cols))
+                               for rid in range(filled, top))
+                filled = top
+            for act in acts:
+                prod = tuple(map(act.__getitem__, el))
                 if prod not in seen:
                     if len(seen) >= cap:
                         truncated = True
@@ -97,9 +117,14 @@ def generate_group(generators, cap: int) -> MatrixGroup:
                 break
         frontier = nxt
 
-    elements = tuple(Matrix._from_int_flat(f, n, n) for f in sorted(seen))
-    return MatrixGroup(dimension=n, elements=elements,
-                       generators=tuple(gens), truncated=truncated)
+    # Relabel the row ids in the order of their vectors. All rows have
+    # length n, so sorting the id tuples then sorts the flat entries.
+    used = sorted(set(chain.from_iterable(seen)), key=vectors.__getitem__)
+    rank = {rid: pos for pos, rid in enumerate(used)}
+    codes = sorted(tuple(map(rank.__getitem__, el)) for el in seen)
+    return MatrixGroup(dimension=n, rows=tuple(map(vectors.__getitem__, used)),
+                       codes=tuple(codes), generators=tuple(gens),
+                       truncated=truncated)
 
 
 def check_invariance(generators, form: Matrix) -> bool:

@@ -5,6 +5,7 @@ computed by memoized cofactor expansion, inverses by adjugate over the
 cofactor determinant, so a bug in the Gaussian path cannot hide.
 """
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,3 +58,21 @@ def rng():
     import random
 
     return random.Random(987654321)
+
+
+@pytest.fixture
+def no_group_matrices(monkeypatch):
+    """Make the group closure and the form check fail if they build a Matrix.
+
+    ``Matrix._from_int_flat`` raises when called from ``weyl`` or ``verify``;
+    integer products elsewhere (the Gram matrix, the reflections) still work.
+    """
+    original = Matrix._from_int_flat
+
+    def guarded(cls, flat, nrows, ncols):
+        caller = sys._getframe(1).f_globals["__name__"]
+        if caller in ("weylppav.weyl", "weylppav.verify"):
+            raise AssertionError(f"{caller} built a Matrix")
+        return original(flat, nrows, ncols)
+
+    monkeypatch.setattr(Matrix, "_from_int_flat", classmethod(guarded))

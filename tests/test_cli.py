@@ -9,8 +9,8 @@ import pytest
 
 import weylppav
 from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
-                      expected_order, riemann_family)
-from weylppav import verify
+                      expected_order, riemann_family, smith_normal_form)
+from weylppav import ppav, verify
 from weylppav.cli import (MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
                           MAX_VERIFY_RANK, main, parse_scalar)
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
@@ -80,6 +80,30 @@ class TestQueries:
         payload = run_json(capsys, "decompose", "C4")
         assert payload["decomposition"] == "E_t^2 x E_{t/2}^2"
         assert payload["divisors"] == [2, 2, 1, 1]
+
+    def test_decompose_runs_one_smith_form(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(ppav, "smith_normal_form", counted)
+        code, out, _ = run(capsys, "decompose", "A12")
+        assert code == 0
+        assert len(calls) == 1
+        assert out == ('{"system": "A12", "divisors": [13, 1, 1, 1, 1, 1, 1, 1, 1, 1, '
+                       '1, 1], "decomposition": "E_t^11 x E_{t/13}"}\n')
+
+    def test_chain_queries_need_no_determinant(self, capsys, monkeypatch):
+        def no_det(self):
+            raise AssertionError("det called")
+
+        monkeypatch.setattr(Matrix, "det", no_det)
+        assert run_json(capsys, "centralizer", "A56")["level"] == 57
+        payload = run_json(capsys, "decompose", "A56")
+        assert payload["divisors"] == [57] + [1] * 55
+        assert payload["decomposition"] == "E_t^55 x E_{t/57}"
 
     def test_centralizer(self, capsys):
         assert run_json(capsys, "centralizer", "A6")["level"] == 7
@@ -155,6 +179,11 @@ class TestGroupOrder:
         assert payload["truncated"] is True
         assert payload["enumerated_order"] is None
         assert payload["matches"] is False
+
+    def test_builds_no_element_matrices(self, capsys, no_group_matrices):
+        payload = run_json(capsys, "group-order", "E6", "--cap", "100001")
+        assert payload["enumerated_order"] == 51840
+        assert payload["matches"] is True
 
     def test_cap_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,10 @@
 from fractions import Fraction
 from math import prod
 
-from weylppav import (Matrix, RootSystemId, all_systems, centralizer_level,
-                      coroot_polarization_degree, diagram_automorphisms,
-                      divisor_chain, elliptic_decomposition, gram_matrix,
-                      riemann_family)
+from weylppav import (DivisorChain, Matrix, RootSystemId, all_systems,
+                      centralizer_level, coroot_polarization_degree,
+                      diagram_automorphisms, divisor_chain, elliptic_decomposition,
+                      gram_matrix, group_divisors, riemann_family)
 from weylppav.reference import (cyclic5_fixed_span, expected_degree,
                                 expected_divisor_chain, expected_level)
 
@@ -64,6 +64,16 @@ class TestDivisorChain:
             for i in range(len(chain) - 1):
                 assert chain[i] % chain[i + 1] == 0
 
+    def test_needs_no_determinant(self, monkeypatch):
+        # The harness checks prod(divisors) == det(gram); the library does not
+        # recompute the determinant.
+        def no_det(self):
+            raise AssertionError("det called")
+
+        monkeypatch.setattr(Matrix, "det", no_det)
+        for system in CATALOG:
+            assert divisor_chain(system).divisors == expected_divisor_chain(system)
+
 
 class TestEllipticDecomposition:
     def test_e7(self):
@@ -88,6 +98,12 @@ class TestEllipticDecomposition:
         for system in CATALOG:
             factors = elliptic_decomposition(system).factors
             assert sum(m for _, m in factors) == system.rank
+
+    def test_groups_a_given_chain(self):
+        assert group_divisors(DivisorChain((4, 2, 2, 1, 1, 1))).factors == \
+            ((1, 3), (2, 2), (4, 1))
+        for system in CATALOG:
+            assert group_divisors(divisor_chain(system)) == elliptic_decomposition(system)
 
 
 class TestExponentLevel:

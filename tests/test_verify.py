@@ -119,6 +119,12 @@ class TestFormWitness:
         assert witness is not None
         assert witness == first_dense_failure(group, form)
 
+    def test_group_orders_build_no_element_matrices(self, no_group_matrices):
+        # The closure and the form check work on row ids; neither may
+        # materialize the group as Matrix objects.
+        sec = verify.check_group_orders(6)
+        assert sec.checks and all(c.status == "pass" for c in sec.checks)
+
     def test_rejects_asymmetric_form(self):
         system = RootSystemId.parse("A2")
         group = generate_group(simple_reflections(system), 100)

@@ -83,16 +83,33 @@ class TestGenerateGroup:
         refl("G2"), refl("B3"), refl("A4"),
         diagram_automorphisms(RootSystemId.parse("D4")),
         [Matrix([[0, -1], [1, 1]])],  # order 6, not an involution
-    ], ids=["G2", "B3", "A4", "D4-automorphisms", "order-6"])
-    @pytest.mark.parametrize("cap", [1, 5, 37, 10 ** 4])
+        # Infinite groups: the row tables must not grow past the cap.
+        [Matrix([[1, 1], [0, 1]])],
+        [Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])],
+        [Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+         Matrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])],  # Heisenberg group
+    ], ids=["G2", "B3", "A4", "D4-automorphisms", "order-6",
+            "unipotent-2", "unipotent-3", "heisenberg"])
+    @pytest.mark.parametrize("cap", [1, 5, 37, 1000, 10 ** 4])
     def test_truncation_matches_dense_closure(self, gens, cap):
-        # The sparse product must leave the breadth-first order, and hence
+        # Products on row ids must leave the breadth-first order, and hence
         # the truncated element set, exactly as a dense closure has it.
         expected, expected_truncated = dense_closure(gens, cap)
         group = generate_group(gens, cap)
         assert [el.flat for el in group.elements] == expected
         assert group.truncated == expected_truncated
         assert all(el.is_integral() for el in group.elements)
+
+    def test_rows_and_codes(self):
+        group = generate_group(refl("B3"), 10 ** 4)
+        assert list(group.rows) == sorted(set(group.rows))
+        assert list(group.codes) == sorted(group.codes)
+        assert group.order == len(group.codes) == 48
+        used = {rid for code in group.codes for rid in code}
+        assert used == set(range(len(group.rows)))
+        for code, el in zip(group.codes, group.elements):
+            assert el.rows() == [group.rows[rid] for rid in code]
+        assert group.elements is group.elements  # built once
 
     def test_deterministic_canonical_order(self):
         g1 = generate_group(refl("B3"), 10 ** 4)
