@@ -9,6 +9,14 @@ because JSON numbers cannot carry exactness.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including input over one of the size limits below), 3 unsupported input
 (a fixed-space generator with nonzero lower-left block).
+
+The process builds one argument parser, on the first ``main`` call, and
+every later call reuses it: building the nine-subcommand tree costs more
+than a small query's whole answer. The parser binds the ``cmd_*``
+functions when it is built, so replacing ``cli.cmd_*`` after the first
+``main`` call has no effect on dispatch; the module-level functions those
+commands call (``run_verification``, ``gram_matrix``, ...) are still looked
+up on every call.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, reference
 from .centralizer import modular_curve_report
@@ -244,8 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -143,9 +143,14 @@ def cartan_matrix(system: RootSystemId) -> Matrix:
 
 
 def gram_matrix(system: RootSystemId) -> Matrix:
-    """Gram matrix S = C * diag(norm_halves) of the invariant inner product."""
+    """Gram matrix S = C * diag(norm_halves) of the invariant inner product.
+
+    Built in O(n^2) by scaling column j of the Cartan matrix by
+    norm_halves[j], which is what the diagonal product does entry by entry.
+    """
     data = cartan_data(system)
-    s = data.cartan * Matrix.diagonal(data.norm_halves)
+    c, d = data.cartan, data.norm_halves
+    s = Matrix([x * d[j] for j, x in enumerate(c.row(i))] for i in range(c.nrows))
     if not (s.is_integral() and s.is_symmetric()):
         raise AssertionError(f"catalog data for {system} is inconsistent")
     return s

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .exactmat import Matrix, Singular, solve_affine
+from .exactmat import Matrix, Singular, smith_normal_form, solve_affine
 
 
 class NonUnimodular(ValueError):
@@ -81,13 +81,18 @@ class SymplecticMat:
 
 
 def embed_block_diag(rho: Matrix) -> SymplecticMat:
-    """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]]."""
+    """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]].
+
+    One Smith form u * rho * v = d decides and inverts: rho is unimodular
+    exactly when d = I, and then rho^{-1} = v * u, an integer matrix.
+    """
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
-    if abs(det := rho.det()) != 1:
-        raise NonUnimodular(f"determinant is {det}")
+    snf = smith_normal_form(rho)
+    if any(x != 1 for x in snf.diagonal()):
+        raise NonUnimodular(f"determinant is {rho.det()}")
     n = rho.nrows
-    contragredient = rho.inverse().T
+    contragredient = (snf.v * snf.u).T
     zero = Matrix.zeros(n)
     return SymplecticMat(n, Matrix.block2(rho, zero, zero, contragredient))
 

@@ -65,7 +65,7 @@ def no_group_matrices(monkeypatch):
     """Make the group closure and the form check fail if they build a Matrix.
 
     ``Matrix._from_int_flat`` raises when called from ``weyl`` or ``verify``;
-    integer products elsewhere (the Gram matrix, the reflections) still work.
+    integer products elsewhere still work.
     """
     original = Matrix._from_int_flat
 

@@ -10,7 +10,7 @@ import pytest
 import weylppav
 from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
                       expected_order, riemann_family, smith_normal_form)
-from weylppav import ppav, verify
+from weylppav import cli, ppav, verify
 from weylppav.cli import (MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
                           MAX_VERIFY_RANK, main, parse_scalar)
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
@@ -165,6 +165,59 @@ class TestQueries:
     def test_version_matches_project_metadata(self):
         pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
         assert f'version = "{weylppav.__version__}"' in pyproject
+
+
+# stdout of `weylppav z0 G2` and `weylppav group-order G2 --cap 100`, byte
+# for byte what a fresh `weylppav` process prints.
+Z0_G2_STDOUT = '{"system": "G2", "z0": [["2", "1"], ["1", "2/3"]]}\n'
+GROUP_ORDER_G2_STDOUT = ('{"system": "G2", "expected_order": 12, "truncated": false, '
+                         '"enumerated_order": 12, "matches": true}\n')
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end the test without a cached parser."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (["z0", "G2"], ["cartan", "B2"], ["gram", "A3"],
+                     ["group-order", "G2", "--cap", "100"]):
+            assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["group-order", "G2"])
+        assert run(capsys, "z0", "G2")[1] == Z0_G2_STDOUT
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["group-order", "G2"], 2),
+        (["nosuch", "G2"], 2),
+        (["--version"], 0),
+        (["--pretty", "z0", "G2"], None),
+    ])
+    def test_earlier_call_leaves_later_output_unchanged(self, capsys, fresh_parser,
+                                                        argv, code):
+        if code is None:
+            assert run(capsys, *argv)[0] == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        assert run(capsys, "z0", "G2") == (0, Z0_G2_STDOUT, "")
+        assert run(capsys, "group-order", "G2", "--cap", "100") == \
+            (0, GROUP_ORDER_G2_STDOUT, "")
 
 
 class TestGroupOrder:

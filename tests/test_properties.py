@@ -1,4 +1,5 @@
-"""Property tests of the exact elimination routines and the Smith form.
+"""Property tests of the exact elimination routines, the Smith form and
+fixed symmetric spaces.
 
 Inputs are matrices up to 5 x 5 with int or Fraction entries. Every
 expected value comes from the cofactor oracles in conftest or from a
@@ -6,6 +7,7 @@ defining identity, never from the elimination code under test. Example
 generation is derandomized, so each run draws the same inputs.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -15,7 +17,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from weylppav import Matrix, Singular, smith_normal_form, solve_affine  # noqa: E402
+from weylppav import (Matrix, Singular, SymplecticMat, fixed_symmetric_space,  # noqa: E402
+                      smith_normal_form, solve_affine)
+from weylppav.symplectic import sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -138,3 +142,89 @@ def test_smith_form_invariants(rows):
                   for rs in combinations(range(m.nrows), k)
                   for cs in combinations(range(m.ncols), k))
         assert gcd(*(int(x) for x in minors)) == prod(diag[:k])
+
+
+@st.composite
+def unimodular_pairs(draw, n):
+    """(A, A^{-1}) for A a product of row additions, row swaps and sign flips.
+
+    Each step is applied to A as a row operation and, inverted, to A^{-1}
+    as a column operation, so the inverse needs no elimination.
+    """
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("add", "swap", "negate")))
+        if kind == "add" and i != j:
+            q = draw(st.integers(-2, 2))
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            for row in inv:
+                row[j] -= q * row[i]
+        elif kind == "swap":
+            a[i], a[j] = a[j], a[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+        elif kind == "negate":
+            a[i] = [-x for x in a[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return Matrix(a), Matrix(inv)
+
+
+@st.composite
+def generators_fixing(draw):
+    """(z*, generators) with z* integral symmetric and n <= 5.
+
+    Each generator is [[A, S A^{-t}], [0, A^{-t}]] with A unimodular and
+    S = z* - A z* A^t, so its action z -> A z A^t + S fixes z*.
+    """
+    n = draw(st.integers(1, 5))
+    upper = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    zstar = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, a_inv = draw(unimodular_pairs(n))
+        assert a * a_inv == Matrix.identity(n)
+        s = zstar - a * zstar * a.T
+        gens.append(SymplecticMat(n, Matrix.block2(a, s * a_inv.T, Matrix.zeros(n),
+                                                   a_inv.T)))
+    return zstar, gens
+
+
+def row_rank(vectors):
+    """Rank by Fraction row reduction written here, apart from ``exactmat``."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@PROPERTY
+@given(generators_fixing())
+def test_fixed_space_by_substitution(case):
+    zstar, gens = case
+    space = fixed_symmetric_space(gens)
+    p = space.particular
+    assert p is not None and p.is_symmetric()
+    for gen in gens:
+        a, b, _, _ = gen.blocks()
+        assert a * p * a.T + b * a.T == p
+    for x in space.basis:
+        assert x.is_symmetric() and x.is_integral()
+        assert gcd(*x.flat) == 1
+        for gen in gens:
+            a = gen.blocks()[0]
+            assert a * x * a.T == x
+    # the basis is independent and z* - particular lies in its span
+    vecs = [sym_to_vec(x) for x in space.basis]
+    assert row_rank(vecs) == len(vecs)
+    assert row_rank(vecs + [sym_to_vec(zstar - p)]) == len(vecs)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestGram:
             assert s.is_integral()
             assert s.is_symmetric()
             assert s.is_positive_definite()
+
+    def test_equals_dense_product(self):
+        systems = [RootSystemId(fam, n) for fam in "ABCD" for n in range(1, 41)
+                   if n >= {"A": 1, "B": 2, "C": 2, "D": 3}[fam]]
+        systems += [RootSystemId.parse(t) for t in ("E6", "E7", "E8", "F4", "G2")]
+        for system in systems:
+            data = cartan_data(system)
+            n = system.rank
+            diag_cols = [[data.norm_halves[j] if k == j else 0 for k in range(n)]
+                         for j in range(n)]
+            dense = Matrix([[sum(map(mul, data.cartan.row(i), col)) for col in diag_cols]
+                            for i in range(n)])
+            assert gram_matrix(system) == dense, str(system)
 
     def test_inverse_matches_closed_forms(self):
         for system in CATALOG:

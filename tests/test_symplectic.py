@@ -5,7 +5,7 @@ import pytest
 
 from weylppav import (Matrix, NonUnimodular, NotSymplectic, RootSystemId,
                       SingularDenominator, SymplecticMat, UnsupportedGenerator,
-                      all_systems, embed_block_diag, fixed_symmetric_space,
+                      all_systems, diagram_automorphisms, embed_block_diag, fixed_symmetric_space,
                       gram_matrix, is_symplectic, modular_action, riemann_family,
                       simple_reflections, standard_form,
                       verify_decomposition_witness, verify_family_isomorphism)
@@ -38,6 +38,23 @@ class TestEmbedBlockDiag:
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodular):
             embed_block_diag(Matrix([[2]]))
+
+    def test_catalog_embeds_without_fraction_inverse(self, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("inverse called")
+
+        monkeypatch.setattr(Matrix, "inverse", no_inverse)
+        for system in all_systems(8):
+            n = system.rank
+            for rho in simple_reflections(system) + diagram_automorphisms(system):
+                emb = embed_block_diag(rho)
+                assert emb.blocks()[0] == rho
+                assert rho.T * emb.blocks()[3] == Matrix.identity(n), str(system)
+        for rho, det in ((Matrix([[1, 2], [3, 4]]), -2), (Matrix([[2, 1], [0, 1]]), 2),
+                         (Matrix([[1, 2], [2, 4]]), 0)):
+            with pytest.raises(NonUnimodular) as exc:
+                embed_block_diag(rho)
+            assert str(exc.value) == f"determinant is {det}"
 
     def test_homomorphism_on_random_words(self):
         rng = random.Random(1357)
