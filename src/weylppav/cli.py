@@ -10,13 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including input over one of the size limits below), 3 unsupported input
 (a fixed-space generator with nonzero lower-left block).
 
-The process builds one argument parser, on the first ``main`` call, and
-every later call reuses it: building the nine-subcommand tree costs more
-than a small query's whole answer. The parser binds the ``cmd_*``
-functions when it is built, so replacing ``cli.cmd_*`` after the first
-``main`` call has no effect on dispatch; the module-level functions those
-commands call (``run_verification``, ``gram_matrix``, ...) are still looked
-up on every call.
+Every ``main`` call builds its own parser, but a subcommand's parser is
+built only when parsing reaches it (``_DeferredParser``): building all nine
+costs more than a small query's whole answer.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache
 
 from . import __version__, reference
 from .centralizer import modular_curve_report
@@ -207,6 +202,34 @@ def cmd_verify_all(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+class _DeferredParser:
+    """A subcommand's ``argparse.ArgumentParser``, built on first use.
+
+    ``add_argument`` and ``set_defaults`` calls are recorded; any other
+    attribute (parsing, help) builds the real parser, replays them and
+    delegates. A parse therefore builds the parser of the one subcommand
+    it runs, and help and error output are those of the eager tree.
+    """
+
+    def __init__(self, **kwargs):
+        self._kwargs = kwargs
+        self._calls = []
+        self._parser = None
+
+    def add_argument(self, *args, **kwargs):
+        self._calls.append(("add_argument", args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self._calls.append(("set_defaults", (), kwargs))
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            for method, args, kwargs in self._calls:
+                getattr(self._parser, method)(*args, **kwargs)
+        return getattr(self._parser, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylppav",
@@ -218,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="indent the JSON output")
     parser.add_argument("--json", action="store_true",
                         help="compact JSON output (the default)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_DeferredParser)
 
     for name, func, help_text in (
             ("z0", cmd_z0, "base Riemann matrix of the family"),
@@ -253,14 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use rather than at import."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

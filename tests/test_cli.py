@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -174,47 +175,55 @@ GROUP_ORDER_G2_STDOUT = ('{"system": "G2", "expected_order": 12, "truncated": fa
                          '"enumerated_order": 12, "matches": true}\n')
 
 
-@pytest.fixture
-def fresh_parser():
-    """Start and end the test without a cached parser."""
-    cli._parser.cache_clear()
-    yield
-    cli._parser.cache_clear()
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
-class TestParserReuse:
-    def test_one_parser_per_process(self, capsys, monkeypatch, fresh_parser):
+USAGE_ARGVS = [[], ["--help"], ["--he"], ["--help", "z0"], ["--version"],
+               ["--pretty", "z0", "G2"], ["z0"], ["z0", "--help"], ["z0", "G2", "extra"],
+               ["nosuch", "G2"], ["group-order", "G2"], ["group-order", "--help"],
+               ["group-order", "G2", "--cap", "x"], ["group-order", "G2", "--ca", "100"],
+               ["fixed-space"], ["verify-all", "--max-rank", "x"], ["--", "z0", "G2"]]
+
+
+class TestDeferredSubparsers:
+    def test_a_call_builds_only_its_subparser(self, capsys, monkeypatch):
         built = []
-        build = cli.build_parser
+        init = argparse.ArgumentParser.__init__
 
-        def counted():
-            built.append(1)
-            return build()
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_parser", counted)
-        for argv in (["z0", "G2"], ["cartan", "B2"], ["gram", "A3"],
-                     ["group-order", "G2", "--cap", "100"]):
-            assert run(capsys, *argv)[0] == 0
-        with pytest.raises(SystemExit):
-            main(["group-order", "G2"])
-        assert run(capsys, "z0", "G2")[1] == Z0_G2_STDOUT
-        assert len(built) == 1
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, "z0", "G2") == (0, Z0_G2_STDOUT, "")
+        assert built == ["weylppav", "weylppav z0"]
+        built.clear()
+        assert run(capsys, "group-order", "G2", "--cap", "100") == \
+            (0, GROUP_ORDER_G2_STDOUT, "")
+        assert built == ["weylppav", "weylppav group-order"]
+
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+    def test_output_equals_eager_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        deferred = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_DeferredParser", argparse.ArgumentParser)
+        assert deferred == outcome(capsys, argv)
 
     @pytest.mark.parametrize("argv, code", [
         (["group-order", "G2"], 2),
         (["nosuch", "G2"], 2),
         (["--version"], 0),
-        (["--pretty", "z0", "G2"], None),
+        (["--pretty", "z0", "G2"], 0),
     ])
-    def test_earlier_call_leaves_later_output_unchanged(self, capsys, fresh_parser,
-                                                        argv, code):
-        if code is None:
-            assert run(capsys, *argv)[0] == 0
-        else:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == code
-        capsys.readouterr()
+    def test_earlier_call_leaves_later_output_unchanged(self, capsys, argv, code):
+        assert outcome(capsys, argv)[0] == code
         assert run(capsys, "z0", "G2") == (0, Z0_G2_STDOUT, "")
         assert run(capsys, "group-order", "G2", "--cap", "100") == \
             (0, GROUP_ORDER_G2_STDOUT, "")
