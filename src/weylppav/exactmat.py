@@ -10,8 +10,9 @@ across threads.
 Algorithms are the classical exact ones. All Fraction elimination is in
 two routines: ``_rref`` (Gauss-Jordan, behind ``inverse`` and
 ``solve_affine``) and ``_pivots`` (the forward pass, behind ``det`` and
-``is_positive_definite``). The Smith normal form uses unimodular row/column
-reduction. No floating point appears anywhere.
+``is_positive_definite``). The Smith normal form is one integer reduction
+loop of unimodular row and column operations. No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -351,15 +352,16 @@ class SnfResult:
 def smith_normal_form(m: Matrix) -> SnfResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    The usual Euclidean sweep: bring the absolutely smallest entry of the
-    trailing block to the pivot, reduce its row and column with division
-    steps (swapping in a strictly smaller pivot whenever a remainder
-    survives), then repair divisibility of the trailing block by folding an
-    offending row into the pivot row. Termination follows because the pivot
-    magnitude strictly decreases on every retry.
-
     One working matrix w = [[m, I_nr], [I_nc, 0]]: row operations on its first
     nr rows build u, column operations on its first nc columns build v.
+
+    Each pivot t takes rounds of one reduction loop. A round moves the
+    absolutely smallest entry of the trailing block to (t, t) (row-major
+    tie-break) and reduces the pivot's column and row once by floor division.
+    A remainder left there makes the next pivot strictly smaller. Once row and
+    column are clear, a trailing row with an entry the pivot does not divide
+    is added to the pivot row, so the pivot shrinks within two rounds;
+    otherwise t is done, and its entry divides every later one.
     """
     if not m.is_integral():
         raise ValueError("integer matrix required")
@@ -367,74 +369,36 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     w = [list(m.row(i)) + [1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     w += [[1 if i == j else 0 for j in range(nc)] + [0] * nr for i in range(nc)]
 
-    def swap_rows(i, j):
-        w[i], w[j] = w[j], w[i]
-
-    def swap_cols(i, j):
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row[dst] += q * row[src]
-        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
-
-    def add_col(dst, src, q):
-        for row in w:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        # Smallest-magnitude pivot in the trailing block, row-major tie-break.
-        piv = None
-        piv_abs = 0
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = w[i][j]
-                if e != 0 and (piv is None or abs(e) < piv_abs):
-                    piv, piv_abs = (i, j), abs(e)
-        if piv is None:
-            break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
-
+    for t in range(min(nr, nc)):
         while True:
-            restart = False
-            for i in range(t + 1, nr):
-                if w[i][t] == 0:
-                    continue
-                q = w[i][t] // w[t][t]
-                add_row(i, t, -q)
-                if w[i][t] != 0:
-                    swap_rows(t, i)  # remainder is strictly smaller
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if w[t][j] == 0:
-                    continue
-                q = w[t][j] // w[t][t]
-                add_col(j, t, -q)
-                if w[t][j] != 0:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # Row and column of the pivot are clear; enforce divisibility of
-            # the trailing block by the pivot.
+            piv = min(((abs(w[i][j]), i, j) for i in range(t, nr)
+                       for j in range(t, nc) if w[i][j]), default=None)
+            if piv is None:
+                break
+            _, pi, pj = piv
+            w[t], w[pi] = w[pi], w[t]
+            if pj != t:
+                for row in w:
+                    row[t], row[pj] = row[pj], row[t]
             p = w[t][t]
-            bad = None
             for i in range(t + 1, nr):
-                if any(x % p for x in w[i][t + 1:nc]):
-                    bad = i
-                    break
+                if w[i][t]:
+                    q = w[i][t] // p
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+            for j in range(t + 1, nc):
+                if w[t][j]:
+                    q = w[t][j] // p
+                    for row in w:
+                        row[j] -= q * row[t]
+            if abs(p) == 1:  # a unit leaves no remainder and divides every entry
+                break
+            if any(w[i][t] for i in range(t + 1, nr)) or any(w[t][t + 1:nc]):
+                continue
+            bad = next((i for i in range(t + 1, nr)
+                        if any(x % p for x in w[i][t + 1:nc])), None)
             if bad is None:
                 break
-            add_row(t, bad, 1)
-        t += 1
+            w[t] = [x + y for x, y in zip(w[t], w[bad])]
 
     for i in range(min(nr, nc)):
         if w[i][i] < 0:

@@ -48,10 +48,10 @@ class EllipticDecomposition:
 
     factors: tuple
 
-    def render(self, parameter: str = "t") -> str:
+    def render(self) -> str:
         parts = []
         for d, m in self.factors:
-            base = f"E_{parameter}" if d == 1 else f"E_{{{parameter}/{d}}}"
+            base = "E_t" if d == 1 else f"E_{{t/{d}}}"
             parts.append(base if m == 1 else f"{base}^{m}")
         return " x ".join(parts)
 

@@ -40,6 +40,8 @@ class RootSystemId:
     rank: int
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise TypeError(f"rank must be an int, got {type(self.rank).__name__}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in _FIXED_RANKS:
@@ -53,9 +55,10 @@ class RootSystemId:
     @classmethod
     def parse(cls, tag: str) -> "RootSystemId":
         tag = tag.strip().upper()
-        if len(tag) < 2 or tag[0] not in _FAMILIES or not tag[1:].isdigit():
+        family, digits = tag[:1], tag[1:]
+        if family not in _FAMILIES or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse root system tag {tag!r}")
-        return cls(tag[0], int(tag[1:]))
+        return cls(family, int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

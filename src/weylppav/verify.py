@@ -326,14 +326,14 @@ def check_degrees(max_rank: int) -> Section:
     return sec
 
 
-def check_properties(max_rank: int, cases: int = 100) -> Section:
+def check_properties(max_rank: int) -> Section:
     """Structural properties: homomorphism, fixed points, fixed-space dimension."""
     sec = Section("structural-properties")
     rng = random.Random(20240601)
     systems = list(all_systems(max_rank))
 
     ok_hom = True
-    for _ in range(cases):
+    for _ in range(100):
         system = rng.choice(systems)
         refl = simple_reflections(system)
         w1 = Matrix.identity(system.rank)
@@ -347,7 +347,7 @@ def check_properties(max_rank: int, cases: int = 100) -> Section:
         if lhs != rhs or not is_symplectic(lhs):
             ok_hom = False
             break
-    sec.add(f"embedding is a homomorphism on {cases} random words", ok_hom)
+    sec.add("embedding is a homomorphism on 100 random words", ok_hom)
 
     ok_fix = True
     for system in systems:

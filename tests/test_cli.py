@@ -128,6 +128,15 @@ class TestQueries:
             main(["z0", "Z9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tag", ["A\u0663", "A\u00b3"])
+    def test_non_ascii_rank_exits_2(self, capsys, tag):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", tag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse root system tag" in captured.err
+
     def test_rank_limit_boundary(self, capsys):
         assert MAX_QUERY_RANK == 200
         payload = run_json(capsys, "cartan", f"A{MAX_QUERY_RANK}")

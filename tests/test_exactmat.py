@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from weylppav import (Matrix, NotSymmetric, RootSystemId, Singular, all_systems,
-                      cartan_matrix, gram_matrix, riemann_family, smith_normal_form,
-                      solve_affine)
+                      cartan_matrix, embed_block_diag, gram_matrix, riemann_family,
+                      simple_reflections, smith_normal_form, solve_affine)
 from conftest import oracle_det, oracle_inverse
 
 F = Fraction
@@ -225,16 +226,39 @@ class TestSmithNormalForm:
         self.assert_valid(m, snf)
         assert snf.diagonal() == (1,) * 8
 
+    @pytest.mark.parametrize("rows, diag", [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[6, 0], [0, 10]], (2, 30)),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 6)),
+    ])
+    def test_divisibility_fold(self, rows, diag):
+        # a pivot clears its row and column in one round but does not divide
+        # a later diagonal entry, so that row is folded into the pivot row
+        m = Matrix(rows)
+        snf = smith_normal_form(m)
+        self.assert_valid(m, snf)
+        assert snf.diagonal() == diag
+
     def test_random_invariants(self, rng):
-        for _ in range(40):
-            n = rng.randint(1, 5)
-            m = random_int_matrix(rng, n, -20, 20)
+        for _ in range(60):
+            nr, nc = rng.randint(1, 8), rng.randint(1, 9)
+            m = Matrix([[rng.randint(-60, 60) for _ in range(nc)] for _ in range(nr)])
             snf = smith_normal_form(m)
             self.assert_valid(m, snf)
-            prod = 1
-            for x in snf.diagonal():
-                prod *= x
-            assert prod == abs(oracle_det(m))
+            diag = snf.diagonal()
+            assert diag[0] == gcd(*m.flat)
+            if nr == nc:
+                assert prod(diag) == abs(oracle_det(m))
+
+    def test_embedding_inverts_reflection_words(self, rng):
+        systems = list(all_systems(6))
+        for _ in range(30):
+            refl = simple_reflections(rng.choice(systems))
+            w = Matrix.identity(refl[0].nrows)
+            for _ in range(rng.randint(1, 8)):
+                w = w * rng.choice(refl)
+            n = w.nrows
+            assert embed_block_diag(w).m.submatrix(n, 2 * n, n, 2 * n) == w.inverse().T
 
     def test_singular_input(self):
         m = Matrix([[2, 4], [1, 2]])

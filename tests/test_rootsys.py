@@ -27,6 +27,18 @@ class TestRootSystemId:
         with pytest.raises(ValueError):
             RootSystemId.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["A\u0663", "A\u00b3", "E\uff18", "D1\u0660"])
+    def test_non_ascii_digits_rejected(self, bad):
+        # str.isdigit() accepts each of these, and int() would read three of
+        # them as A3, E8 and D10.
+        with pytest.raises(ValueError, match="cannot parse root system tag"):
+            RootSystemId.parse(bad)
+
+    @pytest.mark.parametrize("rank", [True, 3.0, "3", Fraction(3)])
+    def test_rank_must_be_int(self, rank):
+        with pytest.raises(TypeError, match="rank must be an int"):
+            RootSystemId("A", rank)
+
     def test_d3_admitted(self):
         # same abstract system as A3, kept for catalog completeness
         assert RootSystemId.parse("D3").rank == 3
