@@ -11,8 +11,8 @@ from conftest import oracle_det, oracle_inverse
 F = Fraction
 
 
-def random_int_matrix(rng, n, lo=-9, hi=9):
-    return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+def random_int_matrix(rng, n):
+    return Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
 class TestMatrixBasics:
