@@ -8,7 +8,9 @@ because JSON numbers cannot carry exactness.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including input over one of the size limits below), 3 unsupported input
-(a fixed-space generator with nonzero lower-left block).
+(a fixed-space generator with nonzero lower-left block), 141 stdout closed
+by its reader before the output was written (``weylppav z0 A120 | head``;
+128 + SIGPIPE, as a shell reports a process killed by that signal).
 
 Every ``main`` call builds its own parser, but a subcommand's parser is
 built only when parsing reaches it (``_DeferredParser``): building all nine
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -34,15 +37,17 @@ from .weyl import NonUnimodularGenerator, expected_order, generate_group
 
 USAGE_ERROR = 2
 UNSUPPORTED_INPUT = 3
+BROKEN_PIPE = 141
 
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
 # time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
 # 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
-# dense system in n(n+1)/2 unknowns. verify-all takes 7 s at rank 12 and
-# 34 s at rank 20. A closure holds cap elements of rank row ids each; its
-# peak memory is at most about 7 bytes per cap * rank^2 entry (tracemalloc,
-# E6, A7, B6 closed, E7, E8, A8 truncated at the limit), so about 35 MB. The
-# limit admits verify-all's own cap (100,001) up to rank 7.
+# dense system in n(n+1)/2 unknowns. verify-all takes about 6 s at rank 12
+# and 26 s at rank 20. A closure holds cap elements of rank row ids each;
+# its peak memory is at most about 5 bytes per cap * rank^2 entry
+# (tracemalloc, E6, A7, B6 closed, E7, E8, A8 truncated at the limit; E7
+# is the largest at 4.7), so about 25 MB. The limit admits verify-all's own
+# cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_VERIFY_RANK = 16
@@ -71,9 +76,7 @@ def _emit(payload: dict, pretty: bool):
 
 def _parse_tag(tag: str) -> RootSystemId:
     try:
-        system = RootSystemId.parse(tag)
-        if system.rank > MAX_QUERY_RANK:
-            raise ValueError(f"rank {system.rank} exceeds the limit {MAX_QUERY_RANK}")
+        system = RootSystemId.parse(tag, max_rank=MAX_QUERY_RANK)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -279,7 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the flush at
+        # interpreter exit does not fail on the same pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -53,12 +53,25 @@ class RootSystemId:
                 f"{_MIN_RANK[self.family]} for family {self.family}")
 
     @classmethod
-    def parse(cls, tag: str) -> "RootSystemId":
+    def parse(cls, tag: str, max_rank: int | None = None) -> "RootSystemId":
+        """Read a tag such as ``A4`` or ``e8``: a family letter, then the
+        rank in ASCII digits without leading zeros.
+
+        A rank above ``max_rank`` raises ValueError naming the limit. A rank
+        with more digits than the limit is refused before it is converted,
+        so a tag of any length gets that message.
+        """
         tag = tag.strip().upper()
         family, digits = tag[:1], tag[1:]
-        if family not in _FAMILIES or not (digits.isascii() and digits.isdigit()):
+        if (family not in _FAMILIES or not (digits.isascii() and digits.isdigit())
+                or (digits.startswith("0") and digits != "0")):
             raise ValueError(f"cannot parse root system tag {tag!r}")
-        return cls(family, int(digits))
+        if max_rank is not None and len(digits) > len(str(max_rank)):
+            raise ValueError(f"rank {digits} exceeds the limit {max_rank}")
+        system = cls(family, int(digits))
+        if max_rank is not None and system.rank > max_rank:
+            raise ValueError(f"rank {system.rank} exceeds the limit {max_rank}")
+        return system
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

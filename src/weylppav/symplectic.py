@@ -98,15 +98,21 @@ def embed_block_diag(rho: Matrix) -> SymplecticMat:
 
 
 def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
-    """Apply z |-> (A z + B)(C z + D)^{-1}; the result is again symmetric."""
+    """Apply z |-> (A z + B)(C z + D)^{-1}; the result is again symmetric.
+
+    When C = 0 the symplectic condition gives D^{-1} = A^t, so the action
+    is (A z + B) A^t and needs no inverse.
+    """
     if not z.is_symmetric():
         raise ValueError("symmetric matrix required")
     a, b, c, d = m.blocks()
-    denom = c * z + d
-    try:
-        denom_inv = denom.inverse()
-    except Singular:
-        raise SingularDenominator("C z + D is singular") from None
+    if c.is_zero():
+        denom_inv = a.T
+    else:
+        try:
+            denom_inv = (c * z + d).inverse()
+        except Singular:
+            raise SingularDenominator("C z + D is singular") from None
     result = (a * z + b) * denom_inv
     if not result.is_symmetric():
         raise AssertionError("action of a symplectic matrix must preserve symmetry")

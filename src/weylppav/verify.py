@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import prod
 from operator import mul
 
@@ -250,14 +251,55 @@ def _elements_preserve_form(group, gram):
     """Exhaustive g^t * gram * g == gram over all elements.
 
     Returns None when every element passes, else the first failure as
-    (element index, (i, j), computed, expected). Only the upper triangle is
-    compared: g^t * gram * g is exactly symmetric when gram is. Entry (i, j)
-    is col_i . (gram * col_j). Each distinct column gets an id, and the
-    value is computed once per pair of column ids: every column of a Weyl
-    group element is a root, so the table holds at most |roots|^2 values.
+    (element index, (i, j), computed, expected), the index counted in the
+    canonical order of ``group.codes``. Only the upper triangle is
+    compared: g^t * gram * g is exactly symmetric when gram is. Entry
+    (i, j) is col_i . (gram * col_j), so it depends only on the pair of
+    columns (i, j) of the element. The check runs one cell at a time: every
+    distinct column gets an id, each element puts its pair of column ids
+    for the cell into a set, and a value is computed once per distinct
+    pair. Every column of a Weyl group element is a root, so a cell sees a
+    few thousand pairs however large the group. Only when a cell fails
+    does ``_first_failure`` scan the elements in canonical order for the
+    witness.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
+    n = group.dimension
+    vectors = group.vectors
+    s_rows = gram.rows()
+    s_flat = gram.flat
+    # by_row[r][e] is the row id of row r of element e; column j of every
+    # element is read off position j of those rows.
+    by_row = list(zip(*group.found))
+    col_ids = {}
+    labels = count()
+    ids = []  # ids[j][e] is the id of column j of element e
+    for j in range(n):
+        entry = [vec[j] for vec in vectors]
+        cols = zip(*(map(entry.__getitem__, rids) for rids in by_row))
+        ids.append(list(map(col_ids.setdefault, cols, labels)))
+    cols = {c: col for col, c in col_ids.items()}
+    s_cols = {c: tuple(sum(map(mul, row, col)) for row in s_rows)
+              for c, col in cols.items()}
+    values = {}  # (a, b) -> cols[a] . s_cols[b]
+    for j in range(n):
+        for i in range(j + 1):
+            expected = s_flat[i * n + j]
+            for pair in set(zip(ids[i], ids[j])):
+                value = values.get(pair)
+                if value is None:
+                    a, b = pair
+                    value = values[pair] = sum(map(mul, cols[a], s_cols[b]))
+                if value != expected:
+                    return _first_failure(group, gram)
+    return None
+
+
+def _first_failure(group, gram):
+    """The witness of ``_elements_preserve_form``: the first element in
+    canonical order, and its first upper-triangle cell column by column,
+    where g^t * gram * g differs from gram; None if there is none."""
     n = group.dimension
     rows = group.rows
     s_rows = gram.rows()

@@ -9,14 +9,18 @@ of an n^3 multiply. A finite group has finitely many distinct rows (for a
 Weyl group in the simple-root basis they lie in the orbits of the
 fundamental coweights), so the tables stay small; they grow only for rows
 of elements already found, so an infinite group still stops at the cap.
-The arithmetic is exact for any integer generator.
+The closure advances one breadth-first level per step: the level's
+products are formed generator by generator with ``map``, and its new
+elements are the distinct products not yet seen, in the order an
+element-by-element scan would meet them. The arithmetic is exact for any
+integer generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse, repeat
 from math import factorial
 from operator import mul
 
@@ -28,27 +32,51 @@ class NonUnimodularGenerator(ValueError):
     """A generator with |det| != 1 cannot generate a group of lattice symmetries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """Closure result: elements in canonical order plus a truncation flag.
+    """Closure result: the elements found plus a truncation flag.
 
-    ``rows`` holds the distinct rows of the elements, sorted, and each entry
-    of ``codes`` is one element as the tuple of indices into ``rows`` of
-    its rows. ``codes`` is sorted, which sorts the elements lexicographically
+    ``found`` is the set of elements, each the tuple of ids of its rows in
+    the intern table ``vectors`` (row id -> row vector); ids depend on the
+    order of exploration. ``order`` and ``truncated`` read nothing else.
+    The canonical form is computed on first read and cached: ``rows``
+    holds the distinct rows of the elements, sorted, and each entry of
+    ``codes`` is one element as the tuple of indices into ``rows`` of its
+    rows. ``codes`` is sorted, which sorts the elements lexicographically
     on their flattened entries, so two runs produce identical output. When
     ``truncated`` is True the closure hit the cap and ``codes`` holds
-    exactly what had been found, in the same canonical order.
+    exactly what had been found, in the same canonical order. Equality
+    compares ``dimension``, ``rows``, ``codes``, ``generators`` and
+    ``truncated``.
     """
 
     dimension: int
-    rows: tuple
-    codes: tuple
+    found: set = field(repr=False)
+    vectors: tuple = field(repr=False)
     generators: tuple
     truncated: bool
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        return len(self.found)
+
+    @cached_property
+    def _canonical(self) -> tuple:
+        # Relabel the row ids in the order of their vectors. All rows have
+        # length n, so sorting the id tuples then sorts the flat entries.
+        vectors = self.vectors
+        used = sorted(set(chain.from_iterable(self.found)), key=vectors.__getitem__)
+        rank = {rid: pos for pos, rid in enumerate(used)}
+        codes = sorted(tuple(map(rank.__getitem__, el)) for el in self.found)
+        return tuple(map(vectors.__getitem__, used)), tuple(codes)
+
+    @property
+    def rows(self) -> tuple:
+        return self._canonical[0]
+
+    @property
+    def codes(self) -> tuple:
+        return self._canonical[1]
 
     @cached_property
     def elements(self) -> tuple:
@@ -57,12 +85,25 @@ class MatrixGroup:
         flats = (tuple(chain.from_iterable(map(rows.__getitem__, code))) for code in self.codes)
         return tuple(Matrix._from_int_flat(flat, n, n) for flat in flats)
 
+    def _key(self) -> tuple:
+        return self.dimension, self.rows, self.codes, self.generators, self.truncated
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixGroup):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 def generate_group(generators, cap: int) -> MatrixGroup:
     """Close a set of unimodular integer matrices under multiplication.
 
     The cap is mandatory: if one more element would push the closure past
-    it, exploration stops and the result is flagged truncated.
+    it, exploration stops and the result is flagged truncated. The elements
+    kept are then the first ``cap`` that a breadth-first scan, element by
+    element and generator by generator, meets.
     """
     gens = list(generators)
     if not gens:
@@ -87,8 +128,8 @@ def generate_group(generators, cap: int) -> MatrixGroup:
         return rid
 
     # acts[k][rid] is the id of vectors[rid] * gens[k]. The tables are
-    # filled together, on first use, and only up to the largest row id of
-    # the element at hand: the rows they intern are not chased further.
+    # filled together, once per level, and only up to the largest row id of
+    # the level's elements: the rows they intern are not chased further.
     gen_cols = [[g.col(j) for j in range(n)] for g in gens]
     acts = [[] for _ in gens]
     filled = 0
@@ -97,34 +138,26 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     frontier = [ident]
     truncated = False
     while frontier and not truncated:
-        nxt = []
-        for el in frontier:
-            top = max(el) + 1
-            if top > filled:
-                for cols, act in zip(gen_cols, acts):
-                    act.extend(intern(tuple(sum(map(mul, vectors[rid], col)) for col in cols))
-                               for rid in range(filled, top))
-                filled = top
-            for act in acts:
-                prod = tuple(map(act.__getitem__, el))
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        truncated = True
-                        break
-                    seen.add(prod)
-                    nxt.append(prod)
-            if truncated:
-                break
-        frontier = nxt
+        top = max(map(max, frontier)) + 1
+        if top > filled:
+            for cols, act in zip(gen_cols, acts):
+                act.extend(intern(tuple(sum(map(mul, vectors[rid], col)) for col in cols))
+                           for rid in range(filled, top))
+            filled = top
+        # Products element-major, generator-minor: the order in which an
+        # element-by-element scan meets them. dict.fromkeys keeps the first
+        # occurrence of each.
+        per_gen = [map(tuple, map(map, repeat(act.__getitem__), frontier)) for act in acts]
+        products = dict.fromkeys(chain.from_iterable(zip(*per_gen)))
+        frontier = list(filterfalse(seen.__contains__, products))
+        room = cap - len(seen)
+        if len(frontier) > room:
+            del frontier[room:]
+            truncated = True
+        seen.update(frontier)
 
-    # Relabel the row ids in the order of their vectors. All rows have
-    # length n, so sorting the id tuples then sorts the flat entries.
-    used = sorted(set(chain.from_iterable(seen)), key=vectors.__getitem__)
-    rank = {rid: pos for pos, rid in enumerate(used)}
-    codes = sorted(tuple(map(rank.__getitem__, el)) for el in seen)
-    return MatrixGroup(dimension=n, rows=tuple(map(vectors.__getitem__, used)),
-                       codes=tuple(codes), generators=tuple(gens),
-                       truncated=truncated)
+    return MatrixGroup(dimension=n, found=seen, vectors=tuple(vectors),
+                       generators=tuple(gens), truncated=truncated)
 
 
 def check_invariance(generators, form: Matrix) -> bool:

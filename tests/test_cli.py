@@ -29,6 +29,14 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a call that exits through SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 # SHA-256 of the `verify-all --max-rank 8` report at the seed commit 58b3be1.
 RANK8_REPORT_SHA256 = "7f3d5c02971508ac30107794086a0d42ef66a7b5578e881c61b2a6b97927f042"
 
@@ -137,6 +145,17 @@ class TestQueries:
         assert captured.out == ""
         assert "cannot parse root system tag" in captured.err
 
+    def test_leading_zeros_exit_2(self, capsys):
+        code, out, err = run_exit(capsys, "gram", "A0003")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse root system tag 'A0003'\n"
+
+    def test_huge_rank_gets_the_limit_message(self, capsys):
+        digits = "9" * 5000
+        code, out, err = run_exit(capsys, "gram", "A" + digits)
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {digits} exceeds the limit 200\n"
+
     def test_rank_limit_boundary(self, capsys):
         assert MAX_QUERY_RANK == 200
         payload = run_json(capsys, "cartan", f"A{MAX_QUERY_RANK}")
@@ -199,6 +218,47 @@ USAGE_ARGVS = [[], ["--help"], ["--he"], ["--help", "z0"], ["--version"],
                ["nosuch", "G2"], ["group-order", "G2"], ["group-order", "--help"],
                ["group-order", "G2", "--cap", "x"], ["group-order", "G2", "--ca", "100"],
                ["fixed-space"], ["verify-all", "--max-rank", "x"], ["--", "z0", "G2"]]
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141(self, monkeypatch, tmp_path):
+        # A reader that went away: every write fails with EPIPE.
+        target = open(tmp_path / "stdout", "w")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["gram", "A3"]) == cli.BROKEN_PIPE == 141
+            # The descriptor behind stdout now writes to devnull.
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        finally:
+            target.close()
+
+    def test_reader_closing_early_leaves_stderr_empty(self):
+        path = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        # About 200 kB of output: more than a pipe buffers, so the writer
+        # is still writing when the reader closes its end.
+        proc = subprocess.Popen([sys.executable, "-m", "weylppav", "gram", "A200"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.read(20) == b'{"system": "A200", "'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestDeferredSubparsers:

@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylppav import (Matrix, Singular, SymplecticMat, fixed_symmetric_space,  # noqa: E402
-                      smith_normal_form, solve_affine)
+                      modular_action, smith_normal_form, solve_affine)
 from weylppav.symplectic import sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -228,3 +228,19 @@ def test_fixed_space_by_substitution(case):
     vecs = [sym_to_vec(x) for x in space.basis]
     assert row_rank(vecs) == len(vecs)
     assert row_rank(vecs + [sym_to_vec(zstar - p)]) == len(vecs)
+
+
+@PROPERTY
+@given(generators_fixing(), st.data())
+def test_modular_action_without_lower_left_block(case, data):
+    # With C = 0 the action is computed as (A z + B) A^t; the definition
+    # is (A z + B) D^{-1}, with D inverted here by elimination.
+    zstar, gens = case
+    n = zstar.nrows
+    upper = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
+    z = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    for gen in gens:
+        a, b, c, d = gen.blocks()
+        assert c.is_zero()
+        assert modular_action(gen, z) == (a * z + b) * d.inverse()
+    assert all(modular_action(gen, zstar) == zstar for gen in gens)

@@ -34,6 +34,24 @@ class TestRootSystemId:
         with pytest.raises(ValueError, match="cannot parse root system tag"):
             RootSystemId.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["A0003", "A03", "e08", "D00"])
+    def test_leading_zeros_rejected(self, bad):
+        with pytest.raises(ValueError, match="cannot parse root system tag"):
+            RootSystemId.parse(bad)
+
+    def test_max_rank(self):
+        assert RootSystemId.parse("A200", max_rank=200) == RootSystemId("A", 200)
+        with pytest.raises(ValueError, match="^rank 201 exceeds the limit 200$"):
+            RootSystemId.parse("A201", max_rank=200)
+        # Far more digits than int() converts by default: refused by length.
+        with pytest.raises(ValueError, match="exceeds the limit 200$"):
+            RootSystemId.parse("A" + "9" * 5000, max_rank=200)
+        # Without a limit the rank is converted, and a nonexistent
+        # exceptional rank is still named as such.
+        assert RootSystemId.parse("B1000").rank == 1000
+        with pytest.raises(ValueError, match="E300 is not a root system"):
+            RootSystemId.parse("E300", max_rank=200)
+
     @pytest.mark.parametrize("rank", [True, 3.0, "3", Fraction(3)])
     def test_rank_must_be_int(self, rank):
         with pytest.raises(TypeError, match="rank must be an int"):

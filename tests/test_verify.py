@@ -119,9 +119,28 @@ class TestFormWitness:
         assert witness is not None
         assert witness == first_dense_failure(group, form)
 
+    @pytest.mark.parametrize("tag", ["B3", "A4"])
+    def test_witness_with_a_diagonal_cell_changed(self, tag):
+        # Raising the last diagonal entry breaks many cells, on different
+        # elements; the witness is still the first one in canonical order.
+        system = RootSystemId.parse(tag)
+        rows = [list(r) for r in gram_matrix(system).rows()]
+        rows[-1][-1] += 1
+        form = Matrix(rows)
+        group = generate_group(simple_reflections(system), 1000)
+        witness = verify._elements_preserve_form(group, form)
+        assert witness is not None
+        assert witness == first_dense_failure(group, form)
+
     def test_group_orders_build_no_element_matrices(self, no_group_matrices):
         # The closure and the form check work on row ids; neither may
         # materialize the group as Matrix objects.
+        sec = verify.check_group_orders(6)
+        assert sec.checks and all(c.status == "pass" for c in sec.checks)
+
+    def test_group_orders_need_no_canonical_order(self, no_canonical_order):
+        # A passing run reads only the order, the truncation flag and the
+        # elements as found; the canonical order is for witnesses.
         sec = verify.check_group_orders(6)
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
 

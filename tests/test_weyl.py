@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from weylppav import (Matrix, NonUnimodularGenerator, RootSystemId, check_invariance,
@@ -31,6 +33,30 @@ def dense_closure(gens, cap):
                 break
         frontier = nxt
     return sorted(seen), truncated
+
+
+def level_totals(gens, limit):
+    """Group size after each breadth-first level, by dense products, until
+    the closure is complete or holds at least ``limit`` elements."""
+    n = gens[0].nrows
+    flats = [g.flat for g in gens]
+    ident = Matrix.identity(n).flat
+    seen, frontier, totals = {ident}, [ident], []
+    while frontier and len(seen) < limit:
+        nxt = []
+        for el in frontier:
+            for g in flats:
+                prod = mat_mul_flat_py(el, g, n, n, n)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+        totals.append(len(seen))
+    return totals
+
+
+HEISENBERG = [Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+              Matrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
 
 
 class TestGenerateGroup:
@@ -100,6 +126,25 @@ class TestGenerateGroup:
         assert group.truncated == expected_truncated
         assert all(el.is_integral() for el in group.elements)
 
+    @pytest.mark.parametrize("gens", [refl("B3"), refl("A4"), HEISENBERG],
+                             ids=["B3", "A4", "heisenberg"])
+    def test_truncation_at_level_boundaries(self, gens):
+        # A cap one below, at or one above a level's total stops the
+        # closure inside, at the end of, or just past that level. Some
+        # level is wider than the one before, so it holds the products of
+        # more than one generator and the cut falls inside them.
+        totals = level_totals(gens, 300)
+        widths = [b - a for a, b in zip([0] + totals, totals)]
+        assert any(w > v for v, w in zip(widths, widths[1:]))
+        for total in totals:
+            for cap in (total - 1, total, total + 1):
+                if cap < 1:
+                    continue
+                expected, expected_truncated = dense_closure(gens, cap)
+                group = generate_group(gens, cap)
+                assert [el.flat for el in group.elements] == expected, cap
+                assert group.truncated == expected_truncated, cap
+
     def test_rows_and_codes(self):
         group = generate_group(refl("B3"), 10 ** 4)
         assert list(group.rows) == sorted(set(group.rows))
@@ -117,6 +162,26 @@ class TestGenerateGroup:
         assert g1.elements == g2.elements  # same set, same canonical order
         flats = [el.flat for el in g1.elements]
         assert flats == sorted(flats)
+
+    @pytest.mark.parametrize("tag", ["B3", "A4"])
+    def test_equality_ignores_exploration_order(self, tag):
+        # Reversed generators intern the rows in another order; the
+        # canonical form, and so value equality, does not depend on it.
+        g1 = generate_group(refl(tag), 10 ** 4)
+        g2 = generate_group(list(reversed(refl(tag))), 10 ** 4)
+        assert g1.found != g2.found or g1.vectors != g2.vectors
+        assert (g1.rows, g1.codes, g1.truncated) == (g2.rows, g2.codes, g2.truncated)
+        assert g1.order == len(g1.codes) == g2.order == len(g2.codes)
+        assert g1 != g2  # the generators are part of the value
+        same = replace(g2, generators=g1.generators)
+        assert same == g1 and hash(same) == hash(g1)
+        assert generate_group(refl(tag), 10 ** 4) == g1
+
+    def test_order_needs_no_canonical_order(self, no_canonical_order):
+        group = generate_group(refl("A4"), 10 ** 4)
+        assert (group.order, group.truncated) == (120, False)
+        with pytest.raises(AssertionError, match="canonical order"):
+            group.codes
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodularGenerator):
