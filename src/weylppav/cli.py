@@ -42,14 +42,16 @@ BROKEN_PIPE = 141
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
 # time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
 # 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
-# dense system in n(n+1)/2 unknowns. verify-all takes about 6 s at rank 12
-# and 26 s at rank 20. A closure holds cap elements of rank row ids each;
-# its peak memory is at most about 5 bytes per cap * rank^2 entry
-# (tracemalloc, E6, A7, B6 closed, E7, E8, A8 truncated at the limit; E7
-# is the largest at 4.7), so about 25 MB. The limit admits verify-all's own
-# cap (100,001) up to rank 7.
+# dense system in n(n+1)/2 unknowns with n(n+1)/2 rows per generator (at
+# n = 16, 64 identity generators take about 5 s and 100 MB max RSS).
+# verify-all takes about 6 s at rank 12 and 26 s at rank 20. A closure
+# holds cap elements of rank row ids each; its peak memory is at most
+# about 5 bytes per cap * rank^2 entry (tracemalloc, E6, A7, B6 closed, E7,
+# E8, A8 truncated at the limit; E7 is the largest at 4.7), so about 25 MB.
+# The limit admits verify-all's own cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
+MAX_FIXED_SPACE_GENERATORS = 64
 MAX_VERIFY_RANK = 16
 MAX_GROUP_ENTRIES = 5_000_000
 
@@ -171,6 +173,9 @@ def cmd_fixed_space(args) -> int:
         raw = data["generators"]
         if not raw:
             raise ValueError("at least one generator required")
+        if len(raw) > MAX_FIXED_SPACE_GENERATORS:
+            raise ValueError(f"{len(raw)} generators exceed the limit "
+                             f"{MAX_FIXED_SPACE_GENERATORS}")
         gens = [SymplecticMat(n, Matrix(item["matrix"])) for item in raw]
     except (OSError, RecursionError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:

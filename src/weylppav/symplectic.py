@@ -215,6 +215,13 @@ def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSp
 # -- family isomorphism and decomposition witnesses ------------------------------
 
 
+def _require_unimodular(a: Matrix):
+    if not (a.is_square and a.is_integral()):
+        raise ValueError("square integer matrix required")
+    if abs(det := a.det()) != 1:
+        raise NonUnimodular(f"determinant is {det}")
+
+
 def verify_family_isomorphism(a: Matrix, z1: Matrix, z2: Matrix) -> bool:
     """Check the unimodular change of basis a: does a z1 a^t = z2 hold exactly?
 
@@ -222,18 +229,12 @@ def verify_family_isomorphism(a: Matrix, z1: Matrix, z2: Matrix) -> bool:
     identity is equivalent to the block-diagonal symplectic equivalence at
     every parameter value, since tau cancels.
     """
-    if not (a.is_square and a.is_integral()):
-        raise ValueError("square integer matrix required")
-    if abs(det := a.det()) != 1:
-        raise NonUnimodular(f"determinant is {det}")
+    _require_unimodular(a)
     return a * z1 * a.T == z2
 
 
 def verify_decomposition_witness(f: Matrix, d: Sequence[int], m: Matrix,
                                  z0: Matrix) -> bool:
     """Check a splitting witness: F z0 = diag(d) M exactly."""
-    if not (f.is_square and f.is_integral()):
-        raise ValueError("square integer matrix required")
-    if abs(det := f.det()) != 1:
-        raise NonUnimodular(f"determinant is {det}")
+    _require_unimodular(f)
     return f * z0 == Matrix.diagonal(list(d)) * m

@@ -251,17 +251,18 @@ def _elements_preserve_form(group, gram):
     """Exhaustive g^t * gram * g == gram over all elements.
 
     Returns None when every element passes, else the first failure as
-    (element index, (i, j), computed, expected), the index counted in the
-    canonical order of ``group.codes``. Only the upper triangle is
-    compared: g^t * gram * g is exactly symmetric when gram is. Entry
-    (i, j) is col_i . (gram * col_j), so it depends only on the pair of
-    columns (i, j) of the element. The check runs one cell at a time: every
-    distinct column gets an id, each element puts its pair of column ids
-    for the cell into a set, and a value is computed once per distinct
-    pair. Every column of a Weyl group element is a root, so a cell sees a
-    few thousand pairs however large the group. Only when a cell fails
-    does ``_first_failure`` scan the elements in canonical order for the
-    witness.
+    (element index, (i, j), computed, expected): the first element in the
+    canonical order of ``group.codes`` that fails, and its first wrong cell
+    column by column. Only the upper triangle is compared: g^t * gram * g
+    is exactly symmetric when gram is. Entry (i, j) is col_i . (gram *
+    col_j), so it depends only on the pair of columns (i, j) of the
+    element. The check runs one cell at a time: every distinct column gets
+    an id, each element puts its pair of column ids for the cell into a
+    set, and a value is computed once per distinct pair. Every column of a
+    Weyl group element is a root, so a cell sees a few thousand pairs
+    however large the group. Each cell keeps the pairs whose value is
+    wrong; only if one is kept are the elements walked in canonical order,
+    their columns mapped to the same ids, for the first that hits one.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
@@ -283,50 +284,27 @@ def _elements_preserve_form(group, gram):
     s_cols = {c: tuple(sum(map(mul, row, col)) for row in s_rows)
               for c, col in cols.items()}
     values = {}  # (a, b) -> cols[a] . s_cols[b]
+    wrong = []  # (i, j, the pairs wrong in cell (i, j)), column by column
     for j in range(n):
         for i in range(j + 1):
             expected = s_flat[i * n + j]
+            bad = set()
             for pair in set(zip(ids[i], ids[j])):
                 value = values.get(pair)
                 if value is None:
                     a, b = pair
                     value = values[pair] = sum(map(mul, cols[a], s_cols[b]))
                 if value != expected:
-                    return _first_failure(group, gram)
-    return None
-
-
-def _first_failure(group, gram):
-    """The witness of ``_elements_preserve_form``: the first element in
-    canonical order, and its first upper-triangle cell column by column,
-    where g^t * gram * g differs from gram; None if there is none."""
-    n = group.dimension
-    rows = group.rows
-    s_rows = gram.rows()
-    s_flat = gram.flat
-    col_ids = {}
-    cols = []
-    s_cols = []
-    values = []  # values[b][a] = cols[a] . s_cols[b]
-    for index, code in enumerate(group.codes):
-        ids = []
-        for col in zip(*map(rows.__getitem__, code)):
-            c = col_ids.get(col)
-            if c is None:
-                c = col_ids[col] = len(cols)
-                cols.append(col)
-                s_cols.append(tuple(sum(map(mul, row, col)) for row in s_rows))
-                values.append({})
-            ids.append(c)
-        for j, b in enumerate(ids):
-            known = values[b]
-            for i in range(j + 1):
-                a = ids[i]
-                value = known.get(a)
-                if value is None:
-                    value = known[a] = sum(map(mul, cols[a], s_cols[b]))
-                if value != s_flat[i * n + j]:
-                    return index, (i, j), value, s_flat[i * n + j]
+                    bad.add(pair)
+            if bad:
+                wrong.append((i, j, bad))
+    if wrong:
+        rows = group.rows
+        for index, code in enumerate(group.codes):
+            c = [col_ids[col] for col in zip(*map(rows.__getitem__, code))]
+            for i, j, bad in wrong:
+                if (c[i], c[j]) in bad:
+                    return index, (i, j), values[c[i], c[j]], s_flat[i * n + j]
     return None
 
 

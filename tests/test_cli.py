@@ -12,8 +12,9 @@ import weylppav
 from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
                       expected_order, riemann_family, smith_normal_form)
 from weylppav import cli, ppav, verify
-from weylppav.cli import (MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
-                          MAX_VERIFY_RANK, main, parse_scalar)
+from weylppav.cli import (MAX_FIXED_SPACE_GENERATORS, MAX_FIXED_SPACE_N,
+                          MAX_GROUP_ENTRIES, MAX_QUERY_RANK, MAX_VERIFY_RANK,
+                          main, parse_scalar)
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
 
 
@@ -427,6 +428,19 @@ class TestFixedSpace:
         code, out, err = run(capsys, "fixed-space", str(f))
         assert code == 2
         assert out == "" and "n = 17 exceeds the limit 16" in err
+
+    def test_generator_limit_boundary(self, capsys, tmp_path):
+        assert MAX_FIXED_SPACE_GENERATORS == 64
+        f = tmp_path / "gens.json"
+        write_generators(f, 1, [Matrix.identity(2)] * MAX_FIXED_SPACE_GENERATORS)
+        assert run_json(capsys, "fixed-space", str(f))["dimension"] == 1
+        write_generators(f, 1, [Matrix.identity(2)] * (MAX_FIXED_SPACE_GENERATORS + 1))
+        code, out, err = run(capsys, "fixed-space", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: malformed fixed-space input: "
+                       "65 generators exceed the limit 64\n")
+        assert "Traceback" not in err
 
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         f = tmp_path / "gens.json"

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylppav import (Matrix, RootSystemId, generate_group, gram_matrix,
-                      riemann_family, simple_reflections)
+from weylppav import (Matrix, RootSystemId, all_systems, generate_group,
+                      gram_matrix, riemann_family, simple_reflections)
 from weylppav import reference
 from weylppav import verify
 from weylppav.verify import (_proportional, _same_span, _spanned_by,
@@ -131,6 +131,35 @@ class TestFormWitness:
         witness = verify._elements_preserve_form(group, form)
         assert witness is not None
         assert witness == first_dense_failure(group, form)
+
+    @pytest.mark.parametrize("tag, index", [("B3", 8), ("A4", 0)])
+    def test_witness_when_others_fail_an_earlier_cell(self, tag, index):
+        # Raising gram[0][0] makes some elements fail at (0, 0) first, while
+        # the first failing element in canonical order fails first at
+        # (0, 1): the witness must be that element and that cell, not the
+        # first failure of cell (0, 0).
+        system = RootSystemId.parse(tag)
+        rows = [list(r) for r in gram_matrix(system).rows()]
+        rows[0][0] += 1
+        form = Matrix(rows)
+        group = generate_group(simple_reflections(system), 1000)
+        dense = first_dense_failure(group, form)
+        assert dense[:2] == (index, (0, 1))
+        assert any((g.T * form * g)[0, 0] != form[0, 0] for g in group.elements)
+        assert verify._elements_preserve_form(group, form) == dense
+
+    def test_failing_group_orders_build_no_element_matrices(self, monkeypatch,
+                                                            no_group_matrices):
+        # The witness is read off the check's own tables and the canonical
+        # codes, never off element matrices.
+        monkeypatch.setattr(verify, "gram_matrix", lambda system: skewed_gram(system)
+                            if system.rank > 1 else gram_matrix(system))
+        sec = verify.check_group_orders(3)
+        failed = [c for c in sec.checks if c.status == "fail"]
+        assert [c.name for c in failed] == [
+            f"{system}: every element preserves the Gram form"
+            for system in all_systems(3) if system.rank > 1]
+        assert all(c.detail.startswith("element ") for c in failed)
 
     def test_group_orders_build_no_element_matrices(self, no_group_matrices):
         # The closure and the form check work on row ids; neither may
