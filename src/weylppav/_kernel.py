@@ -3,7 +3,7 @@
 The one product loop behind ``Matrix.__mul__``, for any n*k by k*m shape
 and any exact scalars (Python ints and ``fractions.Fraction``). The group
 closure and the exhaustive form check in ``verify`` work on interned rows
-and columns of their own and do not go through it.
+of their own and do not go through it.
 """
 
 from __future__ import annotations

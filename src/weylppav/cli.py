@@ -47,7 +47,7 @@ BROKEN_PIPE = 141
 # verify-all takes about 6 s at rank 12 and 26 s at rank 20. A closure
 # holds cap elements of rank row ids each; its peak memory is at most
 # about 5 bytes per cap * rank^2 entry (tracemalloc, E6, A7, B6 closed, E7,
-# E8, A8 truncated at the limit; E7 is the largest at 4.7), so about 25 MB.
+# E8, A8 truncated at the limit; E7 is the largest at 4.9), so about 25 MB.
 # The limit admits verify-all's own cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16

@@ -184,12 +184,16 @@ class Matrix:
         return Matrix.from_flat([-x for x in self.flat], self.nrows, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
         return Matrix.from_flat([x + y for x, y in zip(self.flat, other.flat)],
                                 self.nrows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
         return Matrix.from_flat([x - y for x, y in zip(self.flat, other.flat)],

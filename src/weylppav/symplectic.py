@@ -150,6 +150,9 @@ def sym_to_vec(m: Matrix) -> tuple:
 
 
 def vec_to_sym(vec: Sequence, n: int) -> Matrix:
+    if len(vec) != n * (n + 1) // 2:
+        raise ValueError(f"a symmetric {n} x {n} matrix takes {n * (n + 1) // 2} "
+                         f"coordinates, got {len(vec)}")
     rows = [[0] * n for _ in range(n)]
     for (i, j), x in zip(_sym_index(n), vec):
         rows[i][j] = x

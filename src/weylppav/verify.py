@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from math import prod
 from operator import mul
 
@@ -253,59 +252,70 @@ def _elements_preserve_form(group, gram):
     Returns None when every element passes, else the first failure as
     (element index, (i, j), computed, expected): the first element in the
     canonical order of ``group.codes`` that fails, and its first wrong cell
-    column by column. Only the upper triangle is compared: g^t * gram * g
-    is exactly symmetric when gram is. Entry (i, j) is col_i . (gram *
-    col_j), so it depends only on the pair of columns (i, j) of the
-    element. The check runs one cell at a time: every distinct column gets
-    an id, each element puts its pair of column ids for the cell into a
-    set, and a value is computed once per distinct pair. Every column of a
-    Weyl group element is a root, so a cell sees a few thousand pairs
-    however large the group. Each cell keeps the pairs whose value is
-    wrong; only if one is kept are the elements walked in canonical order,
-    their columns mapped to the same ids, for the first that hits one.
+    of g^t * gram * g column by column.
+
+    The check reads rows, not columns. Let N be the least common
+    denominator of gram^-1 and Z = N * gram^-1, which is integral. For an
+    invertible g (every closure element is unimodular), g^t * gram * g ==
+    gram holds exactly when g * Z * g^t == Z. gram * Z == N * I is checked
+    first, so a faulty inverse cannot make the check vacuous; a singular
+    form raises ValueError. Entry (i, j) of g * Z * g^t is row_i . (Z *
+    row_j), so it depends only on the ids of rows i and j, which
+    ``group.found`` already stores. Only the upper triangle is compared,
+    one cell at a time: each element puts its pair of row ids for the cell
+    into a set, and a value is computed once per distinct pair. Each cell
+    keeps the pairs whose value is wrong; only if one is kept are the
+    elements walked in canonical order for the first that hits one, and
+    its wrong cell of g^t * gram * g is computed for that element alone.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
     n = group.dimension
     vectors = group.vectors
-    s_rows = gram.rows()
-    s_flat = gram.flat
-    # by_row[r][e] is the row id of row r of element e; column j of every
-    # element is read off position j of those rows.
+    inverse = gram.inverse()
+    scale = inverse.denominator_lcm()
+    z = scale * inverse
+    if gram * z != scale * Matrix.identity(n):
+        raise ValueError("the inverse of the form does not invert it")
+    z_rows = z.rows()
+    z_flat = z.flat
+    z_vecs = [tuple(sum(map(mul, row, vec)) for row in z_rows) for vec in vectors]
+    # by_row[r][e] is the row id of row r of element e.
     by_row = list(zip(*group.found))
-    col_ids = {}
-    labels = count()
-    ids = []  # ids[j][e] is the id of column j of element e
-    for j in range(n):
-        entry = [vec[j] for vec in vectors]
-        cols = zip(*(map(entry.__getitem__, rids) for rids in by_row))
-        ids.append(list(map(col_ids.setdefault, cols, labels)))
-    cols = {c: col for col, c in col_ids.items()}
-    s_cols = {c: tuple(sum(map(mul, row, col)) for row in s_rows)
-              for c, col in cols.items()}
-    values = {}  # (a, b) -> cols[a] . s_cols[b]
+    values = {}  # (a, b) -> vectors[a] . z_vecs[b]
     wrong = []  # (i, j, the pairs wrong in cell (i, j)), column by column
     for j in range(n):
         for i in range(j + 1):
-            expected = s_flat[i * n + j]
+            expected = z_flat[i * n + j]
             bad = set()
-            for pair in set(zip(ids[i], ids[j])):
+            for pair in set(zip(by_row[i], by_row[j])):
                 value = values.get(pair)
                 if value is None:
                     a, b = pair
-                    value = values[pair] = sum(map(mul, cols[a], s_cols[b]))
+                    value = values[pair] = sum(map(mul, vectors[a], z_vecs[b]))
                 if value != expected:
                     bad.add(pair)
             if bad:
                 wrong.append((i, j, bad))
-    if wrong:
-        rows = group.rows
-        for index, code in enumerate(group.codes):
-            c = [col_ids[col] for col in zip(*map(rows.__getitem__, code))]
-            for i, j, bad in wrong:
-                if (c[i], c[j]) in bad:
-                    return index, (i, j), values[c[i], c[j]], s_flat[i * n + j]
-    return None
+    if not wrong:
+        return None
+    # The elements failing here are exactly those with g^t * gram * g !=
+    # gram; the witness cell is read off the first of them.
+    rids = {vec: rid for rid, vec in enumerate(vectors)}
+    canon = [rids[vec] for vec in group.rows]
+    s_rows = gram.rows()
+    s_flat = gram.flat
+    for index, code in enumerate(group.codes):
+        r = [canon[c] for c in code]
+        if any((r[i], r[j]) in bad for i, j, bad in wrong):
+            cols = list(zip(*map(vectors.__getitem__, r)))
+            for j in range(n):
+                s_col = [sum(map(mul, row, cols[j])) for row in s_rows]
+                for i in range(j + 1):
+                    value = sum(map(mul, cols[i], s_col))
+                    if value != s_flat[i * n + j]:
+                        return index, (i, j), value, s_flat[i * n + j]
+    raise AssertionError("g * Z * g^t != Z but g^t * gram * g == gram")
 
 
 def check_group_orders(max_rank: int) -> Section:

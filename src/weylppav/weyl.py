@@ -9,18 +9,19 @@ of an n^3 multiply. A finite group has finitely many distinct rows (for a
 Weyl group in the simple-root basis they lie in the orbits of the
 fundamental coweights), so the tables stay small; they grow only for rows
 of elements already found, so an infinite group still stops at the cap.
-The closure advances one breadth-first level per step: the level's
-products are formed generator by generator with ``map``, and its new
-elements are the distinct products not yet seen, in the order an
-element-by-element scan would meet them. The arithmetic is exact for any
-integer generator.
+The closure advances one breadth-first level per step: the level's row
+ids are laid out by row position, each generator maps every position
+through its table, and the products are zipped back together position by
+position. The level's new elements are the distinct products not yet
+seen, in the order an element-by-element scan would meet them. The
+arithmetic is exact for any integer generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from math import factorial
 from operator import mul
 
@@ -138,7 +139,9 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     frontier = [ident]
     truncated = False
     while frontier and not truncated:
-        top = max(map(max, frontier)) + 1
+        # by_pos[r][e] is the id of row r of frontier element e.
+        by_pos = list(zip(*frontier))
+        top = max(map(max, by_pos)) + 1
         if top > filled:
             for cols, act in zip(gen_cols, acts):
                 act.extend(intern(tuple(sum(map(mul, vectors[rid], col)) for col in cols))
@@ -147,7 +150,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
         # Products element-major, generator-minor: the order in which an
         # element-by-element scan meets them. dict.fromkeys keeps the first
         # occurrence of each.
-        per_gen = [map(tuple, map(map, repeat(act.__getitem__), frontier)) for act in acts]
+        per_gen = [zip(*(map(act.__getitem__, ids) for ids in by_pos)) for act in acts]
         products = dict.fromkeys(chain.from_iterable(zip(*per_gen)))
         frontier = list(filterfalse(seen.__contains__, products))
         room = cap - len(seen)

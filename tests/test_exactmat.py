@@ -68,6 +68,20 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])
 
+    @pytest.mark.parametrize("other", [1, F(1, 2), (1, 0, 0, 1)])
+    def test_sum_with_a_non_matrix_is_a_type_error(self, other):
+        m = Matrix.identity(2)
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(m, other)
+            with pytest.raises(TypeError):
+                op(other, m)
+
+    def test_sum_shape_mismatch_rejected(self):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="shape"):
+                op(Matrix.identity(2), Matrix.identity(3))
+
 
 def reference_product(a, b):
     """Row-by-column product of two lists of rows."""

@@ -15,6 +15,7 @@ from weylppav.reference import (an_alternate_base_printed, an_alternate_witness,
                                 dn_to_cn_witness, g2_to_a2_sign_fix,
                                 g2_to_a2_witness_printed, sym5_degree6_generators,
                                 sym5_fixed_family)
+from weylppav.symplectic import sym_to_vec, vec_to_sym
 
 F = Fraction
 
@@ -131,6 +132,19 @@ class TestModularAction:
         m = SymplecticMat(2, Matrix.identity(4))
         with pytest.raises(ValueError):
             modular_action(m, Matrix([[1, 1], [0, 1]]))
+
+
+class TestSymCoordinates:
+    def test_round_trip(self):
+        m = Matrix([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
+        assert sym_to_vec(m) == (1, 2, 3, 4, 5, 6)
+        assert vec_to_sym(sym_to_vec(m), 3) == m
+
+    @pytest.mark.parametrize("vec, n", [(tuple(range(1, 9)), 2), ((1,), 2),
+                                        ((), 1), ((1, 2, 3), 3)])
+    def test_wrong_length_rejected(self, vec, n):
+        with pytest.raises(ValueError, match="coordinates"):
+            vec_to_sym(vec, n)
 
 
 class TestFixedSymmetricSpace:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,59 @@ class TestFormWitness:
         # elements as found; the canonical order is for witnesses.
         sec = verify.check_group_orders(6)
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
+
+    @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
+    def test_random_forms_match_dense_check(self, tag):
+        # g^t * form * g == form is read off the rows as g * Z * g^t == Z;
+        # both must fail on the same elements, and the witness is the
+        # dense one. Half the forms have random entries; the other half are
+        # a * gram + c * v v^t for a row v of the group, which the elements
+        # with g^t v = +-v still preserve, so the first failure is not
+        # always the first element.
+        system = RootSystemId.parse(tag)
+        n = system.rank
+        gram = gram_matrix(system)
+        group = generate_group(simple_reflections(system), 1000)
+        rng = random.Random(f"form-{tag}")
+        forms = 0
+        while forms < 30:
+            if forms % 2:
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+                form = Matrix(rows)
+            else:
+                v = rng.choice(group.rows)
+                form = (rng.choice((1, 2, 3)) * gram
+                        + rng.choice((-2, -1, 1, 2)) * Matrix([[x * y for y in v] for x in v]))
+            if form.det() == 0:
+                continue
+            forms += 1
+            assert verify._elements_preserve_form(group, form) == \
+                first_dense_failure(group, form)
+
+    @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
+    def test_multiples_of_the_gram_form_pass(self, tag):
+        system = RootSystemId.parse(tag)
+        group = generate_group(simple_reflections(system), 1000)
+        for k in (-3, -1, 2, 5):
+            assert verify._elements_preserve_form(group, k * gram_matrix(system)) is None
+
+    def test_rejects_singular_form(self):
+        system = RootSystemId.parse("A2")
+        group = generate_group(simple_reflections(system), 100)
+        with pytest.raises(ValueError):
+            verify._elements_preserve_form(group, Matrix([[1, 1], [1, 1]]))
+
+    def test_faulty_inverse_cannot_pass_the_check(self, monkeypatch):
+        # With Z = 0 every g * Z * g^t == Z would hold; the check must
+        # refuse the inverse instead of passing.
+        system = RootSystemId.parse("B3")
+        group = generate_group(simple_reflections(system), 1000)
+        monkeypatch.setattr(Matrix, "inverse", lambda self: Matrix.zeros(self.nrows))
+        with pytest.raises(ValueError):
+            verify._elements_preserve_form(group, gram_matrix(system))
 
     def test_rejects_asymmetric_form(self):
         system = RootSystemId.parse("A2")

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -144,6 +145,16 @@ class TestGenerateGroup:
                 group = generate_group(gens, cap)
                 assert [el.flat for el in group.elements] == expected, cap
                 assert group.truncated == expected_truncated, cap
+
+    def test_large_truncated_closure_is_pinned(self):
+        # The dense reference closure reaches only small caps; a cut deep
+        # inside a wide E7 level is pinned by the digest of the canonical
+        # form instead, recorded before products were formed per row
+        # position.
+        group = generate_group(refl("E7"), 20_000)
+        assert group.truncated and group.order == 20_000
+        digest = hashlib.sha256(repr((group.rows, group.codes)).encode()).hexdigest()
+        assert digest == "ef1d9c435e08af771ae89bb29613cabb97fc0c2e81f824dbf67f6121e4e43982"
 
     def test_rows_and_codes(self):
         group = generate_group(refl("B3"), 10 ** 4)
