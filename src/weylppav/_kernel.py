@@ -1,7 +1,8 @@
 """Exact dense matrix product on flat row-major tuples.
 
-The one product loop behind ``Matrix.__mul__``, for any n*k by k*m shape
-and any exact scalars (Python ints and ``fractions.Fraction``). The group
+The one product loop behind ``Matrix.__mul__``, for any n*k by k*m shape.
+It works on any exact scalars, but ``Matrix.__mul__`` passes it ints only:
+a rational operand is scaled to integer numerators first. The group
 closure and the exhaustive form check in ``verify`` work on interned rows
 of their own and do not go through it.
 """

@@ -60,9 +60,12 @@ def centralizer_element(system: RootSystemId, a: int, b: int, c: int,
         raise LevelViolation(f"b = {b} is not a multiple of the level {level}")
     n = system.rank
     ident = Matrix.identity(n)
-    top_right = b * riemann_family(system).z0
-    if not top_right.is_integral():
-        raise AssertionError("level check should have guaranteed integrality")
+    if b:
+        top_right = b * riemann_family(system).z0
+        if not top_right.is_integral():
+            raise AssertionError("level check should have guaranteed integrality")
+    else:
+        top_right = Matrix.zeros(n)
     bottom_left = c * gram_matrix(system)  # z0^{-1} is the Gram matrix, always integral
     return SymplecticMat(n, Matrix.block2(a * ident, top_right,
                                           bottom_left, d * ident))

@@ -7,6 +7,11 @@ toolkit relies on. Matrices are immutable (flat row-major tuples), so
 every operation below is a pure function and values can be shared freely
 across threads.
 
+Products normalize once. An integer product stays in ints. A product with a
+rational operand scales each operand to integer numerators by its own
+denominator lcm, multiplies those as integers, and builds each entry once
+over the one common denominator.
+
 Algorithms are the classical exact ones. All Fraction elimination is in
 two routines: ``_rref`` (Gauss-Jordan, behind ``inverse`` and
 ``solve_affine``) and ``_pivots`` (the forward pass, behind ``det`` and
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
@@ -91,19 +97,30 @@ class Matrix:
         return cls(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
 
     @classmethod
-    def _from_int_flat(cls, flat: tuple, nrows: int, ncols: int) -> "Matrix":
-        """Trusted constructor for a tuple of plain ints of the given shape.
+    def _from_canonical(cls, flat: tuple, nrows: int, ncols: int,
+                        integral: bool) -> "Matrix":
+        """Trusted constructor for a tuple of canonical entries of the given shape.
 
-        Skips the per-entry checks of ``__init__``; only for internal callers
-        whose entries are exact ints by construction (``MatrixGroup.elements``
-        and integer matrix products).
+        Skips the per-entry checks of ``__init__``. Every entry must already
+        be what ``_canon`` returns (an int, or a Fraction with denominator
+        > 1), and ``integral`` must say exactly whether all of them are ints.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "flat", flat)
         object.__setattr__(m, "nrows", nrows)
         object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "_integral", True)
+        object.__setattr__(m, "_integral", integral)
         return m
+
+    @classmethod
+    def _from_int_flat(cls, flat: tuple, nrows: int, ncols: int) -> "Matrix":
+        """Trusted constructor for a tuple of plain ints of the given shape.
+
+        Only for internal callers whose entries are exact ints by
+        construction (``MatrixGroup.elements``, integer matrix products, and
+        the transposes and blocks of integer matrices).
+        """
+        return cls._from_canonical(flat, nrows, ncols, True)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -128,6 +145,9 @@ class Matrix:
             raise ValueError("column counts do not match")
         rows = [a.row(i) + b.row(i) for i in range(a.nrows)]
         rows += [c.row(i) + d.row(i) for i in range(c.nrows)]
+        if a._integral and b._integral and c._integral and d._integral:
+            return cls._from_int_flat(tuple(chain.from_iterable(rows)),
+                                      a.nrows + c.nrows, a.ncols + b.ncols)
         return cls(rows)
 
     # -- access ----------------------------------------------------------------
@@ -148,7 +168,15 @@ class Matrix:
         return [self.row(i) for i in range(self.nrows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix(self.row(i)[c0:c1] for i in range(r0, r1))
+        """Rows r0..r1-1 and columns c0..c1-1; the bounds must lie inside."""
+        if not (0 <= r0 < r1 <= self.nrows and 0 <= c0 < c1 <= self.ncols):
+            raise ValueError(f"submatrix [{r0}:{r1}, {c0}:{c1}] out of bounds "
+                             f"for a {self.nrows} x {self.ncols} matrix")
+        rows = (self.row(i)[c0:c1] for i in range(r0, r1))
+        if self._integral:
+            return Matrix._from_int_flat(tuple(chain.from_iterable(rows)),
+                                         r1 - r0, c1 - c0)
+        return Matrix(rows)
 
     # -- predicates -------------------------------------------------------------
 
@@ -200,13 +228,28 @@ class Matrix:
                                 self.nrows, self.ncols)
 
     def __mul__(self, other):
+        """Matrix product, or scaling by an int or Fraction.
+
+        A product with a rational operand runs on integer numerators: each
+        operand is scaled by its own ``denominator_lcm``, the numerators are
+        multiplied as ints, and each entry is built once as p / (da * db).
+        """
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            flat = mat_mul_flat(self.flat, other.flat, self.nrows, self.ncols, other.ncols)
+            nrows, ncols = self.nrows, other.ncols
             if self._integral and other._integral:
-                return Matrix._from_int_flat(flat, self.nrows, other.ncols)
-            return Matrix.from_flat(flat, self.nrows, other.ncols)
+                return Matrix._from_int_flat(
+                    mat_mul_flat(self.flat, other.flat, nrows, self.ncols, ncols),
+                    nrows, ncols)
+            da = self.denominator_lcm()
+            db = other.denominator_lcm()
+            flat = mat_mul_flat(_numerators(self.flat, da), _numerators(other.flat, db),
+                                nrows, self.ncols, ncols)
+            d = da * db
+            out = tuple(Fraction(p, d) if p % d else p // d for p in flat)
+            return Matrix._from_canonical(out, nrows, ncols,
+                                          all(type(x) is int for x in out))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -228,6 +271,11 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
+        if self._integral:
+            nc = self.ncols
+            return Matrix._from_int_flat(
+                tuple(chain.from_iterable(self.flat[j::nc] for j in range(nc))),
+                nc, self.nrows)
         return Matrix(zip(*self.rows()))
 
     # -- exact linear algebra ----------------------------------------------------
@@ -275,6 +323,14 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.nrows))
         return f"Matrix[{body}]"
+
+
+def _numerators(flat: tuple, d: int) -> tuple:
+    """The entries of ``flat`` times d, which must be a common denominator."""
+    if d == 1:
+        return flat
+    return tuple(x * d if type(x) is int else x.numerator * (d // x.denominator)
+                 for x in flat)
 
 
 # -- exact elimination --------------------------------------------------------

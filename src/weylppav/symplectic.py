@@ -45,11 +45,24 @@ def standard_form(n: int) -> Matrix:
 
 
 def is_symplectic(m: Matrix) -> bool:
-    """True iff m is square of even size and m^t J m = J exactly."""
+    """True iff m^t J m = J exactly; m must be square of even size 2n.
+
+    With m = [[A, B], [C, D]], J m = [[C, D], [-A, -B]] is m's rows moved
+    and the top half negated, so one product m^t (J m) is compared row by
+    row with J's pattern: row i < n is e_{n+i}, row n + i is -e_i.
+    """
     if not m.is_square or m.nrows % 2:
         raise ValueError("even-sized square matrix required")
-    j = standard_form(m.nrows // 2)
-    return m.T * j * m == j
+    size = m.nrows
+    n = size // 2
+    half = n * size
+    # Negated canonical entries are canonical, so J m needs no checks.
+    jm = Matrix._from_canonical(m.flat[half:] + tuple(-x for x in m.flat[:half]),
+                                size, size, m.is_integral())
+    rows = (m.T * jm).rows()
+    return (all(rows[i] == (0,) * (n + i) + (1,) + (0,) * (n - 1 - i) for i in range(n))
+            and all(rows[n + i] == (0,) * i + (-1,) + (0,) * (size - 1 - i)
+                    for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -194,19 +207,21 @@ def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSp
         if not c.is_zero():
             raise UnsupportedGenerator(
                 "lower-left block must vanish for linear fixed-space solving")
-        trans = b * a.T
+        a_rows = a.rows()
+        trans = (b * a.T).rows()
         # row for output coordinate (i, j): coefficients of each unknown z_kl
         for i, j in coords:
+            a_i, a_j = a_rows[i], a_rows[j]
             row = []
             for k, l in coords:
-                coef = a[i, k] * a[j, l]
+                coef = a_i[k] * a_j[l]
                 if k != l:
-                    coef += a[i, l] * a[j, k]
+                    coef += a_i[l] * a_j[k]
                 if (i, j) == (k, l):
                     coef -= 1
                 row.append(coef)
             rows.append(row)
-            rhs.append(-trans[i, j])
+            rhs.append(-trans[i][j])
     solution = solve_affine(Matrix(rows), rhs)
     if solution.particular is None:
         return AffineMatrixSpace(n=n, particular=None, basis=())

@@ -357,13 +357,19 @@ def check_degrees(max_rank: int) -> Section:
 
 
 def check_properties(max_rank: int) -> Section:
-    """Structural properties: homomorphism, fixed points, fixed-space dimension."""
+    """Structural properties: homomorphism, fixed points, fixed space, centralizer.
+
+    Each system's z0 and embedded simple reflections are computed once and
+    shared by the last three checks. The homomorphism check embeds its own
+    random words, since it is the check of ``embed_block_diag``. A failing
+    check names its first failing system and generator (or word) in detail.
+    """
     sec = Section("structural-properties")
     rng = random.Random(20240601)
     systems = list(all_systems(max_rank))
 
-    ok_hom = True
-    for _ in range(100):
+    failure = ""
+    for index in range(100):
         system = rng.choice(systems)
         refl = simple_reflections(system)
         w1 = Matrix.identity(system.rank)
@@ -373,52 +379,68 @@ def check_properties(max_rank: int) -> Section:
         for _ in range(rng.randrange(1, 6)):
             w2 = w2 * rng.choice(refl)
         lhs = embed_block_diag(w1).m * embed_block_diag(w2).m
-        rhs = embed_block_diag(w1 * w2).m
-        if lhs != rhs or not is_symplectic(lhs):
-            ok_hom = False
+        if lhs != embed_block_diag(w1 * w2).m:
+            failure = f"word pair {index} ({system}): embedding of w1 * w2 differs"
+        elif not is_symplectic(lhs):
+            failure = f"word pair {index} ({system}): product is not symplectic"
+        if failure:
             break
-    sec.add("embedding is a homomorphism on 100 random words", ok_hom)
+    sec.add("embedding is a homomorphism on 100 random words", not failure, failure)
 
-    ok_fix = True
+    z0s = {system: riemann_family(system).z0 for system in systems}
+    embedded = {system: [embed_block_diag(r) for r in simple_reflections(system)]
+                for system in systems}
+
+    failure = ""
     for system in systems:
-        z0 = riemann_family(system).z0
-        for refl in simple_reflections(system):
-            if modular_action(embed_block_diag(refl), z0) != z0:
-                ok_fix = False
-        for auto in diagram_automorphisms(system):
-            if auto.T * z0 * auto != z0:
-                ok_fix = False
-    sec.add("every simple reflection fixes z0 under the Siegel action", ok_fix)
+        z0 = z0s[system]
+        moved = next((k for k, emb in enumerate(embedded[system])
+                      if modular_action(emb, z0) != z0), None)
+        if moved is not None:
+            failure = f"{system}: simple reflection {moved} moves z0"
+            break
+        moved = next((k for k, auto in enumerate(diagram_automorphisms(system))
+                      if auto.T * z0 * auto != z0), None)
+        if moved is not None:
+            failure = f"{system}: diagram automorphism {moved} moves z0"
+            break
+    sec.add("every simple reflection fixes z0 under the Siegel action",
+            not failure, failure)
 
-    ok_dim = True
+    failure = ""
     for system in systems:
         if system.rank > 6:
             continue
-        gens = [embed_block_diag(r) for r in simple_reflections(system)]
-        space = fixed_symmetric_space(gens)
-        z0 = riemann_family(system).z0
-        if space.dimension != 1 or not _proportional(space.basis[0], z0):
-            ok_dim = False
+        space = fixed_symmetric_space(embedded[system])
+        if space.dimension != 1:
+            failure = f"{system}: fixed space has dimension {space.dimension}"
+        elif not _proportional(space.basis[0], z0s[system]):
+            failure = f"{system}: fixed line is not spanned by z0"
+        if failure:
+            break
     sec.add("full reflection set fixes exactly the line through z0 (rank <= 6)",
-            ok_dim)
+            not failure, failure)
 
-    ok_comm = True
+    failure = ""
     for system in systems:
         if system.rank > 4:
             continue
         level = centralizer_level(system)
-        for params in ((1, level, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1)):
-            el = centralizer_element(system, *params)
-            for refl in simple_reflections(system):
-                emb = embed_block_diag(refl)
-                if el.m * emb.m != emb.m * el.m:
-                    ok_comm = False
-            for auto in diagram_automorphisms(system):
-                emb = embed_block_diag(auto)
-                if el.m * emb.m != emb.m * el.m:
-                    ok_comm = False
+        elements = [(params, centralizer_element(system, *params).m)
+                    for params in ((1, level, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1))]
+        gens = (("simple reflection", embedded[system]),
+                ("diagram automorphism",
+                 [embed_block_diag(auto) for auto in diagram_automorphisms(system)]))
+        hit = next(((params, kind, k) for params, el in elements
+                    for kind, embs in gens for k, emb in enumerate(embs)
+                    if el * emb.m != emb.m * el), None)
+        if hit is not None:
+            params, kind, k = hit
+            failure = (f"{system}: centralizer element {params} does not "
+                       f"commute with {kind} {k}")
+            break
     sec.add("centralizer elements commute with the embedded action (rank <= 4)",
-            ok_comm)
+            not failure, failure)
     return sec
 
 

@@ -63,6 +63,19 @@ class TestCentralizerElement:
             emb = embed_block_diag(refl)
             assert el.m * emb.m == emb.m * el.m
 
+    def test_zero_top_right_needs_no_inverse(self, monkeypatch):
+        system = RootSystemId.parse("B3")
+        ident = Matrix.identity(3)
+        expected = Matrix.block2(ident, Matrix.zeros(3), gram_matrix(system), ident)
+
+        def refuse(self):
+            raise AssertionError("inverse called")
+
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        assert centralizer_element(system, 1, 0, 1, 1).m == expected
+        with pytest.raises(AssertionError, match="inverse called"):
+            centralizer_element(system, 1, centralizer_level(system), 0, 1)
+
     def test_level_violation(self):
         with pytest.raises(LevelViolation):
             centralizer_element(RootSystemId.parse("A2"), 1, 1, 0, 1)

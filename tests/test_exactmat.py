@@ -68,6 +68,17 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])
 
+    def test_submatrix_bounds_checked(self):
+        m = Matrix([[1, 2], [3, 4]])
+        assert m.submatrix(0, 2, 1, 2) == Matrix([[2], [4]])
+        assert m.submatrix(1, 2, 0, 2) == Matrix([[3, 4]])
+        for bounds in ((0, 2, 1, 5), (0, 3, 0, 2), (-1, 2, 0, 2), (0, 2, -1, 2),
+                       (1, 1, 0, 2), (0, 2, 2, 1)):
+            with pytest.raises(ValueError, match="out of bounds"):
+                m.submatrix(*bounds)
+        with pytest.raises(ValueError, match="out of bounds"):
+            Matrix([[F(1, 2), 2], [3, 4]]).submatrix(0, 2, 1, 5)
+
     @pytest.mark.parametrize("other", [1, F(1, 2), (1, 0, 0, 1)])
     def test_sum_with_a_non_matrix_is_a_type_error(self, other):
         m = Matrix.identity(2)

@@ -1,5 +1,5 @@
-"""Property tests of the exact elimination routines, the Smith form and
-fixed symmetric spaces.
+"""Property tests of exact products and blocks, the elimination routines,
+the Smith form, the symplectic test and fixed symmetric spaces.
 
 Inputs are matrices up to 5 x 5 with int or Fraction entries. Every
 expected value comes from the cofactor oracles in conftest or from a
@@ -18,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylppav import (Matrix, Singular, SymplecticMat, fixed_symmetric_space,  # noqa: E402
-                      modular_action, smith_normal_form, solve_affine)
+                      is_symplectic, modular_action, smith_normal_form, solve_affine,
+                      standard_form)
 from weylppav.symplectic import sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -27,6 +28,8 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 small = st.integers(-1, 1)
 integers = st.integers(-9, 9)
 scalars = st.one_of(integers, st.fractions(-9, 9, max_denominator=6))
+# Fractions over small primes, so two operands often share no denominator.
+coprime = st.builds(Fraction, integers, st.sampled_from((1, 2, 3, 5, 7)))
 
 
 @st.composite
@@ -244,3 +247,117 @@ def test_modular_action_without_lower_left_block(case, data):
         assert c.is_zero()
         assert modular_action(gen, z) == (a * z + b) * d.inverse()
     assert all(modular_action(gen, zstar) == zstar for gen in gens)
+
+
+def canonical(x) -> bool:
+    """An entry as ``Matrix`` stores it: an int, or a Fraction that is not one."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def integrality_exact(m) -> bool:
+    return (all(canonical(x) for x in m.flat)
+            and m.is_integral() == all(type(x) is int for x in m.flat))
+
+
+@st.composite
+def product_operands(draw):
+    """Rows of an n x k and a k x m matrix, each with its own entry strategy."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    a_entries, b_entries = (draw(st.sampled_from((integers, scalars, coprime)))
+                            for _ in range(2))
+    a = [[draw(a_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(b_entries) for _ in range(m)] for _ in range(k)]
+    return a, b
+
+
+@PROPERTY
+@given(product_operands())
+def test_product_matches_entrywise_fractions(operands):
+    a, b = operands
+    product = Matrix(a) * Matrix(b)
+    expected = [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(len(b))),
+                     Fraction(0)) for j in range(len(b[0]))] for i in range(len(a))]
+    assert (product.nrows, product.ncols) == (len(a), len(b[0]))
+    assert [list(row) for row in product.rows()] == expected
+    assert integrality_exact(product)
+    assert product.is_integral() == all(x.denominator == 1 for row in expected for x in row)
+
+
+@PROPERTY
+@given(square_matrices())
+def test_rational_products_that_clear_denominators_are_integral(m):
+    n = m.nrows
+    d = m.denominator_lcm()
+    for product in (m * Matrix.diagonal([d] * n), Matrix.diagonal([d] * n) * m):
+        assert product == Matrix.from_flat([d * x for x in m.flat], n, n)
+        assert product.is_integral() and all(type(x) is int for x in product.flat)
+    if oracle_det(m) != 0:
+        inv = oracle_inverse(m)
+        assert m * inv == inv * m == Matrix.identity(n)
+        assert (m * inv).is_integral() and (inv * m).is_integral()
+
+
+@st.composite
+def symplectic_matrices(draw):
+    """Products of [[A, 0], [0, A^{-t}]] (A unimodular) and the symmetric
+    shears [[I, S], [0, I]] and [[I, 0], [S, I]], of size 2n <= 6."""
+    n = draw(st.integers(1, 3))
+    ident, zero = Matrix.identity(n), Matrix.zeros(n)
+    m = Matrix.identity(2 * n)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("embed", "upper", "lower")))
+        if kind == "embed":
+            a, a_inv = draw(unimodular_pairs(n))
+            step = Matrix.block2(a, zero, zero, a_inv.T)
+        else:
+            upper = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+            s = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+            step = (Matrix.block2(ident, s, zero, ident) if kind == "upper"
+                    else Matrix.block2(ident, zero, s, ident))
+        m = m * step
+    return m
+
+
+@PROPERTY
+@given(symplectic_matrices(), st.data())
+def test_is_symplectic_matches_dense_reference(m, data):
+    size = m.nrows
+    j = standard_form(size // 2)
+    assert m.T * j * m == j
+    assert is_symplectic(m)
+    flat = list(m.flat)
+    cell = data.draw(st.integers(0, size * size - 1))
+    flat[cell] += data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+    changed = Matrix.from_flat(flat, size, size)
+    assert is_symplectic(changed) == (changed.T * j * changed == j)
+
+
+@st.composite
+def rational_with_integral_block(draw):
+    """(rows, r, c): an integral top-left r x c block in a non-integral matrix."""
+    nr, nc = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    r, c = draw(st.integers(1, nr - 1)), draw(st.integers(1, nc - 1))
+    rows = [[draw(integers) if i < r and j < c else draw(scalars) for j in range(nc)]
+            for i in range(nr)]
+    rows[nr - 1][nc - 1] = Fraction(2 * draw(integers) + 1, 2)
+    return rows, r, c
+
+
+@PROPERTY
+@given(rational_with_integral_block())
+def test_blocks_of_rational_matrices_report_integrality(case):
+    rows, r, c = case
+    nr, nc = len(rows), len(rows[0])
+    m = Matrix(rows)
+    assert not m.is_integral()
+    quads = (m.submatrix(0, r, 0, c), m.submatrix(0, r, c, nc),
+             m.submatrix(r, nr, 0, c), m.submatrix(r, nr, c, nc))
+    assert quads[0].is_integral()
+    assert quads[0] == Matrix([row[:c] for row in rows[:r]])
+    assert quads[3] == Matrix([row[c:] for row in rows[r:]])
+    assert m.T == Matrix(zip(*rows))
+    assert Matrix.block2(*quads) == m
+    top_left = Matrix.block2(quads[0], quads[0], quads[0], quads[0])
+    assert top_left.is_integral()
+    for x in (*quads, m.T, *(q.T for q in quads), Matrix.block2(*quads), top_left):
+        assert integrality_exact(x)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from weylppav import (Matrix, RootSystemId, all_systems, generate_group,
-                      gram_matrix, riemann_family, simple_reflections)
+from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
+                      generate_group, gram_matrix, riemann_family,
+                      simple_reflections)
 from weylppav import reference
 from weylppav import verify
 from weylppav.verify import (_proportional, _same_span, _spanned_by,
@@ -247,3 +249,71 @@ class TestFormWitness:
         assert failed[0].detail == (f"element {index}: entry {cell} of "
                                     f"g^t * gram * g is {value}, expected {expected}")
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
+
+
+class TestPropertyWitness:
+    def test_moved_base_matrix_names_system_and_reflection(self, monkeypatch):
+        # z0(B3) with its (0, 0) entry raised by one; the Siegel action of
+        # an embedded reflection r is z -> r z r^t, applied here directly.
+        original = verify.riemann_family
+        system = RootSystemId.parse("B3")
+        rows = [list(r) for r in original(system).z0.rows()]
+        rows[0][0] += 1
+        moved = Matrix(rows)
+        monkeypatch.setattr(verify, "riemann_family",
+                            lambda s: SimpleNamespace(z0=moved) if s == system
+                            else original(s))
+        first = next(k for k, r in enumerate(simple_reflections(system))
+                     if r * moved * r.T != moved)
+        assert first == 1
+        sec = verify.check_properties(4)
+        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
+        assert failed == {
+            "every simple reflection fixes z0 under the Siegel action":
+                f"B3: simple reflection {first} moves z0",
+            "full reflection set fixes exactly the line through z0 (rank <= 6)":
+                "B3: fixed line is not spanned by z0",
+        }
+
+    def test_broken_embedding_names_the_first_word_pair(self, monkeypatch):
+        # diag(rho, 2 * I) multiplies to diag(w1 * w2, 4 * I), never the
+        # embedding diag(w1 * w2, 2 * I), so the first word pair fails.
+        def broken(rho):
+            n = rho.nrows
+            zero = Matrix.zeros(n)
+            mat = object.__new__(SymplecticMat)  # skips the symplectic check
+            object.__setattr__(mat, "n", n)
+            object.__setattr__(mat, "m", Matrix.block2(rho, zero, zero,
+                                                       2 * Matrix.identity(n)))
+            return mat
+
+        monkeypatch.setattr(verify, "embed_block_diag", broken)
+        # the check draws its first word's system first, from a fixed seed
+        system = random.Random(20240601).choice(list(all_systems(3)))
+        hom = verify.check_properties(3).checks[0]
+        assert hom.name == "embedding is a homomorphism on 100 random words"
+        assert hom.status == "fail"
+        assert hom.detail == f"word pair 0 ({system}): embedding of w1 * w2 differs"
+
+    def test_non_commuting_element_names_the_first_generator(self, monkeypatch):
+        # A reflection r squares to I, so it embeds as diag(r, r^t).
+        original = verify.centralizer_element
+        system = RootSystemId.parse("A2")
+        shear = Matrix.block2(Matrix.identity(2), Matrix.zeros(2),
+                              Matrix([[1, 0], [0, 0]]), Matrix.identity(2))
+
+        def element(s, *params):
+            if s == system and params == (1, 0, 1, 1):
+                return SimpleNamespace(m=shear)
+            return original(s, *params)
+
+        monkeypatch.setattr(verify, "centralizer_element", element)
+        embedded = [Matrix.block2(r, Matrix.zeros(2), Matrix.zeros(2), r.T)
+                    for r in simple_reflections(system)]
+        first = next(k for k, emb in enumerate(embedded) if shear * emb != emb * shear)
+        sec = verify.check_properties(3)
+        failed = [c for c in sec.checks if c.status == "fail"]
+        assert [c.name for c in failed] == [
+            "centralizer elements commute with the embedded action (rank <= 4)"]
+        assert failed[0].detail == (f"A2: centralizer element (1, 0, 1, 1) does not "
+                                    f"commute with simple reflection {first}")
