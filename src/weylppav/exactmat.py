@@ -98,12 +98,15 @@ class Matrix:
 
     @classmethod
     def _from_canonical(cls, flat: tuple, nrows: int, ncols: int,
-                        integral: bool) -> "Matrix":
+                        integral: bool = True) -> "Matrix":
         """Trusted constructor for a tuple of canonical entries of the given shape.
 
         Skips the per-entry checks of ``__init__``. Every entry must already
         be what ``_canon`` returns (an int, or a Fraction with denominator
         > 1), and ``integral`` must say exactly whether all of them are ints.
+        Entries moved out of a ``Matrix`` are canonical already, so
+        transposes, blocks and submatrices build through it, as do products
+        and ``MatrixGroup.elements``.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "flat", flat)
@@ -111,16 +114,6 @@ class Matrix:
         object.__setattr__(m, "ncols", ncols)
         object.__setattr__(m, "_integral", integral)
         return m
-
-    @classmethod
-    def _from_int_flat(cls, flat: tuple, nrows: int, ncols: int) -> "Matrix":
-        """Trusted constructor for a tuple of plain ints of the given shape.
-
-        Only for internal callers whose entries are exact ints by
-        construction (``MatrixGroup.elements``, integer matrix products, and
-        the transposes and blocks of integer matrices).
-        """
-        return cls._from_canonical(flat, nrows, ncols, True)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -145,10 +138,9 @@ class Matrix:
             raise ValueError("column counts do not match")
         rows = [a.row(i) + b.row(i) for i in range(a.nrows)]
         rows += [c.row(i) + d.row(i) for i in range(c.nrows)]
-        if a._integral and b._integral and c._integral and d._integral:
-            return cls._from_int_flat(tuple(chain.from_iterable(rows)),
-                                      a.nrows + c.nrows, a.ncols + b.ncols)
-        return cls(rows)
+        return cls._from_canonical(tuple(chain.from_iterable(rows)),
+                                   a.nrows + c.nrows, a.ncols + b.ncols,
+                                   a._integral and b._integral and c._integral and d._integral)
 
     # -- access ----------------------------------------------------------------
 
@@ -172,11 +164,9 @@ class Matrix:
         if not (0 <= r0 < r1 <= self.nrows and 0 <= c0 < c1 <= self.ncols):
             raise ValueError(f"submatrix [{r0}:{r1}, {c0}:{c1}] out of bounds "
                              f"for a {self.nrows} x {self.ncols} matrix")
-        rows = (self.row(i)[c0:c1] for i in range(r0, r1))
-        if self._integral:
-            return Matrix._from_int_flat(tuple(chain.from_iterable(rows)),
-                                         r1 - r0, c1 - c0)
-        return Matrix(rows)
+        flat = tuple(chain.from_iterable(self.row(i)[c0:c1] for i in range(r0, r1)))
+        return Matrix._from_canonical(flat, r1 - r0, c1 - c0,
+                                      all(type(x) is int for x in flat))
 
     # -- predicates -------------------------------------------------------------
 
@@ -239,7 +229,7 @@ class Matrix:
                 raise ValueError("shape mismatch")
             nrows, ncols = self.nrows, other.ncols
             if self._integral and other._integral:
-                return Matrix._from_int_flat(
+                return Matrix._from_canonical(
                     mat_mul_flat(self.flat, other.flat, nrows, self.ncols, ncols),
                     nrows, ncols)
             da = self.denominator_lcm()
@@ -271,12 +261,10 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        if self._integral:
-            nc = self.ncols
-            return Matrix._from_int_flat(
-                tuple(chain.from_iterable(self.flat[j::nc] for j in range(nc))),
-                nc, self.nrows)
-        return Matrix(zip(*self.rows()))
+        nc = self.ncols
+        return Matrix._from_canonical(
+            tuple(chain.from_iterable(self.flat[j::nc] for j in range(nc))),
+            nc, self.nrows, self._integral)
 
     # -- exact linear algebra ----------------------------------------------------
 

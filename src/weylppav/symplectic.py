@@ -48,21 +48,15 @@ def is_symplectic(m: Matrix) -> bool:
     """True iff m^t J m = J exactly; m must be square of even size 2n.
 
     With m = [[A, B], [C, D]], J m = [[C, D], [-A, -B]] is m's rows moved
-    and the top half negated, so one product m^t (J m) is compared row by
-    row with J's pattern: row i < n is e_{n+i}, row n + i is -e_i.
+    and the top half negated, so only one product, m^t (J m), is formed.
     """
     if not m.is_square or m.nrows % 2:
         raise ValueError("even-sized square matrix required")
-    size = m.nrows
-    n = size // 2
-    half = n * size
+    half = m.nrows // 2 * m.ncols
     # Negated canonical entries are canonical, so J m needs no checks.
     jm = Matrix._from_canonical(m.flat[half:] + tuple(-x for x in m.flat[:half]),
-                                size, size, m.is_integral())
-    rows = (m.T * jm).rows()
-    return (all(rows[i] == (0,) * (n + i) + (1,) + (0,) * (n - 1 - i) for i in range(n))
-            and all(rows[n + i] == (0,) * i + (-1,) + (0,) * (size - 1 - i)
-                    for i in range(n)))
+                                m.nrows, m.ncols, m.is_integral())
+    return m.T * jm == standard_form(m.nrows // 2)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ class MatrixGroup:
         """The elements as ``Matrix`` objects, in the order of ``codes``."""
         n, rows = self.dimension, self.rows
         flats = (tuple(chain.from_iterable(map(rows.__getitem__, code))) for code in self.codes)
-        return tuple(Matrix._from_int_flat(flat, n, n) for flat in flats)
+        return tuple(Matrix._from_canonical(flat, n, n) for flat in flats)
 
     def _key(self) -> tuple:
         return self.dimension, self.rows, self.codes, self.generators, self.truncated

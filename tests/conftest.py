@@ -64,18 +64,18 @@ def rng():
 def no_group_matrices(monkeypatch):
     """Make the group closure and the form check fail if they build a Matrix.
 
-    ``Matrix._from_int_flat`` raises when called from ``weyl`` or ``verify``;
-    integer products elsewhere still work.
+    ``Matrix._from_canonical`` raises when called from ``weyl`` or
+    ``verify``; integer products elsewhere still work.
     """
-    original = Matrix._from_int_flat
+    original = Matrix._from_canonical
 
-    def guarded(cls, flat, nrows, ncols):
+    def guarded(cls, flat, nrows, ncols, integral=True):
         caller = sys._getframe(1).f_globals["__name__"]
         if caller in ("weylppav.weyl", "weylppav.verify"):
             raise AssertionError(f"{caller} built a Matrix")
-        return original(flat, nrows, ncols)
+        return original(flat, nrows, ncols, integral)
 
-    monkeypatch.setattr(Matrix, "_from_int_flat", classmethod(guarded))
+    monkeypatch.setattr(Matrix, "_from_canonical", classmethod(guarded))
 
 
 @pytest.fixture
