@@ -7,6 +7,11 @@ toolkit relies on. Matrices are immutable (flat row-major tuples), so
 every operation below is a pure function and values can be shared freely
 across threads.
 
+There are two constructors: ``Matrix(rows)`` canonicalizes every entry, and
+the trusted ``Matrix._from_canonical`` takes entries canonical by
+construction. Both end in ``_fill``, the one place that works out from the
+entries whether a matrix is integral.
+
 Products normalize once. An integer product stays in ints. A product with a
 rational operand scales each operand to integer numerators by its own
 denominator lcm, multiplies those as integers, and builds each entry once
@@ -67,23 +72,20 @@ class Matrix:
     __slots__ = ("flat", "nrows", "ncols", "_integral")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        data = []
-        ncols = None
-        nrows = 0
-        for row in rows:
-            row = tuple(_canon(x) for x in row)
-            if ncols is None:
-                ncols = len(row)
-            elif len(row) != ncols:
-                raise ValueError("ragged rows")
-            data.extend(row)
-            nrows += 1
-        if nrows == 0 or not ncols:
+        rows = [tuple(map(_canon, row)) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        self._fill(tuple(chain.from_iterable(rows)), len(rows), ncols)
+
+    def _fill(self, flat: tuple, nrows: int, ncols: int) -> None:
+        """Set the slots from canonical entries; integrality is decided here only."""
+        if nrows < 1 or ncols < 1:
             raise ValueError("matrix must have positive dimensions")
-        object.__setattr__(self, "flat", tuple(data))
+        object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_integral", all(isinstance(x, int) for x in data))
+        object.__setattr__(self, "_integral", all(type(x) is int for x in flat))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -94,35 +96,31 @@ class Matrix:
     def from_flat(cls, flat: Sequence[Scalar], nrows: int, ncols: int) -> "Matrix":
         if len(flat) != nrows * ncols:
             raise ValueError("flat length does not match shape")
-        return cls(flat[i * ncols:(i + 1) * ncols] for i in range(nrows))
+        return cls._from_canonical(tuple(map(_canon, flat)), nrows, ncols)
 
     @classmethod
-    def _from_canonical(cls, flat: tuple, nrows: int, ncols: int,
-                        integral: bool = True) -> "Matrix":
+    def _from_canonical(cls, flat: tuple, nrows: int, ncols: int) -> "Matrix":
         """Trusted constructor for a tuple of canonical entries of the given shape.
 
-        Skips the per-entry checks of ``__init__``. Every entry must already
-        be what ``_canon`` returns (an int, or a Fraction with denominator
-        > 1), and ``integral`` must say exactly whether all of them are ints.
-        Entries moved out of a ``Matrix`` are canonical already, so
-        transposes, blocks and submatrices build through it, as do products
-        and ``MatrixGroup.elements``.
+        The second constructor skips the per-entry checks of ``__init__``:
+        every entry must already be what ``_canon`` returns (an int, or a
+        Fraction with denominator > 1), and ``_fill`` works out integrality.
+        Entries moved or negated out of a ``Matrix`` are canonical, so
+        transposes, blocks, submatrices and negations build through it, as do
+        products, identities, zeros, Smith factors and ``MatrixGroup.elements``.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "flat", flat)
-        object.__setattr__(m, "nrows", nrows)
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "_integral", integral)
+        m._fill(flat, nrows, ncols)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_canonical(tuple(int(i == j) for i in range(n) for j in range(n)), n, n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: Optional[int] = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls._from_canonical((0,) * (nrows * ncols), nrows, ncols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar]) -> "Matrix":
@@ -139,8 +137,7 @@ class Matrix:
         rows = [a.row(i) + b.row(i) for i in range(a.nrows)]
         rows += [c.row(i) + d.row(i) for i in range(c.nrows)]
         return cls._from_canonical(tuple(chain.from_iterable(rows)),
-                                   a.nrows + c.nrows, a.ncols + b.ncols,
-                                   a._integral and b._integral and c._integral and d._integral)
+                                   a.nrows + c.nrows, a.ncols + b.ncols)
 
     # -- access ----------------------------------------------------------------
 
@@ -165,8 +162,7 @@ class Matrix:
             raise ValueError(f"submatrix [{r0}:{r1}, {c0}:{c1}] out of bounds "
                              f"for a {self.nrows} x {self.ncols} matrix")
         flat = tuple(chain.from_iterable(self.row(i)[c0:c1] for i in range(r0, r1)))
-        return Matrix._from_canonical(flat, r1 - r0, c1 - c0,
-                                      all(type(x) is int for x in flat))
+        return Matrix._from_canonical(flat, r1 - r0, c1 - c0)
 
     # -- predicates -------------------------------------------------------------
 
@@ -199,7 +195,7 @@ class Matrix:
         return hash((self.nrows, self.ncols, self.flat))
 
     def __neg__(self) -> "Matrix":
-        return Matrix.from_flat([-x for x in self.flat], self.nrows, self.ncols)
+        return Matrix._from_canonical(tuple(-x for x in self.flat), self.nrows, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -237,9 +233,8 @@ class Matrix:
             flat = mat_mul_flat(_numerators(self.flat, da), _numerators(other.flat, db),
                                 nrows, self.ncols, ncols)
             d = da * db
-            out = tuple(Fraction(p, d) if p % d else p // d for p in flat)
-            return Matrix._from_canonical(out, nrows, ncols,
-                                          all(type(x) is int for x in out))
+            return Matrix._from_canonical(
+                tuple(Fraction(p, d) if p % d else p // d for p in flat), nrows, ncols)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -250,12 +245,14 @@ class Matrix:
         return NotImplemented
 
     def scale(self, s: Scalar) -> "Matrix":
+        s = _canon(s)
         return Matrix.from_flat([s * x for x in self.flat], self.nrows, self.ncols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product, returned as a tuple."""
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
+        vec = tuple(map(_canon, vec))
         return tuple(sum(a * b for a, b in zip(self.row(i), vec))
                      for i in range(self.nrows))
 
@@ -264,7 +261,7 @@ class Matrix:
         nc = self.ncols
         return Matrix._from_canonical(
             tuple(chain.from_iterable(self.flat[j::nc] for j in range(nc))),
-            nc, self.nrows, self._integral)
+            nc, self.nrows)
 
     # -- exact linear algebra ----------------------------------------------------
 
@@ -287,7 +284,7 @@ class Matrix:
                for i in range(n)]
         if len(_rref(aug, n)) < n:
             raise Singular("matrix is singular")
-        return Matrix(row[n:] for row in aug)
+        return Matrix.from_flat(tuple(chain.from_iterable(row[n:] for row in aug)), n, n)
 
     def is_positive_definite(self) -> bool:
         """Sylvester test in one ``_pivots`` pass (exact).
@@ -452,9 +449,11 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         if w[i][i] < 0:
             w[i] = [-x for x in w[i]]
 
-    d = Matrix([[w[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)])
-    return SnfResult(u=Matrix(row[nc:] for row in w[:nr]), d=d,
-                     v=Matrix(row[:nc] for row in w[nr:]))
+    u = tuple(chain.from_iterable(row[nc:] for row in w[:nr]))
+    d = tuple(w[i][j] if i == j else 0 for i in range(nr) for j in range(nc))
+    v = tuple(chain.from_iterable(row[:nc] for row in w[nr:]))
+    return SnfResult(u=Matrix._from_canonical(u, nr, nr), d=Matrix._from_canonical(d, nr, nc),
+                     v=Matrix._from_canonical(v, nc, nc))
 
 
 # -- affine solving ---------------------------------------------------------------
@@ -482,7 +481,7 @@ def solve_affine(coeff: Matrix, rhs: Sequence[Scalar]) -> AffineSolution:
     nr, nc = coeff.nrows, coeff.ncols
     if len(rhs) != nr:
         raise ValueError("rhs length does not match row count")
-    aug = [[Fraction(x) for x in coeff.row(i)] + [Fraction(rhs[i])]
+    aug = [[Fraction(x) for x in coeff.row(i)] + [Fraction(_canon(rhs[i]))]
            for i in range(nr)]
 
     pivots = _rref(aug, nc)

@@ -55,7 +55,7 @@ def is_symplectic(m: Matrix) -> bool:
     half = m.nrows // 2 * m.ncols
     # Negated canonical entries are canonical, so J m needs no checks.
     jm = Matrix._from_canonical(m.flat[half:] + tuple(-x for x in m.flat[:half]),
-                                m.nrows, m.ncols, m.is_integral())
+                                m.nrows, m.ncols)
     return m.T * jm == standard_form(m.nrows // 2)
 
 
@@ -169,8 +169,8 @@ def vec_to_sym(vec: Sequence, n: int) -> Matrix:
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector, leading entry > 0."""
-    denoms = [x.denominator if isinstance(x, Fraction) else 1 for x in vec]
-    scaled = [int(x * lcm(*denoms)) for x in vec]
+    scale = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in vec))
+    scaled = [int(x * scale) for x in vec]
     g = gcd(*(abs(x) for x in scaled))
     if g > 1:
         scaled = [x // g for x in scaled]

@@ -69,11 +69,11 @@ def no_group_matrices(monkeypatch):
     """
     original = Matrix._from_canonical
 
-    def guarded(cls, flat, nrows, ncols, integral=True):
+    def guarded(cls, flat, nrows, ncols):
         caller = sys._getframe(1).f_globals["__name__"]
         if caller in ("weylppav.weyl", "weylppav.verify"):
             raise AssertionError(f"{caller} built a Matrix")
-        return original(flat, nrows, ncols, integral)
+        return original(flat, nrows, ncols)
 
     monkeypatch.setattr(Matrix, "_from_canonical", classmethod(guarded))
 

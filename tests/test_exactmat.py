@@ -26,12 +26,21 @@ class TestMatrixBasics:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Matrix([[1.0, 0], [0, 1]])
+        ident = Matrix.identity(2)
+        for call in (lambda: ident.apply([0.5, 1]), lambda: solve_affine(ident, [0.5, 1])):
+            with pytest.raises(TypeError, match="float"):
+                call()
 
     def test_bools_rejected(self):
         with pytest.raises(TypeError, match="bool"):
             Matrix([[True, 0], [0, True]])
         with pytest.raises(TypeError, match="bool"):
             Matrix.from_flat((1, False, 0, 1), 2, 2)
+        ident = Matrix.identity(2)
+        for call in (lambda: ident * True, lambda: True * ident,
+                     lambda: ident.apply([1, True]), lambda: solve_affine(ident, [F(1, 2), True])):
+            with pytest.raises(TypeError, match="bool"):
+                call()
 
     def test_int_subclass_stored_as_int(self):
         class Tagged(int):
@@ -87,6 +96,27 @@ class TestMatrixBasics:
                 op(m, other)
             with pytest.raises(TypeError):
                 op(other, m)
+
+    def test_canonical_results_skip_init(self, monkeypatch):
+        m = Matrix([[2, 1], [1, 1]])
+        half = Matrix([[F(1, 2), 0], [1, F(-3, 2)]])
+
+        def refuse(self, rows):
+            raise AssertionError("Matrix.__init__ was called")
+
+        monkeypatch.setattr(Matrix, "__init__", refuse)
+        assert Matrix.identity(2).flat == (1, 0, 0, 1)
+        assert Matrix.zeros(1, 2).flat == (0, 0)
+        assert (-half).flat == (F(-1, 2), 0, -1, F(3, 2))
+        assert m.T.flat == (2, 1, 1, 1) and half.T.flat == (F(1, 2), 1, 0, F(-3, 2))
+        assert half.submatrix(1, 2, 0, 1).flat == (1,)
+        assert Matrix.block2(m, half, half, m).flat[:4] == (2, 1, F(1, 2), 0)
+        assert (m * m).flat == (5, 3, 3, 2) and (half * m).flat == (1, F(1, 2), F(1, 2), F(-1, 2))
+        assert Matrix.from_flat((F(4, 2), 0), 1, 2).flat == (2, 0)
+        assert (m + half - m * 2).flat == (F(-3, 2), -1, 0, F(-5, 2))
+        assert m.inverse().flat == (1, -1, -1, 2)
+        snf = smith_normal_form(m)
+        assert snf.u * m * snf.v == snf.d == Matrix.identity(2)
 
     def test_sum_shape_mismatch_rejected(self):
         for op in (lambda a, b: a + b, lambda a, b: a - b):

@@ -139,6 +139,9 @@ def test_smith_form_invariants(rows):
     diag = snf.diagonal()
     assert all(x >= 0 for x in diag)
     assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    for x in (snf.u, snf.d, snf.v, Matrix.identity(m.nrows), Matrix.identity(m.ncols),
+              Matrix.zeros(m.nrows, m.ncols)):
+        assert integrality_exact(x)
     # determinantal divisors: gcd of the k x k minors is d_1 ... d_k
     for k in range(1, len(diag) + 1):
         minors = (oracle_det(Matrix([[rows[i][j] for j in cs] for i in rs]))
@@ -359,5 +362,6 @@ def test_blocks_of_rational_matrices_report_integrality(case):
     assert Matrix.block2(*quads) == m
     top_left = Matrix.block2(quads[0], quads[0], quads[0], quads[0])
     assert top_left.is_integral()
-    for x in (*quads, m.T, *(q.T for q in quads), Matrix.block2(*quads), top_left):
+    for x in (*quads, m.T, *(q.T for q in quads), Matrix.block2(*quads), top_left,
+              -m, *(-q for q in quads)):
         assert integrality_exact(x)
