@@ -78,7 +78,7 @@ def _proportional(m1: Matrix, m2: Matrix) -> bool:
     if not pairs:
         return True
     x0, y0 = pairs[0]
-    if y0 == 0:
+    if x0 == 0 or y0 == 0:
         return False
     return all(x * y0 == y * x0 for x, y in pairs)
 

@@ -186,12 +186,14 @@ class TestInverse:
 
     def test_singular_raises(self):
         # the 3 x 3 cases lack a pivot in the last column (the sum of the
-        # first two) and in the middle column (twice the first)
+        # first two), in the middle column (twice the first) and in the first
+        # column (zero), where elimination goes on to pivot the later columns
         for rows in ([[1, 2], [2, 4]],
                      [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
-                     [[1, 2, 3], [2, 4, 5], [3, 6, 7]]):
+                     [[1, 2, 3], [2, 4, 5], [3, 6, 7]],
+                     [[0, 1, 2], [0, 3, 4], [0, 5, 7]]):
             m = Matrix(rows)
-            assert oracle_det(m) == 0
+            assert m.det() == oracle_det(m) == 0
             with pytest.raises(Singular):
                 m.inverse()
 
@@ -345,18 +347,26 @@ class TestSolveAffine:
         assert sol.kernel_basis == ()
 
     def test_substitution(self, rng):
+        # the first system has a free first column and pivots after it; the
+        # second multiplies rationals to integers, which apply returns as ints
+        free_first = Matrix([[0, 1, 2], [0, 2, 5]])
+        assert solve_affine(free_first, (1, 3)).kernel_basis == ((1, 0, 0),)
+        systems = [(free_first, (1, 3)), (Matrix([[F(1, 2)]]), (1,))]
         for _ in range(30):
             nr = rng.randint(1, 5)
             nc = rng.randint(1, 5)
             coeff = Matrix([[rng.randint(-6, 6) for _ in range(nc)]
                             for _ in range(nr)])
-            rhs = tuple(rng.randint(-6, 6) for _ in range(nr))
+            systems.append((coeff, tuple(rng.randint(-6, 6) for _ in range(nr))))
+        for coeff, rhs in systems:
             sol = solve_affine(coeff, rhs)
             if sol.particular is None:
                 continue
-            assert coeff.apply(sol.particular) == rhs
+            image = coeff.apply(sol.particular)
+            assert image == rhs
+            assert all(type(x) is int for x in image)
             for vec in sol.kernel_basis:
-                assert coeff.apply(vec) == (0,) * nr
+                assert coeff.apply(vec) == (0,) * coeff.nrows
 
 
 class TestPositiveDefinite:

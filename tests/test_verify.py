@@ -32,6 +32,9 @@ class TestHelpers:
         assert _proportional(3 * z0, z0)
         assert _proportional(Fraction(-1, 7) * z0, z0)
         assert not _proportional(z0 + Matrix.identity(2), z0)
+        assert not _proportional(Matrix.zeros(2), Matrix.identity(2))
+        assert not _proportional(Matrix.identity(2), Matrix.zeros(2))
+        assert _proportional(Matrix.zeros(2), Matrix.zeros(2))
 
 
 class TestRunVerification:
