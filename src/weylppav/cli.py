@@ -33,7 +33,7 @@ from .ppav import (coroot_polarization_degree, divisor_chain, group_divisors,
 from .rootsys import RootSystemId, cartan_data, gram_matrix, simple_reflections
 from .symplectic import SymplecticMat, UnsupportedGenerator, fixed_symmetric_space
 from .verify import run_verification
-from .weyl import NonUnimodularGenerator, expected_order, generate_group
+from .weyl import expected_order, generate_group
 
 USAGE_ERROR = 2
 UNSUPPORTED_INPUT = 3
@@ -42,16 +42,22 @@ BROKEN_PIPE = 141
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
 # time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
 # 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
-# dense system in n(n+1)/2 unknowns with n(n+1)/2 rows per generator (at
-# n = 16, 64 identity generators take about 5 s and 100 MB max RSS).
-# verify-all takes about 6 s at rank 12 and 26 s at rank 20. A closure
-# holds cap elements of rank row ids each; its peak memory is at most
-# about 5 bytes per cap * rank^2 entry (tracemalloc, E6, A7, B6 closed, E7,
-# E8, A8 truncated at the limit; E7 is the largest at 4.9), so about 25 MB.
-# The limit admits verify-all's own cap (100,001) up to rank 7.
+# dense system in n(n+1)/2 unknowns with n(n+1)/2 rows per generator. At
+# n = 16, dense random block-upper-triangular generators (entries up to
+# 18) take about 8 s for one, 95 s for 8, 165 s for 16 and 750 s (140 MB
+# max RSS) for 64; 64 identity generators, whose equations are all zero,
+# take about 4 s. Those 64 dense generators are about 220 kB of JSON, so a
+# file is read only up to MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes
+# about 6 s at rank 12 and 26 s at rank 20. A closure holds cap elements of
+# rank row ids each, in a list beside the set that tests membership; its
+# peak memory is at most about 5 bytes per cap * rank^2 entry (tracemalloc,
+# E6, A7, B6 closed, E7, E8, A8 truncated at the limit; E7 is the largest
+# at 5.1), so about 25 MB. The limit admits verify-all's own cap (100,001)
+# up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64
+MAX_FIXED_SPACE_BYTES = 4 << 20
 MAX_VERIFY_RANK = 16
 MAX_GROUP_ENTRIES = 5_000_000
 
@@ -147,7 +153,7 @@ def cmd_group_order(args) -> int:
     expected = expected_order(system)
     try:
         group = generate_group(simple_reflections(system), args.cap)
-    except (NonUnimodularGenerator, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     payload = {
@@ -163,8 +169,11 @@ def cmd_group_order(args) -> int:
 
 def cmd_fixed_space(args) -> int:
     try:
-        with open(args.file) as handle:
-            data = json.load(handle)
+        with open(args.file, "rb") as handle:
+            content = handle.read(MAX_FIXED_SPACE_BYTES + 1)
+        if len(content) > MAX_FIXED_SPACE_BYTES:
+            raise ValueError(f"input exceeds the limit of {MAX_FIXED_SPACE_BYTES} bytes")
+        data = json.loads(content)
         n = data["n"]
         if type(n) is not int or n < 1:
             raise ValueError("n must be a positive integer")

@@ -250,9 +250,9 @@ def _elements_preserve_form(group, gram):
     """Exhaustive g^t * gram * g == gram over all elements.
 
     Returns None when every element passes, else the first failure as
-    (element index, (i, j), computed, expected): the first element in the
-    canonical order of ``group.codes`` that fails, and its first wrong cell
-    of g^t * gram * g column by column.
+    (element index, (i, j), computed, expected): the first element in BFS
+    order (``group.found``, so ``group.elements[index]``) that fails, and
+    its first wrong cell of g^t * gram * g column by column.
 
     The check reads rows, not columns. Let N be the least common
     denominator of gram^-1 and Z = N * gram^-1, which is integral. For an
@@ -265,7 +265,7 @@ def _elements_preserve_form(group, gram):
     one cell at a time: each element puts its pair of row ids for the cell
     into a set, and a value is computed once per distinct pair. Each cell
     keeps the pairs whose value is wrong; only if one is kept are the
-    elements walked in canonical order for the first that hits one, and
+    elements walked in BFS order for the first that hits one, and
     its wrong cell of g^t * gram * g is computed for that element alone.
     """
     if not gram.is_symmetric():
@@ -301,12 +301,9 @@ def _elements_preserve_form(group, gram):
         return None
     # The elements failing here are exactly those with g^t * gram * g !=
     # gram; the witness cell is read off the first of them.
-    rids = {vec: rid for rid, vec in enumerate(vectors)}
-    canon = [rids[vec] for vec in group.rows]
     s_rows = gram.rows()
     s_flat = gram.flat
-    for index, code in enumerate(group.codes):
-        r = [canon[c] for c in code]
+    for index, r in enumerate(group.found):
         if any((r[i], r[j]) in bad for i, j, bad in wrong):
             cols = list(zip(*map(vectors.__getitem__, r)))
             for j in range(n):

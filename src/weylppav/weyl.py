@@ -13,7 +13,8 @@ The closure advances one breadth-first level per step: the level's row
 ids are laid out by row position, each generator maps every position
 through its table, and the products are zipped back together position by
 position. The level's new elements are the distinct products not yet
-seen, in the order an element-by-element scan would meet them. The
+seen, in the order an element-by-element scan would meet them; the group
+keeps its elements in that breadth-first order, its only order. The
 arithmetic is exact for any integer generator.
 """
 
@@ -33,26 +34,22 @@ class NonUnimodularGenerator(ValueError):
     """A generator with |det| != 1 cannot generate a group of lattice symmetries."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MatrixGroup:
     """Closure result: the elements found plus a truncation flag.
 
-    ``found`` is the set of elements, each the tuple of ids of its rows in
-    the intern table ``vectors`` (row id -> row vector); ids depend on the
-    order of exploration. ``order`` and ``truncated`` read nothing else.
-    The canonical form is computed on first read and cached: ``rows``
-    holds the distinct rows of the elements, sorted, and each entry of
-    ``codes`` is one element as the tuple of indices into ``rows`` of its
-    rows. ``codes`` is sorted, which sorts the elements lexicographically
-    on their flattened entries, so two runs produce identical output. When
-    ``truncated`` is True the closure hit the cap and ``codes`` holds
-    exactly what had been found, in the same canonical order. Equality
-    compares ``dimension``, ``rows``, ``codes``, ``generators`` and
-    ``truncated``.
+    ``found`` holds the elements in breadth-first order, the order in which
+    the closure accepted them, identity first. Each element is the tuple of
+    ids of its rows in the intern table ``vectors`` (row id -> row vector).
+    ``order`` and ``truncated`` read nothing else. When ``truncated`` is
+    True the closure hit the cap and ``found`` holds the first ``cap``
+    elements of that order. Equality is the dataclass default, field by
+    field; the closure is deterministic, so two closures of the same
+    generators and cap compare equal.
     """
 
     dimension: int
-    found: set = field(repr=False)
+    found: tuple = field(repr=False)
     vectors: tuple = field(repr=False)
     generators: tuple
     truncated: bool
@@ -62,40 +59,11 @@ class MatrixGroup:
         return len(self.found)
 
     @cached_property
-    def _canonical(self) -> tuple:
-        # Relabel the row ids in the order of their vectors. All rows have
-        # length n, so sorting the id tuples then sorts the flat entries.
-        vectors = self.vectors
-        used = sorted(set(chain.from_iterable(self.found)), key=vectors.__getitem__)
-        rank = {rid: pos for pos, rid in enumerate(used)}
-        codes = sorted(tuple(map(rank.__getitem__, el)) for el in self.found)
-        return tuple(map(vectors.__getitem__, used)), tuple(codes)
-
-    @property
-    def rows(self) -> tuple:
-        return self._canonical[0]
-
-    @property
-    def codes(self) -> tuple:
-        return self._canonical[1]
-
-    @cached_property
     def elements(self) -> tuple:
-        """The elements as ``Matrix`` objects, in the order of ``codes``."""
-        n, rows = self.dimension, self.rows
-        flats = (tuple(chain.from_iterable(map(rows.__getitem__, code))) for code in self.codes)
+        """The elements as ``Matrix`` objects, in the order of ``found``."""
+        n, vectors = self.dimension, self.vectors
+        flats = (tuple(chain.from_iterable(map(vectors.__getitem__, el))) for el in self.found)
         return tuple(Matrix._from_canonical(flat, n, n) for flat in flats)
-
-    def _key(self) -> tuple:
-        return self.dimension, self.rows, self.codes, self.generators, self.truncated
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixGroup):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def generate_group(generators, cap: int) -> MatrixGroup:
@@ -136,6 +104,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     filled = 0
     ident = tuple(map(intern, Matrix.identity(n).rows()))
     seen = {ident}
+    found = [ident]  # the elements in the order they are accepted
     frontier = [ident]
     truncated = False
     while frontier and not truncated:
@@ -158,8 +127,9 @@ def generate_group(generators, cap: int) -> MatrixGroup:
             del frontier[room:]
             truncated = True
         seen.update(frontier)
+        found += frontier
 
-    return MatrixGroup(dimension=n, found=seen, vectors=tuple(vectors),
+    return MatrixGroup(dimension=n, found=tuple(found), vectors=tuple(vectors),
                        generators=tuple(gens), truncated=truncated)
 
 

@@ -77,14 +77,3 @@ def no_group_matrices(monkeypatch):
 
     monkeypatch.setattr(Matrix, "_from_canonical", classmethod(guarded))
 
-
-@pytest.fixture
-def no_canonical_order(monkeypatch):
-    """Make reading a group's canonical order (``rows``, ``codes``,
-    ``elements``) fail: ``order`` and ``truncated`` must not need it."""
-    from weylppav.weyl import MatrixGroup
-
-    def refuse(self):
-        raise AssertionError("the canonical order was computed")
-
-    monkeypatch.setattr(MatrixGroup, "_canonical", property(refuse))

@@ -12,9 +12,9 @@ import weylppav
 from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
                       expected_order, riemann_family, smith_normal_form)
 from weylppav import cli, ppav, verify
-from weylppav.cli import (MAX_FIXED_SPACE_GENERATORS, MAX_FIXED_SPACE_N,
-                          MAX_GROUP_ENTRIES, MAX_QUERY_RANK, MAX_VERIFY_RANK,
-                          main, parse_scalar)
+from weylppav.cli import (MAX_FIXED_SPACE_BYTES, MAX_FIXED_SPACE_GENERATORS,
+                          MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
+                          MAX_VERIFY_RANK, main, parse_scalar)
 from weylppav.reference import cyclic5_generator, sym5_degree6_generators
 
 
@@ -452,6 +452,32 @@ class TestFixedSpace:
         assert out == ""
         assert "malformed fixed-space input" in err
         assert "Traceback" not in err
+
+    def test_byte_limit_boundary(self, capsys, tmp_path):
+        # Whitespace pads valid input to the limit; one byte more is refused
+        # before it is parsed.
+        f = tmp_path / "gens.json"
+        write_generators(f, 1, [Matrix.identity(2)])
+        body = f.read_bytes()
+        f.write_bytes(body + b" " * (MAX_FIXED_SPACE_BYTES - len(body)))
+        assert run_json(capsys, "fixed-space", str(f))["dimension"] == 1
+        f.write_bytes(body + b" " * (MAX_FIXED_SPACE_BYTES + 1 - len(body)))
+        code, out, err = run(capsys, "fixed-space", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: malformed fixed-space input: input exceeds the "
+                       f"limit of {MAX_FIXED_SPACE_BYTES} bytes\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_input_exits_2(self):
+        # An endless file is read only up to the byte limit.
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "weylppav",
+                               "fixed-space", "/dev/zero"], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == ("error: malformed fixed-space input: input exceeds the "
+                               f"limit of {MAX_FIXED_SPACE_BYTES} bytes\n").encode()
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fixed-space", str(tmp_path / "absent.json"))
