@@ -48,12 +48,12 @@ BROKEN_PIPE = 141
 # max RSS) for 64; 64 identity generators, whose equations are all zero,
 # take about 4 s. Those 64 dense generators are about 220 kB of JSON, so a
 # file is read only up to MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes
-# about 6 s at rank 12 and 26 s at rank 20. A closure holds cap elements of
-# rank row ids each, in a list beside the set that tests membership; its
-# peak memory is at most about 5 bytes per cap * rank^2 entry (tracemalloc,
-# E6, A7, B6 closed, E7, E8, A8 truncated at the limit; E7 is the largest
-# at 5.1), so about 25 MB. The limit admits verify-all's own cap (100,001)
-# up to rank 7.
+# about 3 s at rank 12 and 4 s at rank 16; in process, rank 20 takes 6 s
+# and rank 32 about 33 s. A closure holds cap elements of rank row ids
+# each, in a list beside the set that tests membership; its peak memory is
+# at most about 5 bytes per cap * rank^2 entry (tracemalloc, E6, A7, B6
+# closed, E7, E8, A8 truncated at the limit; E7 is the largest at 5.1), so
+# about 25 MB. The limit admits verify-all's own cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

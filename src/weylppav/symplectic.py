@@ -47,16 +47,23 @@ def standard_form(n: int) -> Matrix:
 def is_symplectic(m: Matrix) -> bool:
     """True iff m^t J m = J exactly; m must be square of even size 2n.
 
-    With m = [[A, B], [C, D]], J m = [[C, D], [-A, -B]] is m's rows moved
-    and the top half negated, so only one product, m^t (J m), is formed.
+    With m = [[A, B], [C, D]] and B = C = 0, m^t J m = [[0, A^t D],
+    [-D^t A, 0]], so the test is the n x n product A^t D = I. Otherwise
+    J m = [[C, D], [-A, -B]] is m's rows moved and the top half negated, so
+    only one 2n x 2n product, m^t (J m), is formed.
     """
     if not m.is_square or m.nrows % 2:
         raise ValueError("even-sized square matrix required")
-    half = m.nrows // 2 * m.ncols
+    n = m.nrows // 2
+    rows = m.rows()
+    if not any(any(r[n:]) for r in rows[:n]) and not any(any(r[:n]) for r in rows[n:]):
+        return m.submatrix(0, n, 0, n).T * m.submatrix(n, 2 * n, n, 2 * n) == \
+            Matrix.identity(n)
+    half = n * m.ncols
     # Negated canonical entries are canonical, so J m needs no checks.
     jm = Matrix._from_canonical(m.flat[half:] + tuple(-x for x in m.flat[:half]),
                                 m.nrows, m.ncols)
-    return m.T * jm == standard_form(m.nrows // 2)
+    return m.T * jm == standard_form(n)
 
 
 @dataclass(frozen=True)
@@ -90,16 +97,21 @@ class SymplecticMat:
 def embed_block_diag(rho: Matrix) -> SymplecticMat:
     """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]].
 
-    One Smith form u * rho * v = d decides and inverts: rho is unimodular
+    An involution (rho * rho = I, as every reflection is) is its own
+    inverse, so its contragredient is rho^t. Any other rho takes one Smith
+    form u * rho * v = d, which decides and inverts: rho is unimodular
     exactly when d = I, and then rho^{-1} = v * u, an integer matrix.
     """
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
-    snf = smith_normal_form(rho)
-    if any(x != 1 for x in snf.diagonal()):
-        raise NonUnimodular(f"determinant is {rho.det()}")
     n = rho.nrows
-    contragredient = (snf.v * snf.u).T
+    if rho * rho == Matrix.identity(n):
+        contragredient = rho.T
+    else:
+        snf = smith_normal_form(rho)
+        if any(x != 1 for x in snf.diagonal()):
+            raise NonUnimodular(f"determinant is {rho.det()}")
+        contragredient = (snf.v * snf.u).T
     zero = Matrix.zeros(n)
     return SymplecticMat(n, Matrix.block2(rho, zero, zero, contragredient))
 

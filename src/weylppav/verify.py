@@ -72,6 +72,28 @@ def _same_span(mats_a, mats_b) -> bool:
             and all(_spanned_by(v, vecs_a) for v in vecs_b))
 
 
+@dataclass(frozen=True)
+class _SystemData:
+    """One system's exact data, shared by every section of a pass."""
+
+    gram: Matrix
+    reflections: list
+    z0: Matrix
+
+
+def _catalog(max_rank: int) -> dict:
+    """Every system through max_rank -> its ``_SystemData``, in catalog order.
+
+    ``run_verification`` builds this once and hands it to each section, so
+    each system's Gram matrix is inverted once per pass; a section called
+    alone builds its own. It goes through this module's names
+    ``gram_matrix``, ``simple_reflections`` and ``riemann_family``.
+    """
+    return {system: _SystemData(gram_matrix(system), simple_reflections(system),
+                                riemann_family(system).z0)
+            for system in all_systems(max_rank)}
+
+
 def _proportional(m1: Matrix, m2: Matrix) -> bool:
     """m1 = lambda * m2 for some nonzero rational lambda, checked exactly."""
     pairs = [(x, y) for x, y in zip(m1.flat, m2.flat) if x != 0 or y != 0]
@@ -86,12 +108,11 @@ def _proportional(m1: Matrix, m2: Matrix) -> bool:
 # -- sections ------------------------------------------------------------------
 
 
-def check_riemann_matrices(max_rank: int) -> Section:
+def check_riemann_matrices(max_rank: int, catalog: dict | None = None) -> Section:
     """z0 = gram^{-1}, compared entrywise with the published closed forms."""
     sec = Section("riemann-matrices")
-    for system in all_systems(max_rank):
-        z0 = riemann_family(system).z0
-        gram = gram_matrix(system)
+    for system, data in (catalog or _catalog(max_rank)).items():
+        z0, gram = data.z0, data.gram
         sec.add(f"{system}: gram * z0 = identity",
                 gram * z0 == Matrix.identity(system.rank))
         sec.add(f"{system}: z0 symmetric positive definite",
@@ -144,16 +165,18 @@ def check_divisor_chains(max_rank: int) -> Section:
     return sec
 
 
-def check_levels(max_rank: int) -> Section:
+def check_levels(max_rank: int, catalog: dict | None = None) -> Section:
     """Triple agreement: published level, largest invariant factor, z0 denominators.
 
-    The z0 route inverts the Gram matrix; it runs only here, as the check.
+    The z0 route reads the pass's z0, the one Gram inverse per system that
+    riemann-matrices checks against the Gram matrix; it shares no code with
+    the Smith form behind the chain route.
     """
     sec = Section("congruence-levels")
-    for system in all_systems(max_rank):
+    for system, data in (catalog or _catalog(max_rank)).items():
         published = reference.expected_level(system)
         via_chain = centralizer_level(system)
-        via_denoms = riemann_family(system).z0.denominator_lcm()
+        via_denoms = data.z0.denominator_lcm()
         sec.add(f"{system}: level {published} agrees across all three routes",
                 published == via_chain == via_denoms,
                 f"chain {via_chain}, denominators {via_denoms}")
@@ -165,22 +188,25 @@ def check_levels(max_rank: int) -> Section:
     return sec
 
 
-def check_witnesses(max_rank: int) -> Section:
+def check_witnesses(max_rank: int, catalog: dict | None = None) -> Section:
     sec = Section("family-witnesses")
+    catalog = catalog or _catalog(max(max_rank, 2))  # G2 -> A2 runs at every rank
+
+    def z0(family, n):
+        return catalog[RootSystemId(family, n)].z0
+
     for n in range(4, max_rank + 1):
         a = reference.dn_to_cn_witness(n)
-        ok = verify_family_isomorphism(a, riemann_family(RootSystemId("D", n)).z0,
-                                       riemann_family(RootSystemId("C", n)).z0)
+        ok = verify_family_isomorphism(a, z0("D", n), z0("C", n))
         sec.add(f"D{n} -> C{n} witness", ok)
     if max_rank >= 4:
         ok = verify_family_isomorphism(reference.d4_to_f4_witness(),
-                                       riemann_family(RootSystemId("D", 4)).z0,
-                                       riemann_family(RootSystemId("F", 4)).z0)
+                                       z0("D", 4), z0("F", 4))
         sec.add("D4 -> F4 witness", ok)
     # G2 -> A2: the printed witness needs composition with diag(1, -1).
     printed = reference.g2_to_a2_witness_printed()
-    z_g2 = riemann_family(RootSystemId("G", 2)).z0
-    z_a2 = riemann_family(RootSystemId("A", 2)).z0
+    z_g2 = z0("G", 2)
+    z_a2 = z0("A", 2)
     raw = verify_family_isomorphism(printed, z_g2, z_a2)
     fixed = verify_family_isomorphism(reference.g2_to_a2_sign_fix() * printed,
                                       z_g2, z_a2)
@@ -191,28 +217,27 @@ def check_witnesses(max_rank: int) -> Section:
     # Alternate An family: exact after the tau |-> tau/(n+1) rescale.
     for n in range(1, max_rank + 1):
         a = reference.an_alternate_witness(n)
-        z0 = riemann_family(RootSystemId("A", n)).z0
         base = reference.an_alternate_base_printed(n)
-        ok = verify_family_isomorphism(a, z0, Fraction(1, n + 1) * base)
+        ok = verify_family_isomorphism(a, z0("A", n), Fraction(1, n + 1) * base)
         sec.add(f"A{n} alternate-family witness (base rescaled by 1/{n + 1})", ok)
     return sec
 
 
-def check_bn_splitting(max_rank: int) -> Section:
+def check_bn_splitting(max_rank: int, catalog: dict | None = None) -> Section:
     sec = Section("principal-splittings")
+    catalog = catalog or _catalog(max_rank)
     for n in range(2, max_rank + 1):
-        system = RootSystemId("B", n)
-        z0 = riemann_family(system).z0
+        data = catalog[RootSystemId("B", n)]
         f, d, m = reference.bn_split_witness(n)
-        sec.add(f"B{n}: F z0 = diag(d) M", verify_decomposition_witness(f, d, m, z0))
+        sec.add(f"B{n}: F z0 = diag(d) M", verify_decomposition_witness(f, d, m, data.z0))
         sec.add(f"B{n}: M = F^{{-t}}", m == f.inverse().T)
         block = Matrix.block2(f, Matrix.zeros(n), Matrix.zeros(n), m)
         sec.add(f"B{n}: diag-block(F, M) symplectic", is_symplectic(block))
-        sec.add(f"B{n}: F^t F equals the Gram matrix", f.T * f == gram_matrix(system))
+        sec.add(f"B{n}: F^t F equals the Gram matrix", f.T * f == data.gram)
     return sec
 
 
-def check_cyclic5_fixed_space(max_rank: int) -> Section:
+def check_cyclic5_fixed_space(max_rank: int, catalog: dict | None = None) -> Section:
     sec = Section("fixed-space-rank4-order5")
     if max_rank < 4:
         return sec
@@ -224,7 +249,7 @@ def check_cyclic5_fixed_space(max_rank: int) -> Section:
             space.particular is not None and space.particular.is_zero())
     sec.add("fixed space equals the published span (both inclusions)",
             _same_span(space.basis, (m1, m2)))
-    z0_a4 = riemann_family(RootSystemId("A", 4)).z0
+    z0_a4 = (catalog or _catalog(max_rank))[RootSystemId("A", 4)].z0
     sec.add("5 * z0(A4) equals the first published span matrix", 5 * z0_a4 == m1)
     return sec
 
@@ -315,11 +340,10 @@ def _elements_preserve_form(group, gram):
     raise AssertionError("g * Z * g^t != Z but g^t * gram * g == gram")
 
 
-def check_group_orders(max_rank: int) -> Section:
+def check_group_orders(max_rank: int, catalog: dict | None = None) -> Section:
     sec = Section("reflection-group-orders")
-    for system in all_systems(max_rank):
-        refl = simple_reflections(system)
-        gram = gram_matrix(system)
+    for system, data in (catalog or _catalog(max_rank)).items():
+        refl, gram = data.reflections, data.gram
         order = expected_order(system)
         if order <= ENUMERATION_LIMIT:
             group = generate_group(refl, ENUMERATION_LIMIT + 1)
@@ -353,22 +377,24 @@ def check_degrees(max_rank: int) -> Section:
     return sec
 
 
-def check_properties(max_rank: int) -> Section:
+def check_properties(max_rank: int, catalog: dict | None = None) -> Section:
     """Structural properties: homomorphism, fixed points, fixed space, centralizer.
 
-    Each system's z0 and embedded simple reflections are computed once and
-    shared by the last three checks. The homomorphism check embeds its own
-    random words, since it is the check of ``embed_block_diag``. A failing
-    check names its first failing system and generator (or word) in detail.
+    Each system's embedded simple reflections are computed once and shared,
+    with the pass's z0, by the last three checks. The homomorphism check
+    embeds its own random words, since it is the check of
+    ``embed_block_diag``. A failing check names its first failing system and
+    generator (or word) in detail.
     """
     sec = Section("structural-properties")
     rng = random.Random(20240601)
-    systems = list(all_systems(max_rank))
+    catalog = catalog or _catalog(max_rank)
+    systems = list(catalog)
 
     failure = ""
     for index in range(100):
         system = rng.choice(systems)
-        refl = simple_reflections(system)
+        refl = catalog[system].reflections
         w1 = Matrix.identity(system.rank)
         w2 = Matrix.identity(system.rank)
         for _ in range(rng.randrange(1, 6)):
@@ -384,13 +410,12 @@ def check_properties(max_rank: int) -> Section:
             break
     sec.add("embedding is a homomorphism on 100 random words", not failure, failure)
 
-    z0s = {system: riemann_family(system).z0 for system in systems}
-    embedded = {system: [embed_block_diag(r) for r in simple_reflections(system)]
-                for system in systems}
+    embedded = {system: [embed_block_diag(r) for r in data.reflections]
+                for system, data in catalog.items()}
 
     failure = ""
     for system in systems:
-        z0 = z0s[system]
+        z0 = catalog[system].z0
         moved = next((k for k, emb in enumerate(embedded[system])
                       if modular_action(emb, z0) != z0), None)
         if moved is not None:
@@ -411,7 +436,7 @@ def check_properties(max_rank: int) -> Section:
         space = fixed_symmetric_space(embedded[system])
         if space.dimension != 1:
             failure = f"{system}: fixed space has dimension {space.dimension}"
-        elif not _proportional(space.basis[0], z0s[system]):
+        elif not _proportional(space.basis[0], catalog[system].z0):
             failure = f"{system}: fixed line is not spanned by z0"
         if failure:
             break
@@ -448,17 +473,18 @@ def run_verification(max_rank: int) -> dict:
     """Run every section and return a JSON-ready report."""
     if max_rank < 2:
         raise ValueError("max rank must be at least 2")
+    catalog = _catalog(max_rank)
     sections = [
-        check_riemann_matrices(max_rank),
+        check_riemann_matrices(max_rank, catalog),
         check_divisor_chains(max_rank),
-        check_levels(max_rank),
-        check_witnesses(max_rank),
-        check_bn_splitting(max_rank),
-        check_cyclic5_fixed_space(max_rank),
+        check_levels(max_rank, catalog),
+        check_witnesses(max_rank, catalog),
+        check_bn_splitting(max_rank, catalog),
+        check_cyclic5_fixed_space(max_rank, catalog),
         check_sym5_fixed_family(max_rank),
-        check_group_orders(max_rank),
+        check_group_orders(max_rank, catalog),
         check_degrees(max_rank),
-        check_properties(max_rank),
+        check_properties(max_rank, catalog),
     ]
     counts = {PASS: 0, DOCUMENTED: 0, FAIL: 0}
     out_sections = []

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 from weylppav import (all_systems, divisor_chain, embed_block_diag,
                       fixed_symmetric_space, generate_group, riemann_family,
                       simple_reflections)
+from weylppav.verify import run_verification
 
 
 def _profile(system):
@@ -36,3 +37,12 @@ def test_concurrent_group_closures_are_canonical():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(close, tags))
     assert threaded == serial
+
+
+def test_concurrent_verification_passes_match_serial():
+    # Each pass builds its own per-system data; nothing is shared between
+    # passes, so threads running whole passes agree with a serial one.
+    serial = run_verification(4)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(run_verification, [4] * 4))
+    assert threaded == [serial] * 4

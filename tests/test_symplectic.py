@@ -9,6 +9,8 @@ from weylppav import (Matrix, NonUnimodular, NotSymplectic, RootSystemId,
                       gram_matrix, is_symplectic, modular_action, riemann_family,
                       simple_reflections, standard_form,
                       verify_decomposition_witness, verify_family_isomorphism)
+from weylppav import symplectic
+from weylppav.exactmat import smith_normal_form
 from weylppav.reference import (an_alternate_base_printed, an_alternate_witness,
                                 bn_split_witness, cyclic5_fixed_span,
                                 cyclic5_generator, d4_to_f4_witness,
@@ -52,7 +54,8 @@ class TestEmbedBlockDiag:
                 assert emb.blocks()[0] == rho
                 assert rho.T * emb.blocks()[3] == Matrix.identity(n), str(system)
         for rho, det in ((Matrix([[1, 2], [3, 4]]), -2), (Matrix([[2, 1], [0, 1]]), 2),
-                         (Matrix([[1, 2], [2, 4]]), 0)):
+                         (Matrix([[1, 2], [2, 4]]), 0), (Matrix([[0, 1], [0, 0]]), 0),
+                         (Matrix([[0, 2], [2, 0]]), -4), (Matrix([[-1, 0], [0, 3]]), -3)):
             with pytest.raises(NonUnimodular) as exc:
                 embed_block_diag(rho)
             assert str(exc.value) == f"determinant is {det}"
@@ -71,6 +74,73 @@ class TestEmbedBlockDiag:
                 w2 = w2 * rng.choice(refl)
             assert embed_block_diag(w1).m * embed_block_diag(w2).m == \
                 embed_block_diag(w1 * w2).m
+
+
+def smith_embedding(rho):
+    """[[rho, 0], [0, rho^{-t}]] with rho^{-1} = v * u read off the Smith form."""
+    snf = smith_normal_form(rho)
+    zero = Matrix.zeros(rho.nrows)
+    return Matrix.block2(rho, zero, zero, (snf.v * snf.u).T)
+
+
+def random_word(rng, refl, n, lo=1, hi=6):
+    """A random product of simple reflections and its reversed product, the inverse."""
+    w = w_inv = Matrix.identity(n)
+    for _ in range(rng.randrange(lo, hi)):
+        s = rng.choice(refl)
+        w, w_inv = w * s, s * w_inv
+    return w, w_inv
+
+
+class TestInvolutionEmbedding:
+    """Involutions embed as [[rho, 0], [0, rho^t]] without a Smith form."""
+
+    def involutions(self):
+        rng = random.Random(8642)
+        out = []
+        for system in all_systems(8):
+            refl = simple_reflections(system)
+            ident = Matrix.identity(system.rank)
+            out += refl + [a for a in diagram_automorphisms(system) if a * a == ident]
+            for _ in range(3):
+                w, w_inv = random_word(rng, refl, system.rank)
+                out.append(w * rng.choice(refl) * w_inv)
+        return out
+
+    def test_matches_smith_route(self, monkeypatch):
+        cases = self.involutions()
+        expected = [smith_embedding(rho) for rho in cases]
+
+        def refuse(m):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(symplectic, "smith_normal_form", refuse)
+        for rho, block in zip(cases, expected):
+            assert rho * rho == Matrix.identity(rho.nrows)
+            assert embed_block_diag(rho).m == block
+
+    def test_other_words_take_the_smith_route(self, monkeypatch):
+        rng = random.Random(9753)
+        calls = []
+        original = symplectic.smith_normal_form
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(symplectic, "smith_normal_form", counted)
+        words = []
+        for system in all_systems(8):
+            refl = simple_reflections(system)
+            # D4's triality generator has order 3
+            words += diagram_automorphisms(system)
+            for _ in range(3):
+                words.append(random_word(rng, refl, system.rank, 2, 7)[0])
+        words = [w for w in words if w * w != Matrix.identity(w.nrows)]
+        assert len(words) > 30
+        for w in words:
+            assert embed_block_diag(w).m == smith_embedding(w)
+            assert calls[-1] is w
 
 
 class TestIsSymplectic:
@@ -98,6 +168,67 @@ class TestIsSymplectic:
         prod = embed_block_diag(refl[0]) * embed_block_diag(refl[1])
         assert prod.m == embed_block_diag(refl[0]).m * embed_block_diag(refl[1]).m
         assert is_symplectic(prod.m)
+
+
+def dense_symplectic(m):
+    form = standard_form(m.nrows // 2)
+    return m.T * form * m == form
+
+
+def random_invertible(rng, n, rational):
+    while True:
+        entries = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rational
+                    else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        a = Matrix(entries)
+        if a.det() != 0:
+            return a
+
+
+class TestBlockDiagonalShortcut:
+    """With B = C = 0, m^t J m = J is the n x n condition A^t D = I."""
+
+    def cases(self):
+        rng = random.Random(24680)
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            a = random_invertible(rng, n, rational=trial % 2 == 1)
+            d = a.inverse().T
+            zero = Matrix.zeros(n)
+            good = Matrix.block2(a, zero, zero, d)
+            rows = [list(r) for r in d.rows()]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.choice((-1, 1, F(1, 2)))
+            bad = Matrix.block2(a, zero, zero, Matrix(rows))
+            yield good, bad, True
+            # one nonzero entry in B or C, symplectic or not
+            for block in good, bad:
+                rows = [list(r) for r in block.rows()]
+                i, j = rng.randrange(n), rng.randrange(n)
+                if rng.random() < 0.5:
+                    rows[i][n + j] = rng.choice((1, -2, F(1, 3)))
+                else:
+                    rows[n + i][j] = rng.choice((1, -2, F(1, 3)))
+                yield Matrix(rows), None, False
+
+    def test_agrees_with_dense_product(self, monkeypatch):
+        dense_calls = []
+        original = symplectic.standard_form
+
+        def counted(n):
+            dense_calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(symplectic, "standard_form", counted)
+        outcomes = set()
+        for m, other, block_diagonal in self.cases():
+            for mat in (m, other) if other is not None else (m,):
+                before = len(dense_calls)
+                got = is_symplectic(mat)
+                took_dense = len(dense_calls) > before
+                assert took_dense != block_diagonal
+                assert got == dense_symplectic(mat)
+                outcomes.add((block_diagonal, got))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestModularAction:

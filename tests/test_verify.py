@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
                       generate_group, gram_matrix, riemann_family,
                       simple_reflections)
 from weylppav import reference
+from weylppav import symplectic
 from weylppav import verify
 from weylppav.verify import (_proportional, _same_span, _spanned_by,
                              run_verification)
@@ -87,6 +89,51 @@ class TestRunVerification:
         assert statuses["E7: computed z0 vs printed table"] == \
             "documented-discrepancy"
         assert all(s != "fail" for s in statuses.values())
+
+
+class TestOnePass:
+    def test_each_system_gets_its_exact_data_once(self, monkeypatch):
+        # One pass inverts each Gram matrix once and embeds no simple
+        # reflection through a Smith form; random words that are not
+        # involutions still take that route.
+        families = Counter()
+        original_family = verify.riemann_family
+
+        def counted_family(system):
+            families[system] += 1
+            return original_family(system)
+
+        smith_inputs = []
+        original_smith = symplectic.smith_normal_form
+
+        def recorded_smith(m):
+            smith_inputs.append(m)
+            return original_smith(m)
+
+        monkeypatch.setattr(verify, "riemann_family", counted_family)
+        monkeypatch.setattr(symplectic, "smith_normal_form", recorded_smith)
+        report = run_verification(8)
+        assert report["status"] == "pass"
+        assert set(families) == set(all_systems(8))
+        assert max(families.values()) == 1
+        reflections = {r for system in all_systems(8)
+                       for r in simple_reflections(system)}
+        assert smith_inputs
+        assert not reflections.intersection(smith_inputs)
+
+    def test_sections_alone_equal_the_pass(self):
+        report = run_verification(5)
+        alone = [verify.check_riemann_matrices(5), verify.check_levels(5),
+                 verify.check_witnesses(5), verify.check_bn_splitting(5),
+                 verify.check_cyclic5_fixed_space(5), verify.check_group_orders(5),
+                 verify.check_properties(5)]
+        by_name = {sec["name"]: sec["checks"] for sec in report["sections"]}
+        for sec in alone:
+            assert [(c.name, c.status) for c in sec.checks] == \
+                [(c["name"], c["status"]) for c in by_name[sec.name]]
+        # below rank 2 the witnesses still check G2 -> A2
+        assert [c.status for c in verify.check_witnesses(1).checks] == \
+            ["documented-discrepancy", "pass", "pass"]
 
 
 def skewed_gram(system):
