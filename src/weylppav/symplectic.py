@@ -88,11 +88,6 @@ class SymplecticMat:
         return (m.submatrix(0, n, 0, n), m.submatrix(0, n, n, 2 * n),
                 m.submatrix(n, 2 * n, 0, n), m.submatrix(n, 2 * n, n, 2 * n))
 
-    def __mul__(self, other: "SymplecticMat") -> "SymplecticMat":
-        if not isinstance(other, SymplecticMat):
-            return NotImplemented
-        return SymplecticMat(self.n, self.m * other.m)
-
 
 def embed_block_diag(rho: Matrix) -> SymplecticMat:
     """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]].

@@ -272,81 +272,60 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
 
 
 def _elements_preserve_form(group, gram):
-    """Exhaustive g^t * gram * g == gram over all elements.
+    """Exhaustive g^t * gram * g == gram, read on the rows of h = g^t.
 
-    Returns None when every element passes, else the first failure as
-    (element index, (i, j), computed, expected): the first element in BFS
-    order (``group.found``, so ``group.elements[index]``) that fails, and
-    its first wrong cell of g^t * gram * g column by column.
+    ``group`` is the closure of the transposed reflections. Returns None
+    when every element passes, else the first failure as (element index,
+    (i, j), computed, expected): the first h in BFS order (``group.found``,
+    so g = ``group.elements[index].T``) that fails, and its first wrong
+    cell of g^t * gram * g column by column.
 
-    The check reads rows, not columns. Let N be the least common
-    denominator of gram^-1 and Z = N * gram^-1, which is integral. For an
-    invertible g (every closure element is unimodular), g^t * gram * g ==
-    gram holds exactly when g * Z * g^t == Z. gram * Z == N * I is checked
-    first, so a faulty inverse cannot make the check vacuous; a singular
-    form raises ValueError. Entry (i, j) of g * Z * g^t is row_i . (Z *
-    row_j), so it depends only on the ids of rows i and j, which
-    ``group.found`` already stores. Only the upper triangle is compared,
-    one cell at a time: each element puts its pair of row ids for the cell
-    into a set, and a value is computed once per distinct pair. Each cell
-    keeps the pairs whose value is wrong; only if one is kept are the
-    elements walked in BFS order for the first that hits one, and
-    its wrong cell of g^t * gram * g is computed for that element alone.
+    Row i of h is the root g(alpha_i), so the rows are interned roots, and
+    cell (i, j) of g^t * gram * g is row_i . (gram * row_j): it depends
+    only on the ids of rows i and j, which ``group.found`` already stores.
+    Only the upper triangle is compared, one cell at a time: a value is
+    computed once per distinct pair of row ids, each cell keeps its wrong
+    pairs, and the witness is read off those tables.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
     n = group.dimension
     vectors = group.vectors
-    inverse = gram.inverse()
-    scale = inverse.denominator_lcm()
-    z = scale * inverse
-    if gram * z != scale * Matrix.identity(n):
-        raise ValueError("the inverse of the form does not invert it")
-    z_rows = z.rows()
-    z_flat = z.flat
-    z_vecs = [tuple(sum(map(mul, row, vec)) for row in z_rows) for vec in vectors]
+    s_rows = gram.rows()
+    s_flat = gram.flat
+    s_vecs = [tuple(sum(map(mul, row, vec)) for row in s_rows) for vec in vectors]
     # by_row[r][e] is the row id of row r of element e.
     by_row = list(zip(*group.found))
-    values = {}  # (a, b) -> vectors[a] . z_vecs[b]
+    values = {}  # (a, b) -> vectors[a] . s_vecs[b]
     wrong = []  # (i, j, the pairs wrong in cell (i, j)), column by column
     for j in range(n):
         for i in range(j + 1):
-            expected = z_flat[i * n + j]
+            expected = s_flat[i * n + j]
             bad = set()
             for pair in set(zip(by_row[i], by_row[j])):
                 value = values.get(pair)
                 if value is None:
                     a, b = pair
-                    value = values[pair] = sum(map(mul, vectors[a], z_vecs[b]))
+                    value = values[pair] = sum(map(mul, vectors[a], s_vecs[b]))
                 if value != expected:
                     bad.add(pair)
             if bad:
                 wrong.append((i, j, bad))
-    if not wrong:
-        return None
-    # The elements failing here are exactly those with g^t * gram * g !=
-    # gram; the witness cell is read off the first of them.
-    s_rows = gram.rows()
-    s_flat = gram.flat
-    for index, r in enumerate(group.found):
-        if any((r[i], r[j]) in bad for i, j, bad in wrong):
-            cols = list(zip(*map(vectors.__getitem__, r)))
-            for j in range(n):
-                s_col = [sum(map(mul, row, cols[j])) for row in s_rows]
-                for i in range(j + 1):
-                    value = sum(map(mul, cols[i], s_col))
-                    if value != s_flat[i * n + j]:
-                        return index, (i, j), value, s_flat[i * n + j]
-    raise AssertionError("g * Z * g^t != Z but g^t * gram * g == gram")
+    return next(((index, (i, j), values[r[i], r[j]], s_flat[i * n + j])
+                 for index, r in enumerate(group.found)
+                 for i, j, bad in wrong if (r[i], r[j]) in bad), None)
 
 
 def check_group_orders(max_rank: int, catalog: dict | None = None) -> Section:
+    """Orders by closure of the transposed simple reflections (transposing
+    keeps the order), each element checked against the Gram form; groups
+    over ``ENUMERATION_LIMIT`` get generator-level checks only."""
     sec = Section("reflection-group-orders")
     for system, data in (catalog or _catalog(max_rank)).items():
         refl, gram = data.reflections, data.gram
         order = expected_order(system)
         if order <= ENUMERATION_LIMIT:
-            group = generate_group(refl, ENUMERATION_LIMIT + 1)
+            group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
             sec.add(f"{system}: enumerated order {group.order} = expected {order}",
                     not group.truncated and group.order == order)
             witness = _elements_preserve_form(group, gram)
@@ -358,8 +337,8 @@ def check_group_orders(max_rank: int, catalog: dict | None = None) -> Section:
             sec.add(f"{system}: every element preserves the Gram form",
                     witness is None, detail)
         else:
+            # g * g == I forces det(g) = +-1, so no determinant is taken.
             ok = (check_invariance(refl, gram)
-                  and all(abs(g.det()) == 1 for g in refl)
                   and all(g * g == Matrix.identity(system.rank) for g in refl))
             sec.add(f"{system}: generator-level checks (order {order} not enumerated)",
                     ok)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
-                      generate_group, gram_matrix, riemann_family,
+                      expected_order, generate_group, gram_matrix, riemann_family,
                       simple_reflections)
 from weylppav import reference
 from weylppav import symplectic
@@ -144,12 +144,18 @@ def skewed_gram(system):
     return Matrix(rows)
 
 
+def transposed_group(system, cap=1000):
+    """The closure of the transposed simple reflections, as verify builds it."""
+    return generate_group([s.T for s in simple_reflections(system)], cap)
+
+
 def first_dense_failure(group, form):
-    """First (index, (i, j)) with (g^t form g)[i, j] != form[i, j], upper
+    """First (index, (i, j)) with (h form h^t)[i, j] != form[i, j] for h in
+    the transposed closure, so h form h^t = g^t form g for g = h^t; upper
     triangle scanned column by column, by dense products."""
     n = form.nrows
     for index, g in enumerate(group.elements):
-        image = g.T * form * g
+        image = g * form * g.T
         for j in range(n):
             for i in range(j + 1):
                 if image[i, j] != form[i, j]:
@@ -160,13 +166,13 @@ def first_dense_failure(group, form):
 class TestFormWitness:
     def test_true_form_passes(self):
         system = RootSystemId.parse("B3")
-        group = generate_group(simple_reflections(system), 1000)
+        group = transposed_group(system)
         assert verify._elements_preserve_form(group, gram_matrix(system)) is None
 
     @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
     def test_witness_matches_dense_check(self, tag):
         system = RootSystemId.parse(tag)
-        group = generate_group(simple_reflections(system), 1000)
+        group = transposed_group(system)
         form = skewed_gram(system)
         witness = verify._elements_preserve_form(group, form)
         assert witness is not None
@@ -180,7 +186,7 @@ class TestFormWitness:
         rows = [list(r) for r in gram_matrix(system).rows()]
         rows[-1][-1] += 1
         form = Matrix(rows)
-        group = generate_group(simple_reflections(system), 1000)
+        group = transposed_group(system)
         witness = verify._elements_preserve_form(group, form)
         assert witness is not None
         assert witness == first_dense_failure(group, form)
@@ -195,11 +201,21 @@ class TestFormWitness:
         rows = [list(r) for r in gram_matrix(system).rows()]
         rows[0][0] += 1
         form = Matrix(rows)
-        group = generate_group(simple_reflections(system), 1000)
+        group = transposed_group(system)
         dense = first_dense_failure(group, form)
         assert dense[:2] == (index, (0, 1))
-        assert any((g.T * form * g)[0, 0] != form[0, 0] for g in group.elements)
+        assert any((g * form * g.T)[0, 0] != form[0, 0] for g in group.elements)
         assert verify._elements_preserve_form(group, form) == dense
+
+    def test_witness_cell_is_first_column_by_column(self):
+        # h permutes the basis cyclically, so cell (i, j) of h * form * h^t
+        # is form[h(i), h(j)]: h fails at (1, 1) and (0, 2) only, and
+        # (1, 1) comes first column by column (row by row it would not).
+        h = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        form = Matrix([[1, 0, 1], [0, 1, 0], [1, 0, 2]])
+        group = generate_group([h], 10)
+        assert verify._elements_preserve_form(group, form) == (1, (1, 1), 2, 1)
+        assert first_dense_failure(group, form) == (1, (1, 1), 2, 1)
 
     def test_failing_group_orders_build_no_element_matrices(self, monkeypatch,
                                                             no_group_matrices):
@@ -220,23 +236,33 @@ class TestFormWitness:
         sec = verify.check_group_orders(6)
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
 
+    def test_group_orders_take_no_inverse(self, monkeypatch):
+        # The form check reads the form itself; no inverse of it is taken.
+        catalog = verify._catalog(6)
+
+        def refuse(self):
+            raise AssertionError("inverse taken")
+
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        sec = verify.check_group_orders(6, catalog)
+        assert sec.checks and all(c.status == "pass" for c in sec.checks)
+
     @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
     def test_random_forms_match_dense_check(self, tag):
-        # g^t * form * g == form is read off the rows as g * Z * g^t == Z;
-        # both must fail on the same elements, and the witness is the
-        # dense one. Half the forms have random entries; the other half are
-        # a * gram + c * v v^t for a row v of the group, which the elements
-        # with g^t v = +-v still preserve, so the first failure is not
-        # always the first element.
+        # The check and the dense products must fail on the same elements,
+        # and the witness is the dense one. Half the forms have random
+        # entries, singular ones not skipped; the other half are a * gram +
+        # c * v v^t for a row v of the group (a root), which the elements
+        # with h v = +-v still preserve, so the first failure is not always
+        # the first element.
         system = RootSystemId.parse(tag)
         n = system.rank
         gram = gram_matrix(system)
-        group = generate_group(simple_reflections(system), 1000)
+        group = transposed_group(system)
         group_rows = sorted({row for g in group.elements for row in g.rows()})
         rng = random.Random(f"form-{tag}")
-        forms = 0
-        while forms < 30:
-            if forms % 2:
+        for k in range(30):
+            if k % 2:
                 rows = [[0] * n for _ in range(n)]
                 for i in range(n):
                     for j in range(i, n):
@@ -246,37 +272,29 @@ class TestFormWitness:
                 v = rng.choice(group_rows)
                 form = (rng.choice((1, 2, 3)) * gram
                         + rng.choice((-2, -1, 1, 2)) * Matrix([[x * y for y in v] for x in v]))
-            if form.det() == 0:
-                continue
-            forms += 1
             assert verify._elements_preserve_form(group, form) == \
                 first_dense_failure(group, form)
 
     @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
     def test_multiples_of_the_gram_form_pass(self, tag):
         system = RootSystemId.parse(tag)
-        group = generate_group(simple_reflections(system), 1000)
+        group = transposed_group(system)
         for k in (-3, -1, 2, 5):
             assert verify._elements_preserve_form(group, k * gram_matrix(system)) is None
 
-    def test_rejects_singular_form(self):
+    def test_singular_form_matches_dense_check(self):
         system = RootSystemId.parse("A2")
-        group = generate_group(simple_reflections(system), 100)
-        with pytest.raises(ValueError):
-            verify._elements_preserve_form(group, Matrix([[1, 1], [1, 1]]))
-
-    def test_faulty_inverse_cannot_pass_the_check(self, monkeypatch):
-        # With Z = 0 every g * Z * g^t == Z would hold; the check must
-        # refuse the inverse instead of passing.
-        system = RootSystemId.parse("B3")
-        group = generate_group(simple_reflections(system), 1000)
-        monkeypatch.setattr(Matrix, "inverse", lambda self: Matrix.zeros(self.nrows))
-        with pytest.raises(ValueError):
-            verify._elements_preserve_form(group, gram_matrix(system))
+        group = transposed_group(system, 100)
+        for form in (Matrix([[1, 1], [1, 1]]), Matrix([[1, -1], [-1, 1]]),
+                     Matrix.zeros(2)):
+            assert form.det() == 0
+            assert verify._elements_preserve_form(group, form) == \
+                first_dense_failure(group, form)
+        assert verify._elements_preserve_form(group, Matrix([[1, 1], [1, 1]])) is not None
 
     def test_rejects_asymmetric_form(self):
         system = RootSystemId.parse("A2")
-        group = generate_group(simple_reflections(system), 100)
+        group = transposed_group(system, 100)
         with pytest.raises(ValueError):
             verify._elements_preserve_form(group, Matrix([[2, 0], [-1, 2]]))
 
@@ -290,10 +308,38 @@ class TestFormWitness:
         assert [c.name for c in failed] == ["G2: every element preserves the Gram form"]
         system = RootSystemId.parse("G2")
         index, cell, value, expected = first_dense_failure(
-            generate_group(simple_reflections(system), 1000), skewed_gram(system))
+            transposed_group(system), skewed_gram(system))
         assert failed[0].detail == (f"element {index}: entry {cell} of "
                                     f"g^t * gram * g is {value}, expected {expected}")
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
+
+
+def root_orbit(reflections):
+    """The orbit of the unit vectors under v -> s v, by breadth-first search
+    with plain integer dot products."""
+    n = reflections[0].nrows
+    rows = [s.rows() for s in reflections]
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    seen, frontier = set(units), units
+    while frontier:
+        images = {tuple(sum(a * b for a, b in zip(row, v)) for row in s)
+                  for s in rows for v in frontier}
+        frontier = list(images - seen)
+        seen.update(frontier)
+    return seen
+
+
+class TestTransposedClosure:
+    @pytest.mark.parametrize("system", [s for s in all_systems(6)
+                                        if expected_order(s) <= verify.ENUMERATION_LIMIT],
+                             ids=str)
+    def test_rows_are_the_roots(self, system):
+        # Every root is W-conjugate to a simple root, so the rows the
+        # transposed closure interns are exactly the roots.
+        refl = simple_reflections(system)
+        group = generate_group([s.T for s in refl], verify.ENUMERATION_LIMIT + 1)
+        assert not group.truncated
+        assert set(group.vectors) == root_orbit(refl)
 
 
 class TestPropertyWitness:
