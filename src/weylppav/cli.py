@@ -51,9 +51,10 @@ BROKEN_PIPE = 141
 # about 3 s at rank 12 and 4 s at rank 16; in process, rank 20 takes 6 s
 # and rank 32 about 33 s. A closure holds cap elements of rank row ids
 # each, in a list beside the set that tests membership; its peak memory is
-# at most about 5 bytes per cap * rank^2 entry (tracemalloc, E6, A7, B6
-# closed, E7, E8, A8 truncated at the limit; E7 is the largest at 5.1), so
-# about 25 MB. The limit admits verify-all's own cap (100,001) up to rank 7.
+# at most about 4 bytes per cap * rank^2 entry (tracemalloc, transposed
+# reflections: E6, A7, B6 closed, E7, E8, A8, A100, A200, D30 truncated at
+# the limit; E7 is the largest at 4.0), so about 20 MB. The limit admits
+# verify-all's own cap (100,001) up to rank 7.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64
@@ -152,7 +153,9 @@ def cmd_group_order(args) -> int:
         return USAGE_ERROR
     expected = expected_order(system)
     try:
-        group = generate_group(simple_reflections(system), args.cap)
+        # Transposing keeps the order and the truncation; the closure of
+        # the transposed reflections interns only the roots as rows.
+        group = generate_group([g.T for g in simple_reflections(system)], args.cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -11,6 +11,7 @@ random seed, no timestamps.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -282,38 +283,52 @@ def _elements_preserve_form(group, gram):
 
     Row i of h is the root g(alpha_i), so the rows are interned roots, and
     cell (i, j) of g^t * gram * g is row_i . (gram * row_j): it depends
-    only on the ids of rows i and j, which ``group.found`` already stores.
-    Only the upper triangle is compared, one cell at a time: a value is
-    computed once per distinct pair of row ids, each cell keeps its wrong
-    pairs, and the witness is read off those tables.
+    only on the ids of rows i and j, which ``group.found`` already stores
+    one byte each. Only the upper triangle is compared, one cell at a time:
+    the two byte columns are interleaved so that each element's pair reads
+    as one 16-bit code a * 256 + b, a value is computed once per distinct
+    code, each cell keeps its wrong codes, and the witness is read off
+    those tables. A group whose row ids need more than a byte (more than
+    256 rows; the groups verify enumerates have at most 72 roots) raises
+    ValueError.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
-    n = group.dimension
     vectors = group.vectors
+    if len(vectors) > 256:
+        raise ValueError("the form check reads at most 256 row ids")
+    n = group.dimension
     s_rows = gram.rows()
     s_flat = gram.flat
     s_vecs = [tuple(sum(map(mul, row, vec)) for row in s_rows) for vec in vectors]
-    # by_row[r][e] is the row id of row r of element e.
-    by_row = list(zip(*group.found))
-    values = {}  # (a, b) -> vectors[a] . s_vecs[b]
-    wrong = []  # (i, j, the pairs wrong in cell (i, j)), column by column
+    # cols[r][e] is the row id of row r of element e.
+    joined = b"".join(group.found)
+    cols = [joined[r::n] for r in range(n)]
+    # Row i's byte goes where a native 16-bit read takes the high byte.
+    high = 1 if sys.byteorder == "little" else 0
+    pairs = bytearray(2 * len(group.found))
+    values = {}  # a * 256 + b -> vectors[a] . s_vecs[b]
+    wrong = []  # (i, j, the codes wrong in cell (i, j)), column by column
     for j in range(n):
+        pairs[1 - high::2] = cols[j]
         for i in range(j + 1):
+            pairs[high::2] = cols[i]
             expected = s_flat[i * n + j]
             bad = set()
-            for pair in set(zip(by_row[i], by_row[j])):
-                value = values.get(pair)
+            for code in set(memoryview(pairs).cast("H")):
+                value = values.get(code)
                 if value is None:
-                    a, b = pair
-                    value = values[pair] = sum(map(mul, vectors[a], s_vecs[b]))
+                    a, b = divmod(code, 256)
+                    value = values[code] = sum(map(mul, vectors[a], s_vecs[b]))
                 if value != expected:
-                    bad.add(pair)
+                    bad.add(code)
             if bad:
                 wrong.append((i, j, bad))
-    return next(((index, (i, j), values[r[i], r[j]], s_flat[i * n + j])
-                 for index, r in enumerate(group.found)
-                 for i, j, bad in wrong if (r[i], r[j]) in bad), None)
+    if not wrong:
+        return None
+    return next((index, (i, j), values[code], s_flat[i * n + j])
+                for index, r in enumerate(group.found)
+                for i, j, bad in wrong if (code := r[i] * 256 + r[j]) in bad)
 
 
 def check_group_orders(max_rank: int, catalog: dict | None = None) -> Section:

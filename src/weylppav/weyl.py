@@ -2,20 +2,28 @@
 
 Breadth-first closure under products from a generator set, used to realize
 reflection groups explicitly and to verify their orders. An element is the
-n-tuple of ids of its rows, taken from an intern table of row vectors.
+sequence of ids of its n rows, taken from an intern table of row vectors.
 Row r of ``el * g`` is ``(row r of el) * g``, so each generator acts on row
 ids through a table of its own, and a product is n table lookups instead
 of an n^3 multiply. A finite group has finitely many distinct rows (for a
 Weyl group in the simple-root basis they lie in the orbits of the
-fundamental coweights), so the tables stay small; they grow only for rows
-of elements already found, so an infinite group still stops at the cap.
-The closure advances one breadth-first level per step: the level's row
-ids are laid out by row position, each generator maps every position
-through its table, and the products are zipped back together position by
-position. The level's new elements are the distinct products not yet
-seen, in the order an element-by-element scan would meet them; the group
-keeps its elements in that breadth-first order, its only order. The
-arithmetic is exact for any integer generator.
+fundamental coweights, and for the transposed reflections they are the
+roots), so the tables stay small; they grow only for rows of elements
+already found, so an infinite group still stops at the cap. A table entry
+copies the row and recomputes only the columns in which the generator
+differs from the identity.
+
+While the intern table holds at most 256 rows, an element is a ``bytes``
+string with one byte per row id. The closure advances one breadth-first
+level per step: the level's elements are joined into one string, each
+generator maps all of it through its table with one ``bytes.translate``,
+and the result is cut back into elements every n bytes. Once the table
+passes 256 rows, the elements found so far are re-encoded once as tuples
+of row ids, and each later level's products are gathered row position by
+row position. Either way the level's new elements are the distinct
+products not yet seen, in the order an element-by-element scan would meet
+them; the group keeps its elements in that breadth-first order, its only
+order. The arithmetic is exact for any integer generator.
 """
 
 from __future__ import annotations
@@ -39,8 +47,10 @@ class MatrixGroup:
     """Closure result: the elements found plus a truncation flag.
 
     ``found`` holds the elements in breadth-first order, the order in which
-    the closure accepted them, identity first. Each element is the tuple of
-    ids of its rows in the intern table ``vectors`` (row id -> row vector).
+    the closure accepted them, identity first. Each element is the sequence
+    of ids of its rows in the intern table ``vectors`` (row id -> row
+    vector): ``bytes``, one byte per id, when ``vectors`` holds at most 256
+    rows, else a tuple of ints; all elements of a group share one encoding.
     ``order`` and ``truncated`` read nothing else. When ``truncated`` is
     True the closure hit the cap and ``found`` holds the first ``cap``
     elements of that order. Equality is the dataclass default, field by
@@ -81,7 +91,24 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     for g in gens:
         if not (g.is_square and g.nrows == n and g.is_integral()):
             raise ValueError("generators must be square integer matrices of equal size")
-        if abs(det := g.det()) != 1:
+
+    # vec * gens[k] differs from vec only in the columns where gens[k]
+    # differs from the identity: one for a transposed reflection.
+    units = Matrix.identity(n).rows()
+    moved = [[(j, col) for j, col in enumerate(map(g.col, range(n))) if col != units[j]]
+             for g in gens]
+
+    def image(vec, cols):
+        out = list(vec)
+        for j, col in cols:
+            out[j] = sum(map(mul, vec, col))
+        return tuple(out)
+
+    for g, cols in zip(gens, moved):
+        # An involution (e_r * g * g == e_r for every r) has |det| = 1, so
+        # only other generators take det.
+        if (any(image(image(unit, cols), cols) != unit for unit in units)
+                and abs(det := g.det()) != 1):
             raise NonUnimodularGenerator(f"generator has determinant {det}")
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -99,27 +126,41 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     # acts[k][rid] is the id of vectors[rid] * gens[k]. The tables are
     # filled together, once per level, and only up to the largest row id of
     # the level's elements: the rows they intern are not chased further.
-    gen_cols = [[g.col(j) for j in range(n)] for g in gens]
     acts = [[] for _ in gens]
     filled = 0
-    ident = tuple(map(intern, Matrix.identity(n).rows()))
+    for row in units:
+        intern(row)
+    wide = len(vectors) > 256  # elements are tuples once a row id needs more than a byte
+    ident = tuple(range(n)) if wide else bytes(range(n))
     seen = {ident}
     found = [ident]  # the elements in the order they are accepted
     frontier = [ident]
     truncated = False
     while frontier and not truncated:
-        # by_pos[r][e] is the id of row r of frontier element e.
-        by_pos = list(zip(*frontier))
-        top = max(map(max, by_pos)) + 1
+        top = max(map(max, frontier)) + 1
         if top > filled:
-            for cols, act in zip(gen_cols, acts):
-                act.extend(intern(tuple(sum(map(mul, vectors[rid], col)) for col in cols))
-                           for rid in range(filled, top))
+            for cols, act in zip(moved, acts):
+                act.extend(intern(image(vectors[rid], cols)) for rid in range(filled, top))
             filled = top
+        if not wide and len(vectors) > 256:
+            wide = True
+            found = list(map(tuple, found))
+            frontier = found[len(found) - len(frontier):]
+            seen = set(found)
         # Products element-major, generator-minor: the order in which an
         # element-by-element scan meets them. dict.fromkeys keeps the first
         # occurrence of each.
-        per_gen = [zip(*(map(act.__getitem__, ids) for ids in by_pos)) for act in acts]
+        if wide:
+            # by_pos[r][e] is the id of row r of frontier element e.
+            by_pos = list(zip(*frontier))
+            per_gen = [zip(*(map(act.__getitem__, ids) for ids in by_pos)) for act in acts]
+        else:
+            # One gather per generator over the whole level, cut back into
+            # elements every n bytes.
+            level = b"".join(frontier)
+            cuts = list(map(slice, range(0, len(level), n), range(n, len(level) + n, n)))
+            per_gen = [map(level.translate(bytes(act).ljust(256, b"\0")).__getitem__, cuts)
+                       for act in acts]
         products = dict.fromkeys(chain.from_iterable(zip(*per_gen)))
         frontier = list(filterfalse(seen.__contains__, products))
         room = cap - len(seen)

@@ -10,7 +10,7 @@ import pytest
 
 import weylppav
 from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
-                      expected_order, riemann_family, smith_normal_form)
+                      expected_order, generate_group, riemann_family, smith_normal_form)
 from weylppav import cli, ppav, verify
 from weylppav.cli import (MAX_FIXED_SPACE_BYTES, MAX_FIXED_SPACE_GENERATORS,
                           MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
@@ -312,10 +312,18 @@ class TestGroupOrder:
         assert payload["enumerated_order"] is None
         assert payload["matches"] is False
 
-    def test_builds_no_element_matrices(self, capsys, no_group_matrices):
+    def test_builds_no_element_matrices(self, capsys, monkeypatch, no_group_matrices):
+        groups = []
+        monkeypatch.setattr(cli, "generate_group",
+                            lambda gens, cap: groups.append(generate_group(gens, cap)) or groups[0])
         payload = run_json(capsys, "group-order", "E6", "--cap", "100001")
         assert payload["enumerated_order"] == 51840
         assert payload["matches"] is True
+        # The closure of the transposed reflections interns only E6's 72
+        # roots, so each element keeps one byte per row id.
+        (group,) = groups
+        assert len(group.vectors) == 72
+        assert all(type(el) is bytes for el in group.found)
 
     def test_cap_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -217,6 +217,14 @@ class TestFormWitness:
         assert verify._elements_preserve_form(group, form) == (1, (1, 1), 2, 1)
         assert first_dense_failure(group, form) == (1, (1, 1), 2, 1)
 
+    def test_refuses_row_ids_over_a_byte(self):
+        # Past 256 rows the closure keeps tuples; the check reads byte
+        # columns and refuses such a group. A root system never builds one.
+        group = generate_group([Matrix([[1, 1], [0, 1]])], 400)
+        assert len(group.vectors) > 256
+        with pytest.raises(ValueError, match="256 row ids"):
+            verify._elements_preserve_form(group, Matrix.identity(2))
+
     def test_failing_group_orders_build_no_element_matrices(self, monkeypatch,
                                                             no_group_matrices):
         # The witness is read off the check's own tables and the row ids in

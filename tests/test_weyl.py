@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -60,6 +61,11 @@ def level_totals(gens, limit):
 
 HEISENBERG = [Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
               Matrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+
+# D4's reflections written in the basis of U = I + 2 * superdiagonal: the
+# group keeps its 192 elements, but their rows spread over 328 vectors.
+_U = Matrix([[1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+D4_CONJUGATED = [_U.inverse() * g * _U for g in refl("D4")]
 
 
 class TestGenerateGroup:
@@ -169,6 +175,7 @@ class TestGenerateGroup:
         assert group.elements == again.elements
         assert group == again and hash(group) == hash(again)
         assert type(group.found) is tuple and len(set(group.found)) == group.order == 48
+        assert all(type(el) is bytes for el in group.found)  # 48 rows: one byte per id
         assert group.elements[0] == Matrix.identity(3)
         for ids, el in zip(group.found, group.elements, strict=True):
             assert el.rows() == [group.vectors[rid] for rid in ids]
@@ -179,9 +186,73 @@ class TestGenerateGroup:
         assert other.elements != group.elements
         assert other != group  # the generators are part of the value
 
+    @pytest.mark.parametrize("gens, cap", [
+        (D4_CONJUGATED, 10 ** 4),            # closed, 328 rows
+        ([Matrix([[1, 1], [0, 1]])], 400),  # truncated, 402 rows
+        (refl("E6"), 3000),                  # truncated, 313 rows
+    ], ids=["D4-conjugated", "unipotent-2", "E6"])
+    def test_wide_row_table_matches_dense_closure(self, gens, cap):
+        # The row table passes 256 rows mid-run: the elements, one byte per
+        # row id until then, are re-encoded as tuples and the breadth-first
+        # order and the cut go on exactly as a dense closure has them.
+        expected, expected_truncated = dense_closure(gens, cap)
+        group = generate_group(gens, cap)
+        assert len(group.vectors) > 256
+        assert all(type(el) is tuple for el in group.found)
+        assert [el.flat for el in group.elements] == expected
+        assert group.truncated == expected_truncated
+        n = group.dimension
+        assert list(group.vectors[:n]) == Matrix.identity(n).rows()
+        assert len(set(group.vectors)) == len(group.vectors)
+        rows = {row for el in group.elements for row in el.rows()}
+        assert rows <= set(group.vectors)
+        assert (rows == set(group.vectors)) == (not group.truncated)
+
+    def test_dimension_over_256_starts_with_tuples(self):
+        # The identity alone needs 257 row ids.
+        g = Matrix.diagonal([-1] + [1] * 256)
+        group = generate_group([g], 10)
+        assert all(type(el) is tuple for el in group.found)
+        assert group.elements == (Matrix.identity(257), g)
+        assert not group.truncated
+
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodularGenerator):
             generate_group([Matrix([[2]])], 10)
+        for rows in ([[1, 1], [1, -1]], [[0, 2], [1, 0]], [[-1, 0], [0, 2]]):
+            with pytest.raises(NonUnimodularGenerator):
+                generate_group([Matrix(rows)], 10)
+
+    def test_involutions_take_no_determinant(self, monkeypatch):
+        # g * g == I settles |det g| = 1; any other generator still takes det.
+        calls = []
+        original = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or original(self))
+        for gens in (refl("E6"), [g.T for g in refl("G2")], [Matrix([[1, 1], [0, -1]])]):
+            generate_group(gens, 10)
+        assert calls == []
+        order6 = Matrix([[0, -1], [1, 1]])
+        generate_group([order6], 10)
+        assert calls == [order6]
+
+    def test_involution_test_matches_the_product(self, monkeypatch):
+        # Over every 2x2 matrix with entries in -1..2: det is taken exactly
+        # when g * g != I, and the generator is refused exactly when
+        # |det| != 1.
+        ident = Matrix.identity(2)
+        calls = []
+        original = Matrix.det
+        monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or original(self))
+        for entries in product((-1, 0, 1, 2), repeat=4):
+            g = Matrix([entries[:2], entries[2:]])
+            calls.clear()
+            try:
+                generate_group([g], 3)
+                refused = False
+            except NonUnimodularGenerator:
+                refused = True
+            assert (calls == []) == (g * g == ident), g
+            assert refused == (abs(original(g)) != 1), g
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
