@@ -8,7 +8,8 @@ half-plane by the congruence group of matrices whose upper-right entry is
 divisible by N (written Gamma^0(N); level 1 is the full modular group).
 
 N is the largest invariant factor of the Gram matrix S, because S = U * D * V
-with U, V unimodular; so the level is read off the Smith form, not an inverse.
+with U, V unimodular, so ``centralizer_level`` reads it off the Smith form;
+``centralizer_element`` needs z0 anyway and checks that b * z0 is integral.
 
 Exhaustiveness of this shape is an assumption recorded here, not something
 the toolkit proves; what it checks is that every constructed element is
@@ -16,8 +17,6 @@ symplectic and commutes with the embedded generators.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .exactmat import Matrix
 from .ppav import divisor_chain, riemann_family
@@ -33,15 +32,6 @@ class LevelViolation(ValueError):
     """b * z0 is not integral: b must be a multiple of the level."""
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
-    """Congruence level and the modular-curve description of one family."""
-
-    system: RootSystemId
-    level: int
-    curve: str
-
-
 def centralizer_level(system: RootSystemId) -> int:
     """Least N with N * z0 integral: the largest invariant factor of the Gram matrix.
 
@@ -55,15 +45,14 @@ def centralizer_element(system: RootSystemId, a: int, b: int, c: int,
     """Build [[a*I, b*z0], [c*z0^{-1}, d*I]] as an integer symplectic matrix."""
     if a * d - b * c != 1:
         raise DeterminantNotOne(f"ad - bc = {a * d - b * c}")
-    level = centralizer_level(system)
-    if b % level:
-        raise LevelViolation(f"b = {b} is not a multiple of the level {level}")
     n = system.rank
     ident = Matrix.identity(n)
     if b:
-        top_right = b * riemann_family(system).z0
+        z0 = riemann_family(system).z0
+        top_right = b * z0
         if not top_right.is_integral():
-            raise AssertionError("level check should have guaranteed integrality")
+            raise LevelViolation(f"b = {b} is not a multiple of the level "
+                                 f"{z0.denominator_lcm()}")
     else:
         top_right = Matrix.zeros(n)
     bottom_left = c * gram_matrix(system)  # z0^{-1} is the Gram matrix, always integral
@@ -74,9 +63,3 @@ def centralizer_element(system: RootSystemId, a: int, b: int, c: int,
 def curve_description(level: int) -> str:
     """Render H_1 / Gamma^0(level); level 1 collapses to the full modular group."""
     return "H_1/Gamma" if level == 1 else f"H_1/Gamma^0({level})"
-
-
-def modular_curve_report(system: RootSystemId) -> CentralizerReport:
-    level = centralizer_level(system)
-    return CentralizerReport(system=system, level=level,
-                             curve=curve_description(level))

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, reference
-from .centralizer import modular_curve_report
+from .centralizer import centralizer_level, curve_description
 from .exactmat import Matrix
 from .ppav import (coroot_polarization_degree, divisor_chain, group_divisors,
                    riemann_family)
@@ -127,10 +127,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_centralizer(args) -> int:
     system = _parse_tag(args.system)
-    report = modular_curve_report(system)
-    _emit({"system": str(system),
-           "level": report.level,
-           "curve": report.curve}, args.pretty)
+    level = centralizer_level(system)
+    _emit({"system": str(system), "level": level, "curve": curve_description(level)},
+          args.pretty)
     return 0
 
 

@@ -78,11 +78,6 @@ def group_divisors(chain: DivisorChain) -> EllipticDecomposition:
     return EllipticDecomposition(factors=tuple((d, ds.count(d)) for d in sorted(set(ds))))
 
 
-def elliptic_decomposition(system: RootSystemId) -> EllipticDecomposition:
-    """Elliptic factors of the family: the grouped divisor chain."""
-    return group_divisors(divisor_chain(system))
-
-
 def coroot_polarization_degree(system: RootSystemId) -> int:
     """Determinant of the primitive integral coroot Gram form."""
     deg = coroot_gram_matrix(system).det()

@@ -18,10 +18,10 @@ from math import prod
 from operator import mul
 
 from . import reference
-from .centralizer import centralizer_element, centralizer_level, modular_curve_report
+from .centralizer import centralizer_element, curve_description
 from .exactmat import Matrix, smith_normal_form, solve_affine
-from .ppav import (coroot_polarization_degree, divisor_chain,
-                   elliptic_decomposition, riemann_family)
+from .ppav import (DivisorChain, coroot_polarization_degree, divisor_chain,
+                   group_divisors, riemann_family)
 from .rootsys import (RootSystemId, all_systems, diagram_automorphisms,
                       gram_matrix, simple_reflections)
 from .symplectic import (SymplecticMat, embed_block_diag, fixed_symmetric_space,
@@ -80,18 +80,19 @@ class _SystemData:
     gram: Matrix
     reflections: list
     z0: Matrix
+    chain: DivisorChain
 
 
 def _catalog(max_rank: int) -> dict:
     """Every system through max_rank -> its ``_SystemData``, in catalog order.
 
-    ``run_verification`` builds this once and hands it to each section, so
-    each system's Gram matrix is inverted once per pass; a section called
-    alone builds its own. It goes through this module's names
-    ``gram_matrix``, ``simple_reflections`` and ``riemann_family``.
+    ``run_verification`` builds this once and hands it to every section that
+    reads it: one Gram inverse and one divisor chain per system per pass,
+    through this module's names ``gram_matrix``, ``simple_reflections``,
+    ``riemann_family`` and ``divisor_chain``.
     """
     return {system: _SystemData(gram_matrix(system), simple_reflections(system),
-                                riemann_family(system).z0)
+                                riemann_family(system).z0, divisor_chain(system))
             for system in all_systems(max_rank)}
 
 
@@ -109,10 +110,10 @@ def _proportional(m1: Matrix, m2: Matrix) -> bool:
 # -- sections ------------------------------------------------------------------
 
 
-def check_riemann_matrices(max_rank: int, catalog: dict | None = None) -> Section:
+def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
     """z0 = gram^{-1}, compared entrywise with the published closed forms."""
     sec = Section("riemann-matrices")
-    for system, data in (catalog or _catalog(max_rank)).items():
+    for system, data in catalog.items():
         z0, gram = data.z0, data.gram
         sec.add(f"{system}: gram * z0 = identity",
                 gram * z0 == Matrix.identity(system.rank))
@@ -144,21 +145,24 @@ def check_riemann_matrices(max_rank: int, catalog: dict | None = None) -> Sectio
     return sec
 
 
-def check_divisor_chains(max_rank: int) -> Section:
+def check_divisor_chains(max_rank: int, catalog: dict) -> Section:
     sec = Section("torus-decompositions")
-    for system in all_systems(max_rank):
-        gram = gram_matrix(system)
+    for system, data in catalog.items():
+        gram, chain = data.gram, data.chain
+        det = gram.det()
         snf = smith_normal_form(gram)
+        # det(u) * det(gram) * det(v) = prod(d); with prod(d) = det(gram) != 0
+        # that leaves det(u) * det(v) = 1, so integral u and v are unimodular.
         sec.add(f"{system}: u * gram * v = d with unimodular u, v",
-                snf.u * gram * snf.v == snf.d
-                and abs(snf.u.det()) == 1 and abs(snf.v.det()) == 1)
-        chain = divisor_chain(system)
+                snf.u * gram * snf.v == snf.d == Matrix.diagonal(snf.diagonal())
+                and snf.u.is_integral() and snf.v.is_integral()
+                and prod(snf.diagonal()) == det != 0)
         sec.add(f"{system}: divisor chain equals published value",
                 chain.divisors == reference.expected_divisor_chain(system),
                 f"computed {chain.divisors}")
         sec.add(f"{system}: product of divisors equals det(gram)",
-                prod(chain.divisors) == gram.det())
-        factors = elliptic_decomposition(system).factors
+                prod(chain.divisors) == det)
+        factors = group_divisors(chain).factors
         expanded = sorted((d for d, m in factors for _ in range(m)), reverse=True)
         sec.add(f"{system}: elliptic factors regroup the chain",
                 tuple(expanded) == chain.divisors
@@ -166,32 +170,29 @@ def check_divisor_chains(max_rank: int) -> Section:
     return sec
 
 
-def check_levels(max_rank: int, catalog: dict | None = None) -> Section:
+def check_levels(max_rank: int, catalog: dict) -> Section:
     """Triple agreement: published level, largest invariant factor, z0 denominators.
 
-    The z0 route reads the pass's z0, the one Gram inverse per system that
-    riemann-matrices checks against the Gram matrix; it shares no code with
-    the Smith form behind the chain route.
+    The chain route reads the pass's divisor chain; the z0 route reads the
+    pass's z0, the one Gram inverse per system that riemann-matrices checks
+    against the Gram matrix, and shares no code with the Smith form behind it.
     """
     sec = Section("congruence-levels")
-    for system, data in (catalog or _catalog(max_rank)).items():
+    for system, data in catalog.items():
         published = reference.expected_level(system)
-        via_chain = centralizer_level(system)
+        via_chain = data.chain.divisors[0]
         via_denoms = data.z0.denominator_lcm()
         sec.add(f"{system}: level {published} agrees across all three routes",
                 published == via_chain == via_denoms,
                 f"chain {via_chain}, denominators {via_denoms}")
-        report = modular_curve_report(system)
-        expected_curve = ("H_1/Gamma" if published == 1
-                          else f"H_1/Gamma^0({published})")
+        expected_curve = "H_1/Gamma" if published == 1 else f"H_1/Gamma^0({published})"
         sec.add(f"{system}: curve rendered as {expected_curve}",
-                report.curve == expected_curve)
+                curve_description(published) == expected_curve)
     return sec
 
 
-def check_witnesses(max_rank: int, catalog: dict | None = None) -> Section:
+def check_witnesses(max_rank: int, catalog: dict) -> Section:
     sec = Section("family-witnesses")
-    catalog = catalog or _catalog(max(max_rank, 2))  # G2 -> A2 runs at every rank
 
     def z0(family, n):
         return catalog[RootSystemId(family, n)].z0
@@ -224,21 +225,20 @@ def check_witnesses(max_rank: int, catalog: dict | None = None) -> Section:
     return sec
 
 
-def check_bn_splitting(max_rank: int, catalog: dict | None = None) -> Section:
+def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
     sec = Section("principal-splittings")
-    catalog = catalog or _catalog(max_rank)
     for n in range(2, max_rank + 1):
         data = catalog[RootSystemId("B", n)]
         f, d, m = reference.bn_split_witness(n)
         sec.add(f"B{n}: F z0 = diag(d) M", verify_decomposition_witness(f, d, m, data.z0))
-        sec.add(f"B{n}: M = F^{{-t}}", m == f.inverse().T)
+        sec.add(f"B{n}: M = F^{{-t}}", f * m.T == Matrix.identity(n))  # for square F
         block = Matrix.block2(f, Matrix.zeros(n), Matrix.zeros(n), m)
         sec.add(f"B{n}: diag-block(F, M) symplectic", is_symplectic(block))
         sec.add(f"B{n}: F^t F equals the Gram matrix", f.T * f == data.gram)
     return sec
 
 
-def check_cyclic5_fixed_space(max_rank: int, catalog: dict | None = None) -> Section:
+def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
     sec = Section("fixed-space-rank4-order5")
     if max_rank < 4:
         return sec
@@ -250,7 +250,7 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict | None = None) -> Sec
             space.particular is not None and space.particular.is_zero())
     sec.add("fixed space equals the published span (both inclusions)",
             _same_span(space.basis, (m1, m2)))
-    z0_a4 = (catalog or _catalog(max_rank))[RootSystemId("A", 4)].z0
+    z0_a4 = catalog[RootSystemId("A", 4)].z0
     sec.add("5 * z0(A4) equals the first published span matrix", 5 * z0_a4 == m1)
     return sec
 
@@ -331,12 +331,12 @@ def _elements_preserve_form(group, gram):
                 for i, j, bad in wrong if (code := r[i] * 256 + r[j]) in bad)
 
 
-def check_group_orders(max_rank: int, catalog: dict | None = None) -> Section:
+def check_group_orders(max_rank: int, catalog: dict) -> Section:
     """Orders by closure of the transposed simple reflections (transposing
     keeps the order), each element checked against the Gram form; groups
     over ``ENUMERATION_LIMIT`` get generator-level checks only."""
     sec = Section("reflection-group-orders")
-    for system, data in (catalog or _catalog(max_rank)).items():
+    for system, data in catalog.items():
         refl, gram = data.reflections, data.gram
         order = expected_order(system)
         if order <= ENUMERATION_LIMIT:
@@ -371,18 +371,18 @@ def check_degrees(max_rank: int) -> Section:
     return sec
 
 
-def check_properties(max_rank: int, catalog: dict | None = None) -> Section:
+def check_properties(max_rank: int, catalog: dict) -> Section:
     """Structural properties: homomorphism, fixed points, fixed space, centralizer.
 
     Each system's embedded simple reflections are computed once and shared,
-    with the pass's z0, by the last three checks. The homomorphism check
+    with the pass's z0, by the last three checks; the centralizer check reads
+    the level off the pass's divisor chain. The homomorphism check
     embeds its own random words, since it is the check of
     ``embed_block_diag``. A failing check names its first failing system and
     generator (or word) in detail.
     """
     sec = Section("structural-properties")
     rng = random.Random(20240601)
-    catalog = catalog or _catalog(max_rank)
     systems = list(catalog)
 
     failure = ""
@@ -441,7 +441,7 @@ def check_properties(max_rank: int, catalog: dict | None = None) -> Section:
     for system in systems:
         if system.rank > 4:
             continue
-        level = centralizer_level(system)
+        level = catalog[system].chain.divisors[0]
         elements = [(params, centralizer_element(system, *params).m)
                     for params in ((1, level, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1))]
         gens = (("simple reflection", embedded[system]),
@@ -470,7 +470,7 @@ def run_verification(max_rank: int) -> dict:
     catalog = _catalog(max_rank)
     sections = [
         check_riemann_matrices(max_rank, catalog),
-        check_divisor_chains(max_rank),
+        check_divisor_chains(max_rank, catalog),
         check_levels(max_rank, catalog),
         check_witnesses(max_rank, catalog),
         check_bn_splitting(max_rank, catalog),

@@ -4,9 +4,9 @@ import pytest
 
 from weylppav import (DeterminantNotOne, LevelViolation, Matrix, RootSystemId,
                       all_systems, centralizer_element, centralizer_level,
-                      diagram_automorphisms, divisor_chain, embed_block_diag,
-                      gram_matrix, is_symplectic,
-                      modular_curve_report, riemann_family, simple_reflections)
+                      curve_description, diagram_automorphisms, divisor_chain,
+                      embed_block_diag, gram_matrix, is_symplectic, riemann_family,
+                      simple_reflections)
 from weylppav.cli import main
 from weylppav.reference import expected_level
 
@@ -35,7 +35,6 @@ class TestLevel:
         monkeypatch.setattr(Matrix, "inverse", no_inverse)
         for system in CATALOG:
             assert centralizer_level(system) == expected_level(system)
-            assert modular_curve_report(system).level == expected_level(system)
         assert main(["centralizer", "A56"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"system": "A56", "level": 57, "curve": "H_1/Gamma^0(57)"}
@@ -77,7 +76,7 @@ class TestCentralizerElement:
             centralizer_element(system, 1, centralizer_level(system), 0, 1)
 
     def test_level_violation(self):
-        with pytest.raises(LevelViolation):
+        with pytest.raises(LevelViolation, match="not a multiple of the level 3"):
             centralizer_element(RootSystemId.parse("A2"), 1, 1, 0, 1)
 
     def test_determinant_not_one(self):
@@ -110,21 +109,23 @@ class TestCentralizerElement:
 
 class TestModularCurveReport:
     def test_e8_full_modular_group(self):
-        report = modular_curve_report(RootSystemId.parse("E8"))
-        assert report.level == 1
-        assert report.curve == "H_1/Gamma"
+        level = centralizer_level(RootSystemId.parse("E8"))
+        assert level == 1
+        assert curve_description(level) == "H_1/Gamma"
 
     def test_g2(self):
-        report = modular_curve_report(RootSystemId.parse("G2"))
-        assert report.level == 3
-        assert report.curve == "H_1/Gamma^0(3)"
+        level = centralizer_level(RootSystemId.parse("G2"))
+        assert level == 3
+        assert curve_description(level) == "H_1/Gamma^0(3)"
 
     def test_c6(self):
-        report = modular_curve_report(RootSystemId.parse("C6"))
-        assert report.level == 2
-        assert report.curve == "H_1/Gamma^0(2)"
+        level = centralizer_level(RootSystemId.parse("C6"))
+        assert level == 2
+        assert curve_description(level) == "H_1/Gamma^0(2)"
 
     def test_level_matches_z0_denominators(self):
         for system in CATALOG:
-            report = modular_curve_report(system)
-            assert report.level == riemann_family(system).z0.denominator_lcm()
+            level = centralizer_level(system)
+            assert level == riemann_family(system).z0.denominator_lcm()
+            assert curve_description(level) == ("H_1/Gamma" if level == 1
+                                                else f"H_1/Gamma^0({level})")

@@ -196,6 +196,11 @@ class TestQueries:
         pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
         assert f'version = "{weylppav.__version__}"' in pyproject
 
+    def test_every_public_name_resolves(self):
+        assert len(set(weylppav.__all__)) == len(weylppav.__all__)
+        for name in weylppav.__all__:
+            assert hasattr(weylppav, name), name
+
 
 # stdout of `weylppav z0 G2` and `weylppav group-order G2 --cap 100`, byte
 # for byte what a fresh `weylppav` process prints.

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
+from weylppav import (DivisorChain, LevelViolation, Matrix, RootSystemId,
+                      SymplecticMat, all_systems, centralizer_element,
                       expected_order, generate_group, gram_matrix, riemann_family,
                       simple_reflections)
-from weylppav import reference
+from weylppav import ppav, reference
 from weylppav import symplectic
 from weylppav import verify
 from weylppav.verify import (_proportional, _same_span, _spanned_by,
@@ -71,20 +72,22 @@ class TestRunVerification:
         rows[0][1] = 99
         rows[1][0] = 99
         monkeypatch.setattr(reference, "PRINTED_Z0_E8", Matrix(rows))
-        sec = verify.check_riemann_matrices(8)
+        sec = verify.check_riemann_matrices(8, verify._catalog(8))
         assert any(c.status == "fail" for c in sec.checks)
 
     def test_wrong_level_fails_exactly_one_check(self, monkeypatch):
-        original = verify.centralizer_level
-        monkeypatch.setattr(verify, "centralizer_level",
-                            lambda system: 4 if str(system) == "G2" else original(system))
-        sec = verify.check_levels(2)
+        # The catalog takes each chain through verify's own ``divisor_chain``.
+        original = verify.divisor_chain
+        monkeypatch.setattr(verify, "divisor_chain",
+                            lambda system: DivisorChain((4, 1)) if str(system) == "G2"
+                            else original(system))
+        sec = verify.check_levels(2, verify._catalog(2))
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["G2: level 3 agrees across all three routes"]
         assert failed[0].detail == "chain 4, denominators 3"
 
     def test_e7_section_documents_not_fails(self):
-        sec = verify.check_riemann_matrices(7)
+        sec = verify.check_riemann_matrices(7, verify._catalog(7))
         statuses = {c.name: c.status for c in sec.checks}
         assert statuses["E7: computed z0 vs printed table"] == \
             "documented-discrepancy"
@@ -123,17 +126,73 @@ class TestOnePass:
 
     def test_sections_alone_equal_the_pass(self):
         report = run_verification(5)
-        alone = [verify.check_riemann_matrices(5), verify.check_levels(5),
-                 verify.check_witnesses(5), verify.check_bn_splitting(5),
-                 verify.check_cyclic5_fixed_space(5), verify.check_group_orders(5),
-                 verify.check_properties(5)]
+        catalog = verify._catalog(5)
+        alone = [section(5, catalog) for section in (
+            verify.check_riemann_matrices, verify.check_divisor_chains,
+            verify.check_levels, verify.check_witnesses, verify.check_bn_splitting,
+            verify.check_cyclic5_fixed_space, verify.check_group_orders,
+            verify.check_properties)]
         by_name = {sec["name"]: sec["checks"] for sec in report["sections"]}
         for sec in alone:
             assert [(c.name, c.status) for c in sec.checks] == \
                 [(c["name"], c["status"]) for c in by_name[sec.name]]
-        # below rank 2 the witnesses still check G2 -> A2
-        assert [c.status for c in verify.check_witnesses(1).checks] == \
-            ["documented-discrepancy", "pass", "pass"]
+
+    def test_each_system_takes_its_smith_form_at_most_twice(self, monkeypatch):
+        # One for the catalog's divisor chain, one for the u * gram * v = d
+        # check; the level, the curve and the centralizer read the chain.
+        grams = {gram_matrix(system): system for system in all_systems(8)}
+        per_system = Counter()
+        original = ppav.smith_normal_form
+
+        def counted(m):
+            if m in grams:
+                per_system[grams[m]] += 1
+            return original(m)
+
+        for module in (ppav, verify, symplectic):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+        assert run_verification(8)["status"] == "pass"
+        assert set(per_system) == set(grams.values())
+        assert max(per_system.values()) <= 2
+
+    def test_torus_decompositions_take_one_det_per_system(self, monkeypatch):
+        inside, dets = [], []
+        original_det = Matrix.det
+        original_section = verify.check_divisor_chains
+
+        def counted_det(self):
+            if inside:
+                dets.append(self)
+            return original_det(self)
+
+        def section(*args):
+            inside.append(True)
+            try:
+                return original_section(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Matrix, "det", counted_det)
+        monkeypatch.setattr(verify, "check_divisor_chains", section)
+        assert run_verification(8)["status"] == "pass"
+        assert dets == [gram_matrix(system) for system in all_systems(8)]
+
+    def test_centralizer_elements_take_no_smith_form(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("Smith form taken")
+
+        original = verify.centralizer_element
+
+        def element(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(ppav, "smith_normal_form", refuse)
+                return original(*args)
+
+        monkeypatch.setattr(verify, "centralizer_element", element)
+        assert run_verification(8)["status"] == "pass"
+        monkeypatch.setattr(ppav, "smith_normal_form", refuse)
+        with pytest.raises(LevelViolation, match="the level 9"):
+            centralizer_element(RootSystemId.parse("A8"), 1, 3, 0, 1)
 
 
 def skewed_gram(system):
@@ -231,7 +290,7 @@ class TestFormWitness:
         # ``group.found``, never off element matrices.
         monkeypatch.setattr(verify, "gram_matrix", lambda system: skewed_gram(system)
                             if system.rank > 1 else gram_matrix(system))
-        sec = verify.check_group_orders(3)
+        sec = verify.check_group_orders(3, verify._catalog(3))
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == [
             f"{system}: every element preserves the Gram form"
@@ -241,7 +300,7 @@ class TestFormWitness:
     def test_group_orders_build_no_element_matrices(self, no_group_matrices):
         # The closure and the form check work on row ids; neither may
         # materialize the group as Matrix objects.
-        sec = verify.check_group_orders(6)
+        sec = verify.check_group_orders(6, verify._catalog(6))
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
 
     def test_group_orders_take_no_inverse(self, monkeypatch):
@@ -311,7 +370,7 @@ class TestFormWitness:
             return skewed_gram(system) if str(system) == "G2" else gram_matrix(system)
 
         monkeypatch.setattr(verify, "gram_matrix", wrong)
-        sec = verify.check_group_orders(3)
+        sec = verify.check_group_orders(3, verify._catalog(3))
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["G2: every element preserves the Gram form"]
         system = RootSystemId.parse("G2")
@@ -365,7 +424,7 @@ class TestPropertyWitness:
         first = next(k for k, r in enumerate(simple_reflections(system))
                      if r * moved * r.T != moved)
         assert first == 1
-        sec = verify.check_properties(4)
+        sec = verify.check_properties(4, verify._catalog(4))
         failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
         assert failed == {
             "every simple reflection fixes z0 under the Siegel action":
@@ -389,7 +448,7 @@ class TestPropertyWitness:
         monkeypatch.setattr(verify, "embed_block_diag", broken)
         # the check draws its first word's system first, from a fixed seed
         system = random.Random(20240601).choice(list(all_systems(3)))
-        hom = verify.check_properties(3).checks[0]
+        hom = verify.check_properties(3, verify._catalog(3)).checks[0]
         assert hom.name == "embedding is a homomorphism on 100 random words"
         assert hom.status == "fail"
         assert hom.detail == f"word pair 0 ({system}): embedding of w1 * w2 differs"
@@ -410,7 +469,7 @@ class TestPropertyWitness:
         embedded = [Matrix.block2(r, Matrix.zeros(2), Matrix.zeros(2), r.T)
                     for r in simple_reflections(system)]
         first = next(k for k, emb in enumerate(embedded) if shear * emb != emb * shear)
-        sec = verify.check_properties(3)
+        sec = verify.check_properties(3, verify._catalog(3))
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == [
             "centralizer elements commute with the embedded action (rank <= 4)"]
