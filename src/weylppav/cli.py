@@ -45,16 +45,20 @@ BROKEN_PIPE = 141
 # dense system in n(n+1)/2 unknowns with n(n+1)/2 rows per generator. At
 # n = 16, dense random block-upper-triangular generators (entries up to
 # 18) take about 8 s for one, 95 s for 8, 165 s for 16 and 750 s (140 MB
-# max RSS) for 64; 64 identity generators, whose equations are all zero,
-# take about 4 s. Those 64 dense generators are about 220 kB of JSON, so a
-# file is read only up to MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes
-# about 3 s at rank 12 and 4 s at rank 16; in process, rank 20 takes 6 s
+# max RSS) for 64; 64 identity generators, whose equations are all zero
+# and dropped before the solve, take about 0.7 s. Those 64 dense
+# generators are about 220 kB of JSON, so a file is read only up to
+# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 2.6 s at rank 12
+# and 3.3 s at rank 16; in process, rank 20 takes 6 s
 # and rank 32 about 33 s. A closure holds cap elements of rank row ids
 # each, in a list beside the set that tests membership; its peak memory is
 # at most about 4 bytes per cap * rank^2 entry (tracemalloc, transposed
 # reflections: E6, A7, B6 closed, E7, E8, A8, A100, A200, D30 truncated at
 # the limit; E7 is the largest at 4.0), so about 20 MB. The limit admits
-# verify-all's own cap (100,001) up to rank 7.
+# verify-all's own cap (100,001) up to rank 7. The generators are rank
+# dense rank x rank matrices beside it: group-order A200 --cap 125 takes
+# about 2.5 s and 89 MB max RSS, most of it the 8 million reflection
+# entries.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64
@@ -151,10 +155,14 @@ def cmd_group_order(args) -> int:
               f"stored entries, over the limit {MAX_GROUP_ENTRIES}", file=sys.stderr)
         return USAGE_ERROR
     expected = expected_order(system)
+    # Transposing keeps the order and the truncation; the closure of the
+    # transposed reflections interns only the roots as rows. In place, so
+    # each untransposed matrix is freed as soon as it is replaced.
+    gens = simple_reflections(system)
+    for k, g in enumerate(gens):
+        gens[k] = g.T
     try:
-        # Transposing keeps the order and the truncation; the closure of
-        # the transposed reflections interns only the roots as rows.
-        group = generate_group([g.T for g in simple_reflections(system)], args.cap)
+        group = generate_group(gens, args.cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

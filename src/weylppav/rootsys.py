@@ -176,16 +176,16 @@ def simple_reflections(system: RootSystemId) -> list:
     """Reflection matrices in the simple-root basis.
 
     s_i sends a_j to a_j - C[j][i] * a_i, so the matrix of s_i is the
-    identity with row i replaced by (delta_ij - C[j][i])_j.
+    identity with row i replaced by (delta_ij - C[j][i])_j. The Cartan
+    entries are ints, so the matrices take the trusted constructor.
     """
     c = cartan_matrix(system)
     n = system.rank
+    ident = Matrix.identity(n).flat
     out = []
     for i in range(n):
-        rows = [[1 if k == j else 0 for j in range(n)] for k in range(n)]
-        for j in range(n):
-            rows[i][j] = (1 if i == j else 0) - c[j, i]
-        out.append(Matrix(rows))
+        row = tuple(int(i == j) - x for j, x in enumerate(c.col(i)))
+        out.append(Matrix._from_canonical(ident[:i * n] + row + ident[(i + 1) * n:], n, n))
     return out
 
 

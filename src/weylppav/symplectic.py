@@ -192,7 +192,10 @@ def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSp
 
     Every generator must be block-upper-triangular; for those the fixed
     condition A z A^t + B A^t = z is linear in the n(n+1)/2 upper-triangle
-    unknowns of z, and the whole set falls out of one rational solve.
+    unknowns of z, and the whole set falls out of one rational solve. An
+    equation whose coefficients and right-hand side are all zero is
+    dropped before the solve; for an embedded reflection that is all but
+    n of its n(n+1)/2 equations.
     """
     gens = list(generators)
     if not gens:
@@ -221,9 +224,12 @@ def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSp
                 if (i, j) == (k, l):
                     coef -= 1
                 row.append(coef)
-            rows.append(row)
-            rhs.append(-trans[i][j])
-    solution = solve_affine(Matrix(rows), rhs)
+            # 0 = 0 constrains nothing; 0 = c != 0 stays and is inconsistent.
+            if any(row) or trans[i][j]:
+                rows.append(row)
+                rhs.append(-trans[i][j])
+    # A matrix needs a row: when every equation was 0 = 0, one stands for all.
+    solution = solve_affine(Matrix(rows or [[0] * len(coords)]), rhs or [0])
     if solution.particular is None:
         return AffineMatrixSpace(n=n, particular=None, basis=())
     basis = tuple(vec_to_sym(_primitive(v), n) for v in solution.kernel_basis)

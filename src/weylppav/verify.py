@@ -284,13 +284,16 @@ def _elements_preserve_form(group, gram):
     Row i of h is the root g(alpha_i), so the rows are interned roots, and
     cell (i, j) of g^t * gram * g is row_i . (gram * row_j): it depends
     only on the ids of rows i and j, which ``group.found`` already stores
-    one byte each. Only the upper triangle is compared, one cell at a time:
-    the two byte columns are interleaved so that each element's pair reads
-    as one 16-bit code a * 256 + b, a value is computed once per distinct
-    code, each cell keeps its wrong codes, and the witness is read off
-    those tables. A group whose row ids need more than a byte (more than
-    256 rows; the groups verify enumerates have at most 72 roots) raises
-    ValueError.
+    one byte each. Only the upper triangle is compared, one cell at a time.
+    A diagonal cell (i, i) is the norm of row i alone: one
+    ``bytes.translate`` of column i through a table that flags each row id
+    whose norm is wrong decides it. For an off-diagonal cell, and for a
+    diagonal cell that fails, the two byte columns are interleaved so that
+    each element's pair reads as one 16-bit code a * 256 + b, a value is
+    computed once per distinct code, each cell keeps its wrong codes, and
+    the witness is read off those tables. A group whose row ids need more
+    than a byte (more than 256 rows; the groups verify enumerates have at
+    most 72 roots) raises ValueError.
     """
     if not gram.is_symmetric():
         raise ValueError("symmetric form required")
@@ -301,6 +304,7 @@ def _elements_preserve_form(group, gram):
     s_rows = gram.rows()
     s_flat = gram.flat
     s_vecs = [tuple(sum(map(mul, row, vec)) for row in s_rows) for vec in vectors]
+    norms = [sum(map(mul, vec, s_vec)) for vec, s_vec in zip(vectors, s_vecs)]
     # cols[r][e] is the row id of row r of element e.
     joined = b"".join(group.found)
     cols = [joined[r::n] for r in range(n)]
@@ -312,8 +316,13 @@ def _elements_preserve_form(group, gram):
     for j in range(n):
         pairs[1 - high::2] = cols[j]
         for i in range(j + 1):
-            pairs[high::2] = cols[i]
             expected = s_flat[i * n + j]
+            if i == j:
+                # flags[a] is 1 where row id a has the wrong norm.
+                flags = bytes(norm != expected for norm in norms).ljust(256, b"\0")
+                if 1 not in cols[j].translate(flags):
+                    continue
+            pairs[high::2] = cols[i]
             bad = set()
             for code in set(memoryview(pairs).cast("H")):
                 value = values.get(code)

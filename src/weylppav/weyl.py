@@ -17,7 +17,9 @@ While the intern table holds at most 256 rows, an element is a ``bytes``
 string with one byte per row id. The closure advances one breadth-first
 level per step: the level's elements are joined into one string, each
 generator maps all of it through its table with one ``bytes.translate``,
-and the result is cut back into elements every n bytes. Once the table
+and ``Struct(f"{n}s").iter_unpack`` cuts the result back into elements of
+n bytes in one C pass. The level's largest row id, up to which the tables
+must be filled, is one ``max`` over the joined string. Once the table
 passes 256 rows, the elements found so far are re-encoded once as tuples
 of row ids, and each later level's products are gathered row position by
 row position. Either way the level's new elements are the distinct
@@ -33,6 +35,7 @@ from functools import cached_property
 from itertools import chain, filterfalse
 from math import factorial
 from operator import mul
+from struct import Struct
 
 from .exactmat import Matrix
 from .rootsys import RootSystemId
@@ -136,8 +139,13 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     found = [ident]  # the elements in the order they are accepted
     frontier = [ident]
     truncated = False
+    cut = Struct(f"{n}s").iter_unpack
     while frontier and not truncated:
-        top = max(map(max, frontier)) + 1
+        if wide:
+            top = max(map(max, frontier)) + 1
+        else:
+            level = b"".join(frontier)
+            top = max(level) + 1
         if top > filled:
             for cols, act in zip(moved, acts):
                 act.extend(intern(image(vectors[rid], cols)) for rid in range(filled, top))
@@ -156,11 +164,9 @@ def generate_group(generators, cap: int) -> MatrixGroup:
             per_gen = [zip(*(map(act.__getitem__, ids) for ids in by_pos)) for act in acts]
         else:
             # One gather per generator over the whole level, cut back into
-            # elements every n bytes.
-            level = b"".join(frontier)
-            cuts = list(map(slice, range(0, len(level), n), range(n, len(level) + n, n)))
-            per_gen = [map(level.translate(bytes(act).ljust(256, b"\0")).__getitem__, cuts)
-                       for act in acts]
+            # elements of n bytes by one C pass (it yields 1-tuples).
+            tables = (bytes(act).ljust(256, b"\0") for act in acts)
+            per_gen = [chain.from_iterable(cut(level.translate(t))) for t in tables]
         products = dict.fromkeys(chain.from_iterable(zip(*per_gen)))
         frontier = list(filterfalse(seen.__contains__, products))
         room = cap - len(seen)

@@ -286,6 +286,16 @@ class TestFixedSymmetricSpace:
         assert space.dimension == 6  # 3*(3+1)/2
         assert space.particular is not None and space.particular.is_zero()
 
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (4, 2)])
+    def test_identity_generators_give_the_canonical_basis(self, n, count):
+        # Every equation is 0 = 0, so none is left for the solve.
+        space = fixed_symmetric_space([SymplecticMat(n, Matrix.identity(2 * n))] * count)
+        m = n * (n + 1) // 2
+        assert space.dimension == m
+        assert space.particular == Matrix.zeros(n)
+        assert space.basis == tuple(vec_to_sym([int(k == c) for c in range(m)], n)
+                                    for k in range(m))
+
     def test_cyclic5(self):
         space = fixed_symmetric_space([embed_block_diag(cyclic5_generator())])
         assert space.dimension == 2
