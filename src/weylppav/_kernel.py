@@ -3,8 +3,8 @@
 The one product loop behind ``Matrix.__mul__``, for any n*k by k*m shape.
 It works on any exact scalars, but ``Matrix.__mul__`` passes it ints only:
 a rational operand is scaled to integer numerators first. The group
-closure and the exhaustive form check in ``verify`` work on interned rows
-of their own and do not go through it.
+closure in ``weyl`` works on interned rows of its own and does not go
+through it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Hand-entered reference values the verifier cross-checks against.
 
 Closed forms of the base Riemann matrices per root system, expected
-torus decompositions, congruence levels, coroot polarization degrees,
-explicit change-of-basis witnesses, and two sample integral
-representations with their known invariant families.
+torus decompositions, congruence levels, coroot polarization degrees, the
+degrees of the Weyl groups' basic invariants, explicit change-of-basis
+witnesses, and two sample integral representations with their known
+invariant families.
 
 Two entries reproduce known misprints on purpose (the whole printed E7
 matrix, which is the Gram form rather than its inverse, and the (6,6)
@@ -163,6 +164,22 @@ def expected_degree(system: RootSystemId) -> int:
     return {"A": n + 1, "B": 4, "C": 1, "D": 4,
             "E": {6: 3, 7: 2, 8: 1}.get(n, 0),
             "F": 4, "G": 3}[fam]
+
+
+def invariant_degrees(system: RootSystemId) -> tuple:
+    """Degrees of the basic invariants of the Weyl group, ascending (Humphreys,
+    *Reflection Groups and Coxeter Groups*, Table 3.1); unrelated to
+    ``expected_degree``, the coroot polarization degree."""
+    fam, n = system.family, system.rank
+    if fam == "A":
+        return tuple(range(2, n + 2))
+    if fam in ("B", "C"):
+        return tuple(range(2, 2 * n + 1, 2))
+    if fam == "D":
+        return tuple(sorted((*range(2, 2 * n - 1, 2), n)))
+    return {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+            "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12),
+            "G2": (2, 6)}[str(system)]
 
 
 DEGREE_LIST_NOTE = ("degree for E7 read positionally from a published list "

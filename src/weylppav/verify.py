@@ -11,11 +11,9 @@ random seed, no timestamps.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
@@ -27,7 +25,7 @@ from .rootsys import (RootSystemId, all_systems, diagram_automorphisms,
 from .symplectic import (SymplecticMat, embed_block_diag, fixed_symmetric_space,
                          is_symplectic, modular_action, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
-from .weyl import check_invariance, expected_order, generate_group
+from .weyl import check_invariance, expected_order, generate_group, poincare_polynomial
 
 PASS = "pass"
 FAIL = "fail"
@@ -96,6 +94,14 @@ def _catalog(max_rank: int) -> dict:
             for system in all_systems(max_rank)}
 
 
+def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
+    """The first cell, row by row, in which the matrices differ, as "entry
+    (i, j) of <label> is <computed>, expected <expected>"; empty if none."""
+    n = expected.ncols
+    return next((f"entry {divmod(k, n)} of {label} is {x}, expected {y}"
+                 for k, (x, y) in enumerate(zip(computed.flat, expected.flat)) if x != y), "")
+
+
 def _proportional(m1: Matrix, m2: Matrix) -> bool:
     """m1 = lambda * m2 for some nonzero rational lambda, checked exactly."""
     pairs = [(x, y) for x, y in zip(m1.flat, m2.flat) if x != 0 or y != 0]
@@ -111,12 +117,15 @@ def _proportional(m1: Matrix, m2: Matrix) -> bool:
 
 
 def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
-    """z0 = gram^{-1}, compared entrywise with the published closed forms."""
+    """z0 = gram^{-1}, compared entrywise with the published closed forms.
+
+    A failing identity or closed-form check names its first wrong cell.
+    """
     sec = Section("riemann-matrices")
     for system, data in catalog.items():
         z0, gram = data.z0, data.gram
-        sec.add(f"{system}: gram * z0 = identity",
-                gram * z0 == Matrix.identity(system.rank))
+        wrong = _first_wrong_cell("gram * z0", gram * z0, Matrix.identity(system.rank))
+        sec.add(f"{system}: gram * z0 = identity", not wrong, wrong)
         sec.add(f"{system}: z0 symmetric positive definite",
                 z0.is_symmetric() and z0.is_positive_definite())
         tag = str(system)
@@ -140,8 +149,8 @@ def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
                 f"printed 22, computed {z0[5, 5]}" if bad & documented
                 else "printed entry unexpectedly matches")
         else:
-            closed = reference.closed_form_z0(system)
-            sec.add(f"{system}: z0 equals published closed form", z0 == closed)
+            wrong = _first_wrong_cell("z0", z0, reference.closed_form_z0(system))
+            sec.add(f"{system}: z0 equals published closed form", not wrong, wrong)
     return sec
 
 
@@ -242,14 +251,19 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
     sec = Section("fixed-space-rank4-order5")
     if max_rank < 4:
         return sec
-    gen = embed_block_diag(reference.cyclic5_generator())
-    space = fixed_symmetric_space([gen])
     m1, m2 = reference.cyclic5_fixed_span()
-    sec.add("fixed space is 2-dimensional", space.dimension == 2)
-    sec.add("fixed space is homogeneous (particular = 0)",
-            space.particular is not None and space.particular.is_zero())
-    sec.add("fixed space equals the published span (both inclusions)",
-            _same_span(space.basis, (m1, m2)))
+    try:
+        gen = embed_block_diag(reference.cyclic5_generator())
+    except ValueError as exc:  # NonUnimodular, or not a square integer matrix
+        sec.add("order-5 generator embeds symplectically", False,
+                f"reference.cyclic5_generator(): {exc}")
+    else:
+        space = fixed_symmetric_space([gen])
+        sec.add("fixed space is 2-dimensional", space.dimension == 2)
+        sec.add("fixed space is homogeneous (particular = 0)",
+                space.particular is not None and space.particular.is_zero())
+        sec.add("fixed space equals the published span (both inclusions)",
+                _same_span(space.basis, (m1, m2)))
     z0_a4 = catalog[RootSystemId("A", 4)].z0
     sec.add("5 * z0(A4) equals the first published span matrix", 5 * z0_a4 == m1)
     return sec
@@ -259,10 +273,14 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
     sec = Section("fixed-family-rank6-sym5")
     if max_rank < 6:
         return sec
-    g1, g2 = reference.sym5_degree6_generators()
-    sec.add("first generator is symplectic", is_symplectic(g1))
-    sec.add("second generator is symplectic", is_symplectic(g2))
-    space = fixed_symmetric_space([SymplecticMat(6, g1), SymplecticMat(6, g2)])
+    gens = reference.sym5_degree6_generators()
+    for k, (word, g) in enumerate(zip(("first", "second"), gens)):
+        ok = is_symplectic(g)
+        sec.add(f"{word} generator is symplectic", ok,
+                "" if ok else f"reference.sym5_degree6_generators()[{k}]: m^t J m != J")
+    if any(c.status == FAIL for c in sec.checks):
+        return sec  # a fixed family needs symplectic generators
+    space = fixed_symmetric_space([SymplecticMat(6, g) for g in gens])
     constant, linear = reference.sym5_fixed_family()
     sec.add("fixed family is a line (one basis matrix)", space.dimension == 1)
     sec.add("basis matrix equals the published linear part",
@@ -272,100 +290,39 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
     return sec
 
 
-def _elements_preserve_form(group, gram):
-    """Exhaustive g^t * gram * g == gram, read on the rows of h = g^t.
-
-    ``group`` is the closure of the transposed reflections. Returns None
-    when every element passes, else the first failure as (element index,
-    (i, j), computed, expected): the first h in BFS order (``group.found``,
-    so g = ``group.elements[index].T``) that fails, and its first wrong
-    cell of g^t * gram * g column by column.
-
-    Row i of h is the root g(alpha_i), so the rows are interned roots, and
-    cell (i, j) of g^t * gram * g is row_i . (gram * row_j): it depends
-    only on the ids of rows i and j, which ``group.found`` already stores
-    one byte each. Only the upper triangle is compared, one cell at a time.
-    A diagonal cell (i, i) is the norm of row i alone: one
-    ``bytes.translate`` of column i through a table that flags each row id
-    whose norm is wrong decides it. For an off-diagonal cell, and for a
-    diagonal cell that fails, the two byte columns are interleaved so that
-    each element's pair reads as one 16-bit code a * 256 + b, a value is
-    computed once per distinct code, each cell keeps its wrong codes, and
-    the witness is read off those tables. A group whose row ids need more
-    than a byte (more than 256 rows; the groups verify enumerates have at
-    most 72 roots) raises ValueError.
-    """
-    if not gram.is_symmetric():
-        raise ValueError("symmetric form required")
-    vectors = group.vectors
-    if len(vectors) > 256:
-        raise ValueError("the form check reads at most 256 row ids")
-    n = group.dimension
-    s_rows = gram.rows()
-    s_flat = gram.flat
-    s_vecs = [tuple(sum(map(mul, row, vec)) for row in s_rows) for vec in vectors]
-    norms = [sum(map(mul, vec, s_vec)) for vec, s_vec in zip(vectors, s_vecs)]
-    # cols[r][e] is the row id of row r of element e.
-    joined = b"".join(group.found)
-    cols = [joined[r::n] for r in range(n)]
-    # Row i's byte goes where a native 16-bit read takes the high byte.
-    high = 1 if sys.byteorder == "little" else 0
-    pairs = bytearray(2 * len(group.found))
-    values = {}  # a * 256 + b -> vectors[a] . s_vecs[b]
-    wrong = []  # (i, j, the codes wrong in cell (i, j)), column by column
-    for j in range(n):
-        pairs[1 - high::2] = cols[j]
-        for i in range(j + 1):
-            expected = s_flat[i * n + j]
-            if i == j:
-                # flags[a] is 1 where row id a has the wrong norm.
-                flags = bytes(norm != expected for norm in norms).ljust(256, b"\0")
-                if 1 not in cols[j].translate(flags):
-                    continue
-            pairs[high::2] = cols[i]
-            bad = set()
-            for code in set(memoryview(pairs).cast("H")):
-                value = values.get(code)
-                if value is None:
-                    a, b = divmod(code, 256)
-                    value = values[code] = sum(map(mul, vectors[a], s_vecs[b]))
-                if value != expected:
-                    bad.add(code)
-            if bad:
-                wrong.append((i, j, bad))
-    if not wrong:
-        return None
-    return next((index, (i, j), values[code], s_flat[i * n + j])
-                for index, r in enumerate(group.found)
-                for i, j, bad in wrong if (code := r[i] * 256 + r[j]) in bad)
-
-
 def check_group_orders(max_rank: int, catalog: dict) -> Section:
-    """Orders by closure of the transposed simple reflections (transposing
-    keeps the order), each element checked against the Gram form; groups
-    over ``ENUMERATION_LIMIT`` get generator-level checks only."""
+    """Orders and length grading by closure; the Gram form by generators.
+
+    A group of at most ``ENUMERATION_LIMIT`` elements is closed from the
+    transposed simple reflections, which keeps each element's length. It
+    must have the classical order, and level sizes equal to the Poincare
+    polynomial of the invariant degrees (a failure gives both). Every
+    element preserves the Gram form iff the simple reflections do (a
+    failure names the first that does not); larger groups get that check
+    and g * g == I in one generator-level check.
+    """
     sec = Section("reflection-group-orders")
     for system, data in catalog.items():
         refl, gram = data.reflections, data.gram
         order = expected_order(system)
-        if order <= ENUMERATION_LIMIT:
-            group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
-            sec.add(f"{system}: enumerated order {group.order} = expected {order}",
-                    not group.truncated and group.order == order)
-            witness = _elements_preserve_form(group, gram)
-            detail = ""
-            if witness is not None:
-                index, cell, value, expected = witness
-                detail = (f"element {index}: entry {cell} of g^t * gram * g "
-                          f"is {value}, expected {expected}")
-            sec.add(f"{system}: every element preserves the Gram form",
-                    witness is None, detail)
-        else:
+        invariant = check_invariance(refl, gram)
+        if order > ENUMERATION_LIMIT:
             # g * g == I forces det(g) = +-1, so no determinant is taken.
-            ok = (check_invariance(refl, gram)
-                  and all(g * g == Matrix.identity(system.rank) for g in refl))
+            ok = invariant and all(g * g == Matrix.identity(system.rank) for g in refl)
             sec.add(f"{system}: generator-level checks (order {order} not enumerated)",
                     ok)
+            continue
+        group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
+        levels = poincare_polynomial(reference.invariant_degrees(system))
+        ok = not group.truncated and group.order == order and group.levels == levels
+        sec.add(f"{system}: enumerated order {group.order} = expected {order}", ok,
+                "" if ok else f"levels {group.levels}, expected {levels}")
+        detail = ""
+        if not invariant:
+            detail = next(f"simple reflection {k}: {wrong}" for k, g in enumerate(refl)
+                          if (wrong := _first_wrong_cell("g^t * gram * g",
+                                                         g.T * gram * g, gram)))
+        sec.add(f"{system}: every element preserves the Gram form", invariant, detail)
     return sec
 
 

@@ -25,7 +25,11 @@ of row ids, and each later level's products are gathered row position by
 row position. Either way the level's new elements are the distinct
 products not yet seen, in the order an element-by-element scan would meet
 them; the group keeps its elements in that breadth-first order, its only
-order. The arithmetic is exact for any integer generator.
+order. The arithmetic is exact for any integer generator. Level k holds
+the elements of length k in the generators, so for a Weyl group closed
+from its simple reflections the level sizes are the coefficients of the
+Poincare polynomial (Humphreys, *Reflection Groups and Coxeter Groups*,
+1.11), which ``poincare_polynomial`` computes from the invariant degrees.
 """
 
 from __future__ import annotations
@@ -54,11 +58,13 @@ class MatrixGroup:
     of ids of its rows in the intern table ``vectors`` (row id -> row
     vector): ``bytes``, one byte per id, when ``vectors`` holds at most 256
     rows, else a tuple of ints; all elements of a group share one encoding.
-    ``order`` and ``truncated`` read nothing else. When ``truncated`` is
-    True the closure hit the cap and ``found`` holds the first ``cap``
-    elements of that order. Equality is the dataclass default, field by
-    field; the closure is deterministic, so two closures of the same
-    generators and cap compare equal.
+    ``order`` and ``truncated`` read nothing else. ``levels`` holds the size
+    of each breadth-first level, the identity's level first, so its sum is
+    ``order``. When ``truncated`` is True the closure hit the cap, ``found``
+    holds the first ``cap`` elements of that order, and the last level is
+    cut short. Equality is the dataclass default, field by field; the
+    closure is deterministic, so two closures of the same generators and
+    cap compare equal.
     """
 
     dimension: int
@@ -66,6 +72,7 @@ class MatrixGroup:
     vectors: tuple = field(repr=False)
     generators: tuple
     truncated: bool
+    levels: tuple
 
     @property
     def order(self) -> int:
@@ -138,6 +145,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     seen = {ident}
     found = [ident]  # the elements in the order they are accepted
     frontier = [ident]
+    levels = [1]
     truncated = False
     cut = Struct(f"{n}s").iter_unpack
     while frontier and not truncated:
@@ -175,9 +183,12 @@ def generate_group(generators, cap: int) -> MatrixGroup:
             truncated = True
         seen.update(frontier)
         found += frontier
+        if frontier:
+            levels.append(len(frontier))
 
     return MatrixGroup(dimension=n, found=tuple(found), vectors=tuple(vectors),
-                       generators=tuple(gens), truncated=truncated)
+                       generators=tuple(gens), truncated=truncated,
+                       levels=tuple(levels))
 
 
 def check_invariance(generators, form: Matrix) -> bool:
@@ -188,6 +199,17 @@ def check_invariance(generators, form: Matrix) -> bool:
     if not form.is_symmetric():
         raise ValueError("symmetric form required")
     return all(g.T * form * g == form for g in generators)
+
+
+def poincare_polynomial(degrees) -> tuple:
+    """Coefficients, constant first, of the product of 1 + q + ... + q^(d-1)
+    over ``degrees``."""
+    coeffs = [1]
+    for d in degrees:
+        # Multiplying by [d]_q sums each window of d consecutive coefficients.
+        padded = [0] * (d - 1) + coeffs + [0] * (d - 1)
+        coeffs = [sum(padded[k:k + d]) for k in range(len(coeffs) + d - 1)]
+    return tuple(coeffs)
 
 
 def expected_order(system: RootSystemId) -> int:

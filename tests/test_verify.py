@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,8 +13,10 @@ from weylppav import (DivisorChain, LevelViolation, Matrix, RootSystemId,
 from weylppav import ppav, reference
 from weylppav import symplectic
 from weylppav import verify
+from weylppav.cli import main
 from weylppav.verify import (_proportional, _same_span, _spanned_by,
                              run_verification)
+from weylppav.weyl import poincare_polynomial
 
 
 class TestHelpers:
@@ -208,86 +211,11 @@ def transposed_group(system, cap=1000):
     return generate_group([s.T for s in simple_reflections(system)], cap)
 
 
-def first_dense_failure(group, form):
-    """First (index, (i, j)) with (h form h^t)[i, j] != form[i, j] for h in
-    the transposed closure, so h form h^t = g^t form g for g = h^t; upper
-    triangle scanned column by column, by dense products."""
-    n = form.nrows
-    for index, g in enumerate(group.elements):
-        image = g * form * g.T
-        for j in range(n):
-            for i in range(j + 1):
-                if image[i, j] != form[i, j]:
-                    return index, (i, j), image[i, j], form[i, j]
-    return None
-
-
 class TestFormWitness:
-    def test_true_form_passes(self):
-        system = RootSystemId.parse("B3")
-        group = transposed_group(system)
-        assert verify._elements_preserve_form(group, gram_matrix(system)) is None
-
-    @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
-    def test_witness_matches_dense_check(self, tag):
-        system = RootSystemId.parse(tag)
-        group = transposed_group(system)
-        form = skewed_gram(system)
-        witness = verify._elements_preserve_form(group, form)
-        assert witness is not None
-        assert witness == first_dense_failure(group, form)
-
-    @pytest.mark.parametrize("tag", ["B3", "A4"])
-    def test_witness_with_a_diagonal_cell_changed(self, tag):
-        # Raising the last diagonal entry breaks many cells, on different
-        # elements; the witness is still the first one in BFS order.
-        system = RootSystemId.parse(tag)
-        rows = [list(r) for r in gram_matrix(system).rows()]
-        rows[-1][-1] += 1
-        form = Matrix(rows)
-        group = transposed_group(system)
-        witness = verify._elements_preserve_form(group, form)
-        assert witness is not None
-        assert witness == first_dense_failure(group, form)
-
-    @pytest.mark.parametrize("tag, index", [("B3", 1), ("A4", 1)])
-    def test_witness_when_others_fail_an_earlier_cell(self, tag, index):
-        # Raising gram[0][0] makes some elements fail at (0, 0) first, while
-        # the first failing element in BFS order fails first at
-        # (0, 1): the witness must be that element and that cell, not the
-        # first failure of cell (0, 0).
-        system = RootSystemId.parse(tag)
-        rows = [list(r) for r in gram_matrix(system).rows()]
-        rows[0][0] += 1
-        form = Matrix(rows)
-        group = transposed_group(system)
-        dense = first_dense_failure(group, form)
-        assert dense[:2] == (index, (0, 1))
-        assert any((g * form * g.T)[0, 0] != form[0, 0] for g in group.elements)
-        assert verify._elements_preserve_form(group, form) == dense
-
-    def test_witness_cell_is_first_column_by_column(self):
-        # h permutes the basis cyclically, so cell (i, j) of h * form * h^t
-        # is form[h(i), h(j)]: h fails at (1, 1) and (0, 2) only, and
-        # (1, 1) comes first column by column (row by row it would not).
-        h = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        form = Matrix([[1, 0, 1], [0, 1, 0], [1, 0, 2]])
-        group = generate_group([h], 10)
-        assert verify._elements_preserve_form(group, form) == (1, (1, 1), 2, 1)
-        assert first_dense_failure(group, form) == (1, (1, 1), 2, 1)
-
-    def test_refuses_row_ids_over_a_byte(self):
-        # Past 256 rows the closure keeps tuples; the check reads byte
-        # columns and refuses such a group. A root system never builds one.
-        group = generate_group([Matrix([[1, 1], [0, 1]])], 400)
-        assert len(group.vectors) > 256
-        with pytest.raises(ValueError, match="256 row ids"):
-            verify._elements_preserve_form(group, Matrix.identity(2))
-
     def test_failing_group_orders_build_no_element_matrices(self, monkeypatch,
                                                             no_group_matrices):
-        # The witness is read off the check's own tables and the row ids in
-        # ``group.found``, never off element matrices.
+        # The form is checked on the simple reflections, and the witness is
+        # read off their products, never off element matrices.
         monkeypatch.setattr(verify, "gram_matrix", lambda system: skewed_gram(system)
                             if system.rank > 1 else gram_matrix(system))
         sec = verify.check_group_orders(3, verify._catalog(3))
@@ -295,7 +223,7 @@ class TestFormWitness:
         assert [c.name for c in failed] == [
             f"{system}: every element preserves the Gram form"
             for system in all_systems(3) if system.rank > 1]
-        assert all(c.detail.startswith("element ") for c in failed)
+        assert all(c.detail.startswith("simple reflection ") for c in failed)
 
     def test_group_orders_build_no_element_matrices(self, no_group_matrices):
         # The closure and the form check work on row ids; neither may
@@ -314,57 +242,6 @@ class TestFormWitness:
         sec = verify.check_group_orders(6, catalog)
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
 
-    @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
-    def test_random_forms_match_dense_check(self, tag):
-        # The check and the dense products must fail on the same elements,
-        # and the witness is the dense one. Half the forms have random
-        # entries, singular ones not skipped; the other half are a * gram +
-        # c * v v^t for a row v of the group (a root), which the elements
-        # with h v = +-v still preserve, so the first failure is not always
-        # the first element.
-        system = RootSystemId.parse(tag)
-        n = system.rank
-        gram = gram_matrix(system)
-        group = transposed_group(system)
-        group_rows = sorted({row for g in group.elements for row in g.rows()})
-        rng = random.Random(f"form-{tag}")
-        for k in range(30):
-            if k % 2:
-                rows = [[0] * n for _ in range(n)]
-                for i in range(n):
-                    for j in range(i, n):
-                        rows[i][j] = rows[j][i] = rng.randint(-3, 3)
-                form = Matrix(rows)
-            else:
-                v = rng.choice(group_rows)
-                form = (rng.choice((1, 2, 3)) * gram
-                        + rng.choice((-2, -1, 1, 2)) * Matrix([[x * y for y in v] for x in v]))
-            assert verify._elements_preserve_form(group, form) == \
-                first_dense_failure(group, form)
-
-    @pytest.mark.parametrize("tag", ["G2", "B3", "A4"])
-    def test_multiples_of_the_gram_form_pass(self, tag):
-        system = RootSystemId.parse(tag)
-        group = transposed_group(system)
-        for k in (-3, -1, 2, 5):
-            assert verify._elements_preserve_form(group, k * gram_matrix(system)) is None
-
-    def test_singular_form_matches_dense_check(self):
-        system = RootSystemId.parse("A2")
-        group = transposed_group(system, 100)
-        for form in (Matrix([[1, 1], [1, 1]]), Matrix([[1, -1], [-1, 1]]),
-                     Matrix.zeros(2)):
-            assert form.det() == 0
-            assert verify._elements_preserve_form(group, form) == \
-                first_dense_failure(group, form)
-        assert verify._elements_preserve_form(group, Matrix([[1, 1], [1, 1]])) is not None
-
-    def test_rejects_asymmetric_form(self):
-        system = RootSystemId.parse("A2")
-        group = transposed_group(system, 100)
-        with pytest.raises(ValueError):
-            verify._elements_preserve_form(group, Matrix([[2, 0], [-1, 2]]))
-
     def test_wrong_form_fails_exactly_one_check(self, monkeypatch):
         def wrong(system):
             return skewed_gram(system) if str(system) == "G2" else gram_matrix(system)
@@ -373,11 +250,48 @@ class TestFormWitness:
         sec = verify.check_group_orders(3, verify._catalog(3))
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["G2: every element preserves the Gram form"]
+        # The witness is the first simple reflection s with s^t S s != S and
+        # its first wrong cell, row by row.
         system = RootSystemId.parse("G2")
-        index, cell, value, expected = first_dense_failure(
-            transposed_group(system), skewed_gram(system))
-        assert failed[0].detail == (f"element {index}: entry {cell} of "
-                                    f"g^t * gram * g is {value}, expected {expected}")
+        form = skewed_gram(system)
+        k, image = next((k, s.T * form * s) for k, s in enumerate(simple_reflections(system))
+                        if s.T * form * s != form)
+        cell = next((i, j) for i in range(2) for j in range(2) if image[i, j] != form[i, j])
+        assert failed[0].detail == (f"simple reflection {k}: entry {cell} of g^t * gram * g "
+                                    f"is {image[cell]}, expected {form[cell]}")
+        assert all(c.detail == "" for c in sec.checks if c.status == "pass")
+
+
+ENUMERATED = [s for s in all_systems(8) if expected_order(s) <= verify.ENUMERATION_LIMIT]
+
+
+class TestLengthGrading:
+    def test_twenty_four_systems_are_enumerated(self):
+        assert len(ENUMERATED) == 24
+
+    @pytest.mark.parametrize("system", ENUMERATED, ids=str)
+    def test_degrees_count_the_roots(self, system):
+        # sum(d_i - 1) is the number of reflections, one per positive root,
+        # and the rows of the transposed closure are all the roots.
+        group = transposed_group(system, verify.ENUMERATION_LIMIT + 1)
+        assert not group.truncated
+        degrees = reference.invariant_degrees(system)
+        assert 2 * sum(d - 1 for d in degrees) == len(group.vectors)
+        assert group.levels == poincare_polynomial(degrees)
+
+    def test_cyclic_group_of_the_same_order_fails(self, monkeypatch):
+        # -(s1 s2) generates a cyclic group of isometries of A2's form with
+        # A2's order 6, but one element of each length 0..5 instead of A2's
+        # grading 1 + 2q + 2q^2 + q^3.
+        a2 = [s.T for s in simple_reflections(RootSystemId.parse("A2"))]
+        rotation = -(a2[0] * a2[1])
+        original = verify.generate_group
+        monkeypatch.setattr(verify, "generate_group", lambda gens, cap: original(
+            [rotation] if gens == a2 else gens, cap))
+        sec = verify.check_group_orders(2, verify._catalog(2))
+        failed = [c for c in sec.checks if c.status == "fail"]
+        assert [c.name for c in failed] == ["A2: enumerated order 6 = expected 6"]
+        assert failed[0].detail == "levels (1, 1, 1, 1, 1, 1), expected (1, 2, 2, 1)"
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
 
 
@@ -475,3 +389,69 @@ class TestPropertyWitness:
             "centralizer elements commute with the embedded action (rank <= 4)"]
         assert failed[0].detail == (f"A2: centralizer element (1, 0, 1, 1) does not "
                                     f"commute with simple reflection {first}")
+
+
+class TestRiemannWitness:
+    def test_wrong_z0_names_the_first_wrong_cell(self, monkeypatch):
+        # z0(B3) is min(i, j); raising its (2, 2) entry to 4 keeps it
+        # positive definite, and column 2 of gram * z0 gains column 2 of
+        # gram, whose first nonzero entry is gram[1][2] = -1.
+        original = verify.riemann_family
+        system = RootSystemId.parse("B3")
+        moved = Matrix([[1, 1, 1], [1, 2, 2], [1, 2, 4]])
+        monkeypatch.setattr(verify, "riemann_family",
+                            lambda s: SimpleNamespace(z0=moved) if s == system
+                            else original(s))
+        assert gram_matrix(system).col(2) == (0, -1, 1)
+        sec = verify.check_riemann_matrices(3, verify._catalog(3))
+        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
+        assert failed == {
+            "B3: gram * z0 = identity": "entry (1, 2) of gram * z0 is -1, expected 0",
+            "B3: z0 equals published closed form": "entry (2, 2) of z0 is 4, expected 3",
+        }
+
+    def test_wrong_closed_form_names_the_first_wrong_cell(self, monkeypatch):
+        original = reference.closed_form_z0
+
+        def wrong(system):
+            if str(system) != "A3":
+                return original(system)
+            rows = [list(r) for r in original(system).rows()]
+            rows[2][1] += Fraction(1, 3)
+            return Matrix(rows)
+
+        monkeypatch.setattr(reference, "closed_form_z0", wrong)
+        sec = verify.check_riemann_matrices(3, verify._catalog(3))
+        failed = [c for c in sec.checks if c.status == "fail"]
+        assert [(c.name, c.detail) for c in failed] == [
+            ("A3: z0 equals published closed form", "entry (2, 1) of z0 is 1/2, expected 5/6")]
+
+
+def verify_all_failures(capsys, max_rank):
+    """Run verify-all through the CLI; the exit code, stderr and the report's
+    failing checks."""
+    code = main(["verify-all", "--max-rank", str(max_rank)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    return code, err, [c for sec in report["sections"] for c in sec["checks"]
+                       if c["status"] == "fail"]
+
+
+class TestBrokenReferenceGenerators:
+    def test_non_unimodular_order5_generator(self, monkeypatch, capsys):
+        monkeypatch.setattr(reference, "cyclic5_generator",
+                            lambda: Matrix.diagonal([2, 1, 1, 1]))
+        code, err, failed = verify_all_failures(capsys, 4)
+        assert (code, err) == (1, "")
+        assert failed == [{"name": "order-5 generator embeds symplectically",
+                           "status": "fail",
+                           "detail": "reference.cyclic5_generator(): determinant is 2"}]
+
+    def test_non_symplectic_sym5_generator(self, monkeypatch, capsys):
+        g1, g2 = reference.sym5_degree6_generators()
+        monkeypatch.setattr(reference, "sym5_degree6_generators", lambda: (2 * g1, g2))
+        code, err, failed = verify_all_failures(capsys, 6)
+        assert (code, err) == (1, "")
+        assert failed == [{"name": "first generator is symplectic", "status": "fail",
+                           "detail": "reference.sym5_degree6_generators()[0]: m^t J m != J"}]

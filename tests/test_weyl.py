@@ -1,12 +1,14 @@
 import hashlib
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 
 import pytest
 
-from weylppav import (Matrix, NonUnimodularGenerator, RootSystemId, check_invariance,
-                      diagram_automorphisms, expected_order, generate_group,
-                      gram_matrix, simple_reflections)
+from weylppav import (Matrix, NonUnimodularGenerator, RootSystemId, all_systems,
+                      check_invariance, diagram_automorphisms, expected_order,
+                      generate_group, gram_matrix, reference, simple_reflections)
 from weylppav._kernel import mat_mul_flat_py
+from weylppav.weyl import poincare_polynomial
 
 
 def refl(tag):
@@ -154,6 +156,26 @@ class TestGenerateGroup:
                 assert [el.flat for el in group.elements] == expected, cap
                 assert group.truncated == expected_truncated, cap
 
+    @pytest.mark.parametrize("gens", [refl("B3"), refl("A4"), HEISENBERG],
+                             ids=["B3", "A4", "heisenberg"])
+    def test_levels_match_dense_closure(self, gens):
+        # The level sizes are those of a dense closure, the last one cut
+        # short when the cap falls inside it.
+        totals = [1] + level_totals(gens, 300)
+        for cap in {c for t in totals for c in (t - 1, t) if c >= 1}:
+            group = generate_group(gens, cap)
+            assert list(accumulate(group.levels)) == sorted({min(t, cap) for t in totals}), cap
+
+    @pytest.mark.parametrize("gens, cap, truncated", [
+        (refl("E6"), 10 ** 5, False),
+        (refl("E7"), 20_000, True),
+        ([g.T for g in refl("A100")], 500, True),  # the row table passes 256 rows
+    ], ids=["E6-closed", "E7-truncated", "A100-wide"])
+    def test_levels_sum_to_the_order(self, gens, cap, truncated):
+        group = generate_group(gens, cap)
+        assert group.truncated == truncated
+        assert sum(group.levels) == group.order and all(group.levels)
+
     def test_large_truncated_closure_is_pinned(self):
         # The dense reference closure reaches only small caps; a cut deep
         # inside a wide E7 level is pinned instead by the digest of the
@@ -273,6 +295,23 @@ class TestCheckInvariance:
     def test_requires_symmetric_form(self):
         with pytest.raises(ValueError):
             check_invariance(refl("A2"), Matrix([[1, 1], [0, 1]]))
+
+
+class TestPoincarePolynomial:
+    def test_values(self):
+        assert poincare_polynomial(()) == (1,)
+        assert poincare_polynomial((1, 1)) == (1,)
+        assert poincare_polynomial((2, 3)) == (1, 2, 2, 1)
+        assert poincare_polynomial((2, 6)) == (1, 2, 2, 2, 2, 2, 1)
+        assert poincare_polynomial((3, 2)) == poincare_polynomial((2, 3))
+
+    def test_degrees_multiply_to_the_order(self):
+        # At q = 1 each [d]_q is d, so the coefficients sum to prod(d_i).
+        for system in all_systems(16):
+            degrees = reference.invariant_degrees(system)
+            assert len(degrees) == system.rank
+            assert prod(degrees) == sum(poincare_polynomial(degrees)) == \
+                expected_order(system), system
 
 
 class TestExpectedOrder:
