@@ -48,17 +48,17 @@ BROKEN_PIPE = 141
 # max RSS) for 64; 64 identity generators, whose equations are all zero
 # and dropped before the solve, take about 0.7 s. Those 64 dense
 # generators are about 220 kB of JSON, so a file is read only up to
-# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 1.8 s at rank 12
-# and 3.5 s at rank 16 (a fresh process each, 2-vCPU x86-64 VM); in
-# process, rank 20 takes 6 s and rank 32 about 33 s. A closure holds cap
-# elements of rank row ids each, in a list beside the set that tests
-# membership; its peak memory is at most about 4 bytes per cap * rank^2
-# entry (tracemalloc, transposed reflections: E6, A7, B6 closed, E7, E8,
-# A8, A100, A200, D30 truncated at the limit; E7 is the largest at 4.0),
-# so about 20 MB. The limit admits verify-all's own cap (100,001) up to
-# rank 7. The generators are rank dense rank x rank matrices beside it:
-# group-order A200 --cap 125 takes about 2.5 s and 89 MB max RSS, most
-# of it the 8 million reflection entries.
+# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 2.5 s at rank 12
+# and 4.1 s at rank 16 (a fresh process each, 2-vCPU Intel Xeon VM,
+# Python 3.11); in process, rank 20 takes 7.6 s and rank 32 about 39 s.
+# A closure holds cap elements of rank row ids each, in a list beside the
+# set that tests membership; its peak memory is at most about 4 bytes per
+# cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7, B6
+# closed, E7, E8, A8, A100, A200, D30 truncated at the limit; E7 is the
+# largest at 4.0), so about 20 MB. The limit admits verify-all's own cap
+# (100,001) up to rank 7. The generators are rank dense rank x rank
+# matrices beside it: group-order A200 --cap 125 takes about 2.5 s and
+# 89 MB max RSS, most of it the 8 million reflection entries.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

@@ -25,7 +25,7 @@ from .rootsys import (RootSystemId, all_systems, diagram_automorphisms,
 from .symplectic import (SymplecticMat, embed_block_diag, fixed_symmetric_space,
                          is_symplectic, modular_action, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
-from .weyl import check_invariance, expected_order, generate_group, poincare_polynomial
+from .weyl import expected_order, generate_group, poincare_polynomial
 
 PASS = "pass"
 FAIL = "fail"
@@ -100,6 +100,18 @@ def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
     n = expected.ncols
     return next((f"entry {divmod(k, n)} of {label} is {x}, expected {y}"
                  for k, (x, y) in enumerate(zip(computed.flat, expected.flat)) if x != y), "")
+
+
+def _isomorphism_witness(source: str, a: Matrix, z1: Matrix, z2: Matrix) -> str:
+    """Why the family witness a, named by ``source``, fails a z1 a^t = z2:
+    "<source>: <error>" for a matrix refused as not unimodular, else the
+    first wrong cell of a z1 a^t; empty if it holds."""
+    try:
+        if verify_family_isomorphism(a, z1, z2):
+            return ""
+    except ValueError as exc:  # NonUnimodular, or not a square integer matrix
+        return f"{source}: {exc}"
+    return _first_wrong_cell("a * z1 * a^t", a * z1 * a.T, z2)
 
 
 def _proportional(m1: Matrix, m2: Matrix) -> bool:
@@ -201,49 +213,65 @@ def check_levels(max_rank: int, catalog: dict) -> Section:
 
 
 def check_witnesses(max_rank: int, catalog: dict) -> Section:
+    """Each family witness a, checked by a z1 a^t = z2. A failing line names
+    the reference function whose witness is refused as not unimodular, or
+    the first wrong cell of a z1 a^t."""
     sec = Section("family-witnesses")
 
     def z0(family, n):
         return catalog[RootSystemId(family, n)].z0
 
     for n in range(4, max_rank + 1):
-        a = reference.dn_to_cn_witness(n)
-        ok = verify_family_isomorphism(a, z0("D", n), z0("C", n))
-        sec.add(f"D{n} -> C{n} witness", ok)
+        wrong = _isomorphism_witness(f"reference.dn_to_cn_witness({n})",
+                                     reference.dn_to_cn_witness(n), z0("D", n), z0("C", n))
+        sec.add(f"D{n} -> C{n} witness", not wrong, wrong)
     if max_rank >= 4:
-        ok = verify_family_isomorphism(reference.d4_to_f4_witness(),
-                                       z0("D", 4), z0("F", 4))
-        sec.add("D4 -> F4 witness", ok)
+        wrong = _isomorphism_witness("reference.d4_to_f4_witness()",
+                                     reference.d4_to_f4_witness(), z0("D", 4), z0("F", 4))
+        sec.add("D4 -> F4 witness", not wrong, wrong)
     # G2 -> A2: the printed witness needs composition with diag(1, -1).
     printed = reference.g2_to_a2_witness_printed()
     z_g2 = z0("G", 2)
     z_a2 = z0("A", 2)
-    raw = verify_family_isomorphism(printed, z_g2, z_a2)
-    fixed = verify_family_isomorphism(reference.g2_to_a2_sign_fix() * printed,
-                                      z_g2, z_a2)
+    raw = _isomorphism_witness("reference.g2_to_a2_witness_printed()", printed, z_g2, z_a2)
     sec.add_documented(
         "G2 -> A2 witness as printed",
-        "fails without a sign flip" if not raw else "printed form unexpectedly exact")
-    sec.add("G2 -> A2 witness composed with diag(1, -1)", fixed)
+        "fails without a sign flip" if raw else "printed form unexpectedly exact")
+    wrong = _isomorphism_witness(
+        "reference.g2_to_a2_sign_fix() * reference.g2_to_a2_witness_printed()",
+        reference.g2_to_a2_sign_fix() * printed, z_g2, z_a2)
+    sec.add("G2 -> A2 witness composed with diag(1, -1)", not wrong, wrong)
     # Alternate An family: exact after the tau |-> tau/(n+1) rescale.
     for n in range(1, max_rank + 1):
-        a = reference.an_alternate_witness(n)
         base = reference.an_alternate_base_printed(n)
-        ok = verify_family_isomorphism(a, z0("A", n), Fraction(1, n + 1) * base)
-        sec.add(f"A{n} alternate-family witness (base rescaled by 1/{n + 1})", ok)
+        wrong = _isomorphism_witness(f"reference.an_alternate_witness({n})",
+                                     reference.an_alternate_witness(n), z0("A", n),
+                                     Fraction(1, n + 1) * base)
+        sec.add(f"A{n} alternate-family witness (base rescaled by 1/{n + 1})", not wrong, wrong)
     return sec
 
 
 def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
+    """The B_n splitting witness (F, d, M). A failing line names the
+    reference function if F is refused as not unimodular, and each line
+    that compares two matrices names its first wrong cell."""
     sec = Section("principal-splittings")
     for n in range(2, max_rank + 1):
         data = catalog[RootSystemId("B", n)]
         f, d, m = reference.bn_split_witness(n)
-        sec.add(f"B{n}: F z0 = diag(d) M", verify_decomposition_witness(f, d, m, data.z0))
-        sec.add(f"B{n}: M = F^{{-t}}", f * m.T == Matrix.identity(n))  # for square F
+        try:
+            ok = verify_decomposition_witness(f, d, m, data.z0)
+            wrong = "" if ok else _first_wrong_cell("F z0", f * data.z0,
+                                                    Matrix.diagonal(list(d)) * m)
+        except ValueError as exc:  # NonUnimodular, or not a square integer matrix
+            wrong = f"reference.bn_split_witness({n}): {exc}"
+        sec.add(f"B{n}: F z0 = diag(d) M", not wrong, wrong)
+        wrong = _first_wrong_cell("F * M^t", f * m.T, Matrix.identity(n))  # for square F
+        sec.add(f"B{n}: M = F^{{-t}}", not wrong, wrong)
         block = Matrix.block2(f, Matrix.zeros(n), Matrix.zeros(n), m)
         sec.add(f"B{n}: diag-block(F, M) symplectic", is_symplectic(block))
-        sec.add(f"B{n}: F^t F equals the Gram matrix", f.T * f == data.gram)
+        wrong = _first_wrong_cell("F^t F", f.T * f, data.gram)
+        sec.add(f"B{n}: F^t F equals the Gram matrix", not wrong, wrong)
     return sec
 
 
@@ -298,31 +326,31 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     must have the classical order, and level sizes equal to the Poincare
     polynomial of the invariant degrees (a failure gives both). Every
     element preserves the Gram form iff the simple reflections do (a
-    failure names the first that does not); larger groups get that check
-    and g * g == I in one generator-level check.
+    failure names the first that does not, and its first wrong cell);
+    larger groups get that check and g * g == I in one generator-level
+    check, whose failure names the first simple reflection that fails.
     """
     sec = Section("reflection-group-orders")
     for system, data in catalog.items():
         refl, gram = data.reflections, data.gram
         order = expected_order(system)
-        invariant = check_invariance(refl, gram)
+        wrong = next((f"simple reflection {k}: "
+                      + _first_wrong_cell("g^t * gram * g", image, gram)
+                      for k, g in enumerate(refl) if (image := g.T * gram * g) != gram), "")
         if order > ENUMERATION_LIMIT:
             # g * g == I forces det(g) = +-1, so no determinant is taken.
-            ok = invariant and all(g * g == Matrix.identity(system.rank) for g in refl)
+            ident = Matrix.identity(system.rank)
+            wrong = wrong or next((f"simple reflection {k}: g * g != I"
+                                   for k, g in enumerate(refl) if g * g != ident), "")
             sec.add(f"{system}: generator-level checks (order {order} not enumerated)",
-                    ok)
+                    not wrong, wrong)
             continue
         group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
         levels = poincare_polynomial(reference.invariant_degrees(system))
         ok = not group.truncated and group.order == order and group.levels == levels
         sec.add(f"{system}: enumerated order {group.order} = expected {order}", ok,
                 "" if ok else f"levels {group.levels}, expected {levels}")
-        detail = ""
-        if not invariant:
-            detail = next(f"simple reflection {k}: {wrong}" for k, g in enumerate(refl)
-                          if (wrong := _first_wrong_cell("g^t * gram * g",
-                                                         g.T * gram * g, gram)))
-        sec.add(f"{system}: every element preserves the Gram form", invariant, detail)
+        sec.add(f"{system}: every element preserves the Gram form", not wrong, wrong)
     return sec
 
 

@@ -14,22 +14,23 @@ copies the row and recomputes only the columns in which the generator
 differs from the identity.
 
 While the intern table holds at most 256 rows, an element is a ``bytes``
-string with one byte per row id. The closure advances one breadth-first
-level per step: the level's elements are joined into one string, each
-generator maps all of it through its table with one ``bytes.translate``,
-and ``Struct(f"{n}s").iter_unpack`` cuts the result back into elements of
-n bytes in one C pass. The level's largest row id, up to which the tables
-must be filled, is one ``max`` over the joined string. Once the table
-passes 256 rows, the elements found so far are re-encoded once as tuples
-of row ids, and each later level's products are gathered row position by
-row position. Either way the level's new elements are the distinct
-products not yet seen, in the order an element-by-element scan would meet
-them; the group keeps its elements in that breadth-first order, its only
-order. The arithmetic is exact for any integer generator. Level k holds
-the elements of length k in the generators, so for a Weyl group closed
-from its simple reflections the level sizes are the coefficients of the
-Poincare polynomial (Humphreys, *Reflection Groups and Coxeter Groups*,
-1.11), which ``poincare_polynomial`` computes from the invariant degrees.
+string with one byte per row id; once it passes 256 rows, the elements
+found so far are re-encoded once as tuples of row ids. The closure
+advances one breadth-first level per step. At the start of each level the
+tables are filled to the end of the row table, since the rows interned
+since the last fill all belong to the level's elements. The level's
+elements are then joined into one sequence and each generator maps all of
+it through its table: a string through one ``bytes.translate``, cut back
+into elements of n bytes by ``Struct(f"{n}s").iter_unpack`` in one C
+pass, or a list through one ``map``, cut back into n-tuples by ``zip``.
+Either way the level's new elements are the distinct products not yet
+seen, in the order an element-by-element scan would meet them; the group
+keeps its elements in that breadth-first order, its only order. The
+arithmetic is exact for any integer generator. Level k holds the elements
+of length k in the generators, so for a Weyl group closed from its simple
+reflections the level sizes are the coefficients of the Poincare
+polynomial (Humphreys, *Reflection Groups and Coxeter Groups*, 1.11),
+which ``poincare_polynomial`` computes from the invariant degrees.
 """
 
 from __future__ import annotations
@@ -134,10 +135,9 @@ def generate_group(generators, cap: int) -> MatrixGroup:
         return rid
 
     # acts[k][rid] is the id of vectors[rid] * gens[k]. The tables are
-    # filled together, once per level, and only up to the largest row id of
-    # the level's elements: the rows they intern are not chased further.
+    # filled together at the start of each level, to the end of the row
+    # table as it stands then; the rows they intern are not chased further.
     acts = [[] for _ in gens]
-    filled = 0
     for row in units:
         intern(row)
     wide = len(vectors) > 256  # elements are tuples once a row id needs more than a byte
@@ -149,30 +149,28 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     truncated = False
     cut = Struct(f"{n}s").iter_unpack
     while frontier and not truncated:
-        if wide:
-            top = max(map(max, frontier)) + 1
-        else:
-            level = b"".join(frontier)
-            top = max(level) + 1
-        if top > filled:
-            for cols, act in zip(moved, acts):
-                act.extend(intern(image(vectors[rid], cols)) for rid in range(filled, top))
-            filled = top
+        # Each row interned since the last fill is a row of a product of the
+        # last level, and a product already seen brought no new row, so the
+        # new rows all belong to the frontier: the end of the row table is
+        # one past the level's largest row id whenever a fill is due.
+        top = len(vectors)
+        for cols, act in zip(moved, acts):
+            act.extend(intern(image(vectors[rid], cols)) for rid in range(len(act), top))
         if not wide and len(vectors) > 256:
             wide = True
             found = list(map(tuple, found))
-            frontier = found[len(found) - len(frontier):]
+            frontier = list(map(tuple, frontier))
             seen = set(found)
-        # Products element-major, generator-minor: the order in which an
-        # element-by-element scan meets them. dict.fromkeys keeps the first
-        # occurrence of each.
+        # One gather per generator over the whole level, cut back into
+        # elements: n-tuples by zip, or n-byte strings by one C pass (it
+        # yields 1-tuples). Products go element-major, generator-minor: the
+        # order in which an element-by-element scan meets them.
+        # dict.fromkeys keeps the first occurrence of each.
         if wide:
-            # by_pos[r][e] is the id of row r of frontier element e.
-            by_pos = list(zip(*frontier))
-            per_gen = [zip(*(map(act.__getitem__, ids) for ids in by_pos)) for act in acts]
+            level = list(chain.from_iterable(frontier))
+            per_gen = [zip(*[map(act.__getitem__, level)] * n) for act in acts]
         else:
-            # One gather per generator over the whole level, cut back into
-            # elements of n bytes by one C pass (it yields 1-tuples).
+            level = b"".join(frontier)
             tables = (bytes(act).ljust(256, b"\0") for act in acts)
             per_gen = [chain.from_iterable(cut(level.translate(t))) for t in tables]
         products = dict.fromkeys(chain.from_iterable(zip(*per_gen)))

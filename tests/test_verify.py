@@ -261,6 +261,36 @@ class TestFormWitness:
                                     f"is {image[cell]}, expected {form[cell]}")
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
 
+    def test_generator_level_line_names_the_wrong_form_cell(self, monkeypatch):
+        # E7 is not enumerated; its one generator-level line names the same
+        # witness as an enumerated form line: s0 moves the raised (0, 1)
+        # entry of the skewed form from 1 to -1.
+        def wrong(system):
+            return skewed_gram(system) if str(system) == "E7" else gram_matrix(system)
+
+        monkeypatch.setattr(verify, "gram_matrix", wrong)
+        sec = verify.check_group_orders(8, verify._catalog(8))
+        failed = [(c.name, c.detail) for c in sec.checks if c.status == "fail"]
+        assert failed == [("E7: generator-level checks (order 2903040 not enumerated)",
+                           "simple reflection 0: entry (0, 1) of g^t * gram * g is -1, "
+                           "expected 1")]
+
+    def test_generator_level_line_names_a_generator_that_is_no_involution(
+            self, monkeypatch):
+        # s0 * s2 preserves the form but has order 3 (nodes 0 and 2 of E7
+        # are joined; s0 and s1 commute, so s0 * s1 would be an involution).
+        e7 = RootSystemId.parse("E7")
+        refl = simple_reflections(e7)
+        rotation = refl[0] * refl[2]
+        assert rotation.T * gram_matrix(e7) * rotation == gram_matrix(e7)
+        original = verify.simple_reflections
+        monkeypatch.setattr(verify, "simple_reflections", lambda system: (
+            [rotation] + refl[1:] if system == e7 else original(system)))
+        sec = verify.check_group_orders(8, verify._catalog(8))
+        failed = [(c.name, c.detail) for c in sec.checks if c.status == "fail"]
+        assert failed == [("E7: generator-level checks (order 2903040 not enumerated)",
+                           "simple reflection 0: g * g != I")]
+
 
 ENUMERATED = [s for s in all_systems(8) if expected_order(s) <= verify.ENUMERATION_LIMIT]
 
@@ -455,3 +485,50 @@ class TestBrokenReferenceGenerators:
         assert (code, err) == (1, "")
         assert failed == [{"name": "first generator is symplectic", "status": "fail",
                            "detail": "reference.sym5_degree6_generators()[0]: m^t J m != J"}]
+
+
+def non_unimodular(n):
+    return Matrix.diagonal([2] + [1] * (n - 1))
+
+
+class TestBrokenReferenceWitnesses:
+    def test_non_unimodular_family_witness(self, monkeypatch, capsys):
+        monkeypatch.setattr(reference, "dn_to_cn_witness", non_unimodular)
+        code, err, failed = verify_all_failures(capsys, 4)
+        assert (code, err) == (1, "")
+        assert failed == [{"name": "D4 -> C4 witness", "status": "fail",
+                           "detail": "reference.dn_to_cn_witness(4): determinant is 2"}]
+
+    def test_wrong_family_witness_names_the_first_wrong_cell(self, monkeypatch, capsys):
+        # With a = I the check compares z0(D4) with z0(C4), which first
+        # differ, row by row, at (0, 2).
+        z_d4, z_c4 = (riemann_family(RootSystemId.parse(tag)).z0 for tag in ("D4", "C4"))
+        assert z_d4.rows()[0][:2] == z_c4.rows()[0][:2]
+        assert (z_d4[0, 2], z_c4[0, 2]) == (Fraction(1, 2), 1)
+        monkeypatch.setattr(reference, "dn_to_cn_witness", Matrix.identity)
+        code, err, failed = verify_all_failures(capsys, 4)
+        assert (code, err) == (1, "")
+        assert failed == [{"name": "D4 -> C4 witness", "status": "fail",
+                           "detail": "entry (0, 2) of a * z1 * a^t is 1/2, expected 1"}]
+
+    def test_non_unimodular_splitting_witness(self, monkeypatch, capsys):
+        # F = diag(2, 1) is refused by the splitting check; the M = F^{-t}
+        # and Gram lines name their first wrong cell.
+        original = reference.bn_split_witness
+
+        def wrong(n):
+            _, d, m = original(n)
+            return non_unimodular(n), d, m
+
+        monkeypatch.setattr(reference, "bn_split_witness", wrong)
+        code, err, failed = verify_all_failures(capsys, 2)
+        assert (code, err) == (1, "")
+        assert failed == [
+            {"name": "B2: F z0 = diag(d) M", "status": "fail",
+             "detail": "reference.bn_split_witness(2): determinant is 2"},
+            {"name": "B2: M = F^{-t}", "status": "fail",
+             "detail": "entry (0, 0) of F * M^t is 2, expected 1"},
+            {"name": "B2: diag-block(F, M) symplectic", "status": "fail"},
+            {"name": "B2: F^t F equals the Gram matrix", "status": "fail",
+             "detail": "entry (0, 0) of F^t F is 4, expected 2"},
+        ]

@@ -176,6 +176,20 @@ class TestGenerateGroup:
         assert group.truncated == truncated
         assert sum(group.levels) == group.order and all(group.levels)
 
+    @pytest.mark.parametrize("gens, cap, rows", [
+        ([g.T for g in refl("A100")], 500, 496),
+        (refl("E7"), 20_000, 1154),
+        (refl("E6"), 3000, 313),
+        ([Matrix([[1, 1], [0, 1]])], 400, 402),
+    ], ids=["A100-transposed", "E7", "E6", "unipotent-2"])
+    def test_row_table_of_truncated_closures(self, gens, cap, rows):
+        # Each level fills the tables once, for the rows of its elements,
+        # and does not chase the rows that fill interns; a fill that did
+        # would hold 10,100 rows for A100 transposed and 17,642 for E7. The
+        # memory bound of the group-order command counts on this size.
+        group = generate_group(gens, cap)
+        assert group.truncated and len(group.vectors) == rows
+
     def test_large_truncated_closure_is_pinned(self):
         # The dense reference closure reaches only small caps; a cut deep
         # inside a wide E7 level is pinned instead by the digest of the
