@@ -9,13 +9,13 @@ across threads.
 
 There are two constructors: ``Matrix(rows)`` canonicalizes every entry, and
 the trusted ``Matrix._from_canonical`` takes entries canonical by
-construction. Both end in ``_fill``, the one place that works out from the
-entries whether a matrix is integral.
+construction. A matrix holds only its entries and shape; whether it is
+integral is read off the entries when asked.
 
-Products normalize once. An integer product stays in ints. A product with a
-rational operand scales each operand to integer numerators by its own
-denominator lcm, multiplies those as integers, and builds each entry once
-over the one common denominator.
+Products normalize once, on one path. Each operand is scaled to integer
+numerators by its own denominator lcm (1 for an integer matrix), the
+numerators are multiplied as integers, and the product is divided once by
+the common denominator when that is above 1.
 
 Algorithms are the classical exact ones. All Fraction elimination runs
 through one forward loop, ``_echelon``: ``det`` and
@@ -69,7 +69,7 @@ class Matrix:
     thing; ``*`` is matrix (or scalar) multiplication.
     """
 
-    __slots__ = ("flat", "nrows", "ncols", "_integral")
+    __slots__ = ("flat", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         rows = [tuple(map(_canon, row)) for row in rows]
@@ -79,13 +79,12 @@ class Matrix:
         self._fill(tuple(chain.from_iterable(rows)), len(rows), ncols)
 
     def _fill(self, flat: tuple, nrows: int, ncols: int) -> None:
-        """Set the slots from canonical entries; integrality is decided here only."""
+        """Check the shape and set the slots from canonical entries."""
         if nrows < 1 or ncols < 1:
             raise ValueError("matrix must have positive dimensions")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_integral", all(type(x) is int for x in flat))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -104,7 +103,7 @@ class Matrix:
 
         The second constructor skips the per-entry checks of ``__init__``:
         every entry must already be what ``_canon`` returns (an int, or a
-        Fraction with denominator > 1), and ``_fill`` works out integrality.
+        Fraction with denominator > 1), and ``_fill`` checks only the shape.
         Entries moved or negated out of a ``Matrix`` are canonical, so
         transposes, blocks, submatrices and negations build through it, as do
         products, identities, zeros, Smith factors and ``MatrixGroup.elements``.
@@ -171,7 +170,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_integral(self) -> bool:
-        return self._integral
+        return all(type(x) is int for x in self.flat)
 
     def is_symmetric(self) -> bool:
         if not self.is_square:
@@ -216,25 +215,22 @@ class Matrix:
     def __mul__(self, other):
         """Matrix product, or scaling by an int or Fraction.
 
-        A product with a rational operand runs on integer numerators: each
-        operand is scaled by its own ``denominator_lcm``, the numerators are
-        multiplied as ints, and each entry is built once as p / (da * db).
+        A matrix product runs on integer numerators: each operand is scaled
+        by its own ``denominator_lcm``, the numerators are multiplied as ints,
+        and only when d = da * db is above 1 is each entry built once as p / d.
         """
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
             nrows, ncols = self.nrows, other.ncols
-            if self._integral and other._integral:
-                return Matrix._from_canonical(
-                    mat_mul_flat(self.flat, other.flat, nrows, self.ncols, ncols),
-                    nrows, ncols)
             da = self.denominator_lcm()
             db = other.denominator_lcm()
             flat = mat_mul_flat(_numerators(self.flat, da), _numerators(other.flat, db),
                                 nrows, self.ncols, ncols)
             d = da * db
-            return Matrix._from_canonical(
-                tuple(Fraction(p, d) if p % d else p // d for p in flat), nrows, ncols)
+            if d > 1:
+                flat = tuple(Fraction(p, d) if p % d else p // d for p in flat)
+            return Matrix._from_canonical(flat, nrows, ncols)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -304,8 +300,7 @@ class Matrix:
 
     def denominator_lcm(self) -> int:
         """Least positive integer N with N * self integral."""
-        return lcm(*(x.denominator if isinstance(x, Fraction) else 1
-                     for x in self.flat))
+        return lcm(*{x.denominator for x in self.flat if type(x) is not int})
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i))

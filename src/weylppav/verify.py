@@ -63,12 +63,18 @@ def _spanned_by(vec, basis_vecs) -> bool:
     return solve_affine(coeff, list(vec)).particular is not None
 
 
-def _same_span(mats_a, mats_b) -> bool:
-    vecs_a = [sym_to_vec(m) for m in mats_a]
-    vecs_b = [sym_to_vec(m) for m in mats_b]
-    return (len(vecs_a) == len(vecs_b)
-            and all(_spanned_by(v, vecs_b) for v in vecs_a)
-            and all(_spanned_by(v, vecs_a) for v in vecs_b))
+def _span_witness(computed, published) -> str:
+    """Why two lists of symmetric matrices do not span one space with equally
+    many matrices: the first matrix, computed side first, outside the other
+    side's span, else the two counts; empty if they do."""
+    vecs_a = [sym_to_vec(m) for m in computed]
+    vecs_b = [sym_to_vec(m) for m in published]
+    return (next((f"computed basis matrix {k} lies outside the published span"
+                  for k, v in enumerate(vecs_a) if not _spanned_by(v, vecs_b)), "")
+            or next((f"published span matrix {k} lies outside the computed span"
+                     for k, v in enumerate(vecs_b) if not _spanned_by(v, vecs_a)), "")
+            or ("" if len(vecs_a) == len(vecs_b)
+                else f"{len(vecs_a)} computed matrices, {len(vecs_b)} published"))
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,25 @@ def _catalog(max_rank: int) -> dict:
 
 def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
     """The first cell, row by row, in which the matrices differ, as "entry
-    (i, j) of <label> is <computed>, expected <expected>"; empty if none."""
+    (i, j) of <label> is <computed>, expected <expected>"; the two shapes if
+    they differ; empty if the matrices are equal."""
+    if (computed.nrows, computed.ncols) != (expected.nrows, expected.ncols):
+        return (f"{label} is {computed.nrows} x {computed.ncols}, "
+                f"expected {expected.nrows} x {expected.ncols}")
     n = expected.ncols
     return next((f"entry {divmod(k, n)} of {label} is {x}, expected {y}"
                  for k, (x, y) in enumerate(zip(computed.flat, expected.flat)) if x != y), "")
+
+
+def _definiteness_witness(z0: Matrix) -> str:
+    """Why z0 is not symmetric positive definite: its first cell, row by row,
+    that differs from z0^t (always above the diagonal), else its first
+    leading principal minor that is <= 0, taken only then; empty if it is."""
+    wrong = _first_wrong_cell("z0", z0, z0.T)
+    if wrong or z0.is_positive_definite():
+        return wrong
+    return next(f"leading principal minor {k} of z0 is {minor}" for k in range(1, z0.nrows + 1)
+                if (minor := z0.submatrix(0, k, 0, k).det()) <= 0)
 
 
 def _isomorphism_witness(source: str, a: Matrix, z1: Matrix, z2: Matrix) -> str:
@@ -138,8 +159,8 @@ def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
         z0, gram = data.z0, data.gram
         wrong = _first_wrong_cell("gram * z0", gram * z0, Matrix.identity(system.rank))
         sec.add(f"{system}: gram * z0 = identity", not wrong, wrong)
-        sec.add(f"{system}: z0 symmetric positive definite",
-                z0.is_symmetric() and z0.is_positive_definite())
+        wrong = _definiteness_witness(z0)
+        sec.add(f"{system}: z0 symmetric positive definite", not wrong, wrong)
         tag = str(system)
         if tag == "E7":
             same = z0 == reference.PRINTED_Z0_E7
@@ -167,27 +188,36 @@ def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
 
 
 def check_divisor_chains(max_rank: int, catalog: dict) -> Section:
+    """The Smith form and divisor chain of each Gram matrix. A failing line
+    names its witness: the first wrong cell, the non-integral factor, the
+    two numbers that differ or the regrouped chain."""
     sec = Section("torus-decompositions")
     for system, data in catalog.items():
         gram, chain = data.gram, data.chain
         det = gram.det()
         snf = smith_normal_form(gram)
+        diag = snf.diagonal()
         # det(u) * det(gram) * det(v) = prod(d); with prod(d) = det(gram) != 0
         # that leaves det(u) * det(v) = 1, so integral u and v are unimodular.
-        sec.add(f"{system}: u * gram * v = d with unimodular u, v",
-                snf.u * gram * snf.v == snf.d == Matrix.diagonal(snf.diagonal())
-                and snf.u.is_integral() and snf.v.is_integral()
-                and prod(snf.diagonal()) == det != 0)
+        wrong = (_first_wrong_cell("u * gram * v", snf.u * gram * snf.v, snf.d)
+                 or _first_wrong_cell("d", snf.d, Matrix.diagonal(diag))
+                 or ("" if snf.u.is_integral() else "u is not integral")
+                 or ("" if snf.v.is_integral() else "v is not integral")
+                 or ("" if prod(diag) == det != 0
+                     else f"product of d is {prod(diag)}, det(gram) is {det}"))
+        sec.add(f"{system}: u * gram * v = d with unimodular u, v", not wrong, wrong)
         sec.add(f"{system}: divisor chain equals published value",
                 chain.divisors == reference.expected_divisor_chain(system),
                 f"computed {chain.divisors}")
-        sec.add(f"{system}: product of divisors equals det(gram)",
-                prod(chain.divisors) == det)
+        ok = prod(chain.divisors) == det
+        sec.add(f"{system}: product of divisors equals det(gram)", ok,
+                "" if ok else f"product of divisors is {prod(chain.divisors)}, "
+                              f"det(gram) is {det}")
         factors = group_divisors(chain).factors
-        expanded = sorted((d for d, m in factors for _ in range(m)), reverse=True)
-        sec.add(f"{system}: elliptic factors regroup the chain",
-                tuple(expanded) == chain.divisors
-                and sum(m for _, m in factors) == system.rank)
+        expanded = tuple(sorted((d for d, m in factors for _ in range(m)), reverse=True))
+        ok = expanded == chain.divisors and sum(m for _, m in factors) == system.rank
+        sec.add(f"{system}: elliptic factors regroup the chain", ok,
+                "" if ok else f"regrouped chain {expanded}")
     return sec
 
 
@@ -269,13 +299,19 @@ def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
         wrong = _first_wrong_cell("F * M^t", f * m.T, Matrix.identity(n))  # for square F
         sec.add(f"B{n}: M = F^{{-t}}", not wrong, wrong)
         block = Matrix.block2(f, Matrix.zeros(n), Matrix.zeros(n), m)
-        sec.add(f"B{n}: diag-block(F, M) symplectic", is_symplectic(block))
+        # For a block-diagonal matrix, is_symplectic tests F^t * M = I.
+        wrong = "" if is_symplectic(block) else _first_wrong_cell(
+            "F^t * M", f.T * m, Matrix.identity(n))
+        sec.add(f"B{n}: diag-block(F, M) symplectic", not wrong, wrong)
         wrong = _first_wrong_cell("F^t F", f.T * f, data.gram)
         sec.add(f"B{n}: F^t F equals the Gram matrix", not wrong, wrong)
     return sec
 
 
 def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
+    """The forms fixed by the order-5 generator. A failing line names the
+    dimension found, the first nonzero cell of the particular part, the
+    first matrix outside the other span, or the first wrong cell."""
     sec = Section("fixed-space-rank4-order5")
     if max_rank < 4:
         return sec
@@ -287,17 +323,22 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
                 f"reference.cyclic5_generator(): {exc}")
     else:
         space = fixed_symmetric_space([gen])
-        sec.add("fixed space is 2-dimensional", space.dimension == 2)
-        sec.add("fixed space is homogeneous (particular = 0)",
-                space.particular is not None and space.particular.is_zero())
-        sec.add("fixed space equals the published span (both inclusions)",
-                _same_span(space.basis, (m1, m2)))
-    z0_a4 = catalog[RootSystemId("A", 4)].z0
-    sec.add("5 * z0(A4) equals the first published span matrix", 5 * z0_a4 == m1)
+        ok = space.dimension == 2
+        sec.add("fixed space is 2-dimensional", ok,
+                "" if ok else f"dimension {space.dimension}")
+        wrong = ("no solution" if space.particular is None
+                 else _first_wrong_cell("particular", space.particular, Matrix.zeros(space.n)))
+        sec.add("fixed space is homogeneous (particular = 0)", not wrong, wrong)
+        wrong = _span_witness(space.basis, (m1, m2))
+        sec.add("fixed space equals the published span (both inclusions)", not wrong, wrong)
+    wrong = _first_wrong_cell("5 * z0(A4)", 5 * catalog[RootSystemId("A", 4)].z0, m1)
+    sec.add("5 * z0(A4) equals the first published span matrix", not wrong, wrong)
     return sec
 
 
 def check_sym5_fixed_family(max_rank: int) -> Section:
+    """The family fixed by the degree-6 generators. A failing line names the
+    generator, the dimension found, "no solution" or the first wrong cell."""
     sec = Section("fixed-family-rank6-sym5")
     if max_rank < 6:
         return sec
@@ -310,11 +351,15 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
         return sec  # a fixed family needs symplectic generators
     space = fixed_symmetric_space([SymplecticMat(6, g) for g in gens])
     constant, linear = reference.sym5_fixed_family()
-    sec.add("fixed family is a line (one basis matrix)", space.dimension == 1)
-    sec.add("basis matrix equals the published linear part",
-            space.dimension == 1 and space.basis[0] == linear)
-    sec.add("particular part equals the published constant part",
-            space.particular == constant)
+    line = space.dimension == 1
+    sec.add("fixed family is a line (one basis matrix)", line,
+            "" if line else f"dimension {space.dimension}")
+    wrong = (_first_wrong_cell("basis matrix", space.basis[0], linear) if line
+             else f"dimension {space.dimension}")
+    sec.add("basis matrix equals the published linear part", not wrong, wrong)
+    wrong = ("no solution" if space.particular is None
+             else _first_wrong_cell("particular part", space.particular, constant))
+    sec.add("particular part equals the published constant part", not wrong, wrong)
     return sec
 
 

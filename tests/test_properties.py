@@ -262,6 +262,47 @@ def integrality_exact(m) -> bool:
             and m.is_integral() == all(type(x) is int for x in m.flat))
 
 
+def fraction_at(position):
+    """Rows of a 3 x 4 integer matrix with 1/2 at flat ``position``; None
+    leaves every entry an int."""
+    flat = [3 * k - 5 for k in range(12)]
+    if position is not None:
+        flat[position] = Fraction(1, 2)
+    return [flat[i:i + 4] for i in range(0, 12, 4)]
+
+
+def bordered(rows):
+    """``rows`` inside a border of 1/3 entries, one cell wide."""
+    edge = [Fraction(1, 3)] * (len(rows[0]) + 2)
+    return [edge, *([Fraction(1, 3), *row, Fraction(1, 3)] for row in rows), edge]
+
+
+# Every way a Matrix is built, each taking the rows it must equal.
+BUILDS = {
+    "Matrix": Matrix,
+    "from_flat": lambda rows: Matrix.from_flat([x for row in rows for x in row], 3, 4),
+    "_from_canonical": lambda rows: Matrix._from_canonical(
+        tuple(x for row in rows for x in row), 3, 4),
+    "T": lambda rows: Matrix(zip(*rows)).T,
+    "submatrix": lambda rows: Matrix(bordered(rows)).submatrix(1, 4, 1, 5),
+    "block2": lambda rows: Matrix.block2(*(Matrix([row[c0:c1] for row in rows[r0:r1]])
+                                           for r0, r1 in ((0, 2), (2, 3))
+                                           for c0, c1 in ((0, 1), (1, 4)))),
+    "negation": lambda rows: -Matrix([[-x for x in row] for row in rows]),
+    "identity product": lambda rows: Matrix.identity(3) * Matrix(rows) * Matrix.identity(4),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+def test_integrality_at_every_entry_position(build):
+    for position in (None, *range(12)):
+        rows = fraction_at(position)
+        m = build(rows)
+        assert m == Matrix(rows)
+        assert m.is_integral() is (position is None), position
+        assert integrality_exact(m)
+
+
 @st.composite
 def product_operands(draw):
     """Rows of an n x k and a k x m matrix, each with its own entry strategy."""

@@ -11,10 +11,13 @@ from weylppav import (DivisorChain, LevelViolation, Matrix, RootSystemId,
                       expected_order, generate_group, gram_matrix, riemann_family,
                       simple_reflections)
 from weylppav import ppav, reference
+from weylppav.exactmat import SnfResult
+from weylppav.ppav import EllipticDecomposition
+from weylppav.symplectic import AffineMatrixSpace
 from weylppav import symplectic
 from weylppav import verify
 from weylppav.cli import main
-from weylppav.verify import (_proportional, _same_span, _spanned_by,
+from weylppav.verify import (_proportional, _span_witness, _spanned_by,
                              run_verification)
 from weylppav.weyl import poincare_polynomial
 
@@ -29,9 +32,12 @@ class TestHelpers:
     def test_same_span(self):
         a = Matrix([[2, 0], [0, 0]])
         b = Matrix([[0, 0], [0, 3]])
-        assert _same_span((a, b), (a + b, a - b))
-        assert not _same_span((a,), (b,))
-        assert not _same_span((a,), (a, b))
+        assert _span_witness((a, b), (a + b, a - b)) == ""
+        assert _span_witness((a,), (b,)) == \
+            "computed basis matrix 0 lies outside the published span"
+        assert _span_witness((a,), (a, b)) == \
+            "published span matrix 1 lies outside the computed span"
+        assert _span_witness((a, b), (a, b, a + b)) == "2 computed matrices, 3 published"
 
     def test_proportional(self):
         z0 = riemann_family(RootSystemId.parse("A2")).z0
@@ -440,6 +446,21 @@ class TestRiemannWitness:
             "B3: z0 equals published closed form": "entry (2, 2) of z0 is 4, expected 3",
         }
 
+    @pytest.mark.parametrize("moved, detail", [
+        # (0, 2) and (1, 2) of z0(B3) = min(i, j) + 1 swapped
+        ([[1, 1, 2], [1, 2, 1], [1, 2, 3]], "entry (0, 2) of z0 is 2, expected 1"),
+        ([[1, 1, 1], [1, 2, 2], [1, 2, -1]], "leading principal minor 3 of z0 is -3"),
+    ], ids=["asymmetric", "negative-diagonal"])
+    def test_indefinite_z0_names_its_witness(self, monkeypatch, moved, detail):
+        original = verify.riemann_family
+        system = RootSystemId.parse("B3")
+        monkeypatch.setattr(verify, "riemann_family",
+                            lambda s: SimpleNamespace(z0=Matrix(moved)) if s == system
+                            else original(s))
+        sec = verify.check_riemann_matrices(3, verify._catalog(3))
+        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
+        assert failed["B3: z0 symmetric positive definite"] == detail
+
     def test_wrong_closed_form_names_the_first_wrong_cell(self, monkeypatch):
         original = reference.closed_form_z0
 
@@ -512,8 +533,8 @@ class TestBrokenReferenceWitnesses:
                            "detail": "entry (0, 2) of a * z1 * a^t is 1/2, expected 1"}]
 
     def test_non_unimodular_splitting_witness(self, monkeypatch, capsys):
-        # F = diag(2, 1) is refused by the splitting check; the M = F^{-t}
-        # and Gram lines name their first wrong cell.
+        # F = diag(2, 1) is refused by the splitting check; the M = F^{-t},
+        # symplectic and Gram lines name their first wrong cell.
         original = reference.bn_split_witness
 
         def wrong(n):
@@ -528,7 +549,170 @@ class TestBrokenReferenceWitnesses:
              "detail": "reference.bn_split_witness(2): determinant is 2"},
             {"name": "B2: M = F^{-t}", "status": "fail",
              "detail": "entry (0, 0) of F * M^t is 2, expected 1"},
-            {"name": "B2: diag-block(F, M) symplectic", "status": "fail"},
+            {"name": "B2: diag-block(F, M) symplectic", "status": "fail",
+             "detail": "entry (0, 0) of F^t * M is 2, expected 1"},
             {"name": "B2: F^t F equals the Gram matrix", "status": "fail",
              "detail": "entry (0, 0) of F^t F is 4, expected 2"},
         ]
+
+    def test_wrong_splitting_matrix_names_the_first_wrong_cell(self, monkeypatch, capsys):
+        # M(B2) = [[1, 1], [0, 1]] with its (0, 1) cell raised to 2; F is the
+        # bidiagonal [[1, 0], [-1, 1]], so F^t * M = [[1, 1], [0, 1]].
+        original = reference.bn_split_witness
+
+        def wrong(n):
+            f, d, m = original(n)
+            rows = [list(r) for r in m.rows()]
+            rows[0][1] += 1
+            return f, d, Matrix(rows)
+
+        monkeypatch.setattr(reference, "bn_split_witness", wrong)
+        code, err, failed = verify_all_failures(capsys, 2)
+        assert (code, err) == (1, "")
+        assert failed == [
+            {"name": "B2: F z0 = diag(d) M", "status": "fail",
+             "detail": "entry (0, 1) of F z0 is 1, expected 2"},
+            {"name": "B2: M = F^{-t}", "status": "fail",
+             "detail": "entry (1, 0) of F * M^t is 1, expected 0"},
+            {"name": "B2: diag-block(F, M) symplectic", "status": "fail",
+             "detail": "entry (0, 1) of F^t * M is 1, expected 0"},
+        ]
+
+
+def g2_torus_failures(monkeypatch, name, value):
+    """The failing torus-decomposition lines, as {name: detail}, with
+    ``verify.<name>`` replaced by ``value(original)`` for G2 only."""
+    original = getattr(verify, name)
+    g2 = RootSystemId.parse("G2")
+    monkeypatch.setattr(verify, name, lambda arg: value(original(arg))
+                        if arg in (g2, gram_matrix(g2)) else original(arg))
+    sec = verify.check_divisor_chains(2, verify._catalog(2))
+    return {c.name: c.detail for c in sec.checks if c.status == "fail"}
+
+
+SHEAR = Matrix([[1, 1], [0, 1]])
+
+
+class TestTorusWitness:
+    # The Smith form of the G2 Gram matrix [[2, -3], [-3, 6]] is
+    # u = diag(1, -1), d = diag(1, 3), v = [[2, -3], [1, -2]].
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda s: SnfResult(u=s.u + Matrix([[1, 0], [0, 0]]), d=s.d, v=s.v),
+         "entry (0, 0) of u * gram * v is 2, expected 1"),
+        (lambda s: SnfResult(u=SHEAR * s.u, d=SHEAR * s.d, v=s.v),
+         "entry (0, 1) of d is 3, expected 0"),
+        (lambda s: SnfResult(u=Fraction(1, 2) * s.u, d=Fraction(1, 2) * s.d, v=s.v),
+         "u is not integral"),
+        (lambda s: SnfResult(u=s.u, d=Fraction(1, 2) * s.d, v=Fraction(1, 2) * s.v),
+         "v is not integral"),
+        (lambda s: SnfResult(u=2 * s.u, d=2 * s.d, v=s.v),
+         "product of d is 12, det(gram) is 3"),
+    ], ids=["u-cell", "off-diagonal-d", "u-rational", "v-rational", "product"])
+    def test_wrong_smith_form_names_its_first_failure(self, monkeypatch, change, detail):
+        assert g2_torus_failures(monkeypatch, "smith_normal_form", change) == {
+            "G2: u * gram * v = d with unimodular u, v": detail}
+
+    def test_wrong_chain_gives_both_numbers(self, monkeypatch):
+        failed = g2_torus_failures(monkeypatch, "divisor_chain",
+                                   lambda chain: DivisorChain((4, 1)))
+        assert failed == {
+            "G2: divisor chain equals published value": "computed (4, 1)",
+            "G2: product of divisors equals det(gram)":
+                "product of divisors is 4, det(gram) is 3",
+        }
+
+    def test_dropped_factor_gives_the_regrouped_chain(self, monkeypatch):
+        # G2 regroups (3, 1) as ((1, 1), (3, 1)); dropping the first factor
+        # leaves (3,).
+        original = verify.group_divisors
+        monkeypatch.setattr(verify, "group_divisors", lambda chain: EllipticDecomposition(
+            original(chain).factors[1:]) if chain.divisors == (3, 1) else original(chain))
+        sec = verify.check_divisor_chains(2, verify._catalog(2))
+        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
+        assert failed == {"A2: elliptic factors regroup the chain": "regrouped chain (3,)",
+                          "G2: elliptic factors regroup the chain": "regrouped chain (3,)"}
+
+
+def changed_cell(mats, which, i, j, delta):
+    """``mats`` with entry (i, j) of matrix ``which`` moved by delta."""
+    rows = [[list(r) for r in m.rows()] for m in mats]
+    rows[which][i][j] += delta
+    return tuple(Matrix(r) for r in rows)
+
+
+class TestFixedSpaceWitness:
+    def test_changed_span_matrix(self, monkeypatch):
+        original = reference.cyclic5_fixed_span
+        monkeypatch.setattr(reference, "cyclic5_fixed_span",
+                            lambda: changed_cell(original(), 0, 0, 0, 1))
+        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
+        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
+        assert failed == {
+            "fixed space equals the published span (both inclusions)":
+                "computed basis matrix 0 lies outside the published span",
+            "5 * z0(A4) equals the first published span matrix":
+                "entry (0, 0) of 5 * z0(A4) is 4, expected 5",
+        }
+
+    @pytest.mark.parametrize("which, name, detail", [
+        (0, "particular part equals the published constant part",
+         "entry (0, 0) of particular part is 0, expected 1"),
+        (1, "basis matrix equals the published linear part",
+         "entry (0, 0) of basis matrix is 3, expected 4"),
+    ], ids=["constant", "linear"])
+    def test_changed_sym5_family(self, monkeypatch, which, name, detail):
+        original = reference.sym5_fixed_family
+        monkeypatch.setattr(reference, "sym5_fixed_family",
+                            lambda: changed_cell(original(), which, 0, 0, 1))
+        sec = verify.check_sym5_fixed_family(6)
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {name: detail}
+
+    def test_wrong_sized_sym5_family_names_both_shapes(self, monkeypatch):
+        original = reference.sym5_fixed_family
+        monkeypatch.setattr(reference, "sym5_fixed_family", lambda: (
+            original()[0], original()[1].submatrix(0, 5, 0, 5)))
+        sec = verify.check_sym5_fixed_family(6)
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "basis matrix equals the published linear part":
+                "basis matrix is 6 x 6, expected 5 x 5"}
+
+    def test_empty_space_gives_dimension_and_no_solution(self, monkeypatch):
+        monkeypatch.setattr(verify, "fixed_symmetric_space", lambda gens: AffineMatrixSpace(
+            n=gens[0].n, particular=None, basis=()))
+        sections = (verify.check_cyclic5_fixed_space(4, verify._catalog(4)),
+                    verify.check_sym5_fixed_family(6))
+        assert [{c.name: c.detail for c in sec.checks if c.status == "fail"}
+                for sec in sections] == [{
+                    "fixed space is 2-dimensional": "dimension 0",
+                    "fixed space is homogeneous (particular = 0)": "no solution",
+                    "fixed space equals the published span (both inclusions)":
+                        "published span matrix 0 lies outside the computed span",
+                }, {
+                    "fixed family is a line (one basis matrix)": "dimension 0",
+                    "basis matrix equals the published linear part": "dimension 0",
+                    "particular part equals the published constant part": "no solution",
+                }]
+
+    def test_nonzero_particular_names_its_first_nonzero_cell(self, monkeypatch):
+        original = verify.fixed_symmetric_space
+
+        def shifted(gens):
+            space = original(gens)
+            return AffineMatrixSpace(n=4, particular=Matrix.diagonal([0, 0, 1, 0]),
+                                     basis=space.basis)
+
+        monkeypatch.setattr(verify, "fixed_symmetric_space", shifted)
+        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "fixed space is homogeneous (particular = 0)":
+                "entry (2, 2) of particular is 1, expected 0"}
+
+    def test_identity_generator_fixes_every_form(self, monkeypatch):
+        monkeypatch.setattr(reference, "cyclic5_generator", lambda: Matrix.identity(4))
+        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "fixed space is 2-dimensional": "dimension 10",
+            "fixed space equals the published span (both inclusions)":
+                "computed basis matrix 0 lies outside the published span",
+        }
