@@ -54,12 +54,12 @@ BROKEN_PIPE = 141
 # A closure holds cap elements of rank row ids each, in a list beside the
 # set that tests membership; its peak memory is at most about 4 bytes per
 # cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7, B6
-# closed, E7, E8, A8, A100, A200, D30 truncated at the limit; E7 is the
-# largest at 4.0), so about 20 MB. The limit admits verify-all's own cap
-# (100,001) up to rank 7. The generators are rank dense rank x rank
-# matrices beside it: group-order A200 --cap 125 takes about 2.6 s and
-# 81 MB max RSS (a fresh process, 2-vCPU Intel Xeon VM, Python 3.11),
-# most of it the 8 million reflection entries.
+# closed, E7, E8, A8, A100, A200, D30 truncated at the limit; D30 is the
+# largest at 3.7 and E7 next at 2.5), so about 18 MB. The limit admits
+# verify-all's own cap (100,001) up to rank 7. The generators are rank
+# dense rank x rank matrices beside it: group-order A200 --cap 125 takes
+# about 2.6 s and 81 MB max RSS (a fresh process, 2-vCPU Intel Xeon VM,
+# Python 3.11), most of it the 8 million reflection entries.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

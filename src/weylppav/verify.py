@@ -63,10 +63,16 @@ def _spanned_by(vec, basis_vecs) -> bool:
     return solve_affine(coeff, list(vec)).particular is not None
 
 
-def _span_witness(computed, published) -> str:
-    """Why two lists of symmetric matrices do not span one space with equally
-    many matrices: the first matrix, computed side first, outside the other
-    side's span, else the two counts; empty if they do."""
+def _span_witness(computed, published, n: int) -> str:
+    """Why two lists of symmetric n x n matrices do not span one space with
+    equally many matrices: the first published matrix of another size, else
+    the first matrix, computed side first, outside the other side's span,
+    else the two counts; empty if they do."""
+    wrong_size = next((f"published span matrix {k} is {m.nrows} x {m.ncols}, "
+                       f"expected {n} x {n}" for k, m in enumerate(published)
+                       if (m.nrows, m.ncols) != (n, n)), "")
+    if wrong_size:
+        return wrong_size
     vecs_a = [sym_to_vec(m) for m in computed]
     vecs_b = [sym_to_vec(m) for m in published]
     return (next((f"computed basis matrix {k} lies outside the published span"
@@ -329,7 +335,7 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
         wrong = ("no solution" if space.particular is None
                  else _first_wrong_cell("particular", space.particular, Matrix.zeros(space.n)))
         sec.add("fixed space is homogeneous (particular = 0)", not wrong, wrong)
-        wrong = _span_witness(space.basis, (m1, m2))
+        wrong = _span_witness(space.basis, (m1, m2), space.n)
         sec.add("fixed space equals the published span (both inclusions)", not wrong, wrong)
     wrong = _first_wrong_cell("5 * z0(A4)", 5 * catalog[RootSystemId("A", 4)].z0, m1)
     sec.add("5 * z0(A4) equals the first published span matrix", not wrong, wrong)

@@ -20,17 +20,23 @@ advances one breadth-first level per step. At the start of each level the
 tables are filled to the end of the row table, since the rows interned
 since the last fill all belong to the level's elements. The level's
 elements are then joined into one sequence and each generator maps all of
-it through its table: a string through one ``bytes.translate``, cut back
-into elements of n bytes by ``Struct(f"{n}s").iter_unpack`` in one C
-pass, or a list through one ``map``, cut back into n-tuples by ``zip``.
-Either way the level's new elements are the distinct products not yet
-seen, in the order an element-by-element scan would meet them; the group
-keeps its elements in that breadth-first order, its only order. The
-arithmetic is exact for any integer generator. Level k holds the elements
-of length k in the generators, so for a Weyl group closed from its simple
-reflections the level sizes are the coefficients of the Poincare
-polynomial (Humphreys, *Reflection Groups and Coxeter Groups*, 1.11),
-which ``poincare_polynomial`` computes from the invariant degrees.
+it through its table. With m generators, a string goes through one
+``bytes.translate`` per generator, and n strided slice assignments write
+each result into that generator's slots of one buffer, so the buffer holds
+each element's m products of n bytes side by side;
+``Struct(f"{n}s" * m).iter_unpack`` cuts it into m-tuples in one C pass. A
+list goes through one ``map`` per generator, cut back into n-tuples by
+``zip``, and a second ``zip`` interleaves the generators. Either way the
+products come element by element, generator by generator, the order in
+which an element-by-element scan meets them. The products already found
+are dropped first, and ``dict.fromkeys`` keeps the first occurrence of each
+one left: the level's new elements, in scan order. The group keeps its
+elements in that breadth-first order, its only order. The arithmetic is
+exact for any integer generator. Level k holds the elements of length k in
+the generators, so for a Weyl group closed from its simple reflections the
+level sizes are the coefficients of the Poincare polynomial (Humphreys,
+*Reflection Groups and Coxeter Groups*, 1.11), which
+``poincare_polynomial`` computes from the invariant degrees.
 """
 
 from __future__ import annotations
@@ -147,7 +153,9 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     frontier = [ident]
     levels = [1]
     truncated = False
-    cut = Struct(f"{n}s").iter_unpack
+    m = len(gens)
+    stride = m * n  # bytes per element's m products in a level's buffer
+    cut = Struct(f"{n}s" * m).iter_unpack
     while frontier and not truncated:
         # Each row interned since the last fill is a row of a product of the
         # last level, and a product already seen brought no new row, so the
@@ -161,20 +169,36 @@ def generate_group(generators, cap: int) -> MatrixGroup:
             found = list(map(tuple, found))
             frontier = list(map(tuple, frontier))
             seen = set(found)
-        # One gather per generator over the whole level, cut back into
-        # elements: n-tuples by zip, or n-byte strings by one C pass (it
-        # yields 1-tuples). Products go element-major, generator-minor: the
-        # order in which an element-by-element scan meets them.
-        # dict.fromkeys keeps the first occurrence of each.
+        # Products go element-major, generator-minor: the order in which an
+        # element-by-element scan meets them.
         if wide:
+            # Each generator maps the whole level through one map, cut back
+            # into n-tuples by zip; a second zip interleaves the generators.
+            # The byte encoding's interleaved buffer, built here as a list
+            # of ids, measured slower: B40 at cap 1,000 took 0.13-0.15 s
+            # against 0.10 s (2-vCPU x86-64 VM, Python 3.11). Its strided
+            # copies move object references, not bytes, and its products
+            # still need a zip to become tuples.
             level = list(chain.from_iterable(frontier))
             per_gen = [zip(*[map(act.__getitem__, level)] * n) for act in acts]
+            products = chain.from_iterable(zip(*per_gen))
         else:
+            # Each generator translates the whole level once, and n strided
+            # slice assignments put the images into the generator's slots of
+            # one buffer, m products of n bytes per element; one C pass cuts
+            # the buffer into m-tuples of products.
             level = b"".join(frontier)
-            tables = (bytes(act).ljust(256, b"\0") for act in acts)
-            per_gen = [chain.from_iterable(cut(level.translate(t))) for t in tables]
-        products = dict.fromkeys(chain.from_iterable(zip(*per_gen)))
-        frontier = list(filterfalse(seen.__contains__, products))
+            buf = bytearray(len(level) * m)
+            for k, act in enumerate(acts):
+                images = level.translate(bytes(act).ljust(256, b"\0"))
+                for j in range(n):
+                    buf[k * n + j::stride] = images[j::n]
+            products = chain.from_iterable(cut(buf))
+        # Products already found are dropped before the level's dict, which
+        # keeps the first occurrence of each product left. For a Weyl group
+        # closed from its simple reflections they are half the products: a
+        # product is one level up or one level down, and half go down.
+        frontier = list(dict.fromkeys(filterfalse(seen.__contains__, products)))
         room = cap - len(seen)
         if len(frontier) > room:
             del frontier[room:]

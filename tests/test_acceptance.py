@@ -122,7 +122,7 @@ def test_criterion_6_order5_fixed_space():
     space = fixed_symmetric_space([embed_block_diag(reference.cyclic5_generator())])
     m1, m2 = reference.cyclic5_fixed_span()
     ok = space.dimension == 2
-    ok &= not _span_witness(space.basis, (m1, m2))
+    ok &= not _span_witness(space.basis, (m1, m2), space.n)
     ok &= 5 * riemann_family(RootSystemId("A", 4)).z0 == m1
     report(ok, "criterion 6: the order-5 action fixes exactly the published "
                "2-dimensional span, whose first matrix is 5 * z0(A4)")

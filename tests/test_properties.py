@@ -141,7 +141,7 @@ def test_smith_form_invariants(rows):
     assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
     for x in (snf.u, snf.d, snf.v, Matrix.identity(m.nrows), Matrix.identity(m.ncols),
               Matrix.zeros(m.nrows, m.ncols)):
-        assert integrality_exact(x)
+        assert integrality_exact(x, True)
     # determinantal divisors: gcd of the k x k minors is d_1 ... d_k
     for k in range(1, len(diag) + 1):
         minors = (oracle_det(Matrix([[rows[i][j] for j in cs] for i in rs]))
@@ -257,9 +257,16 @@ def canonical(x) -> bool:
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
-def integrality_exact(m) -> bool:
-    return (all(canonical(x) for x in m.flat)
-            and m.is_integral() == all(type(x) is int for x in m.flat))
+def integral_rows(rows) -> bool:
+    """Are all the entries of ``rows`` integers? Read off the input, not off
+    a ``Matrix``."""
+    return all(Fraction(x).denominator == 1 for row in rows for x in row)
+
+
+def integrality_exact(m, integral: bool) -> bool:
+    """Every entry is stored canonically and ``is_integral()`` is
+    ``integral``, the value the input fixes."""
+    return all(canonical(x) for x in m.flat) and m.is_integral() is integral
 
 
 def fraction_at(position):
@@ -299,8 +306,7 @@ def test_integrality_at_every_entry_position(build):
         rows = fraction_at(position)
         m = build(rows)
         assert m == Matrix(rows)
-        assert m.is_integral() is (position is None), position
-        assert integrality_exact(m)
+        assert integrality_exact(m, position is None), position
 
 
 @st.composite
@@ -323,8 +329,7 @@ def test_product_matches_entrywise_fractions(operands):
                      Fraction(0)) for j in range(len(b[0]))] for i in range(len(a))]
     assert (product.nrows, product.ncols) == (len(a), len(b[0]))
     assert [list(row) for row in product.rows()] == expected
-    assert integrality_exact(product)
-    assert product.is_integral() == all(x.denominator == 1 for row in expected for x in row)
+    assert integrality_exact(product, integral_rows(expected))
 
 
 @PROPERTY
@@ -403,6 +408,12 @@ def test_blocks_of_rational_matrices_report_integrality(case):
     assert Matrix.block2(*quads) == m
     top_left = Matrix.block2(quads[0], quads[0], quads[0], quads[0])
     assert top_left.is_integral()
-    for x in (*quads, m.T, *(q.T for q in quads), Matrix.block2(*quads), top_left,
-              -m, *(-q for q in quads)):
-        assert integrality_exact(x)
+    # Each quadrant is integral exactly when its cells of ``rows`` are; the
+    # bottom-right one holds the half-integer corner.
+    integral = [integral_rows([row[c0:c1] for row in rows[r0:r1]])
+                for r0, r1 in ((0, r), (r, nr)) for c0, c1 in ((0, c), (c, nc))]
+    assert integral[0] and not integral[3]
+    for x, whole in (*zip(quads, integral), *zip((q.T for q in quads), integral),
+                     *zip((-q for q in quads), integral), (m.T, False),
+                     (Matrix.block2(*quads), False), (top_left, True), (-m, False)):
+        assert integrality_exact(x, whole)

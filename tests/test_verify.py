@@ -32,12 +32,18 @@ class TestHelpers:
     def test_same_span(self):
         a = Matrix([[2, 0], [0, 0]])
         b = Matrix([[0, 0], [0, 3]])
-        assert _span_witness((a, b), (a + b, a - b)) == ""
-        assert _span_witness((a,), (b,)) == \
+        assert _span_witness((a, b), (a + b, a - b), 2) == ""
+        assert _span_witness((a,), (b,), 2) == \
             "computed basis matrix 0 lies outside the published span"
-        assert _span_witness((a,), (a, b)) == \
+        assert _span_witness((a,), (a, b), 2) == \
             "published span matrix 1 lies outside the computed span"
-        assert _span_witness((a, b), (a, b, a + b)) == "2 computed matrices, 3 published"
+        assert _span_witness((a, b), (a, b, a + b), 2) == "2 computed matrices, 3 published"
+        # A published matrix of another size is named before any span is
+        # solved, also against an empty computed side.
+        assert _span_witness((a,), (a, Matrix.identity(3)), 2) == \
+            "published span matrix 1 is 3 x 3, expected 2 x 2"
+        assert _span_witness((), (Matrix([[1, 0, 0], [0, 1, 0]]),), 2) == \
+            "published span matrix 0 is 2 x 3, expected 2 x 2"
 
     def test_proportional(self):
         z0 = riemann_family(RootSystemId.parse("A2")).z0
@@ -498,6 +504,18 @@ class TestBrokenReferenceGenerators:
         assert failed == [{"name": "order-5 generator embeds symplectically",
                            "status": "fail",
                            "detail": "reference.cyclic5_generator(): determinant is 2"}]
+
+    def test_wrong_sized_order5_span(self, monkeypatch, capsys):
+        monkeypatch.setattr(reference, "cyclic5_fixed_span",
+                            lambda: (Matrix.identity(5), Matrix.identity(5)))
+        code, err, failed = verify_all_failures(capsys, 4)
+        assert (code, err) == (1, "")
+        assert failed == [
+            {"name": "fixed space equals the published span (both inclusions)",
+             "status": "fail", "detail": "published span matrix 0 is 5 x 5, expected 4 x 4"},
+            {"name": "5 * z0(A4) equals the first published span matrix",
+             "status": "fail", "detail": "5 * z0(A4) is 4 x 4, expected 5 x 5"},
+        ]
 
     def test_non_symplectic_sym5_generator(self, monkeypatch, capsys):
         g1, g2 = reference.sym5_degree6_generators()

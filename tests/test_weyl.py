@@ -156,6 +156,25 @@ class TestGenerateGroup:
                 assert [el.flat for el in group.elements] == expected, cap
                 assert group.truncated == expected_truncated, cap
 
+    @pytest.mark.parametrize("gens", [
+        [*refl("A3"), refl("A3")[0]],  # one generator twice: equal products per element
+        [reference.cyclic5_generator()],  # one generator, of order 5
+        [reference.cyclic5_generator(), refl("A4")[0]],  # order 5 and an involution: S5
+    ], ids=["repeated", "order-5", "order-5-and-involution"])
+    def test_uncommon_generator_lists_at_level_boundaries(self, gens):
+        # A level's products interleave the generators per element, so a
+        # single generator, a repeated one or one that is not an involution
+        # must still leave the breadth-first order, the cut and the level
+        # sizes as a dense closure has them, at, one below and one above
+        # each level's total.
+        totals = [1] + level_totals(gens, 300)
+        for cap in sorted({c for t in totals for c in (t - 1, t, t + 1) if c >= 1}):
+            expected, expected_truncated = dense_closure(gens, cap)
+            group = generate_group(gens, cap)
+            assert [el.flat for el in group.elements] == expected, cap
+            assert group.truncated == expected_truncated, cap
+            assert list(accumulate(group.levels)) == sorted({min(t, cap) for t in totals}), cap
+
     @pytest.mark.parametrize("gens", [refl("B3"), refl("A4"), HEISENBERG],
                              ids=["B3", "A4", "heisenberg"])
     def test_levels_match_dense_closure(self, gens):
