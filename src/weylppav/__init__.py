@@ -10,43 +10,46 @@ entry points:
   centralizer    congruence levels, centralizer elements, modular curves
   verify         whole-catalog verification harness
   cli            command-line front end (console script: weylppav)
-"""
 
-from .centralizer import (DeterminantNotOne, LevelViolation, centralizer_element,
-                          centralizer_level, curve_description)
-from .exactmat import (AffineSolution, Matrix, NotSymmetric, Singular, SnfResult,
-                       smith_normal_form, solve_affine)
-from .ppav import (DivisorChain, EllipticDecomposition, RiemannFamily,
-                   coroot_polarization_degree, divisor_chain, group_divisors,
-                   riemann_family)
-from .rootsys import (CartanData, RootSystemId, all_systems, cartan_data,
-                      cartan_matrix, coroot_gram_matrix, diagram_automorphisms,
-                      gram_matrix, simple_reflections)
-from .symplectic import (AffineMatrixSpace, NonUnimodular, NotSymplectic,
-                         SingularDenominator, SymplecticMat, UnsupportedGenerator,
-                         embed_block_diag, fixed_symmetric_space, is_symplectic,
-                         modular_action, standard_form, verify_decomposition_witness,
-                         verify_family_isomorphism)
-from .weyl import (MatrixGroup, NonUnimodularGenerator, check_invariance,
-                   expected_order, generate_group)
+The public names (``__all__``) resolve on first use: ``weylppav.Matrix``
+imports ``exactmat`` when it is first read, so importing the package loads
+none of these modules.
+"""
 
 __version__ = "0.1.0"
 
 # Always False: there is no compiled backend. Kept importable for existing callers.
 USING_COMPILED = False
 
-__all__ = [
-    "AffineMatrixSpace", "AffineSolution", "CartanData", "DeterminantNotOne",
-    "DivisorChain", "EllipticDecomposition", "LevelViolation", "Matrix",
-    "MatrixGroup", "NonUnimodular", "NonUnimodularGenerator", "NotSymmetric",
-    "NotSymplectic", "RiemannFamily", "RootSystemId", "Singular",
-    "SingularDenominator", "SnfResult", "SymplecticMat", "UnsupportedGenerator",
-    "USING_COMPILED", "all_systems", "cartan_data", "cartan_matrix",
-    "centralizer_element", "centralizer_level", "check_invariance",
-    "coroot_gram_matrix", "coroot_polarization_degree", "curve_description",
-    "diagram_automorphisms", "divisor_chain", "embed_block_diag",
-    "expected_order", "fixed_symmetric_space", "generate_group", "gram_matrix",
-    "group_divisors", "is_symplectic", "modular_action", "riemann_family",
-    "simple_reflections", "smith_normal_form", "solve_affine", "standard_form",
-    "verify_decomposition_witness", "verify_family_isomorphism",
-]
+# Each public name, by the module that defines it.
+_MODULE_OF = {name: module for module, names in {
+    "centralizer": "DeterminantNotOne LevelViolation centralizer_element centralizer_level "
+                   "curve_description",
+    "exactmat": "AffineSolution Matrix NotSymmetric Singular SnfResult smith_normal_form "
+                "solve_affine",
+    "ppav": "DivisorChain EllipticDecomposition RiemannFamily coroot_polarization_degree "
+            "divisor_chain group_divisors riemann_family",
+    "rootsys": "CartanData RootSystemId all_systems cartan_data cartan_matrix "
+               "coroot_gram_matrix diagram_automorphisms gram_matrix simple_reflections",
+    "symplectic": "AffineMatrixSpace NonUnimodular NotSymplectic SingularDenominator "
+                  "SymplecticMat UnsupportedGenerator embed_block_diag fixed_symmetric_space "
+                  "is_symplectic modular_action standard_form verify_decomposition_witness "
+                  "verify_family_isomorphism",
+    "weyl": "MatrixGroup NonUnimodularGenerator check_invariance expected_order "
+            "generate_group",
+}.items() for name in names.split()}
+
+__all__ = ["USING_COMPILED", *_MODULE_OF]
+
+
+def __getattr__(name):
+    """Import a public name from its module on first use, and keep it here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,8 @@ by its reader before the output was written (``weylppav z0 A120 | head``;
 
 Every ``main`` call builds its own parser, but a subcommand's parser is
 built only when parsing reaches it (``_DeferredParser``): building all nine
-costs more than a small query's whole answer.
+costs more than a small query's whole answer. For the same reason a command
+imports only the modules it runs, inside its ``cmd_*`` function.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, reference
-from .centralizer import centralizer_level, curve_description
-from .exactmat import Matrix
-from .ppav import (coroot_polarization_degree, divisor_chain, group_divisors,
-                   riemann_family)
-from .rootsys import RootSystemId, cartan_data, gram_matrix, simple_reflections
-from .symplectic import SymplecticMat, UnsupportedGenerator, fixed_symmetric_space
-from .verify import run_verification
-from .weyl import expected_order, generate_group
+from . import __version__
 
 USAGE_ERROR = 2
 UNSUPPORTED_INPUT = 3
@@ -77,7 +70,7 @@ def parse_scalar(s: str):
     return frac.numerator if frac.denominator == 1 else frac
 
 
-def fmt_matrix(m: Matrix) -> list:
+def fmt_matrix(m) -> list:
     return [[fmt_scalar(x) for x in m.row(i)] for i in range(m.nrows)]
 
 
@@ -88,7 +81,8 @@ def _emit(payload: dict, pretty: bool):
         print(json.dumps(payload))
 
 
-def _parse_tag(tag: str) -> RootSystemId:
+def _parse_tag(tag: str):
+    from .rootsys import RootSystemId
     try:
         system = RootSystemId.parse(tag, max_rank=MAX_QUERY_RANK)
     except ValueError as exc:
@@ -98,6 +92,7 @@ def _parse_tag(tag: str) -> RootSystemId:
 
 
 def cmd_z0(args) -> int:
+    from .ppav import riemann_family
     system = _parse_tag(args.system)
     _emit({"system": str(system),
            "z0": fmt_matrix(riemann_family(system).z0)}, args.pretty)
@@ -105,6 +100,7 @@ def cmd_z0(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from .rootsys import gram_matrix
     system = _parse_tag(args.system)
     _emit({"system": str(system),
            "gram": fmt_matrix(gram_matrix(system))}, args.pretty)
@@ -112,6 +108,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_cartan(args) -> int:
+    from .rootsys import cartan_data
     system = _parse_tag(args.system)
     data = cartan_data(system)
     _emit({"system": str(system),
@@ -122,6 +119,7 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .ppav import divisor_chain, group_divisors
     system = _parse_tag(args.system)
     chain = divisor_chain(system)
     _emit({"system": str(system),
@@ -131,6 +129,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_centralizer(args) -> int:
+    from .centralizer import centralizer_level, curve_description
     system = _parse_tag(args.system)
     level = centralizer_level(system)
     _emit({"system": str(system), "level": level, "curve": curve_description(level)},
@@ -139,11 +138,13 @@ def cmd_centralizer(args) -> int:
 
 
 def cmd_degrees(args) -> int:
+    from .ppav import coroot_polarization_degree
     system = _parse_tag(args.system)
     payload = {"system": str(system),
                "degree": coroot_polarization_degree(system)}
     if str(system) == "E7":
-        payload["note"] = reference.DEGREE_LIST_NOTE
+        from .reference import DEGREE_LIST_NOTE
+        payload["note"] = DEGREE_LIST_NOTE
     _emit(payload, args.pretty)
     return 0
 
@@ -155,6 +156,8 @@ def cmd_group_order(args) -> int:
         print(f"error: --cap {args.cap} at rank {system.rank} allows {entries} "
               f"stored entries, over the limit {MAX_GROUP_ENTRIES}", file=sys.stderr)
         return USAGE_ERROR
+    from .rootsys import simple_reflections
+    from .weyl import expected_order, generate_group
     expected = expected_order(system)
     # Transposing keeps the order and the truncation; the closure of the
     # transposed reflections interns only the roots as rows. In place, so
@@ -179,6 +182,8 @@ def cmd_group_order(args) -> int:
 
 
 def cmd_fixed_space(args) -> int:
+    from .exactmat import Matrix
+    from .symplectic import SymplecticMat, UnsupportedGenerator, fixed_symmetric_space
     try:
         with open(args.file, "rb") as handle:
             content = handle.read(MAX_FIXED_SPACE_BYTES + 1)
@@ -225,6 +230,7 @@ def cmd_verify_all(args) -> int:
         print(f"error: --max-rank {args.max_rank} exceeds the limit {MAX_VERIFY_RANK}",
               file=sys.stderr)
         return USAGE_ERROR
+    from .verify import run_verification
     report = run_verification(args.max_rank)
     _emit(report, args.pretty)
     return 0 if report["status"] == "pass" else 1

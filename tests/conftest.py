@@ -2,12 +2,17 @@
 
 These deliberately avoid the elimination code under test. Determinants are
 computed by memoized cofactor expansion, inverses by adjugate over the
-cofactor determinant, so a bug in the Gaussian path cannot hide.
+cofactor determinant, so a bug in the Gaussian path cannot hide. The
+``fresh_python`` fixture runs source in a new interpreter, for what only a
+first import shows.
 """
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +82,21 @@ def no_group_matrices(monkeypatch):
 
     monkeypatch.setattr(Matrix, "_from_canonical", classmethod(guarded))
 
+
+@pytest.fixture
+def fresh_python():
+    """Run Python source in a fresh interpreter that imports weylppav from src/.
+
+    Returns its stdout; the run must exit 0 and write nothing to stderr.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def run(source):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", source], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout
+
+    return run

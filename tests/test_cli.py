@@ -202,6 +202,91 @@ class TestQueries:
             assert hasattr(weylppav, name), name
 
 
+# The public names of the package, as exported when it still imported every
+# module eagerly.
+PUBLIC_NAMES = {
+    "AffineMatrixSpace", "AffineSolution", "CartanData", "DeterminantNotOne",
+    "DivisorChain", "EllipticDecomposition", "LevelViolation", "Matrix",
+    "MatrixGroup", "NonUnimodular", "NonUnimodularGenerator", "NotSymmetric",
+    "NotSymplectic", "RiemannFamily", "RootSystemId", "Singular",
+    "SingularDenominator", "SnfResult", "SymplecticMat", "UnsupportedGenerator",
+    "USING_COMPILED", "all_systems", "cartan_data", "cartan_matrix",
+    "centralizer_element", "centralizer_level", "check_invariance",
+    "coroot_gram_matrix", "coroot_polarization_degree", "curve_description",
+    "diagram_automorphisms", "divisor_chain", "embed_block_diag",
+    "expected_order", "fixed_symmetric_space", "generate_group", "gram_matrix",
+    "group_divisors", "is_symplectic", "modular_action", "riemann_family",
+    "simple_reflections", "smith_normal_form", "solve_affine", "standard_form",
+    "verify_decomposition_witness", "verify_family_isomorphism",
+}
+
+# Prints, one JSON line each, the weylppav modules loaded after each step.
+LAZY_STARTUP = """
+import json, sys
+def loaded():
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "weylppav")))
+import weylppav.cli as cli
+loaded()
+cli.main(["gram", "B5"])
+loaded()
+cli.main(["degrees", "E7"])
+loaded()
+"""
+
+API_PROBE = """
+import json, sys
+import weylppav
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "weylppav")
+out = {"flags": [weylppav.USING_COMPILED, weylppav.__version__], "after_flags": loaded(),
+       "all": weylppav.__all__, "dir": dir(weylppav)}
+try:
+    weylppav.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+out["after_unknown"] = loaded()
+namespace = {}
+exec("from weylppav import *", namespace)
+out["star"] = sorted(set(namespace) - {"__builtins__"})
+out["not_defining_object"] = [
+    name for name in weylppav.__all__ if name != "USING_COMPILED"
+    and getattr(weylppav, name) is not getattr(sys.modules[getattr(weylppav, name).__module__], name)]
+from weylppav import cli, verify, reference
+out["submodules"] = [m.__name__ for m in (cli, verify, reference) if type(m) is type(sys)]
+print(json.dumps(out))
+"""
+
+
+class TestLazyImport:
+    """A command imports only the modules it runs; the package API is unchanged."""
+
+    def test_startup_loads_only_what_a_command_runs(self, fresh_python):
+        from weylppav.reference import DEGREE_LIST_NOTE
+
+        lines = fresh_python(LAZY_STARTUP).splitlines()
+        assert len(lines) == 5
+        assert json.loads(lines[0]) == ["weylppav", "weylppav.cli"]
+        assert json.loads(lines[1])["system"] == "B5"
+        after_gram = set(json.loads(lines[2]))
+        for name in ("verify", "reference", "weyl", "symplectic", "centralizer", "ppav"):
+            assert f"weylppav.{name}" not in after_gram, name
+        assert json.loads(lines[3])["note"] == DEGREE_LIST_NOTE
+        assert "weylppav.reference" in json.loads(lines[4])
+
+    def test_package_api_unchanged(self, fresh_python):
+        out = json.loads(fresh_python(API_PROBE))
+        assert out["flags"] == [False, weylppav.__version__]
+        assert out["after_flags"] == ["weylppav"]
+        assert set(out["all"]) == PUBLIC_NAMES
+        assert len(out["all"]) == len(PUBLIC_NAMES)
+        assert PUBLIC_NAMES <= set(out["dir"])
+        assert out["unknown"] == "module 'weylppav' has no attribute 'no_such_name'"
+        assert out["after_unknown"] == ["weylppav"]
+        assert set(out["star"]) == PUBLIC_NAMES
+        assert out["not_defining_object"] == []
+        assert out["submodules"] == ["weylppav.cli", "weylppav.verify", "weylppav.reference"]
+
+
 # stdout of `weylppav z0 G2` and `weylppav group-order G2 --cap 100`, byte
 # for byte what a fresh `weylppav` process prints.
 Z0_G2_STDOUT = '{"system": "G2", "z0": [["2", "1"], ["1", "2/3"]]}\n'
@@ -319,7 +404,7 @@ class TestGroupOrder:
 
     def test_builds_no_element_matrices(self, capsys, monkeypatch, no_group_matrices):
         groups = []
-        monkeypatch.setattr(cli, "generate_group",
+        monkeypatch.setattr("weylppav.weyl.generate_group",
                             lambda gens, cap: groups.append(generate_group(gens, cap)) or groups[0])
         payload = run_json(capsys, "group-order", "E6", "--cap", "100001")
         assert payload["enumerated_order"] == 51840
@@ -519,8 +604,6 @@ class TestVerifyAll:
         assert code == 2
 
     def test_rank_limit_boundary(self, capsys, monkeypatch):
-        import weylppav.cli as cli_mod
-
         assert MAX_VERIFY_RANK == 16
         ranks = []
 
@@ -528,7 +611,7 @@ class TestVerifyAll:
             ranks.append(rank)
             return {"max_rank": rank, "sections": [], "summary": {}, "status": "pass"}
 
-        monkeypatch.setattr(cli_mod, "run_verification", record)
+        monkeypatch.setattr("weylppav.verify.run_verification", record)
         for rank in (8, 12, MAX_VERIFY_RANK):
             code, _, _ = run(capsys, "verify-all", "--max-rank", str(rank))
             assert code == 0
@@ -557,12 +640,10 @@ class TestVerifyAll:
         assert report("2") == first
 
     def test_failure_exits_1(self, capsys, monkeypatch):
-        import weylppav.cli as cli_mod
-
         failing = {"max_rank": 2, "sections": [],
                    "summary": {"pass": 0, "documented_discrepancy": 0, "fail": 1},
                    "status": "fail"}
-        monkeypatch.setattr(cli_mod, "run_verification", lambda rank: failing)
+        monkeypatch.setattr("weylppav.verify.run_verification", lambda rank: failing)
         code, out, _ = run(capsys, "verify-all", "--max-rank", "2")
         assert code == 1
         assert json.loads(out)["status"] == "fail"

@@ -1,5 +1,6 @@
 """Everything is immutable and pure, so concurrent callers must agree."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 from weylppav import (all_systems, divisor_chain, embed_block_diag,
@@ -46,3 +47,49 @@ def test_concurrent_verification_passes_match_serial():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(run_verification, [4] * 4))
     assert threaded == [serial] * 4
+
+
+# Four threads make the first access to lazy names of four modules at once,
+# switching as often as the interpreter allows; prints the modules loaded
+# before, and whether each result equals a serial run made afterwards.
+FIRST_USE = """
+import json, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+import weylppav
+sys.setswitchinterval(1e-6)
+
+def family(start):
+    start()
+    return weylppav.riemann_family(weylppav.RootSystemId.parse("E6")).z0
+
+def closure(start):
+    start()
+    gens = weylppav.simple_reflections(weylppav.RootSystemId.parse("B3"))
+    return weylppav.generate_group(gens, 10 ** 4).elements
+
+def fixed_space(start):
+    start()
+    gens = [weylppav.embed_block_diag(r)
+            for r in weylppav.simple_reflections(weylppav.RootSystemId.parse("A3"))]
+    space = weylppav.fixed_symmetric_space(gens)
+    return space.particular, space.basis
+
+def verification(start):
+    start()
+    import weylppav.verify
+    return weylppav.verify.run_verification(3)
+
+tasks = (family, closure, fixed_space, verification)
+before = sorted(m for m in sys.modules if m.split(".")[0] == "weylppav")
+barrier = threading.Barrier(len(tasks), timeout=60)
+with ThreadPoolExecutor(max_workers=4) as pool:
+    threaded = [f.result() for f in [pool.submit(t, barrier.wait) for t in tasks]]
+serial = [t(lambda: None) for t in tasks]
+print(json.dumps({"before": before, "equal": [a == b for a, b in zip(threaded, serial)]}))
+"""
+
+
+def test_concurrent_first_use_matches_serial(fresh_python):
+    out = json.loads(fresh_python(FIRST_USE))
+    assert out["before"] == ["weylppav"]
+    assert out["equal"] == [True] * 4
