@@ -41,9 +41,9 @@ BROKEN_PIPE = 141
 # max RSS) for 64; 64 identity generators, whose equations are all zero
 # and dropped before the solve, take about 0.7 s. Those 64 dense
 # generators are about 220 kB of JSON, so a file is read only up to
-# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 2.5 s at rank 12
-# and 4.1 s at rank 16 (a fresh process each, 2-vCPU Intel Xeon VM,
-# Python 3.11); in process, rank 20 takes 7.6 s and rank 32 about 39 s.
+# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 0.5 s at rank 12
+# and 0.85 s at rank 16 (a fresh process each, 2-vCPU AMD EPYC VM,
+# Python 3.11.7); in process, rank 20 takes 1.6 s and rank 32 about 8.9 s.
 # A closure holds cap elements of rank row ids each, in a list beside the
 # set that tests membership; its peak memory is at most about 4 bytes per
 # cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7, B6
@@ -51,8 +51,8 @@ BROKEN_PIPE = 141
 # largest at 3.7 and E7 next at 2.5), so about 18 MB. The limit admits
 # verify-all's own cap (100,001) up to rank 7. The generators are rank
 # dense rank x rank matrices beside it: group-order A200 --cap 125 takes
-# about 2.6 s and 81 MB max RSS (a fresh process, 2-vCPU Intel Xeon VM,
-# Python 3.11), most of it the 8 million reflection entries.
+# about 0.8 s and 80 MB max RSS (a fresh process, same VM), most of it the
+# 8 million reflection entries.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

@@ -187,15 +187,15 @@ def _primitive(vec):
     return tuple(scaled)
 
 
-def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSpace:
-    """Exact set of symmetric rational z fixed by every generator's action.
+def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:
+    """The fixed condition of every generator as linear equations (rows, rhs).
 
     Every generator must be block-upper-triangular; for those the fixed
     condition A z A^t + B A^t = z is linear in the n(n+1)/2 upper-triangle
-    unknowns of z, and the whole set falls out of one rational solve. An
-    equation whose coefficients and right-hand side are all zero is
-    dropped before the solve; for an embedded reflection that is all but
-    n of its n(n+1)/2 equations.
+    unknowns of z (``sym_to_vec`` order): one row of integer coefficients and
+    one right-hand side per output coordinate. An equation whose
+    coefficients and right-hand side are all zero is dropped; for an
+    embedded reflection that is all but n of its n(n+1)/2 equations.
     """
     gens = list(generators)
     if not gens:
@@ -228,8 +228,22 @@ def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSp
             if any(row) or trans[i][j]:
                 rows.append(row)
                 rhs.append(-trans[i][j])
+    return rows, rhs
+
+
+def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSpace:
+    """Exact set of symmetric rational z fixed by every generator's action.
+
+    The equations of ``fixed_space_equations`` are linear for the
+    block-upper-triangular generators it accepts, so the whole set falls
+    out of one rational solve.
+    """
+    gens = list(generators)
+    rows, rhs = fixed_space_equations(gens)
+    n = gens[0].n
+    size = n * (n + 1) // 2
     # A matrix needs a row: when every equation was 0 = 0, one stands for all.
-    solution = solve_affine(Matrix(rows or [[0] * len(coords)]), rhs or [0])
+    solution = solve_affine(Matrix(rows or [[0] * size]), rhs or [0])
     if solution.particular is None:
         return AffineMatrixSpace(n=n, particular=None, basis=())
     basis = tuple(vec_to_sym(_primitive(v), n) for v in solution.kernel_basis)

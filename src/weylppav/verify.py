@@ -22,8 +22,8 @@ from .ppav import (DivisorChain, coroot_polarization_degree, divisor_chain,
                    group_divisors, riemann_family)
 from .rootsys import (RootSystemId, all_systems, diagram_automorphisms,
                       gram_matrix, simple_reflections)
-from .symplectic import (SymplecticMat, embed_block_diag, fixed_symmetric_space,
-                         is_symplectic, modular_action, sym_to_vec,
+from .symplectic import (SymplecticMat, embed_block_diag, fixed_space_equations,
+                         fixed_symmetric_space, is_symplectic, modular_action, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
 from .weyl import expected_order, generate_group, poincare_polynomial
 
@@ -139,17 +139,6 @@ def _isomorphism_witness(source: str, a: Matrix, z1: Matrix, z2: Matrix) -> str:
     except ValueError as exc:  # NonUnimodular, or not a square integer matrix
         return f"{source}: {exc}"
     return _first_wrong_cell("a * z1 * a^t", a * z1 * a.T, z2)
-
-
-def _proportional(m1: Matrix, m2: Matrix) -> bool:
-    """m1 = lambda * m2 for some nonzero rational lambda, checked exactly."""
-    pairs = [(x, y) for x, y in zip(m1.flat, m2.flat) if x != 0 or y != 0]
-    if not pairs:
-        return True
-    x0, y0 = pairs[0]
-    if x0 == 0 or y0 == 0:
-        return False
-    return all(x * y0 == y * x0 for x, y in pairs)
 
 
 # -- sections ------------------------------------------------------------------
@@ -472,10 +461,18 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
     for system in systems:
         if system.rank > 6:
             continue
-        space = fixed_symmetric_space(embedded[system])
-        if space.dimension != 1:
-            failure = f"{system}: fixed space has dimension {space.dimension}"
-        elif not _proportional(space.basis[0], catalog[system].z0):
+        # The fixed space is the kernel of the integer equations (an embedded
+        # reflection has B = 0), its dimension the unknowns less their rank,
+        # which is the number of nonzero invariant factors. A nonzero z0 in
+        # a one-dimensional kernel spans it.
+        size = system.rank * (system.rank + 1) // 2
+        rows, _ = fixed_space_equations(embedded[system])
+        equations = Matrix(rows or [[0] * size])
+        dimension = size - sum(1 for x in smith_normal_form(equations).diagonal() if x)
+        z0 = sym_to_vec(catalog[system].z0)
+        if dimension != 1:
+            failure = f"{system}: fixed space has dimension {dimension}"
+        elif not any(z0) or any(sum(c * x for c, x in zip(row, z0)) for row in rows):
             failure = f"{system}: fixed line is not spanned by z0"
         if failure:
             break

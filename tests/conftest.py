@@ -2,7 +2,9 @@
 
 These deliberately avoid the elimination code under test. Determinants are
 computed by memoized cofactor expansion, inverses by adjugate over the
-cofactor determinant, so a bug in the Gaussian path cannot hide. The
+cofactor determinant, so a bug in the Gaussian path cannot hide.
+``proportional`` compares two matrices cell by cell, the reference for
+fixed lines that the verification harness decides by a rank instead. The
 ``fresh_python`` fixture runs source in a new interpreter, for what only a
 first import shows.
 """
@@ -56,6 +58,17 @@ def oracle_inverse(m: Matrix) -> Matrix:
     adj = [[(-1) ** (i + j) * (oracle_det(_delete(m, j, i)) if n > 1 else 1) / d
             for j in range(n)] for i in range(n)]
     return Matrix(adj)
+
+
+def proportional(m1: Matrix, m2: Matrix) -> bool:
+    """m1 = lambda * m2 for some nonzero rational lambda, checked exactly."""
+    pairs = [(x, y) for x, y in zip(m1.flat, m2.flat) if x != 0 or y != 0]
+    if not pairs:
+        return True
+    x0, y0 = pairs[0]
+    if x0 == 0 or y0 == 0:
+        return False
+    return all(x * y0 == y * x0 for x, y in pairs)
 
 
 @pytest.fixture

@@ -18,8 +18,9 @@ from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
                       simple_reflections, verify_decomposition_witness,
                       verify_family_isomorphism)
 from weylppav import reference
-from weylppav.verify import _proportional, _span_witness
+from weylppav.verify import _span_witness
 from weylppav.weyl import expected_order, generate_group
+from conftest import proportional
 
 F = Fraction
 MAX_RANK = 8
@@ -198,7 +199,7 @@ def test_criterion_10_property_suites():
         gens = [embed_block_diag(r) for r in simple_reflections(system)]
         space = fixed_symmetric_space(gens)
         ok &= space.dimension == 1
-        ok &= _proportional(space.basis[0], riemann_family(system).z0)
+        ok &= proportional(space.basis[0], riemann_family(system).z0)
     report(ok, "criterion 10: embedding homomorphism on 100 random words; "
                "every reflection fixes z0; full reflection sets pin the "
                "one-dimensional family (rank <= 6)")

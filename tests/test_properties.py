@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from weylppav import (Matrix, Singular, SymplecticMat, fixed_symmetric_space,  # noqa: E402
                       is_symplectic, modular_action, smith_normal_form, solve_affine,
                       standard_form)
-from weylppav.symplectic import sym_to_vec  # noqa: E402
+from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -219,6 +219,10 @@ def row_rank(vectors):
 def test_fixed_space_by_substitution(case):
     zstar, gens = case
     space = fixed_symmetric_space(gens)
+    size = zstar.nrows * (zstar.nrows + 1) // 2
+    rows = fixed_space_equations(gens)[0] or [[0] * size]
+    rank = sum(1 for x in smith_normal_form(Matrix(rows)).diagonal() if x)
+    assert space.dimension == size - rank
     p = space.particular
     assert p is not None and p.is_symmetric()
     for gen in gens:

@@ -17,9 +17,15 @@ from weylppav.reference import (an_alternate_base_printed, an_alternate_witness,
                                 dn_to_cn_witness, g2_to_a2_sign_fix,
                                 g2_to_a2_witness_printed, sym5_degree6_generators,
                                 sym5_fixed_family)
-from weylppav.symplectic import sym_to_vec, vec_to_sym
+from weylppav.symplectic import fixed_space_equations, sym_to_vec, vec_to_sym
+from conftest import proportional
 
 F = Fraction
+
+
+def smith_rank(rows, size):
+    """Rank of integer equations in size unknowns: nonzero invariant factors."""
+    return sum(1 for x in smith_normal_form(Matrix(rows or [[0] * size])).diagonal() if x)
 
 
 def z0(tag):
@@ -319,14 +325,29 @@ class TestFixedSymmetricSpace:
         assert space.particular == constant
 
     def test_reflection_set_fixes_only_z0_line(self):
-        for tag in ("A2", "B3", "G2", "D4"):
-            system = RootSystemId.parse(tag)
+        # Two routes to one fixed space: the rational solve, and the unknowns
+        # less the Smith rank of the integer equations.
+        for system in all_systems(8):
+            n = system.rank
+            size = n * (n + 1) // 2
             gens = [embed_block_diag(r) for r in simple_reflections(system)]
             space = fixed_symmetric_space(gens)
-            assert space.dimension == 1
-            from weylppav.verify import _proportional
-
-            assert _proportional(space.basis[0], riemann_family(system).z0)
+            rows, rhs = fixed_space_equations(gens)
+            assert not any(rhs)
+            assert size - smith_rank(rows, size) == space.dimension == 1
+            z0 = riemann_family(system).z0
+            assert proportional(space.basis[0], z0)
+            vec = sym_to_vec(z0)
+            assert all(sum(c * x for c, x in zip(row, vec)) == 0 for row in rows)
+            # One reflection alone keeps n equations, of rank n - 1: its
+            # (i, i) row is a combination of its other rows, because the
+            # Cartan diagonal is 2. A1's only equation is 0 = 0, dropped.
+            for gen in gens:
+                rows, _ = fixed_space_equations([gen])
+                if n == 1:
+                    assert rows == []
+                else:
+                    assert (len(rows), smith_rank(rows, size)) == (n, n - 1)
 
     def test_lower_block_rejected(self):
         with pytest.raises(UnsupportedGenerator):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -7,9 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from weylppav import (DivisorChain, LevelViolation, Matrix, RootSystemId,
-                      SymplecticMat, all_systems, centralizer_element,
-                      expected_order, generate_group, gram_matrix, riemann_family,
-                      simple_reflections)
+                      SymplecticMat, all_systems, centralizer_element, embed_block_diag,
+                      expected_order, fixed_symmetric_space, generate_group, gram_matrix,
+                      riemann_family, simple_reflections)
 from weylppav import ppav, reference
 from weylppav.exactmat import SnfResult
 from weylppav.ppav import EllipticDecomposition
@@ -17,9 +18,9 @@ from weylppav.symplectic import AffineMatrixSpace
 from weylppav import symplectic
 from weylppav import verify
 from weylppav.cli import main
-from weylppav.verify import (_proportional, _span_witness, _spanned_by,
-                             run_verification)
+from weylppav.verify import _span_witness, _spanned_by, run_verification
 from weylppav.weyl import poincare_polynomial
+from conftest import proportional
 
 
 class TestHelpers:
@@ -47,12 +48,12 @@ class TestHelpers:
 
     def test_proportional(self):
         z0 = riemann_family(RootSystemId.parse("A2")).z0
-        assert _proportional(3 * z0, z0)
-        assert _proportional(Fraction(-1, 7) * z0, z0)
-        assert not _proportional(z0 + Matrix.identity(2), z0)
-        assert not _proportional(Matrix.zeros(2), Matrix.identity(2))
-        assert not _proportional(Matrix.identity(2), Matrix.zeros(2))
-        assert _proportional(Matrix.zeros(2), Matrix.zeros(2))
+        assert proportional(3 * z0, z0)
+        assert proportional(Fraction(-1, 7) * z0, z0)
+        assert not proportional(z0 + Matrix.identity(2), z0)
+        assert not proportional(Matrix.zeros(2), Matrix.identity(2))
+        assert not proportional(Matrix.identity(2), Matrix.zeros(2))
+        assert proportional(Matrix.zeros(2), Matrix.zeros(2))
 
 
 class TestRunVerification:
@@ -387,6 +388,21 @@ class TestPropertyWitness:
                 f"B3: simple reflection {first} moves z0",
             "full reflection set fixes exactly the line through z0 (rank <= 6)":
                 "B3: fixed line is not spanned by z0",
+        }
+
+    def test_missing_reflection_names_the_fixed_space_dimension(self):
+        # Without its last simple reflection, B3's reflections generate an A2
+        # that fixes more than the line through z0.
+        catalog = verify._catalog(4)
+        system = RootSystemId.parse("B3")
+        kept = catalog[system].reflections[:-1]
+        catalog[system] = dataclasses.replace(catalog[system], reflections=kept)
+        dimension = fixed_symmetric_space([embed_block_diag(r) for r in kept]).dimension
+        assert dimension > 1
+        sec = verify.check_properties(4, catalog)
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "full reflection set fixes exactly the line through z0 (rank <= 6)":
+                f"B3: fixed space has dimension {dimension}",
         }
 
     def test_broken_embedding_names_the_first_word_pair(self, monkeypatch):
