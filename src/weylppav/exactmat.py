@@ -14,8 +14,12 @@ integral is read off the entries when asked.
 
 Products normalize once, on one path. Each operand is scaled to integer
 numerators by its own denominator lcm (1 for an integer matrix), the
-numerators are multiplied as integers, and the product is divided once by
-the common denominator when that is above 1.
+numerators are multiplied as integers by ``_kernel.mat_mul_flat``, which
+builds each row of the product from the rows of the right factor picked by
+the nonzero entries of the left one, and the product is divided once by
+the common denominator when that is above 1. Zero entries cost no
+arithmetic, so a reflection's unit rows are row copies; keep the sparse
+factor on the left where an identity allows it.
 
 Algorithms are the classical exact ones. All Fraction elimination runs
 through one forward loop, ``_echelon``: ``det`` and
@@ -218,6 +222,9 @@ class Matrix:
         A matrix product runs on integer numerators: each operand is scaled
         by its own ``denominator_lcm``, the numerators are multiplied as ints,
         and only when d = da * db is above 1 is each entry built once as p / d.
+        Each row of the product sums the rows of ``other`` picked by the
+        nonzero entries of the same row of ``self``, so the cost follows the
+        nonzeros of the left factor.
         """
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:

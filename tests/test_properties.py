@@ -17,9 +17,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from weylppav import (Matrix, Singular, SymplecticMat, fixed_symmetric_space,  # noqa: E402
-                      is_symplectic, modular_action, smith_normal_form, solve_affine,
-                      standard_form)
+from weylppav import (Matrix, Singular, SymplecticMat, embed_block_diag,  # noqa: E402
+                      fixed_symmetric_space, is_symplectic, modular_action,
+                      smith_normal_form, solve_affine, standard_form)
 from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -30,6 +30,8 @@ integers = st.integers(-9, 9)
 scalars = st.one_of(integers, st.fractions(-9, 9, max_denominator=6))
 # Fractions over small primes, so two operands often share no denominator.
 coprime = st.builds(Fraction, integers, st.sampled_from((1, 2, 3, 5, 7)))
+# Mostly zero, as in a reflection: rows are empty, single units or short sums.
+sparse = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 
 
 @st.composite
@@ -243,13 +245,17 @@ def test_fixed_space_by_substitution(case):
 @PROPERTY
 @given(generators_fixing(), st.data())
 def test_modular_action_without_lower_left_block(case, data):
-    # With C = 0 the action is computed as (A z + B) A^t; the definition
-    # is (A z + B) D^{-1}, with D inverted here by elimination.
+    # With C = 0 the action is computed as (A z + B) A^t, and as A (A z)^t
+    # when B = 0 too; the definition is (A z + B) D^{-1}, with D inverted
+    # here by elimination. The embedded generators (B = 0) need not fix z*.
     zstar, gens = case
     n = zstar.nrows
     upper = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
     z = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
-    for gen in gens:
+    embedded = [embed_block_diag(data.draw(unimodular_pairs(n))[0])
+                for _ in range(data.draw(st.integers(1, 2)))]
+    assert all(gen.blocks()[1].is_zero() for gen in embedded)
+    for gen in gens + embedded:
         a, b, c, d = gen.blocks()
         assert c.is_zero()
         assert modular_action(gen, z) == (a * z + b) * d.inverse()
@@ -315,12 +321,21 @@ def test_integrality_at_every_entry_position(build):
 
 @st.composite
 def product_operands(draw):
-    """Rows of an n x k and a k x m matrix, each with its own entry strategy."""
+    """Rows of an n x k and a k x m matrix, each with its own entry strategy.
+
+    Sometimes a row of the left factor is forced to zero, and sometimes one
+    is forced to hold a single 1, the rows the product loop treats apart.
+    """
     n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
-    a_entries, b_entries = (draw(st.sampled_from((integers, scalars, coprime)))
+    a_entries, b_entries = (draw(st.sampled_from((integers, scalars, coprime, sparse)))
                             for _ in range(2))
     a = [[draw(a_entries) for _ in range(k)] for _ in range(n)]
     b = [[draw(b_entries) for _ in range(m)] for _ in range(k)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = [0] * k
+    if draw(st.booleans()):
+        unit = draw(st.integers(0, k - 1))
+        a[draw(st.integers(0, n - 1))] = [int(t == unit) for t in range(k)]
     return a, b
 
 
