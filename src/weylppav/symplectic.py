@@ -114,23 +114,22 @@ def embed_block_diag(rho: Matrix) -> SymplecticMat:
 def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
     """Apply z |-> (A z + B)(C z + D)^{-1}; the result is again symmetric.
 
-    When C = 0 the symplectic condition gives D^{-1} = A^t, so the action
-    is (A z + B) A^t and needs no inverse. When B = 0 as well, as for an
-    embedded reflection, it is A z A^t, formed as A (A z)^t: z is symmetric,
-    so (A z)^t = z A^t, and both products keep the sparse A on the left.
+    When C = 0 the symplectic condition gives D^{-1} = A^t and makes B A^t
+    symmetric, so the action (A z + B) A^t = A z A^t + B A^t is symmetric
+    and equals its transpose A (A z + B)^t. It is formed that way: no
+    inverse, and both products keep the sparse A (an embedded reflection)
+    on the left.
     """
     if not z.is_symmetric():
         raise ValueError("symmetric matrix required")
     a, b, c, d = m.blocks()
-    if not c.is_zero():
+    if c.is_zero():
+        result = a * (a * z + b).T
+    else:
         try:
             result = (a * z + b) * (c * z + d).inverse()
         except Singular:
             raise SingularDenominator("C z + D is singular") from None
-    elif b.is_zero():
-        result = a * (a * z).T
-    else:
-        result = (a * z + b) * a.T
     if not result.is_symmetric():
         raise AssertionError("action of a symplectic matrix must preserve symmetry")
     return result

@@ -450,7 +450,7 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
             failure = f"{system}: simple reflection {moved} moves z0"
             break
         moved = next((k for k, auto in enumerate(diagram_automorphisms(system))
-                      if auto.T * z0 * auto != z0), None)
+                      if auto.T * (auto.T * z0).T != z0), None)
         if moved is not None:
             failure = f"{system}: diagram automorphism {moved} moves z0"
             break

@@ -245,9 +245,9 @@ def test_fixed_space_by_substitution(case):
 @PROPERTY
 @given(generators_fixing(), st.data())
 def test_modular_action_without_lower_left_block(case, data):
-    # With C = 0 the action is computed as (A z + B) A^t, and as A (A z)^t
-    # when B = 0 too; the definition is (A z + B) D^{-1}, with D inverted
-    # here by elimination. The embedded generators (B = 0) need not fix z*.
+    # With C = 0 the action is computed as A (A z + B)^t; the definition is
+    # (A z + B) D^{-1}, with D inverted here by elimination. Both B != 0 and
+    # B = 0 generators are drawn. The embedded ones (B = 0) need not fix z*.
     zstar, gens = case
     n = zstar.nrows
     upper = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
