@@ -5,9 +5,9 @@ entry points:
 
   rootsys        root-system catalog (Cartan/Gram data, reflections)
   weyl           finite closure of integer matrix groups
-  ppav           the families Z_tau = tau * z0 and their invariants
+  ppav           the families Z_tau = tau * z0 (Family) and their invariants
   symplectic     Siegel action, fixed spaces, change-of-basis witnesses
-  centralizer    congruence levels, centralizer elements, modular curves
+  centralizer    centralizer elements, modular curves
   verify         whole-catalog verification harness
   cli            command-line front end (console script: weylppav)
 
@@ -23,12 +23,11 @@ USING_COMPILED = False
 
 # Each public name, by the module that defines it.
 _MODULE_OF = {name: module for module, names in {
-    "centralizer": "DeterminantNotOne LevelViolation centralizer_element centralizer_level "
-                   "curve_description",
+    "centralizer": "DeterminantNotOne LevelViolation centralizer_element curve_description",
     "exactmat": "AffineSolution Matrix NotSymmetric Singular SnfResult smith_normal_form "
                 "solve_affine",
-    "ppav": "DivisorChain EllipticDecomposition RiemannFamily coroot_polarization_degree "
-            "divisor_chain group_divisors riemann_family",
+    "ppav": "DivisorChain EllipticDecomposition Family coroot_polarization_degree "
+            "divisor_chain group_divisors",
     "rootsys": "CartanData RootSystemId all_systems cartan_data cartan_matrix "
                "coroot_gram_matrix diagram_automorphisms gram_matrix simple_reflections",
     "symplectic": "AffineMatrixSpace NonUnimodular NotSymplectic SingularDenominator "

@@ -8,8 +8,9 @@ half-plane by the congruence group of matrices whose upper-right entry is
 divisible by N (written Gamma^0(N); level 1 is the full modular group).
 
 N is the largest invariant factor of the Gram matrix S, because S = U * D * V
-with U, V unimodular, so ``centralizer_level`` reads it off the Smith form;
-``centralizer_element`` needs z0 anyway and checks that b * z0 is integral.
+with U, V unimodular; ``Family.level`` reads it off the divisor chain.
+``centralizer_element`` reads z0 and S off the family, so it takes no
+inverse and no Smith form, and checks that b * z0 is integral.
 
 Exhaustiveness of this shape is an assumption recorded here, not something
 the toolkit proves; what it checks is that every constructed element is
@@ -19,8 +20,7 @@ symplectic and commutes with the embedded generators.
 from __future__ import annotations
 
 from .exactmat import Matrix
-from .ppav import divisor_chain, riemann_family
-from .rootsys import RootSystemId, gram_matrix
+from .ppav import Family
 from .symplectic import SymplecticMat
 
 
@@ -32,30 +32,17 @@ class LevelViolation(ValueError):
     """b * z0 is not integral: b must be a multiple of the level."""
 
 
-def centralizer_level(system: RootSystemId) -> int:
-    """Least N with N * z0 integral: the largest invariant factor of the Gram matrix.
-
-    S = U * D * V with U, V unimodular, so N * z0 is integral iff N * D^{-1} is.
-    """
-    return divisor_chain(system).divisors[0]
-
-
-def centralizer_element(system: RootSystemId, a: int, b: int, c: int,
+def centralizer_element(family: Family, a: int, b: int, c: int,
                         d: int) -> SymplecticMat:
     """Build [[a*I, b*z0], [c*z0^{-1}, d*I]] as an integer symplectic matrix."""
     if a * d - b * c != 1:
         raise DeterminantNotOne(f"ad - bc = {a * d - b * c}")
-    n = system.rank
+    n = family.form.nrows
     ident = Matrix.identity(n)
-    if b:
-        z0 = riemann_family(system).z0
-        top_right = b * z0
-        if not top_right.is_integral():
-            raise LevelViolation(f"b = {b} is not a multiple of the level "
-                                 f"{z0.denominator_lcm()}")
-    else:
-        top_right = Matrix.zeros(n)
-    bottom_left = c * gram_matrix(system)  # z0^{-1} is the Gram matrix, always integral
+    top_right = b * family.z0
+    if not top_right.is_integral():
+        raise LevelViolation(f"b = {b} is not a multiple of the level {family.level}")
+    bottom_left = c * family.form  # z0^{-1} is the Gram matrix, always integral
     return SymplecticMat(n, Matrix.block2(a * ident, top_right,
                                           bottom_left, d * ident))
 

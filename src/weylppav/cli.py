@@ -92,10 +92,10 @@ def _parse_tag(tag: str):
 
 
 def cmd_z0(args) -> int:
-    from .ppav import riemann_family
+    from .rootsys import gram_matrix
     system = _parse_tag(args.system)
     _emit({"system": str(system),
-           "z0": fmt_matrix(riemann_family(system).z0)}, args.pretty)
+           "z0": fmt_matrix(gram_matrix(system).inverse())}, args.pretty)
     return 0
 
 
@@ -120,8 +120,9 @@ def cmd_cartan(args) -> int:
 
 def cmd_decompose(args) -> int:
     from .ppav import divisor_chain, group_divisors
+    from .rootsys import gram_matrix
     system = _parse_tag(args.system)
-    chain = divisor_chain(system)
+    chain = divisor_chain(gram_matrix(system))
     _emit({"system": str(system),
            "divisors": list(chain.divisors),
            "decomposition": group_divisors(chain).render()}, args.pretty)
@@ -129,9 +130,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_centralizer(args) -> int:
-    from .centralizer import centralizer_level, curve_description
+    from .centralizer import curve_description
+    from .ppav import divisor_chain
+    from .rootsys import gram_matrix
     system = _parse_tag(args.system)
-    level = centralizer_level(system)
+    level = divisor_chain(gram_matrix(system)).divisors[0]
     _emit({"system": str(system), "level": level, "curve": curve_description(level)},
           args.pretty)
     return 0

@@ -6,9 +6,10 @@ throughout: membership of tau in the upper half-plane is a documented
 precondition, never a numeric check, since every verifiable claim here is
 an identity in exact rational matrices.
 
-The invariant factors of the Gram matrix drive everything else: the
-splitting of the associated abelian variety into elliptic curves, and the
-congruence level of the family.
+A ``Family`` is built from the representation and the form it preserves:
+the Gram matrix and the simple reflections. Its invariant factors drive
+everything else: the splitting of the associated abelian variety into
+elliptic curves, and the congruence level of the family.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmat import Matrix, smith_normal_form
-from .rootsys import RootSystemId, coroot_gram_matrix, gram_matrix
-
-
-@dataclass(frozen=True)
-class RiemannFamily:
-    """Base matrix z0 of the family Z_tau = tau * z0, tau in H_1."""
-
-    system: RootSystemId
-    z0: Matrix
-    description: str
+from .rootsys import RootSystemId, coroot_gram_matrix, gram_matrix, simple_reflections
 
 
 @dataclass(frozen=True)
@@ -43,6 +35,37 @@ class DivisorChain:
 
 
 @dataclass(frozen=True)
+class Family:
+    """The family Z_tau = tau * z0, tau in H_1, of an integral form.
+
+    ``form`` is the invariant Gram matrix S, ``generators`` the matrices of
+    the representation that preserve it, ``z0`` = S^{-1} and ``chain`` the
+    invariant factors of S.
+    """
+
+    form: Matrix
+    generators: tuple
+    z0: Matrix
+    chain: DivisorChain
+
+    @classmethod
+    def from_system(cls, system: RootSystemId) -> "Family":
+        """The Gram form of a root system and its simple reflections."""
+        form = gram_matrix(system)
+        return cls(form, tuple(simple_reflections(system)), form.inverse(),
+                   divisor_chain(form))
+
+    @property
+    def level(self) -> int:
+        """Least N with N * z0 integral: the largest invariant factor of S.
+
+        S = U * D * V with U, V unimodular, so N * z0 is integral iff
+        N * D^{-1} is.
+        """
+        return self.chain.divisors[0]
+
+
+@dataclass(frozen=True)
 class EllipticDecomposition:
     """Multiset of elliptic factors: (divisor d, multiplicity m) means E_{tau/d}^m."""
 
@@ -56,19 +79,9 @@ class EllipticDecomposition:
         return " x ".join(parts)
 
 
-def riemann_family(system: RootSystemId) -> RiemannFamily:
-    """Exact base matrix z0 = gram_matrix(system)^{-1}."""
-    z0 = gram_matrix(system).inverse()
-    return RiemannFamily(
-        system=system,
-        z0=z0,
-        description="Z_tau = tau * z0 for tau in the upper half-plane",
-    )
-
-
-def divisor_chain(system: RootSystemId) -> DivisorChain:
-    """Invariant factors of the Gram matrix, largest first."""
-    diag = smith_normal_form(gram_matrix(system)).diagonal()
+def divisor_chain(form: Matrix) -> DivisorChain:
+    """Invariant factors of an integral form, largest first."""
+    diag = smith_normal_form(form).diagonal()
     return DivisorChain(divisors=tuple(reversed(diag)))
 
 

@@ -18,10 +18,8 @@ from math import prod
 from . import reference
 from .centralizer import centralizer_element, curve_description
 from .exactmat import Matrix, smith_normal_form, solve_affine
-from .ppav import (DivisorChain, coroot_polarization_degree, divisor_chain,
-                   group_divisors, riemann_family)
-from .rootsys import (RootSystemId, all_systems, diagram_automorphisms,
-                      gram_matrix, simple_reflections)
+from .ppav import Family, coroot_polarization_degree, group_divisors
+from .rootsys import RootSystemId, all_systems, diagram_automorphisms
 from .symplectic import (SymplecticMat, embed_block_diag, fixed_space_equations,
                          fixed_symmetric_space, is_symplectic, modular_action, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
@@ -83,27 +81,13 @@ def _span_witness(computed, published, n: int) -> str:
                 else f"{len(vecs_a)} computed matrices, {len(vecs_b)} published"))
 
 
-@dataclass(frozen=True)
-class _SystemData:
-    """One system's exact data, shared by every section of a pass."""
-
-    gram: Matrix
-    reflections: list
-    z0: Matrix
-    chain: DivisorChain
-
-
 def _catalog(max_rank: int) -> dict:
-    """Every system through max_rank -> its ``_SystemData``, in catalog order.
+    """Every system through max_rank -> its ``Family``, in catalog order.
 
     ``run_verification`` builds this once and hands it to every section that
-    reads it: one Gram inverse and one divisor chain per system per pass,
-    through this module's names ``gram_matrix``, ``simple_reflections``,
-    ``riemann_family`` and ``divisor_chain``.
+    reads it: one Gram inverse and one divisor chain per system per pass.
     """
-    return {system: _SystemData(gram_matrix(system), simple_reflections(system),
-                                riemann_family(system).z0, divisor_chain(system))
-            for system in all_systems(max_rank)}
+    return {system: Family.from_system(system) for system in all_systems(max_rank)}
 
 
 def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
@@ -150,8 +134,8 @@ def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
     A failing identity or closed-form check names its first wrong cell.
     """
     sec = Section("riemann-matrices")
-    for system, data in catalog.items():
-        z0, gram = data.z0, data.gram
+    for system, family in catalog.items():
+        z0, gram = family.z0, family.form
         wrong = _first_wrong_cell("gram * z0", gram * z0, Matrix.identity(system.rank))
         sec.add(f"{system}: gram * z0 = identity", not wrong, wrong)
         wrong = _definiteness_witness(z0)
@@ -187,8 +171,8 @@ def check_divisor_chains(max_rank: int, catalog: dict) -> Section:
     names its witness: the first wrong cell, the non-integral factor, the
     two numbers that differ or the regrouped chain."""
     sec = Section("torus-decompositions")
-    for system, data in catalog.items():
-        gram, chain = data.gram, data.chain
+    for system, family in catalog.items():
+        gram, chain = family.form, family.chain
         det = gram.det()
         snf = smith_normal_form(gram)
         diag = snf.diagonal()
@@ -219,15 +203,16 @@ def check_divisor_chains(max_rank: int, catalog: dict) -> Section:
 def check_levels(max_rank: int, catalog: dict) -> Section:
     """Triple agreement: published level, largest invariant factor, z0 denominators.
 
-    The chain route reads the pass's divisor chain; the z0 route reads the
-    pass's z0, the one Gram inverse per system that riemann-matrices checks
-    against the Gram matrix, and shares no code with the Smith form behind it.
+    The chain route reads ``Family.level`` off the pass's divisor chain; the
+    z0 route reads the pass's z0, the one Gram inverse per system that
+    riemann-matrices checks against the Gram matrix, and shares no code with
+    the Smith form behind it.
     """
     sec = Section("congruence-levels")
-    for system, data in catalog.items():
+    for system, family in catalog.items():
         published = reference.expected_level(system)
-        via_chain = data.chain.divisors[0]
-        via_denoms = data.z0.denominator_lcm()
+        via_chain = family.level
+        via_denoms = family.z0.denominator_lcm()
         sec.add(f"{system}: level {published} agrees across all three routes",
                 published == via_chain == via_denoms,
                 f"chain {via_chain}, denominators {via_denoms}")
@@ -282,11 +267,11 @@ def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
     that compares two matrices names its first wrong cell."""
     sec = Section("principal-splittings")
     for n in range(2, max_rank + 1):
-        data = catalog[RootSystemId("B", n)]
+        family = catalog[RootSystemId("B", n)]
         f, d, m = reference.bn_split_witness(n)
         try:
-            ok = verify_decomposition_witness(f, d, m, data.z0)
-            wrong = "" if ok else _first_wrong_cell("F z0", f * data.z0,
+            ok = verify_decomposition_witness(f, d, m, family.z0)
+            wrong = "" if ok else _first_wrong_cell("F z0", f * family.z0,
                                                     Matrix.diagonal(list(d)) * m)
         except ValueError as exc:  # NonUnimodular, or not a square integer matrix
             wrong = f"reference.bn_split_witness({n}): {exc}"
@@ -298,7 +283,7 @@ def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
         wrong = "" if is_symplectic(block) else _first_wrong_cell(
             "F^t * M", f.T * m, Matrix.identity(n))
         sec.add(f"B{n}: diag-block(F, M) symplectic", not wrong, wrong)
-        wrong = _first_wrong_cell("F^t F", f.T * f, data.gram)
+        wrong = _first_wrong_cell("F^t F", f.T * f, family.form)
         sec.add(f"B{n}: F^t F equals the Gram matrix", not wrong, wrong)
     return sec
 
@@ -371,8 +356,8 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     check, whose failure names the first simple reflection that fails.
     """
     sec = Section("reflection-group-orders")
-    for system, data in catalog.items():
-        refl, gram = data.reflections, data.gram
+    for system, family in catalog.items():
+        refl, gram = family.generators, family.form
         order = expected_order(system)
         wrong = next((f"simple reflection {k}: "
                       + _first_wrong_cell("g^t * gram * g", image, gram)
@@ -410,7 +395,7 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
 
     Each system's embedded simple reflections are computed once and shared,
     with the pass's z0, by the last three checks; the centralizer check reads
-    the level off the pass's divisor chain. The homomorphism check
+    the level, z0 and the form off the pass's family. The homomorphism check
     embeds its own random words, since it is the check of
     ``embed_block_diag``. A failing check names its first failing system and
     generator (or word) in detail.
@@ -422,7 +407,7 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
     failure = ""
     for index in range(100):
         system = rng.choice(systems)
-        refl = catalog[system].reflections
+        refl = catalog[system].generators
         w1 = Matrix.identity(system.rank)
         w2 = Matrix.identity(system.rank)
         for _ in range(rng.randrange(1, 6)):
@@ -438,8 +423,8 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
             break
     sec.add("embedding is a homomorphism on 100 random words", not failure, failure)
 
-    embedded = {system: [embed_block_diag(r) for r in data.reflections]
-                for system, data in catalog.items()}
+    embedded = {system: [embed_block_diag(r) for r in family.generators]
+                for system, family in catalog.items()}
 
     failure = ""
     for system in systems:
@@ -483,9 +468,9 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
     for system in systems:
         if system.rank > 4:
             continue
-        level = catalog[system].chain.divisors[0]
-        elements = [(params, centralizer_element(system, *params).m)
-                    for params in ((1, level, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1))]
+        family = catalog[system]
+        elements = [(params, centralizer_element(family, *params).m)
+                    for params in ((1, family.level, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1))]
         gens = (("simple reflection", embedded[system]),
                 ("diagram automorphism",
                  [embed_block_diag(auto) for auto in diagram_automorphisms(system)]))

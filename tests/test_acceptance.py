@@ -10,11 +10,10 @@ import time
 from fractions import Fraction
 from math import prod
 
-from weylppav import (Matrix, RootSystemId, SymplecticMat, all_systems,
-                      centralizer_level, coroot_polarization_degree,
-                      check_invariance, divisor_chain, embed_block_diag,
-                      fixed_symmetric_space, gram_matrix,
-                      is_symplectic, modular_action, riemann_family,
+from weylppav import (Family, Matrix, RootSystemId, SymplecticMat, all_systems,
+                      coroot_polarization_degree, check_invariance, divisor_chain,
+                      embed_block_diag, fixed_symmetric_space, gram_matrix,
+                      is_symplectic, modular_action,
                       simple_reflections, verify_decomposition_witness,
                       verify_family_isomorphism)
 from weylppav import reference
@@ -35,7 +34,7 @@ def report(ok: bool, label: str):
 def test_criterion_1_riemann_matrix_closed_forms():
     ok = True
     for system in CATALOG:
-        z0 = riemann_family(system).z0
+        z0 = Family.from_system(system).z0
         ok &= gram_matrix(system) * z0 == Matrix.identity(system.rank)
         tag = str(system)
         if tag == "E7":
@@ -57,7 +56,7 @@ def test_criterion_1_riemann_matrix_closed_forms():
 def test_criterion_2_divisor_chains():
     ok = True
     for system in CATALOG:
-        chain = divisor_chain(system).divisors
+        chain = divisor_chain(gram_matrix(system)).divisors
         ok &= chain == reference.expected_divisor_chain(system)
         ok &= prod(chain) == gram_matrix(system).det()
     report(ok, "criterion 2: invariant-factor chains match the published "
@@ -68,9 +67,10 @@ def test_criterion_3_congruence_levels():
     ok = True
     for system in CATALOG:
         published = reference.expected_level(system)
-        ok &= published == centralizer_level(system)
-        ok &= published == divisor_chain(system).divisors[0]
-        ok &= published == riemann_family(system).z0.denominator_lcm()
+        family = Family.from_system(system)
+        ok &= published == family.level
+        ok &= published == divisor_chain(gram_matrix(system)).divisors[0]
+        ok &= published == family.z0.denominator_lcm()
     report(ok, "criterion 3: congruence levels agree across the published "
                "table, the largest invariant factor, and the z0 denominators")
 
@@ -80,16 +80,16 @@ def test_criterion_4_family_witnesses():
     for n in range(4, MAX_RANK + 1):
         ok &= verify_family_isomorphism(
             reference.dn_to_cn_witness(n),
-            riemann_family(RootSystemId("D", n)).z0,
-            riemann_family(RootSystemId("C", n)).z0)
+            Family.from_system(RootSystemId("D", n)).z0,
+            Family.from_system(RootSystemId("C", n)).z0)
     ok &= verify_family_isomorphism(
         reference.d4_to_f4_witness(),
-        riemann_family(RootSystemId("D", 4)).z0,
-        riemann_family(RootSystemId("F", 4)).z0)
+        Family.from_system(RootSystemId("D", 4)).z0,
+        Family.from_system(RootSystemId("F", 4)).z0)
     # G2 -> A2: printed witness only works after composing with diag(1, -1);
     # the failure of the raw form is the documented discrepancy.
-    z_g2 = riemann_family(RootSystemId("G", 2)).z0
-    z_a2 = riemann_family(RootSystemId("A", 2)).z0
+    z_g2 = Family.from_system(RootSystemId("G", 2)).z0
+    z_a2 = Family.from_system(RootSystemId("A", 2)).z0
     printed = reference.g2_to_a2_witness_printed()
     ok &= not verify_family_isomorphism(printed, z_g2, z_a2)
     ok &= verify_family_isomorphism(reference.g2_to_a2_sign_fix() * printed,
@@ -99,7 +99,7 @@ def test_criterion_4_family_witnesses():
     for n in range(1, MAX_RANK + 1):
         ok &= verify_family_isomorphism(
             reference.an_alternate_witness(n),
-            riemann_family(RootSystemId("A", n)).z0,
+            Family.from_system(RootSystemId("A", n)).z0,
             F(1, n + 1) * reference.an_alternate_base_printed(n))
     report(ok, "criterion 4: explicit change-of-basis witnesses verify "
                "(G2 -> A2 after the documented sign composition)")
@@ -109,7 +109,7 @@ def test_criterion_5_bn_principal_splitting():
     ok = True
     for n in range(2, MAX_RANK + 1):
         system = RootSystemId("B", n)
-        z0 = riemann_family(system).z0
+        z0 = Family.from_system(system).z0
         f, d, m = reference.bn_split_witness(n)
         ok &= verify_decomposition_witness(f, d, m, z0)
         ok &= m == f.inverse().T
@@ -124,7 +124,7 @@ def test_criterion_6_order5_fixed_space():
     m1, m2 = reference.cyclic5_fixed_span()
     ok = space.dimension == 2
     ok &= not _span_witness(space.basis, (m1, m2), space.n)
-    ok &= 5 * riemann_family(RootSystemId("A", 4)).z0 == m1
+    ok &= 5 * Family.from_system(RootSystemId("A", 4)).z0 == m1
     report(ok, "criterion 6: the order-5 action fixes exactly the published "
                "2-dimensional span, whose first matrix is 5 * z0(A4)")
 
@@ -190,7 +190,7 @@ def test_criterion_10_property_suites():
         ok &= embed_block_diag(w1).m * embed_block_diag(w2).m == \
             embed_block_diag(w1 * w2).m
     for system in CATALOG:
-        z0 = riemann_family(system).z0
+        z0 = Family.from_system(system).z0
         for refl in simple_reflections(system):
             ok &= modular_action(embed_block_diag(refl), z0) == z0
     for system in CATALOG:
@@ -199,7 +199,7 @@ def test_criterion_10_property_suites():
         gens = [embed_block_diag(r) for r in simple_reflections(system)]
         space = fixed_symmetric_space(gens)
         ok &= space.dimension == 1
-        ok &= proportional(space.basis[0], riemann_family(system).z0)
+        ok &= proportional(space.basis[0], Family.from_system(system).z0)
     report(ok, "criterion 10: embedding homomorphism on 100 random words; "
                "every reflection fixes z0; full reflection sets pin the "
                "one-dimensional family (rank <= 6)")

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import weylppav
-from weylppav import (Matrix, RootSystemId, all_systems, embed_block_diag,
-                      expected_order, generate_group, riemann_family, smith_normal_form)
+from weylppav import (Family, Matrix, RootSystemId, all_systems, embed_block_diag,
+                      expected_order, generate_group, smith_normal_form)
 from weylppav import cli, ppav, verify
 from weylppav.cli import (MAX_FIXED_SPACE_BYTES, MAX_FIXED_SPACE_GENERATORS,
                           MAX_FIXED_SPACE_N, MAX_GROUP_ENTRIES, MAX_QUERY_RANK,
@@ -61,7 +61,7 @@ class TestQueries:
         payload = run_json(capsys, "z0", "E7")
         reparsed = Matrix([[parse_scalar(x) for x in row]
                            for row in payload["z0"]])
-        assert reparsed == riemann_family(RootSystemId.parse("E7")).z0
+        assert reparsed == Family.from_system(RootSystemId.parse("E7")).z0
 
     def test_round_trip_all_systems(self, capsys):
         from weylppav import all_systems, gram_matrix
@@ -69,7 +69,7 @@ class TestQueries:
         for system in all_systems(8):
             payload = run_json(capsys, "z0", str(system))
             assert Matrix([[parse_scalar(x) for x in row]
-                           for row in payload["z0"]]) == riemann_family(system).z0
+                           for row in payload["z0"]]) == Family.from_system(system).z0
             payload = run_json(capsys, "gram", str(system))
             assert Matrix([[parse_scalar(x) for x in row]
                            for row in payload["gram"]]) == gram_matrix(system)
@@ -202,21 +202,22 @@ class TestQueries:
             assert hasattr(weylppav, name), name
 
 
-# The public names of the package, as exported when it still imported every
-# module eagerly.
+# The public names of the package: those it exported when it still imported
+# every module eagerly, with ``Family`` in place of ``RiemannFamily``,
+# ``riemann_family`` and ``centralizer_level``.
 PUBLIC_NAMES = {
     "AffineMatrixSpace", "AffineSolution", "CartanData", "DeterminantNotOne",
-    "DivisorChain", "EllipticDecomposition", "LevelViolation", "Matrix",
-    "MatrixGroup", "NonUnimodular", "NonUnimodularGenerator", "NotSymmetric",
-    "NotSymplectic", "RiemannFamily", "RootSystemId", "Singular",
-    "SingularDenominator", "SnfResult", "SymplecticMat", "UnsupportedGenerator",
-    "USING_COMPILED", "all_systems", "cartan_data", "cartan_matrix",
-    "centralizer_element", "centralizer_level", "check_invariance",
+    "DivisorChain", "EllipticDecomposition", "Family", "LevelViolation",
+    "Matrix", "MatrixGroup", "NonUnimodular", "NonUnimodularGenerator",
+    "NotSymmetric", "NotSymplectic", "RootSystemId", "Singular",
+    "SingularDenominator", "SnfResult", "SymplecticMat",
+    "UnsupportedGenerator", "USING_COMPILED", "all_systems", "cartan_data",
+    "cartan_matrix", "centralizer_element", "check_invariance",
     "coroot_gram_matrix", "coroot_polarization_degree", "curve_description",
     "diagram_automorphisms", "divisor_chain", "embed_block_diag",
     "expected_order", "fixed_symmetric_space", "generate_group", "gram_matrix",
-    "group_divisors", "is_symplectic", "modular_action", "riemann_family",
-    "simple_reflections", "smith_normal_form", "solve_affine", "standard_form",
+    "group_divisors", "is_symplectic", "modular_action", "simple_reflections",
+    "smith_normal_form", "solve_affine", "standard_form",
     "verify_decomposition_witness", "verify_family_isomorphism",
 }
 
@@ -227,10 +228,10 @@ def loaded():
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "weylppav")))
 import weylppav.cli as cli
 loaded()
-cli.main(["gram", "B5"])
-loaded()
-cli.main(["degrees", "E7"])
-loaded()
+for argv in (["gram", "B5"], ["z0", "B5"], ["decompose", "B5"], ["centralizer", "B5"],
+             ["degrees", "E7"]):
+    cli.main(argv)
+    loaded()
 """
 
 API_PROBE = """
@@ -264,14 +265,22 @@ class TestLazyImport:
         from weylppav.reference import DEGREE_LIST_NOTE
 
         lines = fresh_python(LAZY_STARTUP).splitlines()
-        assert len(lines) == 5
+        assert len(lines) == 11
         assert json.loads(lines[0]) == ["weylppav", "weylppav.cli"]
-        assert json.loads(lines[1])["system"] == "B5"
-        after_gram = set(json.loads(lines[2]))
+        assert [json.loads(line)["system"] for line in lines[1:9:2]] == ["B5"] * 4
+        after_gram, after_z0, after_decompose, after_centralizer = (
+            set(json.loads(line)) for line in lines[2:10:2])
         for name in ("verify", "reference", "weyl", "symplectic", "centralizer", "ppav"):
             assert f"weylppav.{name}" not in after_gram, name
-        assert json.loads(lines[3])["note"] == DEGREE_LIST_NOTE
-        assert "weylppav.reference" in json.loads(lines[4])
+        # z0 inverts the Gram matrix, so it needs rootsys and exactmat only;
+        # decompose adds ppav, and centralizer adds the module of
+        # curve_description, which imports symplectic.
+        assert after_z0 == after_gram
+        assert after_decompose - after_z0 == {"weylppav.ppav"}
+        assert after_centralizer - after_decompose == {"weylppav.centralizer",
+                                                       "weylppav.symplectic"}
+        assert json.loads(lines[9])["note"] == DEGREE_LIST_NOTE
+        assert "weylppav.reference" in json.loads(lines[10])
 
     def test_package_api_unchanged(self, fresh_python):
         out = json.loads(fresh_python(API_PROBE))

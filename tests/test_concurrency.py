@@ -3,18 +3,16 @@
 import json
 from concurrent.futures import ThreadPoolExecutor
 
-from weylppav import (all_systems, divisor_chain, embed_block_diag,
-                      fixed_symmetric_space, generate_group, riemann_family,
-                      simple_reflections)
+from weylppav import (Family, all_systems, embed_block_diag, fixed_symmetric_space,
+                      generate_group, simple_reflections)
 from weylppav.verify import run_verification
 
 
 def _profile(system):
-    family = riemann_family(system)
-    chain = divisor_chain(system)
+    family = Family.from_system(system)
     space = fixed_symmetric_space(
         [embed_block_diag(r) for r in simple_reflections(system)])
-    return (str(system), family.z0, chain.divisors,
+    return (str(system), family.z0, family.chain.divisors,
             space.particular, space.basis)
 
 
@@ -60,7 +58,7 @@ sys.setswitchinterval(1e-6)
 
 def family(start):
     start()
-    return weylppav.riemann_family(weylppav.RootSystemId.parse("E6")).z0
+    return weylppav.Family.from_system(weylppav.RootSystemId.parse("E6")).z0
 
 def closure(start):
     start()

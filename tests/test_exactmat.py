@@ -3,8 +3,8 @@ from math import gcd, prod
 
 import pytest
 
-from weylppav import (Matrix, NotSymmetric, RootSystemId, Singular, all_systems,
-                      cartan_matrix, embed_block_diag, gram_matrix, riemann_family,
+from weylppav import (Family, Matrix, NotSymmetric, RootSystemId, Singular, all_systems,
+                      cartan_matrix, embed_block_diag, gram_matrix,
                       simple_reflections, smith_normal_form, solve_affine)
 from conftest import oracle_det, oracle_inverse
 
@@ -397,7 +397,7 @@ class TestPositiveDefinite:
         assert not Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).is_positive_definite()
 
     def test_catalog_z0_without_det(self, monkeypatch):
-        z0s = [riemann_family(system).z0 for system in all_systems(8)]
+        z0s = [Family.from_system(system).z0 for system in all_systems(8)]
 
         def no_det(self):
             raise AssertionError("is_positive_definite called det")

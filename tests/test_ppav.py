@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 from math import prod
 
-from weylppav import (DivisorChain, Matrix, RootSystemId, all_systems,
-                      centralizer_level, coroot_polarization_degree,
-                      diagram_automorphisms, divisor_chain, gram_matrix,
-                      group_divisors, riemann_family)
+import pytest
+
+from weylppav import (DivisorChain, Family, Matrix, RootSystemId, all_systems,
+                      coroot_polarization_degree, diagram_automorphisms,
+                      divisor_chain, gram_matrix, group_divisors, simple_reflections)
 from weylppav.reference import (cyclic5_fixed_span, expected_degree,
                                 expected_divisor_chain, expected_level)
 
@@ -15,50 +17,58 @@ CATALOG = list(all_systems(8))
 
 class TestRiemannFamily:
     def test_g2(self):
-        fam = riemann_family(RootSystemId.parse("G2"))
+        fam = Family.from_system(RootSystemId.parse("G2"))
         assert fam.z0 == Matrix([[2, 1], [1, F(2, 3)]])
 
     def test_b4_min_pattern(self):
-        z0 = riemann_family(RootSystemId.parse("B4")).z0
+        z0 = Family.from_system(RootSystemId.parse("B4")).z0
         assert z0 == Matrix([[min(i, j) for j in range(1, 5)] for i in range(1, 5)])
 
     def test_a4(self):
-        z0 = riemann_family(RootSystemId.parse("A4")).z0
+        z0 = Family.from_system(RootSystemId.parse("A4")).z0
         expected = F(1, 5) * Matrix([[4, 3, 2, 1], [3, 6, 4, 2],
                                      [2, 4, 6, 3], [1, 2, 3, 4]])
         assert z0 == expected
 
     def test_z0_inverts_gram_everywhere(self):
         for system in CATALOG:
-            fam = riemann_family(system)
+            fam = Family.from_system(system)
             assert gram_matrix(system) * fam.z0 == Matrix.identity(system.rank)
             assert fam.z0.is_symmetric()
             assert fam.z0.is_positive_definite()
 
     def test_diagram_automorphisms_fix_z0(self):
         for system in CATALOG:
-            z0 = riemann_family(system).z0
+            z0 = Family.from_system(system).z0
             for p in diagram_automorphisms(system):
                 assert p.T * z0 * p == z0
 
+    def test_family_is_a_hashable_frozen_value(self):
+        a2 = RootSystemId.parse("A2")
+        fam = Family.from_system(a2)
+        assert hash(fam) == hash(Family.from_system(a2))
+        assert fam.generators == tuple(simple_reflections(a2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.z0 = Matrix.identity(2)
+
     def test_a4_matches_first_span_matrix(self):
-        z0 = riemann_family(RootSystemId.parse("A4")).z0
+        z0 = Family.from_system(RootSystemId.parse("A4")).z0
         assert 5 * z0 == cyclic5_fixed_span()[0]
 
 
 class TestDivisorChain:
     def test_a4(self):
-        assert divisor_chain(RootSystemId.parse("A4")).divisors == (5, 1, 1, 1)
+        assert divisor_chain(gram_matrix(RootSystemId.parse("A4"))).divisors == (5, 1, 1, 1)
 
     def test_d6(self):
-        assert divisor_chain(RootSystemId.parse("D6")).divisors == (2, 2, 1, 1, 1, 1)
+        assert divisor_chain(gram_matrix(RootSystemId.parse("D6"))).divisors == (2, 2, 1, 1, 1, 1)
 
     def test_c5(self):
-        assert divisor_chain(RootSystemId.parse("C5")).divisors == (4, 1, 1, 1, 1)
+        assert divisor_chain(gram_matrix(RootSystemId.parse("C5"))).divisors == (4, 1, 1, 1, 1)
 
     def test_whole_catalog(self):
         for system in CATALOG:
-            chain = divisor_chain(system).divisors
+            chain = divisor_chain(gram_matrix(system)).divisors
             assert chain == expected_divisor_chain(system), str(system)
             assert prod(chain) == gram_matrix(system).det()
             for i in range(len(chain) - 1):
@@ -72,12 +82,12 @@ class TestDivisorChain:
 
         monkeypatch.setattr(Matrix, "det", no_det)
         for system in CATALOG:
-            assert divisor_chain(system).divisors == expected_divisor_chain(system)
+            assert divisor_chain(gram_matrix(system)).divisors == expected_divisor_chain(system)
 
 
 def elliptic_factors(tag):
     """The elliptic decomposition of a system: its grouped divisor chain."""
-    return group_divisors(divisor_chain(RootSystemId.parse(tag)))
+    return group_divisors(divisor_chain(gram_matrix(RootSystemId.parse(tag))))
 
 
 class TestEllipticDecomposition:
@@ -97,14 +107,14 @@ class TestEllipticDecomposition:
 
     def test_multiplicities_sum_to_rank(self):
         for system in CATALOG:
-            factors = group_divisors(divisor_chain(system)).factors
+            factors = group_divisors(divisor_chain(gram_matrix(system))).factors
             assert sum(m for _, m in factors) == system.rank
 
     def test_groups_a_given_chain(self):
         assert group_divisors(DivisorChain((4, 2, 2, 1, 1, 1))).factors == \
             ((1, 3), (2, 2), (4, 1))
         for system in CATALOG:
-            chain = divisor_chain(system)
+            chain = divisor_chain(gram_matrix(system))
             factors = group_divisors(chain).factors
             assert tuple(sorted((d for d, m in factors for _ in range(m)),
                                 reverse=True)) == chain.divisors
@@ -113,16 +123,16 @@ class TestEllipticDecomposition:
 class TestExponentLevel:
     # The level is the exponent of Z^n / S Z^n: the largest invariant factor.
     def test_examples(self):
-        assert centralizer_level(RootSystemId.parse("A6")) == 7
-        assert centralizer_level(RootSystemId.parse("E6")) == 3
-        assert centralizer_level(RootSystemId.parse("B5")) == 1
+        assert Family.from_system(RootSystemId.parse("A6")).level == 7
+        assert Family.from_system(RootSystemId.parse("E6")).level == 3
+        assert Family.from_system(RootSystemId.parse("B5")).level == 1
 
     def test_equals_denominator_lcm_everywhere(self):
         for system in CATALOG:
-            level = centralizer_level(system)
-            assert level == riemann_family(system).z0.denominator_lcm()
-            assert level == divisor_chain(system).divisors[0]
-            assert level == expected_level(system)
+            family = Family.from_system(system)
+            assert family.level == family.z0.denominator_lcm()
+            assert family.level == divisor_chain(gram_matrix(system)).divisors[0]
+            assert family.level == expected_level(system)
 
 
 class TestCorootPolarizationDegree:
@@ -144,8 +154,8 @@ class TestHigherRanks:
 
         for tag in ("A12", "B11", "C10", "D12", "D13"):
             system = RootSystemId.parse(tag)
-            z0 = riemann_family(system).z0
-            assert gram_matrix(system) * z0 == Matrix.identity(system.rank)
-            assert z0 == closed_form_z0(system)
-            assert divisor_chain(system).divisors == expected_divisor_chain(system)
-            assert centralizer_level(system) == expected_level(system)
+            family = Family.from_system(system)
+            assert gram_matrix(system) * family.z0 == Matrix.identity(system.rank)
+            assert family.z0 == closed_form_z0(system)
+            assert family.chain.divisors == expected_divisor_chain(system)
+            assert family.level == expected_level(system)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from weylppav import (Matrix, NonUnimodular, NotSymplectic, RootSystemId,
+from weylppav import (Family, Matrix, NonUnimodular, NotSymplectic, RootSystemId,
                       SingularDenominator, SymplecticMat, UnsupportedGenerator,
                       all_systems, diagram_automorphisms, embed_block_diag, fixed_symmetric_space,
-                      gram_matrix, is_symplectic, modular_action, riemann_family,
+                      gram_matrix, is_symplectic, modular_action,
                       simple_reflections, standard_form,
                       verify_decomposition_witness, verify_family_isomorphism)
 from weylppav import symplectic
@@ -29,7 +29,7 @@ def smith_rank(rows, size):
 
 
 def z0(tag):
-    return riemann_family(RootSystemId.parse(tag)).z0
+    return Family.from_system(RootSystemId.parse(tag)).z0
 
 
 class TestEmbedBlockDiag:
@@ -335,7 +335,7 @@ class TestFixedSymmetricSpace:
             rows, rhs = fixed_space_equations(gens)
             assert not any(rhs)
             assert size - smith_rank(rows, size) == space.dimension == 1
-            z0 = riemann_family(system).z0
+            z0 = Family.from_system(system).z0
             assert proportional(space.basis[0], z0)
             vec = sym_to_vec(z0)
             assert all(sum(c * x for c, x in zip(row, vec)) == 0 for row in rows)
@@ -407,9 +407,9 @@ class TestDecompositionWitness:
         for n in range(2, 9):
             system = RootSystemId("B", n)
             f, d, m = bn_split_witness(n)
-            assert verify_decomposition_witness(f, d, m, riemann_family(system).z0)
+            assert verify_decomposition_witness(f, d, m, Family.from_system(system).z0)
             assert m == f.inverse().T
-            assert m == f * riemann_family(system).z0
+            assert m == f * Family.from_system(system).z0
             block = Matrix.block2(f, Matrix.zeros(n), Matrix.zeros(n), m)
             assert is_symplectic(block)
             assert f.T * f == gram_matrix(system)

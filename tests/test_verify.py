@@ -7,10 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylppav import (DivisorChain, LevelViolation, Matrix, RootSystemId,
+from weylppav import (DivisorChain, Family, LevelViolation, Matrix, RootSystemId,
                       SymplecticMat, all_systems, centralizer_element, embed_block_diag,
                       expected_order, fixed_symmetric_space, generate_group, gram_matrix,
-                      riemann_family, simple_reflections)
+                      simple_reflections)
 from weylppav import ppav, reference
 from weylppav.exactmat import SnfResult
 from weylppav.ppav import EllipticDecomposition
@@ -47,7 +47,7 @@ class TestHelpers:
             "published span matrix 0 is 2 x 3, expected 2 x 2"
 
     def test_proportional(self):
-        z0 = riemann_family(RootSystemId.parse("A2")).z0
+        z0 = Family.from_system(RootSystemId.parse("A2")).z0
         assert proportional(3 * z0, z0)
         assert proportional(Fraction(-1, 7) * z0, z0)
         assert not proportional(z0 + Matrix.identity(2), z0)
@@ -91,13 +91,11 @@ class TestRunVerification:
         sec = verify.check_riemann_matrices(8, verify._catalog(8))
         assert any(c.status == "fail" for c in sec.checks)
 
-    def test_wrong_level_fails_exactly_one_check(self, monkeypatch):
-        # The catalog takes each chain through verify's own ``divisor_chain``.
-        original = verify.divisor_chain
-        monkeypatch.setattr(verify, "divisor_chain",
-                            lambda system: DivisorChain((4, 1)) if str(system) == "G2"
-                            else original(system))
-        sec = verify.check_levels(2, verify._catalog(2))
+    def test_wrong_level_fails_exactly_one_check(self):
+        catalog = verify._catalog(2)
+        g2 = RootSystemId.parse("G2")
+        catalog[g2] = dataclasses.replace(catalog[g2], chain=DivisorChain((4, 1)))
+        sec = verify.check_levels(2, catalog)
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["G2: level 3 agrees across all three routes"]
         assert failed[0].detail == "chain 4, denominators 3"
@@ -112,15 +110,17 @@ class TestRunVerification:
 
 class TestOnePass:
     def test_each_system_gets_its_exact_data_once(self, monkeypatch):
-        # One pass inverts each Gram matrix once and embeds no simple
-        # reflection through a Smith form; random words that are not
-        # involutions still take that route.
-        families = Counter()
-        original_family = verify.riemann_family
+        # One pass inverts each Gram matrix once, in its family, and embeds
+        # no simple reflection through a Smith form; random words that are
+        # not involutions still take that route.
+        grams = {gram_matrix(system) for system in all_systems(8)}
+        inverted = Counter()
+        original_inverse = Matrix.inverse
 
-        def counted_family(system):
-            families[system] += 1
-            return original_family(system)
+        def counted_inverse(m):
+            if m in grams:
+                inverted[m] += 1
+            return original_inverse(m)
 
         smith_inputs = []
         original_smith = symplectic.smith_normal_form
@@ -129,12 +129,12 @@ class TestOnePass:
             smith_inputs.append(m)
             return original_smith(m)
 
-        monkeypatch.setattr(verify, "riemann_family", counted_family)
+        monkeypatch.setattr(Matrix, "inverse", counted_inverse)
         monkeypatch.setattr(symplectic, "smith_normal_form", recorded_smith)
         report = run_verification(8)
         assert report["status"] == "pass"
-        assert set(families) == set(all_systems(8))
-        assert max(families.values()) == 1
+        assert set(inverted) == grams
+        assert max(inverted.values()) == 1
         reflections = {r for system in all_systems(8)
                        for r in simple_reflections(system)}
         assert smith_inputs
@@ -197,6 +197,8 @@ class TestOnePass:
         def refuse(m):
             raise AssertionError("Smith form taken")
 
+        a8 = Family.from_system(RootSystemId.parse("A8"))
+
         original = verify.centralizer_element
 
         def element(*args):
@@ -208,7 +210,7 @@ class TestOnePass:
         assert run_verification(8)["status"] == "pass"
         monkeypatch.setattr(ppav, "smith_normal_form", refuse)
         with pytest.raises(LevelViolation, match="the level 9"):
-            centralizer_element(RootSystemId.parse("A8"), 1, 3, 0, 1)
+            centralizer_element(a8, 1, 3, 0, 1)
 
 
 def skewed_gram(system):
@@ -219,19 +221,27 @@ def skewed_gram(system):
     return Matrix(rows)
 
 
+def with_form(catalog, system, form):
+    """``catalog`` with the Gram form of ``system`` replaced by ``form``."""
+    catalog[system] = dataclasses.replace(catalog[system], form=form)
+    return catalog
+
+
 def transposed_group(system, cap=1000):
     """The closure of the transposed simple reflections, as verify builds it."""
     return generate_group([s.T for s in simple_reflections(system)], cap)
 
 
 class TestFormWitness:
-    def test_failing_group_orders_build_no_element_matrices(self, monkeypatch,
+    def test_failing_group_orders_build_no_element_matrices(self,
                                                             no_group_matrices):
         # The form is checked on the simple reflections, and the witness is
         # read off their products, never off element matrices.
-        monkeypatch.setattr(verify, "gram_matrix", lambda system: skewed_gram(system)
-                            if system.rank > 1 else gram_matrix(system))
-        sec = verify.check_group_orders(3, verify._catalog(3))
+        catalog = verify._catalog(3)
+        for system in catalog:
+            if system.rank > 1:
+                with_form(catalog, system, skewed_gram(system))
+        sec = verify.check_group_orders(3, catalog)
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == [
             f"{system}: every element preserves the Gram form"
@@ -255,18 +265,14 @@ class TestFormWitness:
         sec = verify.check_group_orders(6, catalog)
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
 
-    def test_wrong_form_fails_exactly_one_check(self, monkeypatch):
-        def wrong(system):
-            return skewed_gram(system) if str(system) == "G2" else gram_matrix(system)
-
-        monkeypatch.setattr(verify, "gram_matrix", wrong)
-        sec = verify.check_group_orders(3, verify._catalog(3))
+    def test_wrong_form_fails_exactly_one_check(self):
+        system = RootSystemId.parse("G2")
+        form = skewed_gram(system)
+        sec = verify.check_group_orders(3, with_form(verify._catalog(3), system, form))
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["G2: every element preserves the Gram form"]
         # The witness is the first simple reflection s with s^t S s != S and
         # its first wrong cell, row by row.
-        system = RootSystemId.parse("G2")
-        form = skewed_gram(system)
         k, image = next((k, s.T * form * s) for k, s in enumerate(simple_reflections(system))
                         if s.T * form * s != form)
         cell = next((i, j) for i in range(2) for j in range(2) if image[i, j] != form[i, j])
@@ -274,32 +280,27 @@ class TestFormWitness:
                                     f"is {image[cell]}, expected {form[cell]}")
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
 
-    def test_generator_level_line_names_the_wrong_form_cell(self, monkeypatch):
+    def test_generator_level_line_names_the_wrong_form_cell(self):
         # E7 is not enumerated; its one generator-level line names the same
         # witness as an enumerated form line: s0 moves the raised (0, 1)
         # entry of the skewed form from 1 to -1.
-        def wrong(system):
-            return skewed_gram(system) if str(system) == "E7" else gram_matrix(system)
-
-        monkeypatch.setattr(verify, "gram_matrix", wrong)
-        sec = verify.check_group_orders(8, verify._catalog(8))
+        e7 = RootSystemId.parse("E7")
+        sec = verify.check_group_orders(8, with_form(verify._catalog(8), e7, skewed_gram(e7)))
         failed = [(c.name, c.detail) for c in sec.checks if c.status == "fail"]
         assert failed == [("E7: generator-level checks (order 2903040 not enumerated)",
                            "simple reflection 0: entry (0, 1) of g^t * gram * g is -1, "
                            "expected 1")]
 
-    def test_generator_level_line_names_a_generator_that_is_no_involution(
-            self, monkeypatch):
+    def test_generator_level_line_names_a_generator_that_is_no_involution(self):
         # s0 * s2 preserves the form but has order 3 (nodes 0 and 2 of E7
         # are joined; s0 and s1 commute, so s0 * s1 would be an involution).
         e7 = RootSystemId.parse("E7")
-        refl = simple_reflections(e7)
+        catalog = verify._catalog(8)
+        refl = catalog[e7].generators
         rotation = refl[0] * refl[2]
         assert rotation.T * gram_matrix(e7) * rotation == gram_matrix(e7)
-        original = verify.simple_reflections
-        monkeypatch.setattr(verify, "simple_reflections", lambda system: (
-            [rotation] + refl[1:] if system == e7 else original(system)))
-        sec = verify.check_group_orders(8, verify._catalog(8))
+        catalog[e7] = dataclasses.replace(catalog[e7], generators=(rotation, *refl[1:]))
+        sec = verify.check_group_orders(8, catalog)
         failed = [(c.name, c.detail) for c in sec.checks if c.status == "fail"]
         assert failed == [("E7: generator-level checks (order 2903040 not enumerated)",
                            "simple reflection 0: g * g != I")]
@@ -367,27 +368,30 @@ class TestTransposedClosure:
 
 
 class TestPropertyWitness:
-    def test_moved_base_matrix_names_system_and_reflection(self, monkeypatch):
+    def test_moved_base_matrix_names_system_and_reflection(self):
         # z0(B3) with its (0, 0) entry raised by one; the Siegel action of
         # an embedded reflection r is z -> r z r^t, applied here directly.
-        original = verify.riemann_family
+        # The centralizer element [[I, z0], [0, I]] (B3 has level 1) commutes
+        # with diag(r, r^t) iff r z0 r^t = z0, so it fails on the same r.
+        catalog = verify._catalog(4)
         system = RootSystemId.parse("B3")
-        rows = [list(r) for r in original(system).z0.rows()]
+        rows = [list(r) for r in catalog[system].z0.rows()]
         rows[0][0] += 1
         moved = Matrix(rows)
-        monkeypatch.setattr(verify, "riemann_family",
-                            lambda s: SimpleNamespace(z0=moved) if s == system
-                            else original(s))
+        catalog[system] = dataclasses.replace(catalog[system], z0=moved)
         first = next(k for k, r in enumerate(simple_reflections(system))
                      if r * moved * r.T != moved)
         assert first == 1
-        sec = verify.check_properties(4, verify._catalog(4))
+        sec = verify.check_properties(4, catalog)
         failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
         assert failed == {
             "every simple reflection fixes z0 under the Siegel action":
                 f"B3: simple reflection {first} moves z0",
             "full reflection set fixes exactly the line through z0 (rank <= 6)":
                 "B3: fixed line is not spanned by z0",
+            "centralizer elements commute with the embedded action (rank <= 4)":
+                f"B3: centralizer element (1, 1, 0, 1) does not commute with "
+                f"simple reflection {first}",
         }
 
     def test_missing_reflection_names_the_fixed_space_dimension(self):
@@ -395,8 +399,8 @@ class TestPropertyWitness:
         # that fixes more than the line through z0.
         catalog = verify._catalog(4)
         system = RootSystemId.parse("B3")
-        kept = catalog[system].reflections[:-1]
-        catalog[system] = dataclasses.replace(catalog[system], reflections=kept)
+        kept = catalog[system].generators[:-1]
+        catalog[system] = dataclasses.replace(catalog[system], generators=kept)
         dimension = fixed_symmetric_space([embed_block_diag(r) for r in kept]).dimension
         assert dimension > 1
         sec = verify.check_properties(4, catalog)
@@ -428,20 +432,21 @@ class TestPropertyWitness:
     def test_non_commuting_element_names_the_first_generator(self, monkeypatch):
         # A reflection r squares to I, so it embeds as diag(r, r^t).
         original = verify.centralizer_element
+        catalog = verify._catalog(3)
         system = RootSystemId.parse("A2")
         shear = Matrix.block2(Matrix.identity(2), Matrix.zeros(2),
                               Matrix([[1, 0], [0, 0]]), Matrix.identity(2))
 
-        def element(s, *params):
-            if s == system and params == (1, 0, 1, 1):
+        def element(family, *params):
+            if family is catalog[system] and params == (1, 0, 1, 1):
                 return SimpleNamespace(m=shear)
-            return original(s, *params)
+            return original(family, *params)
 
         monkeypatch.setattr(verify, "centralizer_element", element)
         embedded = [Matrix.block2(r, Matrix.zeros(2), Matrix.zeros(2), r.T)
                     for r in simple_reflections(system)]
         first = next(k for k, emb in enumerate(embedded) if shear * emb != emb * shear)
-        sec = verify.check_properties(3, verify._catalog(3))
+        sec = verify.check_properties(3, catalog)
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == [
             "centralizer elements commute with the embedded action (rank <= 4)"]
@@ -450,18 +455,16 @@ class TestPropertyWitness:
 
 
 class TestRiemannWitness:
-    def test_wrong_z0_names_the_first_wrong_cell(self, monkeypatch):
+    def test_wrong_z0_names_the_first_wrong_cell(self):
         # z0(B3) is min(i, j); raising its (2, 2) entry to 4 keeps it
         # positive definite, and column 2 of gram * z0 gains column 2 of
         # gram, whose first nonzero entry is gram[1][2] = -1.
-        original = verify.riemann_family
+        catalog = verify._catalog(3)
         system = RootSystemId.parse("B3")
         moved = Matrix([[1, 1, 1], [1, 2, 2], [1, 2, 4]])
-        monkeypatch.setattr(verify, "riemann_family",
-                            lambda s: SimpleNamespace(z0=moved) if s == system
-                            else original(s))
+        catalog[system] = dataclasses.replace(catalog[system], z0=moved)
         assert gram_matrix(system).col(2) == (0, -1, 1)
-        sec = verify.check_riemann_matrices(3, verify._catalog(3))
+        sec = verify.check_riemann_matrices(3, catalog)
         failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
         assert failed == {
             "B3: gram * z0 = identity": "entry (1, 2) of gram * z0 is -1, expected 0",
@@ -473,13 +476,11 @@ class TestRiemannWitness:
         ([[1, 1, 2], [1, 2, 1], [1, 2, 3]], "entry (0, 2) of z0 is 2, expected 1"),
         ([[1, 1, 1], [1, 2, 2], [1, 2, -1]], "leading principal minor 3 of z0 is -3"),
     ], ids=["asymmetric", "negative-diagonal"])
-    def test_indefinite_z0_names_its_witness(self, monkeypatch, moved, detail):
-        original = verify.riemann_family
+    def test_indefinite_z0_names_its_witness(self, moved, detail):
+        catalog = verify._catalog(3)
         system = RootSystemId.parse("B3")
-        monkeypatch.setattr(verify, "riemann_family",
-                            lambda s: SimpleNamespace(z0=Matrix(moved)) if s == system
-                            else original(s))
-        sec = verify.check_riemann_matrices(3, verify._catalog(3))
+        catalog[system] = dataclasses.replace(catalog[system], z0=Matrix(moved))
+        sec = verify.check_riemann_matrices(3, catalog)
         failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
         assert failed["B3: z0 symmetric positive definite"] == detail
 
@@ -557,7 +558,7 @@ class TestBrokenReferenceWitnesses:
     def test_wrong_family_witness_names_the_first_wrong_cell(self, monkeypatch, capsys):
         # With a = I the check compares z0(D4) with z0(C4), which first
         # differ, row by row, at (0, 2).
-        z_d4, z_c4 = (riemann_family(RootSystemId.parse(tag)).z0 for tag in ("D4", "C4"))
+        z_d4, z_c4 = (Family.from_system(RootSystemId.parse(tag)).z0 for tag in ("D4", "C4"))
         assert z_d4.rows()[0][:2] == z_c4.rows()[0][:2]
         assert (z_d4[0, 2], z_c4[0, 2]) == (Fraction(1, 2), 1)
         monkeypatch.setattr(reference, "dn_to_cn_witness", Matrix.identity)
@@ -613,13 +614,13 @@ class TestBrokenReferenceWitnesses:
         ]
 
 
-def g2_torus_failures(monkeypatch, name, value):
-    """The failing torus-decomposition lines, as {name: detail}, with
-    ``verify.<name>`` replaced by ``value(original)`` for G2 only."""
-    original = getattr(verify, name)
-    g2 = RootSystemId.parse("G2")
-    monkeypatch.setattr(verify, name, lambda arg: value(original(arg))
-                        if arg in (g2, gram_matrix(g2)) else original(arg))
+def g2_torus_failures(monkeypatch, change):
+    """The failing torus-decomposition lines, as {name: detail}, with the
+    Smith form of the G2 Gram matrix replaced by ``change(original)``."""
+    original = verify.smith_normal_form
+    g2_gram = gram_matrix(RootSystemId.parse("G2"))
+    monkeypatch.setattr(verify, "smith_normal_form", lambda m: change(original(m))
+                        if m == g2_gram else original(m))
     sec = verify.check_divisor_chains(2, verify._catalog(2))
     return {c.name: c.detail for c in sec.checks if c.status == "fail"}
 
@@ -644,12 +645,15 @@ class TestTorusWitness:
          "product of d is 12, det(gram) is 3"),
     ], ids=["u-cell", "off-diagonal-d", "u-rational", "v-rational", "product"])
     def test_wrong_smith_form_names_its_first_failure(self, monkeypatch, change, detail):
-        assert g2_torus_failures(monkeypatch, "smith_normal_form", change) == {
+        assert g2_torus_failures(monkeypatch, change) == {
             "G2: u * gram * v = d with unimodular u, v": detail}
 
-    def test_wrong_chain_gives_both_numbers(self, monkeypatch):
-        failed = g2_torus_failures(monkeypatch, "divisor_chain",
-                                   lambda chain: DivisorChain((4, 1)))
+    def test_wrong_chain_gives_both_numbers(self):
+        catalog = verify._catalog(2)
+        g2 = RootSystemId.parse("G2")
+        catalog[g2] = dataclasses.replace(catalog[g2], chain=DivisorChain((4, 1)))
+        sec = verify.check_divisor_chains(2, catalog)
+        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
         assert failed == {
             "G2: divisor chain equals published value": "computed (4, 1)",
             "G2: product of divisors equals det(gram)":
