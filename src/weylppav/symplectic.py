@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .exactmat import Matrix, Singular, smith_normal_form, solve_affine
+from ._kernel import mat_mul_flat
+from .exactmat import Matrix, Singular, _numerators, smith_normal_form, solve_affine
 
 
 class NonUnimodular(ValueError):
@@ -73,6 +74,13 @@ class SymplecticMat:
     n: int
     m: Matrix
 
+    @classmethod
+    def _certified(cls, n: int, m: Matrix) -> "SymplecticMat":
+        """Trusted constructor, unchecked: an exact identity has shown m symplectic."""
+        s = object.__new__(cls)
+        s.__dict__.update(n=n, m=m)
+        return s
+
     def __post_init__(self):
         if self.m.nrows != 2 * self.n or self.m.ncols != 2 * self.n:
             raise ValueError(f"matrix size must be {2 * self.n} x {2 * self.n}")
@@ -90,25 +98,26 @@ class SymplecticMat:
 
 
 def embed_block_diag(rho: Matrix) -> SymplecticMat:
-    """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]].
+    """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]], certified by a product.
 
-    An involution (rho * rho = I, as every reflection is) is its own
-    inverse, so its contragredient is rho^t. Any other rho takes one Smith
-    form u * rho * v = d, which decides and inverts: rho is unimodular
-    exactly when d = I, and then rho^{-1} = v * u, an integer matrix.
+    [[rho, 0], [0, X^t]] is symplectic exactly when X rho = I. An involution
+    (rho * rho = I, as every reflection is) is its own inverse by that very
+    product. Otherwise a Smith form u * rho * v = I decides unimodularity,
+    and rho * (v * u) = I certifies the inverse v * u or raises NotSymplectic.
     """
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
     n = rho.nrows
-    if rho * rho == Matrix.identity(n):
-        contragredient = rho.T
-    else:
+    inverse = rho
+    if rho * rho != Matrix.identity(n):
         snf = smith_normal_form(rho)
         if any(x != 1 for x in snf.diagonal()):
             raise NonUnimodular(f"determinant is {rho.det()}")
-        contragredient = (snf.v * snf.u).T
+        inverse = snf.v * snf.u
+        if rho * inverse != Matrix.identity(n):
+            raise NotSymplectic("Smith inverse fails rho * (v * u) = I")
     zero = Matrix.zeros(n)
-    return SymplecticMat(n, Matrix.block2(rho, zero, zero, contragredient))
+    return SymplecticMat._certified(n, Matrix.block2(rho, zero, zero, inverse.T))
 
 
 def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
@@ -116,15 +125,21 @@ def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
 
     When C = 0 the symplectic condition gives D^{-1} = A^t and makes B A^t
     symmetric, so the action (A z + B) A^t = A z A^t + B A^t is symmetric
-    and equals its transpose A (A z + B)^t. It is formed that way: no
-    inverse, and both products keep the sparse A (an embedded reflection)
-    on the left.
+    and equals its transpose A (A z + B)^t. With q the denominator lcm of z
+    it is A (A qz + qB)^t / q: two integer products, the sparse A on the
+    left, qB added only when B != 0, one division and no inverse.
     """
     if not z.is_symmetric():
         raise ValueError("symmetric matrix required")
     a, b, c, d = m.blocks()
     if c.is_zero():
-        result = a * (a * z + b).T
+        n, q = m.n, z.denominator_lcm()
+        inner = mat_mul_flat(a.flat, _numerators(z.flat, q), n, n, n)
+        if not b.is_zero():
+            inner = tuple(x + q * y for x, y in zip(inner, b.flat))
+        flat = mat_mul_flat(a.flat, Matrix._from_canonical(inner, n, n).T.flat, n, n, n)
+        result = Matrix._from_canonical(tuple(Fraction(p, q) if p % q else p // q for p in flat),
+                                        n, n)
     else:
         try:
             result = (a * z + b) * (c * z + d).inverse()

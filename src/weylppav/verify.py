@@ -454,7 +454,7 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
         rows, _ = fixed_space_equations(embedded[system])
         equations = Matrix(rows or [[0] * size])
         dimension = size - sum(1 for x in smith_normal_form(equations).diagonal() if x)
-        z0 = sym_to_vec(catalog[system].z0)
+        z0 = sym_to_vec(catalog[system].z0.denominator_lcm() * catalog[system].z0)
         if dimension != 1:
             failure = f"{system}: fixed space has dimension {dimension}"
         elif not any(z0) or any(sum(c * x for c, x in zip(row, z0)) for row in rows):

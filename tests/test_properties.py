@@ -17,9 +17,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from weylppav import (Matrix, Singular, SymplecticMat, embed_block_diag,  # noqa: E402
-                      fixed_symmetric_space, is_symplectic, modular_action,
-                      smith_normal_form, solve_affine, standard_form)
+from weylppav import (Family, Matrix, Singular, SymplecticMat, all_systems,  # noqa: E402
+                      embed_block_diag, fixed_symmetric_space, is_symplectic,
+                      modular_action, smith_normal_form, solve_affine, standard_form)
 from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -245,21 +245,43 @@ def test_fixed_space_by_substitution(case):
 @PROPERTY
 @given(generators_fixing(), st.data())
 def test_modular_action_without_lower_left_block(case, data):
-    # With C = 0 the action is computed as A (A z + B)^t; the definition is
+    # With C = 0 the action is computed on integer numerators as
+    # A (A qz + qB)^t / q, q the denominator lcm of z; the definition is
     # (A z + B) D^{-1}, with D inverted here by elimination. Both B != 0 and
-    # B = 0 generators are drawn. The embedded ones (B = 0) need not fix z*.
+    # B = 0 generators are drawn, and z is drawn three ways: mixed entries,
+    # a common denominator q > 1, and zero. The embedded ones (B = 0) need
+    # not fix z*.
     zstar, gens = case
     n = zstar.nrows
     upper = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
     z = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    q = data.draw(st.sampled_from((2, 3, 4, 6, 7)))
+    nums = [[data.draw(integers) for _ in range(n)] for _ in range(n)]
+    nums[0][0] = 1
+    z_over_q = Matrix([[Fraction(nums[min(i, j)][max(i, j)], q) for j in range(n)]
+                       for i in range(n)])
+    assert z_over_q.denominator_lcm() == q
     embedded = [embed_block_diag(data.draw(unimodular_pairs(n))[0])
                 for _ in range(data.draw(st.integers(1, 2)))]
     assert all(gen.blocks()[1].is_zero() for gen in embedded)
     for gen in gens + embedded:
         a, b, c, d = gen.blocks()
         assert c.is_zero()
-        assert modular_action(gen, z) == (a * z + b) * d.inverse()
+        for point in (z, z_over_q, Matrix.zeros(n)):
+            assert modular_action(gen, point) == (a * point + b) * d.inverse()
     assert all(modular_action(gen, zstar) == zstar for gen in gens)
+
+
+def test_embedded_reflections_fix_z0_through_rank_8():
+    # Every simple reflection, embedded, fixes its system's z0, and the
+    # C = 0 action agrees with the definition (A z0 + B) D^{-1} there.
+    for system in all_systems(8):
+        family = Family.from_system(system)
+        for rho in family.generators:
+            emb = embed_block_diag(rho)
+            a, b, _, d = emb.blocks()
+            expected = (a * family.z0 + b) * d.inverse()
+            assert modular_action(emb, family.z0) == expected == family.z0, str(system)
 
 
 def canonical(x) -> bool:

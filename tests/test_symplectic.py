@@ -9,8 +9,9 @@ from weylppav import (Family, Matrix, NonUnimodular, NotSymplectic, RootSystemId
                       gram_matrix, is_symplectic, modular_action,
                       simple_reflections, standard_form,
                       verify_decomposition_witness, verify_family_isomorphism)
+import weylppav
 from weylppav import symplectic
-from weylppav.exactmat import smith_normal_form
+from weylppav.exactmat import SnfResult, smith_normal_form
 from weylppav.reference import (an_alternate_base_printed, an_alternate_witness,
                                 bn_split_witness, cyclic5_fixed_span,
                                 cyclic5_generator, d4_to_f4_witness,
@@ -147,6 +148,55 @@ class TestInvolutionEmbedding:
         for w in words:
             assert embed_block_diag(w).m == smith_embedding(w)
             assert calls[-1] is w
+
+
+class TestCertifiedEmbedding:
+    """An embedding is certified by an exact product, not by m^t J m = J."""
+
+    def test_wrong_smith_inverse_raises(self, monkeypatch):
+        # -u is unimodular and keeps d = I, so only rho * (v * u) = I can
+        # tell that the Smith form was wrong.
+        original = symplectic.smith_normal_form
+
+        def wrong_u(m):
+            snf = original(m)
+            assert snf.d == Matrix.identity(m.nrows)
+            return SnfResult(u=-snf.u, d=snf.d, v=snf.v)
+
+        monkeypatch.setattr(symplectic, "smith_normal_form", wrong_u)
+        a3 = simple_reflections(RootSystemId.parse("A3"))
+        for rho in (Matrix([[1, 1], [0, 1]]), a3[0] * a3[1], a3[0] * a3[1] * a3[2]):
+            assert rho * rho != Matrix.identity(rho.nrows)
+            with pytest.raises(NotSymplectic):
+                embed_block_diag(rho)
+
+    def test_equals_the_checked_value(self, monkeypatch):
+        rng = random.Random(4242)
+        checked = []
+        original = symplectic.is_symplectic
+
+        def counted(m):
+            checked.append(m)
+            return original(m)
+
+        monkeypatch.setattr(symplectic, "is_symplectic", counted)
+        cases = []
+        for system in all_systems(8):
+            refl = simple_reflections(system)
+            cases += refl + diagram_automorphisms(system)
+            cases.append(random_word(rng, refl, system.rank, 2, 7)[0])
+        embedded = [embed_block_diag(rho) for rho in cases]
+        assert not checked
+        for emb in embedded:
+            assert original(emb.m)
+            again = SymplecticMat(emb.n, emb.m)
+            assert again == emb and hash(again) == hash(emb)
+        assert len(checked) == len(embedded)
+
+    def test_public_constructor_still_checks(self):
+        assert "_certified" not in weylppav.__all__
+        with pytest.raises(NotSymplectic):
+            SymplecticMat(2, Matrix.diagonal([2, 2, 1, 1]))
 
 
 class TestIsSymplectic:

@@ -140,6 +140,25 @@ class TestOnePass:
         assert smith_inputs
         assert not reflections.intersection(smith_inputs)
 
+    def test_embeddings_are_not_rechecked(self, monkeypatch):
+        # Embeddings are symplectic by the product that builds them, so a
+        # pass tests m^t J m = J only where it means to: 100 word-pair
+        # products, 7 B_n splitting blocks (B2..B8), 2 sym5 generators and
+        # the 2 + 42 matrices that SymplecticMat(n, m) checks (the sym5
+        # generators again and 3 centralizer elements per system of rank
+        # <= 4).
+        calls = []
+        original = symplectic.is_symplectic
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(symplectic, "is_symplectic", counted)
+        monkeypatch.setattr(verify, "is_symplectic", counted)
+        assert run_verification(8)["status"] == "pass"
+        assert len(calls) == 153
+
     def test_sections_alone_equal_the_pass(self):
         report = run_verification(5)
         catalog = verify._catalog(5)
