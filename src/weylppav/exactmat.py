@@ -21,12 +21,15 @@ the common denominator when that is above 1. Zero entries cost no
 arithmetic, so a reflection's unit rows are row copies; keep the sparse
 factor on the left where an identity allows it.
 
-Algorithms are the classical exact ones. All Fraction elimination runs
-through one forward loop, ``_echelon``: ``det`` and
-``is_positive_definite`` read its pivots, and ``_rref`` adds a back pass
-for ``inverse`` and ``solve_affine``. The Smith normal form is one integer
-reduction loop of unimodular row and column operations. No floating point
-appears anywhere.
+Algorithms are the classical exact ones. ``det``, ``rank`` and
+``is_positive_definite`` read the pivots of one fraction-free forward loop,
+``_echelon`` (Bareiss, Math. Comp. 22, 1968), on integer numerators: a
+rational matrix is scaled once by its denominator lcm q, which keeps the
+sign of every minor and scales the determinant by q^n. ``inverse`` and
+``solve_affine`` keep a Fraction ``_rref``, a forward loop and a back pass,
+until the benchmark stores no outputs (ROADMAP items 1 and 2). The Smith
+normal form is one integer reduction loop of unimodular row and column
+operations. No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from ._kernel import mat_mul_flat
@@ -177,11 +180,7 @@ class Matrix:
         return all(type(x) is int for x in self.flat)
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        n = self.nrows
-        return all(self.flat[i * n + j] == self.flat[j * n + i]
-                   for i in range(n) for j in range(i + 1, n))
+        return self.is_square and _symmetric(self.flat, self.nrows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.flat)
@@ -268,18 +267,33 @@ class Matrix:
 
     # -- exact linear algebra ----------------------------------------------------
 
+    def _pivots(self) -> tuple:
+        """(q, pivots, swaps) of ``_echelon`` on the integer numerators of q * self.
+
+        q is the denominator lcm, and the pivots are the values in echelon order.
+        """
+        q = self.denominator_lcm()
+        flat, nc = _numerators(self.flat, q), self.ncols
+        rows = [list(flat[k:k + nc]) for k in range(0, len(flat), nc)]
+        pivots, swaps = _echelon(rows, nc)
+        return q, [rows[r][c] for r, c in pivots], swaps
+
     def det(self) -> Scalar:
-        """Exact determinant: (-1)^swaps times the product of the ``_echelon`` pivots."""
+        """Exact determinant: (-1)^swaps times the last Bareiss pivot, over q^n."""
         if not self.is_square:
             raise ValueError("square matrix required")
-        a = [list(map(Fraction, self.row(i))) for i in range(self.nrows)]
-        pivots, swaps = _echelon(a, self.ncols)
+        q, pivots, swaps = self._pivots()
         if len(pivots) < self.nrows:
             return 0
-        return _canon(prod((a[r][c] for r, c in pivots), start=(-1) ** swaps))
+        det = -pivots[-1] if swaps % 2 else pivots[-1]
+        return det if q == 1 else _canon(Fraction(det, q ** self.nrows))
+
+    def rank(self) -> int:
+        """Exact rank: the number of pivots of the forward ``_echelon`` loop."""
+        return len(self._pivots()[1])
 
     def inverse(self) -> "Matrix":
-        """Exact inverse: forward loop and back pass on [self | I]; Singular if det = 0."""
+        """Exact inverse: ``_rref`` on [self | I]; Singular if det = 0."""
         if not self.is_square:
             raise ValueError("square matrix required")
         n = self.nrows
@@ -293,17 +307,16 @@ class Matrix:
     def is_positive_definite(self) -> bool:
         """Sylvester test in one forward ``_echelon`` loop (exact).
 
-        Without row swaps, leading minor k is the product of the first k
-        pivots; a swap or a skipped column means some leading minor is 0.
+        Without row swaps, Bareiss pivot k is the leading principal minor of
+        size k of q * self, which has the sign of the minor of self; a swap or
+        a skipped column means some leading minor is 0.
         """
         if not self.is_square:
             raise ValueError("square matrix required")
         if not self.is_symmetric():
             raise NotSymmetric("symmetric matrix required")
-        n = self.nrows
-        a = [list(map(Fraction, self.row(i))) for i in range(n)]
-        pivots, swaps = _echelon(a, n)
-        return swaps == 0 and len(pivots) == n and all(a[r][c] > 0 for r, c in pivots)
+        _, pivots, swaps = self._pivots()
+        return swaps == 0 and len(pivots) == self.nrows and all(p > 0 for p in pivots)
 
     def denominator_lcm(self) -> int:
         """Least positive integer N with N * self integral."""
@@ -323,47 +336,86 @@ def _numerators(flat: tuple, d: int) -> tuple:
                  for x in flat)
 
 
+def _symmetric(flat: tuple, n: int) -> bool:
+    """Is the n x n row-major ``flat`` its own transpose? Each row right of
+    the diagonal is compared, as one tuple, with the column below it."""
+    return all(flat[j * n + j + 1:(j + 1) * n] == flat[(j + 1) * n + j::n] for j in range(n))
+
+
 # -- exact elimination --------------------------------------------------------
 
 
 def _echelon(rows: list, ncols: int) -> tuple:
-    """Forward elimination over Fraction: reduce ``rows`` in place to echelon form.
+    """Fraction-free forward elimination (Bareiss) of integer ``rows``, in place.
 
     Pivots are sought in the first ``ncols`` columns, skipping a column with
-    none; later columns (a right-hand side, or the I of [A | I]) ride along.
-    Only rows below a pivot are cleared; pivot rows stay unscaled. Returns
-    the ``(row, col)`` pivots in echelon order and the number of row swaps.
+    none. Returns the ``(row, col)`` pivots in echelon order and the number
+    of row swaps. Each pivot row is left holding the exact Bareiss values:
+    with no swap or skipped column, pivot k is the leading principal minor of
+    size k, and the last pivot of a square matrix is its determinant.
+
+    A row below the pivot with a zero in the pivot column would only be
+    scaled by p_k / p_(k-1), so it is left as it is and ``scale[i]`` records
+    the pivot it was last reduced against. Every later division by that
+    pivot is exact (each entry it yields is a minor), so the loop touches
+    only rows with a nonzero in the pivot column and keeps a sparse matrix's
+    cost. Entries left of the pivot column are zero in every row below it.
     """
     nr = len(rows)
+    scale = [1] * nr
     pivots = []
     swaps = 0
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            scale[r], scale[piv] = scale[piv], scale[r]
             swaps += 1
-        inv_p = 1 / rows[r][c]
+        top = rows[r]
+        if scale[r] != prev:
+            top[c:] = [x * prev // scale[r] for x in top[c:]]
+        p = top[c]
+        tail = top[c:]
         for i in range(r + 1, nr):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv_p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f:
+                d = scale[i]
+                row[c:] = [(p * x - f * y) // d for x, y in zip(row[c:], tail)]
+                scale[i] = p
+        prev = p
         pivots.append((r, c))
     return pivots, swaps
 
 
 def _rref(aug: list, ncols: int) -> list:
-    """Reduced row echelon form over Fraction: ``_echelon``, then a back pass.
-
-    Reduces ``aug`` in place and returns the ``(row, col)`` pivots.
-    """
-    pivots, _ = _echelon(aug, ncols)
-    # Top to bottom repeats Gauss-Jordan's operations exactly, zero-skips too,
-    # so inverse and solve_affine keep their cost. Bottom to top, the textbook
-    # order, is about 10x faster on Gram matrices: ROADMAP item 2, which waits
-    # on the benchmark fix of item 1.
+    """Reduced row echelon form over Fraction, in place; returns the ``(row, col)``
+    pivots. Columns after the first ``ncols`` (a right-hand side, or the I of
+    [A | I]) ride along."""
+    nr = len(aug)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nr) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv_p = 1 / aug[r][c]
+        for i in range(r + 1, nr):
+            if aug[i][c] != 0:
+                f = aug[i][c] * inv_p
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+    # Fraction arithmetic and a top-to-bottom back pass keep inverse and
+    # solve_affine at their cost. A fraction-free loop, or the back pass
+    # bottom to top (the textbook order, about 10x faster on Gram matrices),
+    # would speed both up and so raise the benchmark's peak memory, which
+    # grows with every output it stores: they move only after ROADMAP item 1
+    # fixes that (item 2).
     for r, c in pivots:
         inv_p = 1 / aug[r][c]
         aug[r] = [x * inv_p for x in aug[r]]

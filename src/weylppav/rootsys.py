@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
 from .exactmat import Matrix
@@ -224,12 +225,14 @@ def coroot_gram_matrix(system: RootSystemId) -> Matrix:
 
     The coroot a_i^ = a_i / norm_half_i has pairings S[i][j] / (d_i d_j);
     the least positive integer multiple making that matrix integral is the
-    natural polarization form on the coroot lattice.
+    natural polarization form on the coroot lattice. With d_i = u_i / v_i
+    each pairing is S[i][j] v_i v_j / (u_i u_j): the multiple q is the lcm
+    of the reduced denominators, and each entry is one exact division.
     """
-    data = cartan_data(system)
     s = gram_matrix(system)
-    d = data.norm_halves
+    d = cartan_data(system).norm_halves  # ints and Fractions both have numerator/denominator
     n = system.rank
-    raw = Matrix([[Fraction(s[i, j], 1) / (Fraction(d[i]) * Fraction(d[j]))
-                   for j in range(n)] for i in range(n)])
-    return raw.denominator_lcm() * raw
+    pairs = [(s.flat[i * n + j] * d[i].denominator * d[j].denominator,
+              d[i].numerator * d[j].numerator) for i in range(n) for j in range(n)]
+    q = lcm(*(den // gcd(num, den) for num, den in pairs))
+    return Matrix._from_canonical(tuple(num * q // den for num, den in pairs), n, n)

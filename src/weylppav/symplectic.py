@@ -19,7 +19,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from ._kernel import mat_mul_flat
-from .exactmat import Matrix, Singular, _numerators, smith_normal_form, solve_affine
+from .exactmat import (Matrix, Singular, _numerators, _symmetric, smith_normal_form,
+                       solve_affine)
 
 
 class NonUnimodular(ValueError):
@@ -127,24 +128,33 @@ def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
     symmetric, so the action (A z + B) A^t = A z A^t + B A^t is symmetric
     and equals its transpose A (A z + B)^t. With q the denominator lcm of z
     it is A (A qz + qB)^t / q: two integer products, the sparse A on the
-    left, qB added only when B != 0, one division and no inverse.
+    left, qB added only when B != 0, one division and no inverse. The
+    symmetry of z and of the result is then tested on the integers qz and
+    q times the result.
     """
-    if not z.is_symmetric():
-        raise ValueError("symmetric matrix required")
+    n = m.n
+    if (z.nrows, z.ncols) != (n, n):
+        raise ValueError(f"{n} x {n} matrix required")
     a, b, c, d = m.blocks()
     if c.is_zero():
-        n, q = m.n, z.denominator_lcm()
-        inner = mat_mul_flat(a.flat, _numerators(z.flat, q), n, n, n)
+        q = z.denominator_lcm()
+        qz = _numerators(z.flat, q)
+        if not _symmetric(qz, n):
+            raise ValueError("symmetric matrix required")
+        inner = mat_mul_flat(a.flat, qz, n, n, n)
         if not b.is_zero():
             inner = tuple(x + q * y for x, y in zip(inner, b.flat))
         flat = mat_mul_flat(a.flat, Matrix._from_canonical(inner, n, n).T.flat, n, n, n)
-        result = Matrix._from_canonical(tuple(Fraction(p, q) if p % q else p // q for p in flat),
-                                        n, n)
-    else:
-        try:
-            result = (a * z + b) * (c * z + d).inverse()
-        except Singular:
-            raise SingularDenominator("C z + D is singular") from None
+        if not _symmetric(flat, n):
+            raise AssertionError("action of a symplectic matrix must preserve symmetry")
+        return Matrix._from_canonical(tuple(Fraction(p, q) if p % q else p // q for p in flat),
+                                      n, n)
+    if not z.is_symmetric():
+        raise ValueError("symmetric matrix required")
+    try:
+        result = (a * z + b) * (c * z + d).inverse()
+    except Singular:
+        raise SingularDenominator("C z + D is singular") from None
     if not result.is_symmetric():
         raise AssertionError("action of a symplectic matrix must preserve symmetry")
     return result

@@ -447,13 +447,11 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
         if system.rank > 6:
             continue
         # The fixed space is the kernel of the integer equations (an embedded
-        # reflection has B = 0), its dimension the unknowns less their rank,
-        # which is the number of nonzero invariant factors. A nonzero z0 in
-        # a one-dimensional kernel spans it.
+        # reflection has B = 0), its dimension the unknowns less their rank.
+        # A nonzero z0 in a one-dimensional kernel spans it.
         size = system.rank * (system.rank + 1) // 2
         rows, _ = fixed_space_equations(embedded[system])
-        equations = Matrix(rows or [[0] * size])
-        dimension = size - sum(1 for x in smith_normal_form(equations).diagonal() if x)
+        dimension = size - Matrix(rows or [[0] * size]).rank()
         z0 = sym_to_vec(catalog[system].z0.denominator_lcm() * catalog[system].z0)
         if dimension != 1:
             failure = f"{system}: fixed space has dimension {dimension}"

@@ -244,6 +244,45 @@ class TestDeterminant:
     def test_rational_entries(self):
         m = Matrix([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]])
         assert m.det() == F(1, 10) - F(1, 12)
+        # the integer determinant of 60 * m is divided by 60^2 and canonicalized
+        unit = Matrix([[F(1, 2), 0], [0, 2]]).det()
+        assert unit == 1 and type(unit) is int
+
+
+class TestRank:
+    @pytest.mark.parametrize("rows, rank", [
+        ([[0]], 0),
+        ([[0, 0, 0], [0, 0, 0]], 0),
+        ([[1, 2, 3], [2, 4, 7]], 2),  # column 1 has no pivot and is skipped
+        ([[0, 1, 2], [0, 2, 4], [0, 0, 0]], 1),  # a zero column, then a zero row
+        ([[0, 0], [1, 2], [0, 0], [3, 4]], 2),  # zero rows around the pivots
+        ([[F(1, 2), F(1, 3)], [F(3, 2), 1]], 1),  # rational, row 2 is 3 * row 1
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2], [1, 0, -1]], 3),
+    ])
+    def test_values(self, rows, rank):
+        m = Matrix(rows)
+        assert m.rank() == rank
+        assert m.T.rank() == rank
+
+
+class TestFractionFree:
+    def test_integer_input_builds_no_fraction(self, monkeypatch):
+        from weylppav import exactmat
+
+        grams = [gram_matrix(system) for system in all_systems(8)]
+        singular = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        wide = Matrix([[0, 1, 2, 3], [0, 2, 4, 7]])
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("integer elimination built a Fraction")
+
+        monkeypatch.setattr(exactmat, "Fraction", NoFraction)
+        assert [g.det() for g in grams] == [oracle_det(g) for g in grams]
+        assert all(g.is_positive_definite() for g in grams)
+        assert not any((-g).is_positive_definite() for g in grams)
+        assert [g.rank() for g in grams] == [g.nrows for g in grams]
+        assert (singular.det(), singular.rank(), wide.rank()) == (0, 2, 2)
 
 
 class TestSmithNormalForm:

@@ -48,10 +48,12 @@ def grids(draw, entry_choices, square=False):
 
 @st.composite
 def square_matrices(draw):
-    """Square matrices; a third have a last row combining the others (zero if 1 x 1)."""
-    rows = draw(grids((integers, scalars), square=True))
+    """Square matrices of integers, of rationals, or of rationals over coprime
+    denominators; a third have a last row combining the others with rational
+    coefficients (zero if 1 x 1), so they are singular."""
+    rows = draw(grids((integers, scalars, coprime), square=True))
     if draw(st.integers(0, 2)) == 0:
-        coeffs = [draw(integers) for _ in rows[:-1]]
+        coeffs = [draw(scalars) for _ in rows[:-1]]
         rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows))
                     for j in range(len(rows))]
     return Matrix(rows)
@@ -60,7 +62,7 @@ def square_matrices(draw):
 @st.composite
 def symmetric_matrices(draw):
     """Half mirrored random entries, half b^t b + a 0/1 diagonal (often definite)."""
-    rows = draw(grids((small, integers, scalars), square=True))
+    rows = draw(grids((small, integers, scalars, coprime), square=True))
     n = len(rows)
     if draw(st.booleans()):
         b = Matrix(rows)
@@ -82,7 +84,42 @@ def oracle_rank(rows, ncols=None):
 @PROPERTY
 @given(square_matrices())
 def test_det_matches_cofactor_oracle(m):
-    assert m.det() == oracle_det(m)
+    expected = oracle_det(m)
+    assert m.det() == expected
+    assert (expected == 0) == (m.rank() < m.nrows)
+
+
+@st.composite
+def rank_deficient(draw):
+    """Rectangular rows, up to 5 x 6, made rank-deficient on purpose.
+
+    A column may be a combination of the columns before it, so elimination
+    finds no pivot there and skips it; a row may combine the rows before it;
+    and zero rows may be put anywhere.
+    """
+    rows = draw(grids((small, integers, scalars, coprime)))
+    nc = len(rows[0])
+    if nc > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, nc - 1))
+        coeffs = [draw(small) for _ in range(j)]
+        for row in rows:
+            row[j] = sum(c * x for c, x in zip(coeffs, row))
+    if len(rows) > 1 and draw(st.booleans()):
+        coeffs = [draw(integers) for _ in rows[:-1]]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(nc)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * nc)
+    return rows
+
+
+@PROPERTY
+@given(rank_deficient())
+def test_rank_matches_smith_rank(rows):
+    m = Matrix(rows)
+    q = m.denominator_lcm()
+    expected = sum(1 for x in smith_normal_form(q * m).diagonal() if x)
+    assert m.rank() == expected
+    assert m.T.rank() == expected
 
 
 @PROPERTY
@@ -100,6 +137,17 @@ def test_inverse_matches_adjugate_oracle(m):
 def test_positive_definite_matches_leading_minors(m):
     minors = [oracle_det(m.submatrix(0, k, 0, k)) for k in range(1, m.nrows + 1)]
     assert m.is_positive_definite() == all(d > 0 for d in minors)
+
+
+@PROPERTY
+@given(symmetric_matrices(), st.data())
+def test_symmetry_test_finds_any_changed_entry(m, data):
+    n = m.nrows
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    flat = list(m.flat)
+    flat[i * n + j] += data.draw(st.sampled_from((1, -1, Fraction(1, 3))))
+    assert m.is_symmetric()
+    assert Matrix(flat[k:k + n] for k in range(0, n * n, n)).is_symmetric() == (i == j)
 
 
 @pytest.mark.parametrize("rhs_from_solution", [True, False])

@@ -322,6 +322,33 @@ class TestModularAction:
         with pytest.raises(ValueError):
             modular_action(m, Matrix([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("gen", [
+        Matrix.identity(4),  # C = 0, B = 0
+        Matrix([[1, 0, 1, 2], [0, 1, 2, 3], [0, 0, 1, 0], [0, 0, 0, 1]]),  # C = 0, B != 0
+        standard_form(2),  # C = -I
+    ])
+    def test_rational_asymmetric_z_rejected(self, gen):
+        # q z = [[3, 2], [1, 6]] for q = 6: asymmetric on the integer numerators too
+        z = Matrix([[F(1, 2), F(1, 3)], [F(1, 6), 1]])
+        with pytest.raises(ValueError, match="symmetric"):
+            modular_action(SymplecticMat(2, gen), z)
+        with pytest.raises(ValueError, match="symmetric"):
+            modular_action(SymplecticMat(2, gen), z.T)
+
+    @pytest.mark.parametrize("gen", [Matrix.identity(6), standard_form(3)])
+    def test_asymmetry_off_the_first_diagonal_rejected(self, gen):
+        # entries (0, 1) and (1, 2) mirror; only (0, 2) and (2, 0) differ
+        z = Matrix([[1, F(1, 2), F(1, 3)], [F(1, 2), 2, F(1, 5)], [F(2, 3), F(1, 5), 3]])
+        for x in (z, z.T):
+            with pytest.raises(ValueError, match="symmetric"):
+                modular_action(SymplecticMat(3, gen), x)
+
+    @pytest.mark.parametrize("gen", [Matrix.identity(4), standard_form(2)])
+    def test_z_of_another_size_rejected(self, gen):
+        for z in (Matrix([[1]]), Matrix.identity(3), Matrix([[1, 0, 0], [0, 1, 0]])):
+            with pytest.raises(ValueError, match="2 x 2 matrix required"):
+                modular_action(SymplecticMat(2, gen), z)
+
 
 class TestSymCoordinates:
     def test_round_trip(self):
