@@ -1,10 +1,10 @@
 """One-parameter Riemann-matrix families attached to root systems.
 
 For each system the family is Z_tau = tau * Z0 with Z0 the exact inverse
-of the Gram matrix of the invariant inner product. tau stays symbolic
-throughout: membership of tau in the upper half-plane is a documented
-precondition, never a numeric check, since every verifiable claim here is
-an identity in exact rational matrices.
+of the Gram matrix of the invariant inner product, read off its Smith
+form. tau stays symbolic throughout: membership of tau in the upper
+half-plane is a documented precondition, never a numeric check, since
+every verifiable claim here is an identity in exact rational matrices.
 
 A ``Family`` is built from the representation and the form it preserves:
 the Gram matrix and the simple reflections. Its invariant factors drive
@@ -15,6 +15,7 @@ elliptic curves, and the congruence level of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactmat import Matrix, smith_normal_form
 from .rootsys import RootSystemId, coroot_gram_matrix, gram_matrix, simple_reflections
@@ -40,7 +41,10 @@ class Family:
 
     ``form`` is the invariant Gram matrix S, ``generators`` the matrices of
     the representation that preserve it, ``z0`` = S^{-1} and ``chain`` the
-    invariant factors of S.
+    invariant factors of S. ``from_system`` takes both from one Smith form
+    u * S * v = D: the chain is D's diagonal and z0 = v * D^{-1} * u. The
+    product S * z0 = I, which shares no code with the Smith form, is what
+    certifies z0 (verify's riemann-matrices section checks it).
     """
 
     form: Matrix
@@ -52,8 +56,11 @@ class Family:
     def from_system(cls, system: RootSystemId) -> "Family":
         """The Gram form of a root system and its simple reflections."""
         form = gram_matrix(system)
-        return cls(form, tuple(simple_reflections(system)), form.inverse(),
-                   divisor_chain(form))
+        snf = smith_normal_form(form)
+        diag = snf.diagonal()
+        z0 = snf.v * Matrix.diagonal([Fraction(1, d) for d in diag]) * snf.u
+        return cls(form, tuple(simple_reflections(system)), z0,
+                   DivisorChain(divisors=tuple(reversed(diag))))
 
     @property
     def level(self) -> int:

@@ -98,6 +98,12 @@ class SymplecticMat:
                 m.submatrix(n, 2 * n, 0, n), m.submatrix(n, 2 * n, n, 2 * n))
 
 
+def _is_identity(m: Matrix) -> bool:
+    """Is the square matrix m the identity: n ones on its diagonal, zeros elsewhere?"""
+    n = m.nrows
+    return m.flat[::n + 1].count(1) == n and m.flat.count(0) == n * n - n
+
+
 def embed_block_diag(rho: Matrix) -> SymplecticMat:
     """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]], certified by a product.
 
@@ -110,12 +116,12 @@ def embed_block_diag(rho: Matrix) -> SymplecticMat:
         raise ValueError("square integer matrix required")
     n = rho.nrows
     inverse = rho
-    if rho * rho != Matrix.identity(n):
+    if not _is_identity(rho * rho):
         snf = smith_normal_form(rho)
         if any(x != 1 for x in snf.diagonal()):
             raise NonUnimodular(f"determinant is {rho.det()}")
         inverse = snf.v * snf.u
-        if rho * inverse != Matrix.identity(n):
+        if not _is_identity(rho * inverse):
             raise NotSymplectic("Smith inverse fails rho * (v * u) = I")
     zero = Matrix.zeros(n)
     return SymplecticMat._certified(n, Matrix.block2(rho, zero, zero, inverse.T))

@@ -13,15 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import prod
+from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, smith_normal_form, solve_affine
+from .exactmat import Matrix, _numerators, smith_normal_form, solve_affine
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, diagram_automorphisms
 from .symplectic import (SymplecticMat, embed_block_diag, fixed_space_equations,
-                         fixed_symmetric_space, is_symplectic, modular_action, sym_to_vec,
+                         fixed_symmetric_space, is_symplectic, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
 from .weyl import expected_order, generate_group, poincare_polynomial
 
@@ -85,9 +87,36 @@ def _catalog(max_rank: int) -> dict:
     """Every system through max_rank -> its ``Family``, in catalog order.
 
     ``run_verification`` builds this once and hands it to every section that
-    reads it: one Gram inverse and one divisor chain per system per pass.
+    reads it: one Smith form per system per pass, which gives both the
+    divisor chain and z0. No Gram matrix is inverted.
     """
     return {system: Family.from_system(system) for system in all_systems(max_rank)}
+
+
+def _fixed_by(s: Matrix, qz: tuple) -> bool:
+    """Does s z s^t = z hold, for a symmetric z given by the integer
+    numerators qz = q * z of one common denominator q?
+
+    Only the rows i in which s differs from I move z: with y_i = s_i z (s_i
+    row i of s), s z s^t = z iff y_i agrees with z outside those rows and
+    y_i . s_j = z_ij for i, j among them; the symmetry of z gives the rest.
+    A simple reflection moves one row, so the test costs n times the
+    nonzeros of that row instead of two n x n products. For s = p^t, p a
+    permutation matrix, y_i is row pi(i) of z and the test reads
+    z_{pi(i), pi(j)} = z_ij by index.
+    """
+    n = s.nrows
+    moved = {i: [(k, x) for k, x in enumerate(row) if x] for i in range(n)
+             if (row := s.row(i))[i] != 1 or row.count(0) != n - 1}
+    for i, terms in moved.items():
+        y = [0] * n
+        for k, x in terms:
+            y = [a + x * b for a, b in zip(y, qz[k * n:(k + 1) * n])]
+        if any(y[b] != qz[i * n + b] for b in range(n) if b not in moved):
+            return False
+        if any(sum(x * y[k] for k, x in moved[j]) != qz[i * n + j] for j in moved):
+            return False
+    return True
 
 
 def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
@@ -204,9 +233,10 @@ def check_levels(max_rank: int, catalog: dict) -> Section:
     """Triple agreement: published level, largest invariant factor, z0 denominators.
 
     The chain route reads ``Family.level`` off the pass's divisor chain; the
-    z0 route reads the pass's z0, the one Gram inverse per system that
-    riemann-matrices checks against the Gram matrix, and shares no code with
-    the Smith form behind it.
+    z0 route reads the denominators of the pass's z0. Both come from one
+    Smith form, but riemann-matrices certifies z0 by the product
+    gram * z0 = identity, which shares no code with it, and the inverse is
+    unique, so the z0 route is a check of its own.
     """
     sec = Section("congruence-levels")
     for system, family in catalog.items():
@@ -393,10 +423,15 @@ def check_degrees(max_rank: int) -> Section:
 def check_properties(max_rank: int, catalog: dict) -> Section:
     """Structural properties: homomorphism, fixed points, fixed space, centralizer.
 
-    Each system's embedded simple reflections are computed once and shared,
-    with the pass's z0, by the last three checks; the centralizer check reads
-    the level, z0 and the form off the pass's family. The homomorphism check
-    embeds its own random words, since it is the check of
+    The fixed-point check tests each simple reflection s and diagram
+    automorphism against the pass's z0 without embedding either: for
+    diag(s, s^{-t}) the Siegel action is z -> s z s^t, which ``_fixed_by``
+    decides on the one row in which s moves z; an automorphism p acts as
+    z -> p^t z p, which it decides by index. The embedded simple reflections are computed once, only for
+    the systems of rank <= 6 that the fixed-space and centralizer checks
+    read; the centralizer check reads the level, z0 and the form off the
+    pass's family. The homomorphism check embeds its own random words, each
+    the product of its drawn reflections, since it is the check of
     ``embed_block_diag``. A failing check names its first failing system and
     generator (or word) in detail.
     """
@@ -408,12 +443,8 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
     for index in range(100):
         system = rng.choice(systems)
         refl = catalog[system].generators
-        w1 = Matrix.identity(system.rank)
-        w2 = Matrix.identity(system.rank)
-        for _ in range(rng.randrange(1, 6)):
-            w1 = w1 * rng.choice(refl)
-        for _ in range(rng.randrange(1, 6)):
-            w2 = w2 * rng.choice(refl)
+        w1 = reduce(mul, [rng.choice(refl) for _ in range(rng.randrange(1, 6))])
+        w2 = reduce(mul, [rng.choice(refl) for _ in range(rng.randrange(1, 6))])
         lhs = embed_block_diag(w1).m * embed_block_diag(w2).m
         if lhs != embed_block_diag(w1 * w2).m:
             failure = f"word pair {index} ({system}): embedding of w1 * w2 differs"
@@ -423,24 +454,25 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
             break
     sec.add("embedding is a homomorphism on 100 random words", not failure, failure)
 
-    embedded = {system: [embed_block_diag(r) for r in family.generators]
-                for system, family in catalog.items()}
-
     failure = ""
     for system in systems:
         z0 = catalog[system].z0
-        moved = next((k for k, emb in enumerate(embedded[system])
-                      if modular_action(emb, z0) != z0), None)
+        qz = _numerators(z0.flat, z0.denominator_lcm())
+        moved = next((k for k, r in enumerate(catalog[system].generators)
+                      if not _fixed_by(r, qz)), None)
         if moved is not None:
             failure = f"{system}: simple reflection {moved} moves z0"
             break
         moved = next((k for k, auto in enumerate(diagram_automorphisms(system))
-                      if auto.T * (auto.T * z0).T != z0), None)
+                      if not _fixed_by(auto.T, qz)), None)
         if moved is not None:
             failure = f"{system}: diagram automorphism {moved} moves z0"
             break
     sec.add("every simple reflection fixes z0 under the Siegel action",
             not failure, failure)
+
+    embedded = {system: [embed_block_diag(r) for r in family.generators]
+                for system, family in catalog.items() if system.rank <= 6}
 
     failure = ""
     for system in systems:

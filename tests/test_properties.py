@@ -1,10 +1,13 @@
 """Property tests of exact products and blocks, the elimination routines,
-the Smith form, the symplectic test and fixed symmetric spaces.
+the Smith form, the symplectic test, fixed symmetric spaces and the
+catalog's z0 and fixed-point tests.
 
-Inputs are matrices up to 5 x 5 with int or Fraction entries. Every
-expected value comes from the cofactor oracles in conftest or from a
-defining identity, never from the elimination code under test. Example
-generation is derandomized, so each run draws the same inputs.
+Inputs are matrices up to 5 x 5 with int or Fraction entries, or the
+catalog's through rank 16. Every expected value comes from the cofactor
+oracles in conftest, from a defining identity or from an independent
+route (the Gauss-Jordan inverse, the Siegel action), never from the code
+under test. Example generation is derandomized, so each run draws the
+same inputs.
 """
 
 from fractions import Fraction
@@ -18,8 +21,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylppav import (Family, Matrix, Singular, SymplecticMat, all_systems,  # noqa: E402
-                      embed_block_diag, fixed_symmetric_space, is_symplectic,
-                      modular_action, smith_normal_form, solve_affine, standard_form)
+                      diagram_automorphisms, embed_block_diag, fixed_symmetric_space,
+                      gram_matrix, is_symplectic, modular_action, smith_normal_form,
+                      solve_affine, standard_form)
+from weylppav import verify  # noqa: E402
+from weylppav.exactmat import _numerators  # noqa: E402
 from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -330,6 +336,81 @@ def test_embedded_reflections_fix_z0_through_rank_8():
             a, b, _, d = emb.blocks()
             expected = (a * family.z0 + b) * d.inverse()
             assert modular_action(emb, family.z0) == expected == family.z0, str(system)
+
+
+def test_smith_form_z0_is_the_inverse_through_rank_16():
+    # The catalog reads z0 = v D^{-1} u off the Smith form u S v = D; the
+    # Gauss-Jordan inverse of S is the oracle.
+    for system in all_systems(16):
+        assert Family.from_system(system).z0 == gram_matrix(system).inverse(), str(system)
+
+
+def numerators(z: Matrix) -> tuple:
+    """The integer numerators of z over its denominator lcm."""
+    return _numerators(z.flat, z.denominator_lcm())
+
+
+def changed_cell_pairs(z: Matrix):
+    """z, then z with one symmetric cell pair (i, j), (j, i) raised by 1 or
+    by 1/11, for every i <= j; 11 divides no level through rank 8, so the
+    rational change leaves level * z non-integral."""
+    yield z
+    n = z.nrows
+    for i in range(n):
+        for j in range(i, n):
+            for change in (1, Fraction(1, 11)):
+                rows = [list(r) for r in z.rows()]
+                rows[i][j] += change
+                if i != j:
+                    rows[j][i] += change
+                yield Matrix(rows)
+
+
+def test_one_row_test_matches_the_siegel_action_through_rank_8():
+    # verify decides "s fixes z" on the row in which s moves z; the oracle
+    # is the Siegel action of the embedded reflection. Both outcomes occur.
+    outcomes = set()
+    for system in all_systems(8):
+        family = Family.from_system(system)
+        embedded = [(r, embed_block_diag(r)) for r in family.generators]
+        for z in changed_cell_pairs(family.z0):
+            qz = numerators(z)
+            for r, emb in embedded:
+                fixed = modular_action(emb, z) == z
+                assert verify._fixed_by(r, qz) == fixed, (str(system), z, r)
+                outcomes.add(fixed)
+    assert outcomes == {True, False}
+
+
+def test_permutation_test_matches_the_product_through_rank_8():
+    outcomes = set()
+    for system in all_systems(8):
+        for z in changed_cell_pairs(Family.from_system(system).z0):
+            qz = numerators(z)
+            for auto in diagram_automorphisms(system):
+                fixed = auto.T * (auto.T * z).T == z
+                assert verify._fixed_by(auto.T, qz) == fixed, (str(system), z)
+                outcomes.add(fixed)
+    assert outcomes == {True, False}
+
+
+@PROPERTY
+@given(symmetric_matrices(), st.data())
+def test_row_test_matches_the_product_for_any_unimodular_matrix(w, data):
+    # A unimodular s may differ from I in several rows, and a shear
+    # I + q e_i e_j^t in a row whose diagonal entry is still 1; an
+    # involution s fixes w + s w s^t, so fixed and moved points are drawn.
+    n = w.nrows
+    s = data.draw(unimodular_pairs(n))[0]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    shear = [[int(a == b) for b in range(n)] for a in range(n)]
+    shear[i][j] += data.draw(st.sampled_from((1, -2))) if i != j else 0
+    for m in (s, Matrix(shear)):
+        points = [w, Matrix.zeros(n)]
+        if m * m == Matrix.identity(n):
+            points.append(w + m * w * m.T)
+        for z in points:
+            assert verify._fixed_by(m, numerators(z)) == (m * z * m.T == z)
 
 
 def canonical(x) -> bool:

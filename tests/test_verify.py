@@ -110,35 +110,55 @@ class TestRunVerification:
 
 class TestOnePass:
     def test_each_system_gets_its_exact_data_once(self, monkeypatch):
-        # One pass inverts each Gram matrix once, in its family, and embeds
-        # no simple reflection through a Smith form; random words that are
-        # not involutions still take that route.
-        grams = {gram_matrix(system) for system in all_systems(8)}
-        inverted = Counter()
+        # The catalog takes exactly one Smith form per Gram matrix, which
+        # gives both the divisor chain and z0, and no other; a pass inverts
+        # no Gram matrix. No simple reflection is embedded through a Smith
+        # form; random words that are not involutions still take that route.
+        grams = Counter(gram_matrix(system) for system in all_systems(8))
+        inverted = []
         original_inverse = Matrix.inverse
 
         def counted_inverse(m):
             if m in grams:
-                inverted[m] += 1
+                inverted.append(m)
             return original_inverse(m)
 
-        smith_inputs = []
-        original_smith = symplectic.smith_normal_form
+        inside = []
+        original_catalog = verify._catalog
+
+        def catalog(max_rank):
+            inside.append(True)
+            try:
+                return original_catalog(max_rank)
+            finally:
+                inside.pop()
+
+        in_catalog = Counter()
+        embedded = []
+        original_smith = ppav.smith_normal_form
 
         def recorded_smith(m):
-            smith_inputs.append(m)
+            if inside:
+                in_catalog[m] += 1
             return original_smith(m)
 
+        def embedding_smith(m):
+            embedded.append(m)
+            return recorded_smith(m)
+
         monkeypatch.setattr(Matrix, "inverse", counted_inverse)
-        monkeypatch.setattr(symplectic, "smith_normal_form", recorded_smith)
+        monkeypatch.setattr(verify, "_catalog", catalog)
+        monkeypatch.setattr(ppav, "smith_normal_form", recorded_smith)
+        monkeypatch.setattr(verify, "smith_normal_form", recorded_smith)
+        monkeypatch.setattr(symplectic, "smith_normal_form", embedding_smith)
         report = run_verification(8)
         assert report["status"] == "pass"
-        assert set(inverted) == grams
-        assert max(inverted.values()) == 1
+        assert not inverted
+        assert in_catalog == grams
         reflections = {r for system in all_systems(8)
                        for r in simple_reflections(system)}
-        assert smith_inputs
-        assert not reflections.intersection(smith_inputs)
+        assert embedded
+        assert not reflections.intersection(embedded)
 
     def test_embeddings_are_not_rechecked(self, monkeypatch):
         # Embeddings are symplectic by the product that builds them, so a
