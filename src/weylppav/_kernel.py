@@ -10,9 +10,9 @@ each hold a single 1 and cost only a copy of one row of ``b``; an all-zero
 row is m int zeros.
 
 It works on any exact scalars, but ``Matrix.__mul__`` passes it ints only:
-a rational operand is scaled to integer numerators first. The group
-closure in ``weyl`` works on interned rows of its own and does not go
-through it.
+the numerators of both operands, whose denominators it never sees. The
+group closure in ``weyl`` works on interned rows of its own and does not
+go through it.
 """
 
 from __future__ import annotations

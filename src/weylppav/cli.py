@@ -41,9 +41,9 @@ BROKEN_PIPE = 141
 # max RSS) for 64; 64 identity generators, whose equations are all zero
 # and dropped before the solve, take about 0.7 s. Those 64 dense
 # generators are about 220 kB of JSON, so a file is read only up to
-# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 0.32 s at rank 12
-# and 0.49 s at rank 16 (a fresh process each, 2-vCPU AMD EPYC VM,
-# Python 3.11.7); in process, rank 20 takes 0.74 s and rank 32 about 3.3 s.
+# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 0.26 s at rank 12
+# and 0.28 s at rank 16 (a fresh process each, median of 5, 2-vCPU AMD EPYC
+# VM, Python 3.11.7); in process, rank 20 takes 0.28 s and rank 32 0.6 s.
 # A closure holds cap elements of rank row ids each, in a list beside the
 # set that tests membership; its peak memory is at most about 4 bytes per
 # cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7, B6

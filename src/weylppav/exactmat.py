@@ -1,35 +1,34 @@
 """Exact dense matrices over the integers and rationals.
 
-Entries are Python ints or ``fractions.Fraction`` values; floats are
-rejected. Fraction keeps numerators and denominators gcd-reduced with a
-positive denominator, which is exactly the normalization the rest of the
-toolkit relies on. Matrices are immutable (flat row-major tuples), so
-every operation below is a pure function and values can be shared freely
-across threads.
+A ``Matrix`` is a flat row-major tuple of int ``numerators`` over one int
+``denominator`` q >= 1 with gcd(q, numerators) = 1, and its shape. So q is
+the least positive integer with q * self integral, ``is_integral`` is
+q == 1, and each value has one stored form, which equality and hashing
+compare. Matrices are immutable: every operation is a pure function, and
+values can be shared freely across threads. Entries are built only where
+they leave the class (``flat``, ``row``, ``col``, ``m[i, j]``, ``repr``),
+each an int, or a ``fractions.Fraction`` where it is not one.
 
-There are two constructors: ``Matrix(rows)`` canonicalizes every entry, and
-the trusted ``Matrix._from_canonical`` takes entries canonical by
-construction. A matrix holds only its entries and shape; whether it is
-integral is read off the entries when asked.
+``Matrix(rows)`` and ``from_flat`` take int or Fraction entries (``bool``
+and floats are rejected) and put them over their denominator lcm; the
+trusted ``Matrix._from_numerators`` takes int numerators and q, and
+divides out their common factor. Integer results pass q = 1.
 
-Products normalize once, on one path. Each operand is scaled to integer
-numerators by its own denominator lcm (1 for an integer matrix), the
-numerators are multiplied as integers by ``_kernel.mat_mul_flat``, which
-builds each row of the product from the rows of the right factor picked by
-the nonzero entries of the left one, and the product is divided once by
-the common denominator when that is above 1. Zero entries cost no
-arithmetic, so a reflection's unit rows are row copies; keep the sparse
-factor on the left where an identity allows it.
+Every operation runs on the numerators. A product is the integer product
+of the two numerator tuples by ``_kernel.mat_mul_flat``, over qa * qb and
+reduced once. That loop builds each row of the product from the rows of
+the right factor picked by the nonzero entries of the left one, so zero
+entries cost no arithmetic and a reflection's unit rows are row copies;
+keep the sparse factor on the left where an identity allows it.
 
 Algorithms are the classical exact ones. ``det``, ``rank`` and
 ``is_positive_definite`` read the pivots of one fraction-free forward loop,
-``_echelon`` (Bareiss, Math. Comp. 22, 1968), on integer numerators: a
-rational matrix is scaled once by its denominator lcm q, which keeps the
-sign of every minor and scales the determinant by q^n. ``inverse`` and
-``solve_affine`` keep a Fraction ``_rref``, a forward loop and a back pass,
-until the benchmark stores no outputs (ROADMAP items 1 and 2). The Smith
-normal form is one integer reduction loop of unimodular row and column
-operations. No floating point appears anywhere.
+``_echelon`` (Bareiss, Math. Comp. 22, 1968), on the numerators: scaling by
+q keeps the sign of every minor and scales the determinant by q^n.
+``inverse`` and ``solve_affine`` keep a Fraction ``_rref``, a forward loop
+and a back pass, until the benchmark stores no outputs (ROADMAP items 1 and
+2). The Smith normal form is one integer reduction loop of unimodular row
+and column operations. No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 from ._kernel import mat_mul_flat
@@ -68,28 +68,53 @@ def _canon(x) -> Scalar:
     raise TypeError(f"exact entry expected (int or Fraction), got {type(x).__name__}")
 
 
+def _over_lcm(entries: tuple) -> tuple:
+    """(numerators, q) of int and Fraction entries over their denominator lcm
+    q. Exact ints pass as they are; every other entry goes through ``_canon``."""
+    if set(map(type, entries)) <= {int}:
+        return entries, 1
+    entries = tuple(map(_canon, entries))
+    q = lcm(*{x.denominator for x in entries})
+    return tuple(x.numerator * (q // x.denominator) for x in entries), q
+
+
+def _entries(numerators: tuple, q: int) -> tuple:
+    """The entries p / q: an int where q divides p, a Fraction elsewhere."""
+    if q == 1:
+        return numerators
+    return tuple(p // q if p % q == 0 else Fraction(p, q) for p in numerators)
+
+
+def _scaled(m: "Matrix", q: int) -> tuple:
+    """The numerators of m over q, a multiple of its denominator."""
+    s = q // m.denominator
+    return m.numerators if s == 1 else tuple(s * x for x in m.numerators)
+
+
 class Matrix:
-    """Immutable dense matrix with exact entries.
+    """Immutable dense matrix: int ``numerators`` (flat, row-major) over one
+    ``denominator``, and the shape. Hashable; ``*`` is matrix (or scalar)
+    multiplication, and every operator is exact."""
 
-    Stored as a flat row-major tuple plus the shape. Hashable, usable as a
-    dict key or set member. Arithmetic operators do the obvious exact
-    thing; ``*`` is matrix (or scalar) multiplication.
-    """
-
-    __slots__ = ("flat", "nrows", "ncols")
+    __slots__ = ("numerators", "denominator", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rows = [tuple(map(_canon, row)) for row in rows]
+        rows = [tuple(row) for row in rows]
+        numerators, q = _over_lcm(tuple(chain.from_iterable(rows)))
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        self._fill(tuple(chain.from_iterable(rows)), len(rows), ncols)
+        self._fill(numerators, q, len(rows), ncols)
 
-    def _fill(self, flat: tuple, nrows: int, ncols: int) -> None:
-        """Check the shape and set the slots from canonical entries."""
+    def _fill(self, numerators: tuple, q: int, nrows: int, ncols: int) -> None:
+        """Check the shape, divide out gcd(q, numerators) and set the slots."""
         if nrows < 1 or ncols < 1:
             raise ValueError("matrix must have positive dimensions")
-        object.__setattr__(self, "flat", flat)
+        if q > 1 and (g := gcd(q, *numerators)) > 1:
+            q //= g
+            numerators = tuple(x // g for x in numerators)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", q)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
 
@@ -102,31 +127,29 @@ class Matrix:
     def from_flat(cls, flat: Sequence[Scalar], nrows: int, ncols: int) -> "Matrix":
         if len(flat) != nrows * ncols:
             raise ValueError("flat length does not match shape")
-        return cls._from_canonical(tuple(map(_canon, flat)), nrows, ncols)
+        return cls._from_numerators(*_over_lcm(tuple(flat)), nrows, ncols)
 
     @classmethod
-    def _from_canonical(cls, flat: tuple, nrows: int, ncols: int) -> "Matrix":
-        """Trusted constructor for a tuple of canonical entries of the given shape.
-
-        The second constructor skips the per-entry checks of ``__init__``:
-        every entry must already be what ``_canon`` returns (an int, or a
-        Fraction with denominator > 1), and ``_fill`` checks only the shape.
-        Entries moved or negated out of a ``Matrix`` are canonical, so
-        transposes, blocks, submatrices and negations build through it, as do
-        products, identities, zeros, Smith factors and ``MatrixGroup.elements``.
-        """
+    def _from_numerators(cls, numerators: tuple, q: int, nrows: int,
+                         ncols: int) -> "Matrix":
+        """Trusted constructor of numerators / q: ``numerators`` must be a
+        tuple of ints and q a positive int. Only the shape is checked, and
+        the common factor is divided out. Every result built from ints or
+        from other matrices (products, blocks, Smith factors and
+        ``MatrixGroup.elements`` among them) goes through it."""
         m = object.__new__(cls)
-        m._fill(flat, nrows, ncols)
+        m._fill(numerators, q, nrows, ncols)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._from_canonical(tuple(int(i == j) for i in range(n) for j in range(n)), n, n)
+        return cls._from_numerators(tuple(int(i == j) for i in range(n) for j in range(n)),
+                                    1, n, n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: Optional[int] = None) -> "Matrix":
         ncols = nrows if ncols is None else ncols
-        return cls._from_canonical((0,) * (nrows * ncols), nrows, ncols)
+        return cls._from_numerators((0,) * (nrows * ncols), 1, nrows, ncols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar]) -> "Matrix":
@@ -135,29 +158,38 @@ class Matrix:
 
     @classmethod
     def block2(cls, a: "Matrix", b: "Matrix", c: "Matrix", d: "Matrix") -> "Matrix":
-        """Assemble [[a, b], [c, d]]."""
+        """Assemble [[a, b], [c, d]] over the lcm of the four denominators."""
         if a.nrows != b.nrows or c.nrows != d.nrows:
             raise ValueError("row counts do not match")
         if a.ncols != c.ncols or b.ncols != d.ncols:
             raise ValueError("column counts do not match")
-        rows = [a.row(i) + b.row(i) for i in range(a.nrows)]
-        rows += [c.row(i) + d.row(i) for i in range(c.nrows)]
-        return cls._from_canonical(tuple(chain.from_iterable(rows)),
-                                   a.nrows + c.nrows, a.ncols + b.ncols)
+        q = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        flat = []
+        for left, right in ((a, b), (c, d)):
+            lnum, rnum, lc, rc = _scaled(left, q), _scaled(right, q), left.ncols, right.ncols
+            for i in range(left.nrows):
+                flat += lnum[i * lc:(i + 1) * lc]
+                flat += rnum[i * rc:(i + 1) * rc]
+        return cls._from_numerators(tuple(flat), q, a.nrows + c.nrows, a.ncols + b.ncols)
 
     # -- access ----------------------------------------------------------------
+
+    @property
+    def flat(self) -> tuple:
+        """The entries, row-major: ints, and Fractions where not integral."""
+        return _entries(self.numerators, self.denominator)
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(ij)
-        return self.flat[i * self.ncols + j]
+        return _entries((self.numerators[i * self.ncols + j],), self.denominator)[0]
 
     def row(self, i: int) -> tuple:
-        return self.flat[i * self.ncols:(i + 1) * self.ncols]
+        return _entries(self.numerators[i * self.ncols:(i + 1) * self.ncols], self.denominator)
 
     def col(self, j: int) -> tuple:
-        return self.flat[j::self.ncols]
+        return _entries(self.numerators[j::self.ncols], self.denominator)
 
     def rows(self):
         return [self.row(i) for i in range(self.nrows)]
@@ -167,8 +199,9 @@ class Matrix:
         if not (0 <= r0 < r1 <= self.nrows and 0 <= c0 < c1 <= self.ncols):
             raise ValueError(f"submatrix [{r0}:{r1}, {c0}:{c1}] out of bounds "
                              f"for a {self.nrows} x {self.ncols} matrix")
-        flat = tuple(chain.from_iterable(self.row(i)[c0:c1] for i in range(r0, r1)))
-        return Matrix._from_canonical(flat, r1 - r0, c1 - c0)
+        nc, num = self.ncols, self.numerators
+        flat = tuple(chain.from_iterable(num[i * nc + c0:i * nc + c1] for i in range(r0, r1)))
+        return Matrix._from_numerators(flat, self.denominator, r1 - r0, c1 - c0)
 
     # -- predicates -------------------------------------------------------------
 
@@ -177,13 +210,13 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_integral(self) -> bool:
-        return all(type(x) is int for x in self.flat)
+        return self.denominator == 1
 
     def is_symmetric(self) -> bool:
-        return self.is_square and _symmetric(self.flat, self.nrows)
+        return self.is_square and _symmetric(self.numerators, self.nrows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.flat)
+        return not any(self.numerators)
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -191,64 +224,53 @@ class Matrix:
         return (isinstance(other, Matrix)
                 and self.nrows == other.nrows
                 and self.ncols == other.ncols
-                and self.flat == other.flat)
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.flat))
+        return hash((self.nrows, self.ncols, self.denominator, self.numerators))
 
     def __neg__(self) -> "Matrix":
-        return Matrix._from_canonical(tuple(-x for x in self.flat), self.nrows, self.ncols)
+        return Matrix._from_numerators(tuple(-x for x in self.numerators), self.denominator,
+                                       self.nrows, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        """Sum of the numerators over the lcm of the two denominators."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-        return Matrix.from_flat([x + y for x, y in zip(self.flat, other.flat)],
-                                self.nrows, self.ncols)
+        q = lcm(self.denominator, other.denominator)
+        return Matrix._from_numerators(tuple(map(add, _scaled(self, q), _scaled(other, q))),
+                                       q, self.nrows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return Matrix.from_flat([x - y for x, y in zip(self.flat, other.flat)],
-                                self.nrows, self.ncols)
+        return self + -other if isinstance(other, Matrix) else NotImplemented
 
     def __mul__(self, other):
         """Matrix product, or scaling by an int or Fraction.
 
-        A matrix product runs on integer numerators: each operand is scaled
-        by its own ``denominator_lcm``, the numerators are multiplied as ints,
-        and only when d = da * db is above 1 is each entry built once as p / d.
-        Each row of the product sums the rows of ``other`` picked by the
-        nonzero entries of the same row of ``self``, so the cost follows the
-        nonzeros of the left factor.
-        """
+        A matrix product is that of the numerators over qa * qb. Its cost
+        follows the nonzeros of the left factor, each picking a row of
+        ``other``."""
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            nrows, ncols = self.nrows, other.ncols
-            da = self.denominator_lcm()
-            db = other.denominator_lcm()
-            flat = mat_mul_flat(_numerators(self.flat, da), _numerators(other.flat, db),
-                                nrows, self.ncols, ncols)
-            d = da * db
-            if d > 1:
-                flat = tuple(Fraction(p, d) if p % d else p // d for p in flat)
-            return Matrix._from_canonical(flat, nrows, ncols)
+            flat = mat_mul_flat(self.numerators, other.numerators,
+                                self.nrows, self.ncols, other.ncols)
+            return Matrix._from_numerators(flat, self.denominator * other.denominator,
+                                           self.nrows, other.ncols)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only a scalar reaches it, and scaling commutes
 
     def scale(self, s: Scalar) -> "Matrix":
-        s = _canon(s)
-        return Matrix.from_flat([s * x for x in self.flat], self.nrows, self.ncols)
+        s = _canon(s)  # an int has numerator s and denominator 1
+        return Matrix._from_numerators(tuple(s.numerator * x for x in self.numerators),
+                                       self.denominator * s.denominator,
+                                       self.nrows, self.ncols)
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product, returned as a tuple."""
@@ -260,23 +282,18 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        nc = self.ncols
-        return Matrix._from_canonical(
-            tuple(chain.from_iterable(self.flat[j::nc] for j in range(nc))),
-            nc, self.nrows)
+        nc, num = self.ncols, self.numerators
+        return Matrix._from_numerators(tuple(chain.from_iterable(num[j::nc] for j in range(nc))),
+                                       self.denominator, nc, self.nrows)
 
     # -- exact linear algebra ----------------------------------------------------
 
     def _pivots(self) -> tuple:
-        """(q, pivots, swaps) of ``_echelon`` on the integer numerators of q * self.
-
-        q is the denominator lcm, and the pivots are the values in echelon order.
-        """
-        q = self.denominator_lcm()
-        flat, nc = _numerators(self.flat, q), self.ncols
-        rows = [list(flat[k:k + nc]) for k in range(0, len(flat), nc)]
+        """(q, pivot values in echelon order, swaps) of ``_echelon`` on q * self."""
+        nc, num = self.ncols, self.numerators
+        rows = [list(num[k:k + nc]) for k in range(0, len(num), nc)]
         pivots, swaps = _echelon(rows, nc)
-        return q, [rows[r][c] for r, c in pivots], swaps
+        return self.denominator, [rows[r][c] for r, c in pivots], swaps
 
     def det(self) -> Scalar:
         """Exact determinant: (-1)^swaps times the last Bareiss pivot, over q^n."""
@@ -286,7 +303,7 @@ class Matrix:
         if len(pivots) < self.nrows:
             return 0
         det = -pivots[-1] if swaps % 2 else pivots[-1]
-        return det if q == 1 else _canon(Fraction(det, q ** self.nrows))
+        return _entries((det,), q ** self.nrows)[0]
 
     def rank(self) -> int:
         """Exact rank: the number of pivots of the forward ``_echelon`` loop."""
@@ -319,21 +336,13 @@ class Matrix:
         return swaps == 0 and len(pivots) == self.nrows and all(p > 0 for p in pivots)
 
     def denominator_lcm(self) -> int:
-        """Least positive integer N with N * self integral."""
-        return lcm(*{x.denominator for x in self.flat if type(x) is not int})
+        """Least positive integer N with N * self integral: the denominator."""
+        return self.denominator
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.nrows))
         return f"Matrix[{body}]"
-
-
-def _numerators(flat: tuple, d: int) -> tuple:
-    """The entries of ``flat`` times d, which must be a common denominator."""
-    if d == 1:
-        return flat
-    return tuple(x * d if type(x) is int else x.numerator * (d // x.denominator)
-                 for x in flat)
 
 
 def _symmetric(flat: tuple, n: int) -> bool:
@@ -503,8 +512,9 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     u = tuple(chain.from_iterable(row[nc:] for row in w[:nr]))
     d = tuple(w[i][j] if i == j else 0 for i in range(nr) for j in range(nc))
     v = tuple(chain.from_iterable(row[:nc] for row in w[nr:]))
-    return SnfResult(u=Matrix._from_canonical(u, nr, nr), d=Matrix._from_canonical(d, nr, nc),
-                     v=Matrix._from_canonical(v, nc, nc))
+    return SnfResult(u=Matrix._from_numerators(u, 1, nr, nr),
+                     d=Matrix._from_numerators(d, 1, nr, nc),
+                     v=Matrix._from_numerators(v, 1, nc, nc))
 
 
 # -- affine solving ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import Matrix, smith_normal_form
+from .exactmat import Matrix, SnfResult, smith_normal_form
 from .rootsys import RootSystemId, coroot_gram_matrix, gram_matrix, simple_reflections
 
 
@@ -40,17 +40,19 @@ class Family:
     """The family Z_tau = tau * z0, tau in H_1, of an integral form.
 
     ``form`` is the invariant Gram matrix S, ``generators`` the matrices of
-    the representation that preserve it, ``z0`` = S^{-1} and ``chain`` the
-    invariant factors of S. ``from_system`` takes both from one Smith form
-    u * S * v = D: the chain is D's diagonal and z0 = v * D^{-1} * u. The
-    product S * z0 = I, which shares no code with the Smith form, is what
-    certifies z0 (verify's riemann-matrices section checks it).
+    the representation that preserve it, ``z0`` = S^{-1}, ``chain`` the
+    invariant factors of S and ``snf`` the Smith form u * S * v = D that
+    ``from_system`` takes both from: the chain is D's diagonal and
+    z0 = v * D^{-1} * u. The product S * z0 = I, which shares no code with
+    the Smith form, is what certifies z0 (verify's riemann-matrices section
+    checks it), and verify's torus-decompositions section certifies u and v.
     """
 
     form: Matrix
     generators: tuple
     z0: Matrix
     chain: DivisorChain
+    snf: SnfResult
 
     @classmethod
     def from_system(cls, system: RootSystemId) -> "Family":
@@ -60,7 +62,7 @@ class Family:
         diag = snf.diagonal()
         z0 = snf.v * Matrix.diagonal([Fraction(1, d) for d in diag]) * snf.u
         return cls(form, tuple(simple_reflections(system)), z0,
-                   DivisorChain(divisors=tuple(reversed(diag))))
+                   DivisorChain(divisors=tuple(reversed(diag))), snf)
 
     @property
     def level(self) -> int:

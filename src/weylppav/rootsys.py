@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator
 
 from .exactmat import Matrix
@@ -186,7 +186,7 @@ def simple_reflections(system: RootSystemId) -> list:
     out = []
     for i in range(n):
         row = tuple(int(i == j) - x for j, x in enumerate(c.col(i)))
-        out.append(Matrix._from_canonical(ident[:i * n] + row + ident[(i + 1) * n:], n, n))
+        out.append(Matrix._from_numerators(ident[:i * n] + row + ident[(i + 1) * n:], 1, n, n))
     return out
 
 
@@ -226,13 +226,15 @@ def coroot_gram_matrix(system: RootSystemId) -> Matrix:
     The coroot a_i^ = a_i / norm_half_i has pairings S[i][j] / (d_i d_j);
     the least positive integer multiple making that matrix integral is the
     natural polarization form on the coroot lattice. With d_i = u_i / v_i
-    each pairing is S[i][j] v_i v_j / (u_i u_j): the multiple q is the lcm
-    of the reduced denominators, and each entry is one exact division.
+    and u the lcm of the u_i, each pairing is S[i][j] w_i w_j over u^2,
+    w_i = u / d_i an int. A ``Matrix`` divides out the common factor, and
+    its numerators are that least multiple.
     """
     s = gram_matrix(system)
     d = cartan_data(system).norm_halves  # ints and Fractions both have numerator/denominator
-    n = system.rank
-    pairs = [(s.flat[i * n + j] * d[i].denominator * d[j].denominator,
-              d[i].numerator * d[j].numerator) for i in range(n) for j in range(n)]
-    q = lcm(*(den // gcd(num, den) for num, den in pairs))
-    return Matrix._from_canonical(tuple(num * q // den for num, den in pairs), n, n)
+    n, u = system.rank, lcm(*(x.numerator for x in d))
+    w = [x.denominator * (u // x.numerator) for x in d]
+    pairings = Matrix._from_numerators(
+        tuple(s.numerators[i * n + j] * w[i] * w[j] for i in range(n) for j in range(n)),
+        u * u, n, n)
+    return Matrix._from_numerators(pairings.numerators, 1, n, n)

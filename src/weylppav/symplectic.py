@@ -14,13 +14,10 @@ computation a linear problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
-from ._kernel import mat_mul_flat
-from .exactmat import (Matrix, Singular, _numerators, _symmetric, smith_normal_form,
-                       solve_affine)
+from .exactmat import Matrix, Singular, smith_normal_form, solve_affine
 
 
 class NonUnimodular(ValueError):
@@ -51,8 +48,9 @@ def is_symplectic(m: Matrix) -> bool:
 
     With m = [[A, B], [C, D]] and B = C = 0, m^t J m = [[0, A^t D],
     [-D^t A, 0]], so the test is the n x n product A^t D = I. Otherwise
-    J m = [[C, D], [-A, -B]] is m's rows moved and the top half negated, so
-    only one 2n x 2n product, m^t (J m), is formed.
+    J m = [[C, D], [-A, -B]] is m's rows moved and the top half negated,
+    which the product J * m forms as row copies and negations (each row of
+    J holds one nonzero), so only one dense 2n x 2n product is formed.
     """
     if not m.is_square or m.nrows % 2:
         raise ValueError("even-sized square matrix required")
@@ -61,11 +59,8 @@ def is_symplectic(m: Matrix) -> bool:
     if not any(any(r[n:]) for r in rows[:n]) and not any(any(r[:n]) for r in rows[n:]):
         return m.submatrix(0, n, 0, n).T * m.submatrix(n, 2 * n, n, 2 * n) == \
             Matrix.identity(n)
-    half = n * m.ncols
-    # Negated canonical entries are canonical, so J m needs no checks.
-    jm = Matrix._from_canonical(m.flat[half:] + tuple(-x for x in m.flat[:half]),
-                                m.nrows, m.ncols)
-    return m.T * jm == standard_form(n)
+    j = standard_form(n)
+    return m.T * (j * m) == j
 
 
 @dataclass(frozen=True)
@@ -132,35 +127,22 @@ def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
 
     When C = 0 the symplectic condition gives D^{-1} = A^t and makes B A^t
     symmetric, so the action (A z + B) A^t = A z A^t + B A^t is symmetric
-    and equals its transpose A (A z + B)^t. With q the denominator lcm of z
-    it is A (A qz + qB)^t / q: two integer products, the sparse A on the
-    left, qB added only when B != 0, one division and no inverse. The
-    symmetry of z and of the result is then tested on the integers qz and
-    q times the result.
+    and equals its transpose A (A z + B)^t: two products on z's integer
+    numerators, the sparse A on the left, and no inverse.
     """
     n = m.n
     if (z.nrows, z.ncols) != (n, n):
         raise ValueError(f"{n} x {n} matrix required")
     a, b, c, d = m.blocks()
-    if c.is_zero():
-        q = z.denominator_lcm()
-        qz = _numerators(z.flat, q)
-        if not _symmetric(qz, n):
-            raise ValueError("symmetric matrix required")
-        inner = mat_mul_flat(a.flat, qz, n, n, n)
-        if not b.is_zero():
-            inner = tuple(x + q * y for x, y in zip(inner, b.flat))
-        flat = mat_mul_flat(a.flat, Matrix._from_canonical(inner, n, n).T.flat, n, n, n)
-        if not _symmetric(flat, n):
-            raise AssertionError("action of a symplectic matrix must preserve symmetry")
-        return Matrix._from_canonical(tuple(Fraction(p, q) if p % q else p // q for p in flat),
-                                      n, n)
     if not z.is_symmetric():
         raise ValueError("symmetric matrix required")
-    try:
-        result = (a * z + b) * (c * z + d).inverse()
-    except Singular:
-        raise SingularDenominator("C z + D is singular") from None
+    if c.is_zero():
+        result = a * (a * z + b).T
+    else:
+        try:
+            result = (a * z + b) * (c * z + d).inverse()
+        except Singular:
+            raise SingularDenominator("C z + D is singular") from None
     if not result.is_symmetric():
         raise AssertionError("action of a symplectic matrix must preserve symmetry")
     return result
@@ -209,15 +191,11 @@ def vec_to_sym(vec: Sequence, n: int) -> Matrix:
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector, leading entry > 0."""
-    scale = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in vec))
-    scaled = [int(x * scale) for x in vec]
-    g = gcd(*(abs(x) for x in scaled))
-    if g > 1:
-        scaled = [x // g for x in scaled]
-    lead = next((x for x in scaled if x != 0), 1)
-    if lead < 0:
-        scaled = [-x for x in scaled]
-    return tuple(scaled)
+    num = Matrix([vec]).numerators
+    g = gcd(*num) or 1
+    if next(filter(None, num), 0) < 0:
+        g = -g
+    return tuple(x // g for x in num)
 
 
 def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:

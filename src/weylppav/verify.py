@@ -19,10 +19,10 @@ from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, _numerators, smith_normal_form, solve_affine
+from .exactmat import Matrix, solve_affine
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, diagram_automorphisms
-from .symplectic import (SymplecticMat, embed_block_diag, fixed_space_equations,
+from .symplectic import (SymplecticMat, _sym_index, embed_block_diag, fixed_space_equations,
                          fixed_symmetric_space, is_symplectic, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
 from .weyl import expected_order, generate_group, poincare_polynomial
@@ -126,6 +126,8 @@ def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
     if (computed.nrows, computed.ncols) != (expected.nrows, expected.ncols):
         return (f"{label} is {computed.nrows} x {computed.ncols}, "
                 f"expected {expected.nrows} x {expected.ncols}")
+    if computed == expected:
+        return ""
     n = expected.ncols
     return next((f"entry {divmod(k, n)} of {label} is {x}, expected {y}"
                  for k, (x, y) in enumerate(zip(computed.flat, expected.flat)) if x != y), "")
@@ -196,14 +198,14 @@ def check_riemann_matrices(max_rank: int, catalog: dict) -> Section:
 
 
 def check_divisor_chains(max_rank: int, catalog: dict) -> Section:
-    """The Smith form and divisor chain of each Gram matrix. A failing line
-    names its witness: the first wrong cell, the non-integral factor, the
-    two numbers that differ or the regrouped chain."""
+    """The Smith form each family's chain and z0 were read from, and the
+    divisor chain of each Gram matrix. A failing line names its witness:
+    the first wrong cell, the non-integral factor, the two numbers that
+    differ or the regrouped chain."""
     sec = Section("torus-decompositions")
     for system, family in catalog.items():
-        gram, chain = family.form, family.chain
+        gram, chain, snf = family.form, family.chain, family.snf
         det = gram.det()
-        snf = smith_normal_form(gram)
         diag = snf.diagonal()
         # det(u) * det(gram) * det(v) = prod(d); with prod(d) = det(gram) != 0
         # that leaves det(u) * det(v) = 1, so integral u and v are unimodular.
@@ -389,9 +391,14 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     for system, family in catalog.items():
         refl, gram = family.generators, family.form
         order = expected_order(system)
+        # g^t S g = S is s S s^t = S for s = g^t, decided on the rows s moves;
+        # _fixed_by needs a symmetric S, so any other takes the dense product.
+        symmetric = gram.is_symmetric()
         wrong = next((f"simple reflection {k}: "
-                      + _first_wrong_cell("g^t * gram * g", image, gram)
-                      for k, g in enumerate(refl) if (image := g.T * gram * g) != gram), "")
+                      + _first_wrong_cell("g^t * gram * g", g.T * gram * g, gram)
+                      for k, g in enumerate(refl)
+                      if not (_fixed_by(g.T, gram.numerators) if symmetric
+                              else g.T * gram * g == gram)), "")
         if order > ENUMERATION_LIMIT:
             # g * g == I forces det(g) = +-1, so no determinant is taken.
             ident = Matrix.identity(system.rank)
@@ -456,8 +463,7 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
 
     failure = ""
     for system in systems:
-        z0 = catalog[system].z0
-        qz = _numerators(z0.flat, z0.denominator_lcm())
+        qz = catalog[system].z0.numerators
         moved = next((k for k, r in enumerate(catalog[system].generators)
                       if not _fixed_by(r, qz)), None)
         if moved is not None:
@@ -484,7 +490,8 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
         size = system.rank * (system.rank + 1) // 2
         rows, _ = fixed_space_equations(embedded[system])
         dimension = size - Matrix(rows or [[0] * size]).rank()
-        z0 = sym_to_vec(catalog[system].z0.denominator_lcm() * catalog[system].z0)
+        qz = catalog[system].z0.numerators
+        z0 = [qz[i * system.rank + j] for i, j in _sym_index(system.rank)]
         if dimension != 1:
             failure = f"{system}: fixed space has dimension {dimension}"
         elif not any(z0) or any(sum(c * x for c, x in zip(row, z0)) for row in rows):

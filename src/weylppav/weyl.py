@@ -90,7 +90,7 @@ class MatrixGroup:
         """The elements as ``Matrix`` objects, in the order of ``found``."""
         n, vectors = self.dimension, self.vectors
         flats = (tuple(chain.from_iterable(map(vectors.__getitem__, el))) for el in self.found)
-        return tuple(Matrix._from_canonical(flat, n, n) for flat in flats)
+        return tuple(Matrix._from_numerators(flat, 1, n, n) for flat in flats)
 
 
 def generate_group(generators, cap: int) -> MatrixGroup:

@@ -82,18 +82,18 @@ def rng():
 def no_group_matrices(monkeypatch):
     """Make the group closure and the form check fail if they build a Matrix.
 
-    ``Matrix._from_canonical`` raises when called from ``weyl`` or
+    ``Matrix._from_numerators`` raises when called from ``weyl`` or
     ``verify``; integer products elsewhere still work.
     """
-    original = Matrix._from_canonical
+    original = Matrix._from_numerators
 
-    def guarded(cls, flat, nrows, ncols):
+    def guarded(cls, numerators, q, nrows, ncols):
         caller = sys._getframe(1).f_globals["__name__"]
         if caller in ("weylppav.weyl", "weylppav.verify"):
             raise AssertionError(f"{caller} built a Matrix")
-        return original(flat, nrows, ncols)
+        return original(numerators, q, nrows, ncols)
 
-    monkeypatch.setattr(Matrix, "_from_canonical", classmethod(guarded))
+    monkeypatch.setattr(Matrix, "_from_numerators", classmethod(guarded))
 
 
 @pytest.fixture

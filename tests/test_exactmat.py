@@ -37,7 +37,7 @@ class TestMatrixBasics:
         with pytest.raises(TypeError, match="bool"):
             Matrix.from_flat((1, False, 0, 1), 2, 2)
         ident = Matrix.identity(2)
-        for call in (lambda: ident * True, lambda: True * ident,
+        for call in (lambda: Matrix([[True]]), lambda: ident * True, lambda: True * ident,
                      lambda: ident.apply([1, True]), lambda: solve_affine(ident, [F(1, 2), True])):
             with pytest.raises(TypeError, match="bool"):
                 call()

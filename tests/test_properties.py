@@ -25,7 +25,6 @@ from weylppav import (Family, Matrix, Singular, SymplecticMat, all_systems,  # n
                       gram_matrix, is_symplectic, modular_action, smith_normal_form,
                       solve_affine, standard_form)
 from weylppav import verify  # noqa: E402
-from weylppav.exactmat import _numerators  # noqa: E402
 from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -345,11 +344,6 @@ def test_smith_form_z0_is_the_inverse_through_rank_16():
         assert Family.from_system(system).z0 == gram_matrix(system).inverse(), str(system)
 
 
-def numerators(z: Matrix) -> tuple:
-    """The integer numerators of z over its denominator lcm."""
-    return _numerators(z.flat, z.denominator_lcm())
-
-
 def changed_cell_pairs(z: Matrix):
     """z, then z with one symmetric cell pair (i, j), (j, i) raised by 1 or
     by 1/11, for every i <= j; 11 divides no level through rank 8, so the
@@ -374,7 +368,7 @@ def test_one_row_test_matches_the_siegel_action_through_rank_8():
         family = Family.from_system(system)
         embedded = [(r, embed_block_diag(r)) for r in family.generators]
         for z in changed_cell_pairs(family.z0):
-            qz = numerators(z)
+            qz = z.numerators
             for r, emb in embedded:
                 fixed = modular_action(emb, z) == z
                 assert verify._fixed_by(r, qz) == fixed, (str(system), z, r)
@@ -386,7 +380,7 @@ def test_permutation_test_matches_the_product_through_rank_8():
     outcomes = set()
     for system in all_systems(8):
         for z in changed_cell_pairs(Family.from_system(system).z0):
-            qz = numerators(z)
+            qz = z.numerators
             for auto in diagram_automorphisms(system):
                 fixed = auto.T * (auto.T * z).T == z
                 assert verify._fixed_by(auto.T, qz) == fixed, (str(system), z)
@@ -410,12 +404,20 @@ def test_row_test_matches_the_product_for_any_unimodular_matrix(w, data):
         if m * m == Matrix.identity(n):
             points.append(w + m * w * m.T)
         for z in points:
-            assert verify._fixed_by(m, numerators(z)) == (m * z * m.T == z)
+            assert verify._fixed_by(m, z.numerators) == (m * z * m.T == z)
 
 
 def canonical(x) -> bool:
-    """An entry as ``Matrix`` stores it: an int, or a Fraction that is not one."""
+    """An entry as ``Matrix`` gives it: an int, or a Fraction that is not one."""
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def reduced(m) -> bool:
+    """The stored form: int numerators over an int denominator q >= 1 that
+    shares no factor with all of them, and reads back as the entries."""
+    q, num = m.denominator, m.numerators
+    return (type(q) is int and q >= 1 and all(type(p) is int for p in num)
+            and gcd(q, *num) == 1 and m.flat == tuple(Fraction(p, q) for p in num))
 
 
 def integral_rows(rows) -> bool:
@@ -425,9 +427,9 @@ def integral_rows(rows) -> bool:
 
 
 def integrality_exact(m, integral: bool) -> bool:
-    """Every entry is stored canonically and ``is_integral()`` is
-    ``integral``, the value the input fixes."""
-    return all(canonical(x) for x in m.flat) and m.is_integral() is integral
+    """The matrix is stored reduced, every entry is given canonically and
+    ``is_integral()`` is ``integral``, the value the input fixes."""
+    return reduced(m) and all(canonical(x) for x in m.flat) and m.is_integral() is integral
 
 
 def fraction_at(position):
@@ -449,8 +451,9 @@ def bordered(rows):
 BUILDS = {
     "Matrix": Matrix,
     "from_flat": lambda rows: Matrix.from_flat([x for row in rows for x in row], 3, 4),
-    "_from_canonical": lambda rows: Matrix._from_canonical(
-        tuple(x for row in rows for x in row), 3, 4),
+    # Over 2, which the constructor divides out when every entry is an int.
+    "_from_numerators": lambda rows: Matrix._from_numerators(
+        tuple(int(2 * x) for row in rows for x in row), 2, 3, 4),
     "T": lambda rows: Matrix(zip(*rows)).T,
     "submatrix": lambda rows: Matrix(bordered(rows)).submatrix(1, 4, 1, 5),
     "block2": lambda rows: Matrix.block2(*(Matrix([row[c0:c1] for row in rows[r0:r1]])
@@ -500,6 +503,30 @@ def test_product_matches_entrywise_fractions(operands):
     assert (product.nrows, product.ncols) == (len(a), len(b[0]))
     assert [list(row) for row in product.rows()] == expected
     assert integrality_exact(product, integral_rows(expected))
+
+
+@PROPERTY
+@given(product_operands(), st.data())
+def test_equal_values_by_different_routes_are_one_stored_form(operands, data):
+    # A product, from_flat of its Fraction entries, scaling by s and then
+    # by 1/s, and p + d - d for a d over coprime denominators all give the
+    # product's value, so they must be equal with equal hashes, and reduced.
+    a, b = operands
+    p = Matrix(a) * Matrix(b)
+    n, m = p.nrows, p.ncols
+    expected = [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(len(b))),
+                     Fraction(0)) for j in range(m)] for i in range(n)]
+    s = data.draw(st.fractions(-9, 9, max_denominator=6).filter(bool))
+    d = Matrix([[data.draw(coprime) for _ in range(m)] for _ in range(n)])
+    routes = (p, Matrix(expected), Matrix.from_flat([Fraction(x) for x in p.flat], n, m),
+              p.scale(s).scale(1 / s), p + d - d)
+    for x in routes:
+        assert x == routes[0] and hash(x) == hash(routes[0])
+        assert integrality_exact(x, integral_rows(expected))
+    assert integrality_exact(p.scale(s), integral_rows([[s * x for x in row]
+                                                        for row in expected]))
+    assert integrality_exact(p + d, integral_rows([[x + y for x, y in zip(row, d.row(i))]
+                                                   for i, row in enumerate(expected)]))
 
 
 @PROPERTY
