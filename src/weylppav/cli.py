@@ -33,26 +33,26 @@ UNSUPPORTED_INPUT = 3
 BROKEN_PIPE = 141
 
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
-# time grows like rank^3.5 (on a 2-vCPU x86-64 VM, z0 A150 takes about
-# 16 s and z0 A200 about 37 s), and a fixed-space problem of size n is a
-# dense system in n(n+1)/2 unknowns with n(n+1)/2 rows per generator. At
-# n = 16, dense random block-upper-triangular generators (entries up to
-# 18) take about 8 s for one, 95 s for 8, 165 s for 16 and 750 s (140 MB
-# max RSS) for 64; 64 identity generators, whose equations are all zero
-# and dropped before the solve, take about 0.7 s. Those 64 dense
-# generators are about 220 kB of JSON, so a file is read only up to
-# MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 0.26 s at rank 12
-# and 0.28 s at rank 16 (a fresh process each, median of 5, 2-vCPU AMD EPYC
-# VM, Python 3.11.7); in process, rank 20 takes 0.28 s and rank 32 0.6 s.
-# A closure holds cap elements of rank row ids each, in a list beside the
-# set that tests membership; its peak memory is at most about 4 bytes per
-# cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7, B6
-# closed, E7, E8, A8, A100, A200, D30 truncated at the limit; D30 is the
+# time grows like rank^3.5 (in a fresh process on a 2-vCPU AMD EPYC VM,
+# z0 A150 takes about 4.6 s and z0 A200 about 11 s), and a fixed-space
+# problem of size n is a dense system in n(n+1)/2 unknowns with n(n+1)/2
+# rows per generator. At n = 16, dense random block-upper-triangular
+# generators (entries up to 18) take about 8 s for one, 95 s for 8, 165 s
+# for 16 and 750 s (140 MB max RSS) for 64; 64 identity generators, whose
+# equations are all zero and dropped before the solve, take about 0.7 s.
+# Those 64 dense generators are about 220 kB of JSON, so a file is read only
+# up to MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 0.22 s at
+# rank 12 and 0.25 s at rank 16 (a fresh process each, median of 5, 2-vCPU
+# AMD EPYC VM, Python 3.11.7); in process, rank 20 takes 0.24 s and rank 32
+# 0.49 s. A closure holds cap elements of rank row ids each, in a list
+# beside the set that tests membership; its peak memory is at most about 4
+# bytes per cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7,
+# B6 closed, E7, E8, A8, A100, A200, D30 truncated at the limit; D30 is the
 # largest at 3.7 and E7 next at 2.5), so about 18 MB. The limit admits
-# verify-all's own cap (100,001) up to rank 7. The generators are rank
-# dense rank x rank matrices beside it: group-order A200 --cap 125 takes
-# about 0.8 s and 80 MB max RSS (a fresh process, same VM), most of it the
-# 8 million reflection entries.
+# verify-all's own cap (100,001) up to rank 7. The generators are rank dense
+# rank x rank matrices beside it: group-order A200 --cap 125 takes about
+# 0.3 s and 80 MB max RSS (a fresh process, same VM), most of it the 8
+# million reflection entries.
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

@@ -351,6 +351,39 @@ def _symmetric(flat: tuple, n: int) -> bool:
     return all(flat[j * n + j + 1:(j + 1) * n] == flat[(j + 1) * n + j::n] for j in range(n))
 
 
+def _moved_columns(m: Matrix) -> list:
+    """The columns j in which the square integer matrix m differs from the
+    identity, as ``(j, [(k, x) for each nonzero x = m[k, j]])``, each read
+    as one strided slice of the numerators; empty iff m is the identity."""
+    n, num = m.nrows, m.numerators
+    return [(j, [(k, x) for k, x in enumerate(col) if x]) for j in range(n)
+            if (col := num[j::n])[j] != 1 or col.count(0) != n - 1]
+
+
+def _row_times(vec, moved: list) -> tuple:
+    """vec * g, for g given by ``_moved_columns(g)``: vec with entry j of each
+    moved column j replaced by vec . (column j of g)."""
+    out = list(vec)
+    for j, terms in moved:
+        out[j] = sum(vec[k] * x for k, x in terms)
+    return tuple(out)
+
+
+def _is_involution(moved: list) -> bool:
+    """Is g * g = I, for g given by ``_moved_columns(g)``? Column j of g * g
+    is e_j for an unmoved j; for a moved j it is the sum of x * (column k of
+    g) over j's terms (k, x), column k being e_k if unmoved."""
+    cols = dict(moved)
+    for j, terms in moved:
+        image = {}
+        for k, x in terms:
+            for i, y in cols.get(k, ((k, 1),)):
+                image[i] = image.get(i, 0) + x * y
+        if image.pop(j, 0) != 1 or any(image.values()):
+            return False
+    return True
+
+
 # -- exact elimination --------------------------------------------------------
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .exactmat import Matrix, Singular, smith_normal_form, solve_affine
+from .exactmat import (Matrix, Singular, _is_involution, _moved_columns, smith_normal_form,
+                       solve_affine)
 
 
 class NonUnimodular(ValueError):
@@ -93,30 +94,24 @@ class SymplecticMat:
                 m.submatrix(n, 2 * n, 0, n), m.submatrix(n, 2 * n, n, 2 * n))
 
 
-def _is_identity(m: Matrix) -> bool:
-    """Is the square matrix m the identity: n ones on its diagonal, zeros elsewhere?"""
-    n = m.nrows
-    return m.flat[::n + 1].count(1) == n and m.flat.count(0) == n * n - n
-
-
 def embed_block_diag(rho: Matrix) -> SymplecticMat:
     """Embed a unimodular matrix as [[rho, 0], [0, rho^{-t}]], certified by a product.
 
     [[rho, 0], [0, X^t]] is symplectic exactly when X rho = I. An involution
-    (rho * rho = I, as every reflection is) is its own inverse by that very
-    product. Otherwise a Smith form u * rho * v = I decides unimodularity,
+    (rho * rho = I on the columns rho moves, as for every reflection) is its
+    own inverse. Otherwise a Smith form u * rho * v = I decides unimodularity,
     and rho * (v * u) = I certifies the inverse v * u or raises NotSymplectic.
     """
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
     n = rho.nrows
     inverse = rho
-    if not _is_identity(rho * rho):
+    if not _is_involution(_moved_columns(rho)):
         snf = smith_normal_form(rho)
         if any(x != 1 for x in snf.diagonal()):
             raise NonUnimodular(f"determinant is {rho.det()}")
         inverse = snf.v * snf.u
-        if not _is_identity(rho * inverse):
+        if _moved_columns(rho * inverse):
             raise NotSymplectic("Smith inverse fails rho * (v * u) = I")
     zero = Matrix.zeros(n)
     return SymplecticMat._certified(n, Matrix.block2(rho, zero, zero, inverse.T))

@@ -19,13 +19,14 @@ from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, solve_affine
+from .exactmat import Matrix, _is_involution, _moved_columns, solve_affine
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, diagram_automorphisms
 from .symplectic import (SymplecticMat, _sym_index, embed_block_diag, fixed_space_equations,
                          fixed_symmetric_space, is_symplectic, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
-from .weyl import expected_order, generate_group, poincare_polynomial
+from .weyl import (NonUnimodularGenerator, check_invariance, expected_order, generate_group,
+                   poincare_polynomial)
 
 PASS = "pass"
 FAIL = "fail"
@@ -93,30 +94,16 @@ def _catalog(max_rank: int) -> dict:
     return {system: Family.from_system(system) for system in all_systems(max_rank)}
 
 
-def _fixed_by(s: Matrix, qz: tuple) -> bool:
-    """Does s z s^t = z hold, for a symmetric z given by the integer
-    numerators qz = q * z of one common denominator q?
-
-    Only the rows i in which s differs from I move z: with y_i = s_i z (s_i
-    row i of s), s z s^t = z iff y_i agrees with z outside those rows and
-    y_i . s_j = z_ij for i, j among them; the symmetry of z gives the rest.
-    A simple reflection moves one row, so the test costs n times the
-    nonzeros of that row instead of two n x n products. For s = p^t, p a
-    permutation matrix, y_i is row pi(i) of z and the test reads
-    z_{pi(i), pi(j)} = z_ij by index.
-    """
-    n = s.nrows
-    moved = {i: [(k, x) for k, x in enumerate(row) if x] for i in range(n)
-             if (row := s.row(i))[i] != 1 or row.count(0) != n - 1}
-    for i, terms in moved.items():
-        y = [0] * n
-        for k, x in terms:
-            y = [a + x * b for a, b in zip(y, qz[k * n:(k + 1) * n])]
-        if any(y[b] != qz[i * n + b] for b in range(n) if b not in moved):
-            return False
-        if any(sum(x * y[k] for k, x in moved[j]) != qz[i * n + j] for j in moved):
-            return False
-    return True
+def _embedded(system, reflections) -> tuple:
+    """(the ``embed_block_diag`` of each simple reflection, ""), or (None,
+    "<system>: simple reflection <k>: <error>") for the first it refuses."""
+    out = []
+    for k, r in enumerate(reflections):
+        try:
+            out.append(embed_block_diag(r))
+        except ValueError as exc:  # NonUnimodular, or not a square integer matrix
+            return None, f"{system}: simple reflection {k}: {exc}"
+    return out, ""
 
 
 def _first_wrong_cell(label: str, computed: Matrix, expected: Matrix) -> str:
@@ -381,37 +368,39 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     A group of at most ``ENUMERATION_LIMIT`` elements is closed from the
     transposed simple reflections, which keeps each element's length. It
     must have the classical order, and level sizes equal to the Poincare
-    polynomial of the invariant degrees (a failure gives both). Every
-    element preserves the Gram form iff the simple reflections do (a
-    failure names the first that does not, and its first wrong cell);
-    larger groups get that check and g * g == I in one generator-level
-    check, whose failure names the first simple reflection that fails.
+    polynomial of the invariant degrees (a failure gives both, a refused
+    reflection its determinant). Every element preserves the Gram form iff
+    the simple reflections do (``check_invariance``; a failure names the
+    first that does not, and its first wrong cell); larger groups get that
+    check and g * g == I in one generator-level check.
     """
     sec = Section("reflection-group-orders")
     for system, family in catalog.items():
         refl, gram = family.generators, family.form
         order = expected_order(system)
-        # g^t S g = S is s S s^t = S for s = g^t, decided on the rows s moves;
-        # _fixed_by needs a symmetric S, so any other takes the dense product.
-        symmetric = gram.is_symmetric()
+        # The dense image is formed only to name the failing cell.
         wrong = next((f"simple reflection {k}: "
                       + _first_wrong_cell("g^t * gram * g", g.T * gram * g, gram)
-                      for k, g in enumerate(refl)
-                      if not (_fixed_by(g.T, gram.numerators) if symmetric
-                              else g.T * gram * g == gram)), "")
+                      for k, g in enumerate(refl) if not check_invariance([g], gram)), "")
         if order > ENUMERATION_LIMIT:
             # g * g == I forces det(g) = +-1, so no determinant is taken.
-            ident = Matrix.identity(system.rank)
             wrong = wrong or next((f"simple reflection {k}: g * g != I"
-                                   for k, g in enumerate(refl) if g * g != ident), "")
+                                   for k, g in enumerate(refl)
+                                   if not _is_involution(_moved_columns(g))), "")
             sec.add(f"{system}: generator-level checks (order {order} not enumerated)",
                     not wrong, wrong)
             continue
-        group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
-        levels = poincare_polynomial(reference.invariant_degrees(system))
-        ok = not group.truncated and group.order == order and group.levels == levels
-        sec.add(f"{system}: enumerated order {group.order} = expected {order}", ok,
-                "" if ok else f"levels {group.levels}, expected {levels}")
+        try:
+            group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
+        except NonUnimodularGenerator as exc:
+            k = next(k for k, g in enumerate(refl) if abs(g.det()) != 1)
+            sec.add(f"{system}: enumerated order = expected {order}", False,
+                    f"{system}: simple reflection {k}: {exc}")
+        else:
+            levels = poincare_polynomial(reference.invariant_degrees(system))
+            ok = not group.truncated and group.order == order and group.levels == levels
+            sec.add(f"{system}: enumerated order {group.order} = expected {order}", ok,
+                    "" if ok else f"levels {group.levels}, expected {levels}")
         sec.add(f"{system}: every element preserves the Gram form", not wrong, wrong)
     return sec
 
@@ -432,15 +421,15 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
 
     The fixed-point check tests each simple reflection s and diagram
     automorphism against the pass's z0 without embedding either: for
-    diag(s, s^{-t}) the Siegel action is z -> s z s^t, which ``_fixed_by``
-    decides on the one row in which s moves z; an automorphism p acts as
-    z -> p^t z p, which it decides by index. The embedded simple reflections are computed once, only for
-    the systems of rank <= 6 that the fixed-space and centralizer checks
-    read; the centralizer check reads the level, z0 and the form off the
-    pass's family. The homomorphism check embeds its own random words, each
-    the product of its drawn reflections, since it is the check of
-    ``embed_block_diag``. A failing check names its first failing system and
-    generator (or word) in detail.
+    diag(s, s^{-t}) the Siegel action is z -> s z s^t, and an automorphism
+    p acts as z -> p^t z p, both decided by ``check_invariance``. The
+    embedded simple reflections are computed once, only for the systems of
+    rank <= 6 that the fixed-space and centralizer checks read; the
+    centralizer check reads the level, z0 and the form off the pass's
+    family. The homomorphism check embeds its own random words, since it is
+    the check of ``embed_block_diag``. A failing check names its first
+    failing system and generator (or word) in detail, and a reflection
+    ``embed_block_diag`` refuses fails each check that embeds it.
     """
     sec = Section("structural-properties")
     rng = random.Random(20240601)
@@ -452,8 +441,13 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
         refl = catalog[system].generators
         w1 = reduce(mul, [rng.choice(refl) for _ in range(rng.randrange(1, 6))])
         w2 = reduce(mul, [rng.choice(refl) for _ in range(rng.randrange(1, 6))])
-        lhs = embed_block_diag(w1).m * embed_block_diag(w2).m
-        if lhs != embed_block_diag(w1 * w2).m:
+        try:
+            lhs = embed_block_diag(w1).m * embed_block_diag(w2).m
+            rhs = embed_block_diag(w1 * w2).m
+        except ValueError as exc:  # a word is refused only if a reflection is
+            failure = f"word pair {index}: {_embedded(system, refl)[1] or exc}"
+            break
+        if lhs != rhs:
             failure = f"word pair {index} ({system}): embedding of w1 * w2 differs"
         elif not is_symplectic(lhs):
             failure = f"word pair {index} ({system}): product is not symplectic"
@@ -463,32 +457,34 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
 
     failure = ""
     for system in systems:
-        qz = catalog[system].z0.numerators
-        moved = next((k for k, r in enumerate(catalog[system].generators)
-                      if not _fixed_by(r, qz)), None)
-        if moved is not None:
-            failure = f"{system}: simple reflection {moved} moves z0"
-            break
-        moved = next((k for k, auto in enumerate(diagram_automorphisms(system))
-                      if not _fixed_by(auto.T, qz)), None)
-        if moved is not None:
-            failure = f"{system}: diagram automorphism {moved} moves z0"
+        z0 = catalog[system].z0
+        # s z0 s^t = z0 is g^t z0 g = z0 for g = s^t.
+        for kind, gens in (("simple reflection", [r.T for r in catalog[system].generators]),
+                           ("diagram automorphism", diagram_automorphisms(system))):
+            if not check_invariance(gens, z0):
+                moved = next(k for k, g in enumerate(gens) if not check_invariance([g], z0))
+                failure = f"{system}: {kind} {moved} moves z0"
+                break
+        if failure:
             break
     sec.add("every simple reflection fixes z0 under the Siegel action",
             not failure, failure)
 
-    embedded = {system: [embed_block_diag(r) for r in family.generators]
+    embedded = {system: _embedded(system, family.generators)
                 for system, family in catalog.items() if system.rank <= 6}
 
     failure = ""
     for system in systems:
         if system.rank > 6:
             continue
+        embs, failure = embedded[system]
+        if failure:
+            break
         # The fixed space is the kernel of the integer equations (an embedded
         # reflection has B = 0), its dimension the unknowns less their rank.
         # A nonzero z0 in a one-dimensional kernel spans it.
         size = system.rank * (system.rank + 1) // 2
-        rows, _ = fixed_space_equations(embedded[system])
+        rows, _ = fixed_space_equations(embs)
         dimension = size - Matrix(rows or [[0] * size]).rank()
         qz = catalog[system].z0.numerators
         z0 = [qz[i * system.rank + j] for i, j in _sym_index(system.rank)]
@@ -505,10 +501,13 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
     for system in systems:
         if system.rank > 4:
             continue
+        embs, failure = embedded[system]
+        if failure:
+            break
         family = catalog[system]
         elements = [(params, centralizer_element(family, *params).m)
                     for params in ((1, family.level, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1))]
-        gens = (("simple reflection", embedded[system]),
+        gens = (("simple reflection", embs),
                 ("diagram automorphism",
                  [embed_block_diag(auto) for auto in diagram_automorphisms(system)]))
         hit = next(((params, kind, k) for params, el in elements

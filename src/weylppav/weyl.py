@@ -43,12 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, product
 from math import factorial
-from operator import mul
 from struct import Struct
 
-from .exactmat import Matrix
+from .exactmat import Matrix, _is_involution, _moved_columns, _row_times
 from .rootsys import RootSystemId
 
 
@@ -105,27 +104,15 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     if not gens:
         raise ValueError("at least one generator required")
     n = gens[0].nrows
-    for g in gens:
-        if not (g.is_square and g.nrows == n and g.is_integral()):
-            raise ValueError("generators must be square integer matrices of equal size")
+    if not all(g.is_square and g.nrows == n and g.is_integral() for g in gens):
+        raise ValueError("generators must be square integer matrices of equal size")
 
     # vec * gens[k] differs from vec only in the columns where gens[k]
     # differs from the identity: one for a transposed reflection.
-    units = Matrix.identity(n).rows()
-    moved = [[(j, col) for j, col in enumerate(map(g.col, range(n))) if col != units[j]]
-             for g in gens]
-
-    def image(vec, cols):
-        out = list(vec)
-        for j, col in cols:
-            out[j] = sum(map(mul, vec, col))
-        return tuple(out)
-
+    moved = [_moved_columns(g) for g in gens]
     for g, cols in zip(gens, moved):
-        # An involution (e_r * g * g == e_r for every r) has |det| = 1, so
-        # only other generators take det.
-        if (any(image(image(unit, cols), cols) != unit for unit in units)
-                and abs(det := g.det()) != 1):
+        # An involution has |det| = 1, so only other generators take det.
+        if not _is_involution(cols) and abs(det := g.det()) != 1:
             raise NonUnimodularGenerator(f"generator has determinant {det}")
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -144,7 +131,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     # filled together at the start of each level, to the end of the row
     # table as it stands then; the rows they intern are not chased further.
     acts = [[] for _ in gens]
-    for row in units:
+    for row in Matrix.identity(n).rows():
         intern(row)
     wide = len(vectors) > 256  # elements are tuples once a row id needs more than a byte
     ident = tuple(range(n)) if wide else bytes(range(n))
@@ -163,7 +150,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
         # one past the level's largest row id whenever a fill is due.
         top = len(vectors)
         for cols, act in zip(moved, acts):
-            act.extend(intern(image(vectors[rid], cols)) for rid in range(len(act), top))
+            act.extend(intern(_row_times(vectors[rid], cols)) for rid in range(len(act), top))
         if not wide and len(vectors) > 256:
             wide = True
             found = list(map(tuple, found))
@@ -214,13 +201,29 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 
 
 def check_invariance(generators, form: Matrix) -> bool:
-    """True iff g^t * form * g == form for every generator.
+    """True iff g^t * form * g == form for every generator; the form S may be
+    any square rational matrix, the generators square integer ones of its size.
 
-    Checking generators suffices for the whole generated group.
+    Checking generators suffices for the whole generated group. Column b of
+    g^t S g is g^t (S g_b), which is S's own column b unless g moves column
+    b (``exactmat._moved_columns``); for a moved b, S g_b sums x * (column k
+    of S) over b's terms (k, x), on S's numerators. The rows g moves are the
+    same test on S^t, which a symmetric S passes with the first.
     """
-    if not form.is_symmetric():
-        raise ValueError("symmetric form required")
-    return all(g.T * form * g == form for g in generators)
+    n = form.nrows
+    gens = list(generators)
+    if not (form.is_square and all(g.is_square and g.nrows == n and g.is_integral()
+                                   for g in gens)):
+        raise ValueError("a square form and square integer generators of its size required")
+    sides = [form.numerators] if form.is_symmetric() else [form.numerators, form.T.numerators]
+    for moved, qs in product(map(_moved_columns, gens), sides):
+        for b, terms in moved:
+            y = [0] * n
+            for k, x in terms:
+                y = [a + x * c for a, c in zip(y, qs[k::n])]
+            if _row_times(y, moved) != qs[b::n]:
+                return False
+    return True
 
 
 def poincare_polynomial(degrees) -> tuple:

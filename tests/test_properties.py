@@ -24,7 +24,8 @@ from weylppav import (Family, Matrix, Singular, SymplecticMat, all_systems,  # n
                       diagram_automorphisms, embed_block_diag, fixed_symmetric_space,
                       gram_matrix, is_symplectic, modular_action, smith_normal_form,
                       solve_affine, standard_form)
-from weylppav import verify  # noqa: E402
+from weylppav import check_invariance  # noqa: E402
+from weylppav.exactmat import _is_involution, _moved_columns  # noqa: E402
 from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
@@ -361,17 +362,17 @@ def changed_cell_pairs(z: Matrix):
 
 
 def test_one_row_test_matches_the_siegel_action_through_rank_8():
-    # verify decides "s fixes z" on the row in which s moves z; the oracle
-    # is the Siegel action of the embedded reflection. Both outcomes occur.
+    # verify decides "r fixes z" as check_invariance([r^t], z), on the one
+    # column r^t moves; the oracle is the Siegel action of the embedded
+    # reflection. Both outcomes occur.
     outcomes = set()
     for system in all_systems(8):
         family = Family.from_system(system)
         embedded = [(r, embed_block_diag(r)) for r in family.generators]
         for z in changed_cell_pairs(family.z0):
-            qz = z.numerators
             for r, emb in embedded:
                 fixed = modular_action(emb, z) == z
-                assert verify._fixed_by(r, qz) == fixed, (str(system), z, r)
+                assert check_invariance([r.T], z) == fixed, (str(system), z, r)
                 outcomes.add(fixed)
     assert outcomes == {True, False}
 
@@ -380,10 +381,9 @@ def test_permutation_test_matches_the_product_through_rank_8():
     outcomes = set()
     for system in all_systems(8):
         for z in changed_cell_pairs(Family.from_system(system).z0):
-            qz = z.numerators
             for auto in diagram_automorphisms(system):
                 fixed = auto.T * (auto.T * z).T == z
-                assert verify._fixed_by(auto.T, qz) == fixed, (str(system), z)
+                assert check_invariance([auto], z) == fixed, (str(system), z)
                 outcomes.add(fixed)
     assert outcomes == {True, False}
 
@@ -404,7 +404,65 @@ def test_row_test_matches_the_product_for_any_unimodular_matrix(w, data):
         if m * m == Matrix.identity(n):
             points.append(w + m * w * m.T)
         for z in points:
-            assert verify._fixed_by(m, z.numerators) == (m * z * m.T == z)
+            assert check_invariance([m.T], z) == (m * z * m.T == z)
+
+
+@PROPERTY
+@given(square_matrices(), st.data())
+def test_invariance_of_any_square_form_matches_the_product(w, data):
+    # The form need not be symmetric. The involution r = I - e_0 row (row's
+    # first entry 2) fixes w + r^t w r. Raising the fixed form in a row r
+    # moves and a column it keeps is seen only on the S^t side of the test,
+    # and in a kept row and a moved column only on the S side.
+    n = w.nrows
+    s = data.draw(unimodular_pairs(n))[0]
+    row = [2] + [data.draw(sparse) for _ in range(n - 1)]
+    r = Matrix.identity(n) - Matrix([row] + [[0] * n] * (n - 1))
+    for g in (s, r):
+        points = [w, w.T, Matrix.zeros(n)]
+        if g * g == Matrix.identity(n):
+            fixed = w + g.T * w * g
+            moved = {j for j in range(n) if g.col(j) != tuple(int(i == j) for i in range(n))}
+            for a in range(n):
+                for b in range(n):
+                    if (a in moved) != (b in moved):
+                        cells = [list(x) for x in fixed.rows()]
+                        cells[a][b] += 1
+                        points.append(Matrix(cells))
+            points.append(fixed)
+        for z in points:
+            assert check_invariance([g], z) == (g.T * z * g == z), (g, z)
+
+
+@st.composite
+def involution_candidates(draw):
+    """Square integer matrices up to 5 x 5: u r u^{-1} for a reflection-like
+    r (I less one sparse row, an involution when that row's diagonal entry
+    is 2), products of two such, or any matrix of small entries."""
+    n = draw(st.integers(1, 5))
+    u, u_inv = draw(unimodular_pairs(n))
+    i = draw(st.integers(0, n - 1))
+    row = [draw(sparse) for _ in range(n)]
+    row[i] = draw(st.sampled_from((2, 2, 0, 1, 3)))
+    r = Matrix.identity(n) - Matrix([row if a == i else [0] * n for a in range(n)])
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return u * r * u_inv
+    if kind == 1:
+        return r * u * r * u_inv
+    return Matrix([[draw(small) for _ in range(n)] for _ in range(n)])
+
+
+@PROPERTY
+@given(involution_candidates())
+def test_moved_columns_decide_identity_and_involution(m):
+    n = m.nrows
+    ident = Matrix.identity(n)
+    moved = _moved_columns(m)
+    assert [j for j, _ in moved] == [j for j in range(n) if m.col(j) != ident.col(j)]
+    assert all(terms == [(k, x) for k, x in enumerate(m.col(j)) if x] for j, terms in moved)
+    assert (not moved) == (m == ident)
+    assert _is_involution(moved) == (m * m == ident), m
 
 
 def canonical(x) -> bool:

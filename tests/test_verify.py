@@ -11,7 +11,7 @@ from weylppav import (DivisorChain, Family, LevelViolation, Matrix, RootSystemId
                       SymplecticMat, all_systems, centralizer_element, embed_block_diag,
                       expected_order, fixed_symmetric_space, generate_group, gram_matrix,
                       simple_reflections)
-from weylppav import ppav, reference
+from weylppav import ppav, reference, rootsys
 from weylppav.exactmat import SnfResult
 from weylppav.ppav import EllipticDecomposition
 from weylppav.symplectic import AffineMatrixSpace
@@ -365,6 +365,66 @@ class TestFormWitness:
         failed = [(c.name, c.detail) for c in sec.checks if c.status == "fail"]
         assert failed == [("E7: generator-level checks (order 2903040 not enumerated)",
                            "simple reflection 0: g * g != I")]
+
+
+class TestRefusedGenerator:
+    """A simple reflection that is not unimodular fails each line that needs
+    it, naming the system and the reflection; the pass does not raise."""
+
+    def test_wrong_cartan_diagonal_fails_the_closure_and_embedding_lines(self, monkeypatch):
+        # With C[0][0] = 3, G2's s0 = [[-2, 3], [0, 1]] has determinant -2.
+        original = rootsys.cartan_data
+
+        def cartan_data(system):
+            data = original(system)
+            if str(system) != "G2":
+                return data
+            rows = [list(r) for r in data.cartan.rows()]
+            rows[0][0] = 3
+            return dataclasses.replace(data, cartan=Matrix(rows))
+
+        monkeypatch.setattr(rootsys, "cartan_data", cartan_data)
+        report = run_verification(3)
+        assert report["status"] == "fail"
+        failed = {sec["name"]: [(c["name"], c.get("detail")) for c in sec["checks"]
+                                if c["status"] == "fail"] for sec in report["sections"]}
+        assert failed["reflection-group-orders"] == [
+            ("G2: enumerated order = expected 12",
+             "G2: simple reflection 0: generator has determinant -2"),
+            ("G2: every element preserves the Gram form",
+             "simple reflection 0: entry (0, 0) of g^t * gram * g is 12, expected 3")]
+        refused = "G2: simple reflection 0: determinant is -2"
+        assert failed["structural-properties"] == [
+            ("embedding is a homomorphism on 100 random words",
+             "word pair 9: G2: simple reflection 0: determinant is -2"),
+            ("every simple reflection fixes z0 under the Siegel action",
+             "G2: simple reflection 0 moves z0"),
+            ("full reflection set fixes exactly the line through z0 (rank <= 6)", refused),
+            ("centralizer elements commute with the embedded action (rank <= 4)", refused)]
+
+    def test_doubled_reflection_fails_the_embedding_lines(self):
+        g2 = RootSystemId.parse("G2")
+        catalog = verify._catalog(3)
+        s0, s1 = catalog[g2].generators
+        catalog[g2] = dataclasses.replace(catalog[g2], generators=(2 * s0, s1))
+        refused = "G2: simple reflection 0: determinant is -4"
+        assert [(c.name, c.status, c.detail)
+                for c in verify.check_properties(3, catalog).checks] == [
+            ("embedding is a homomorphism on 100 random words", "fail",
+             "word pair 9: G2: simple reflection 0: determinant is -4"),
+            ("every simple reflection fixes z0 under the Siegel action", "fail",
+             "G2: simple reflection 0 moves z0"),
+            ("full reflection set fixes exactly the line through z0 (rank <= 6)", "fail",
+             refused),
+            ("centralizer elements commute with the embedded action (rank <= 4)", "fail",
+             refused)]
+        failed = [(c.name, c.detail) for c in verify.check_group_orders(3, catalog).checks
+                  if c.status == "fail"]
+        assert failed == [
+            ("G2: enumerated order = expected 12",
+             "G2: simple reflection 0: generator has determinant -4"),
+            ("G2: every element preserves the Gram form",
+             "simple reflection 0: entry (0, 0) of g^t * gram * g is 8, expected 2")]
 
 
 ENUMERATED = [s for s in all_systems(8) if expected_order(s) <= verify.ENUMERATION_LIMIT]

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from itertools import accumulate, product
 from math import prod
 
@@ -325,9 +326,32 @@ class TestCheckInvariance:
     def test_wrong_form_detected(self):
         assert not check_invariance(refl("A2"), Matrix.diagonal([1, 2]))
 
-    def test_requires_symmetric_form(self):
+    def test_form_that_is_not_symmetric_agrees_with_the_product(self):
+        # s0 of A3 moves columns 0 and 1 and fixes w + s0^t w s0 for any w.
+        # Raising that form at (0, 2) is seen only in the rows s0 moves, at
+        # (2, 0) only in the columns.
+        s0, s1, s2 = refl("A3")
+        w = Matrix([[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+        fixed = w + s0.T * w * s0
+        assert not fixed.is_symmetric()
+        outcomes = set()
+        for form in (w, fixed, Fraction(1, 3) * fixed,
+                     *(fixed + Matrix([[int((a, b) == cell) for b in range(3)]
+                                       for a in range(3)]) for cell in ((0, 2), (2, 0)))):
+            for g in (s0, s1, s2, -Matrix.identity(3)):
+                holds = g.T * form * g == form
+                assert check_invariance([g], form) == holds, (g, form)
+                outcomes.add(holds)
+        assert outcomes == {True, False}
+
+    def test_rejects_a_form_or_generator_of_the_wrong_kind(self):
+        form = Matrix.diagonal([1, 2])
+        for gens in ([Matrix.identity(3)], [Matrix([[1, 0]])],
+                     [Matrix.identity(2), Fraction(1, 2) * Matrix.identity(2)]):
+            with pytest.raises(ValueError):
+                check_invariance(gens, form)
         with pytest.raises(ValueError):
-            check_invariance(refl("A2"), Matrix([[1, 1], [0, 1]]))
+            check_invariance([Matrix.identity(2)], Matrix([[1, 0]]))
 
 
 class TestPoincarePolynomial:
