@@ -24,18 +24,17 @@ USING_COMPILED = False
 # Each public name, by the module that defines it.
 _MODULE_OF = {name: module for module, names in {
     "centralizer": "DeterminantNotOne LevelViolation centralizer_element curve_description",
-    "exactmat": "AffineSolution Matrix NotSymmetric Singular SnfResult smith_normal_form "
-                "solve_affine",
+    "exactmat": "AffineSolution Matrix NonUnimodular NotSymmetric Singular SnfResult "
+                "smith_normal_form solve_affine",
     "ppav": "DivisorChain EllipticDecomposition Family coroot_polarization_degree "
             "divisor_chain group_divisors",
     "rootsys": "CartanData RootSystemId all_systems cartan_data cartan_matrix "
                "coroot_gram_matrix diagram_automorphisms gram_matrix simple_reflections",
-    "symplectic": "AffineMatrixSpace NonUnimodular NotSymplectic SingularDenominator "
+    "symplectic": "AffineMatrixSpace NotSymplectic SingularDenominator "
                   "SymplecticMat UnsupportedGenerator embed_block_diag fixed_symmetric_space "
                   "is_symplectic modular_action standard_form verify_decomposition_witness "
                   "verify_family_isomorphism",
-    "weyl": "MatrixGroup NonUnimodularGenerator check_invariance expected_order "
-            "generate_group",
+    "weyl": "MatrixGroup check_invariance expected_order generate_group",
 }.items() for name in names.split()}
 
 __all__ = ["USING_COMPILED", *_MODULE_OF]

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 
@@ -41,33 +40,28 @@ BROKEN_PIPE = 141
 # for 16 and 750 s (140 MB max RSS) for 64; 64 identity generators, whose
 # equations are all zero and dropped before the solve, take about 0.7 s.
 # Those 64 dense generators are about 220 kB of JSON, so a file is read only
-# up to MAX_FIXED_SPACE_BYTES (4 MiB). verify-all takes about 0.22 s at
-# rank 12 and 0.25 s at rank 16 (a fresh process each, median of 5, 2-vCPU
-# AMD EPYC VM, Python 3.11.7); in process, rank 20 takes 0.24 s and rank 32
-# 0.49 s. A closure holds cap elements of rank row ids each, in a list
-# beside the set that tests membership; its peak memory is at most about 4
-# bytes per cap * rank^2 entry (tracemalloc, transposed reflections: E6, A7,
-# B6 closed, E7, E8, A8, A100, A200, D30 truncated at the limit; D30 is the
-# largest at 3.7 and E7 next at 2.5), so about 18 MB. The limit admits
-# verify-all's own cap (100,001) up to rank 7. The generators are rank dense
-# rank x rank matrices beside it: group-order A200 --cap 125 takes about
-# 0.3 s and 80 MB max RSS (a fresh process, same VM), most of it the 8
-# million reflection entries.
+# up to MAX_FIXED_SPACE_BYTES (4 MiB). A closure holds cap elements of rank
+# row ids each, in a list beside the set that tests membership; its peak
+# memory is at most about 4 bytes per cap * rank^2 entry (tracemalloc,
+# transposed reflections: E6, A7, B6 closed, E7, E8, A8, A100, A200, D30
+# truncated at the limit; D30 is the largest at 3.7 and E7 next at 2.5), so
+# about 18 MB. The limit admits verify-all's own cap (100,001) up to rank 7.
+# The generators are rank dense rank x rank matrices beside it: group-order
+# A200 --cap 125 takes about 0.3 s and 80 MB max RSS (a fresh process, the
+# EPYC VM), most of it the 8 million reflection entries. verify-all at rank 32
+# takes about twice its rank-16 time: 0.98 s against 0.47 s in a fresh
+# process (median of 5, 2-vCPU Intel Xeon VM, Python 3.11.7, about half as
+# fast as the EPYC VM).
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64
 MAX_FIXED_SPACE_BYTES = 4 << 20
-MAX_VERIFY_RANK = 16
+MAX_VERIFY_RANK = 32
 MAX_GROUP_ENTRIES = 5_000_000
 
 
 def fmt_scalar(x) -> str:
     return str(x)
-
-
-def parse_scalar(s: str):
-    frac = Fraction(s)
-    return frac.numerator if frac.denominator == 1 else frac
 
 
 def fmt_matrix(m) -> list:

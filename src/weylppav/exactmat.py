@@ -53,6 +53,10 @@ class NotSymmetric(ValueError):
     """A symmetric matrix was required."""
 
 
+class NonUnimodular(ValueError):
+    """An integer matrix with |det| = 1 was required."""
+
+
 def _canon(x) -> Scalar:
     """Normalize one entry: ints stay ints, integral Fractions collapse to int.
 
@@ -272,14 +276,6 @@ class Matrix:
                                        self.denominator * s.denominator,
                                        self.nrows, self.ncols)
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple:
-        """Matrix-vector product, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        vec = tuple(map(_canon, vec))
-        return tuple(_canon(sum(a * b for a, b in zip(self.row(i), vec)))
-                     for i in range(self.nrows))
-
     @property
     def T(self) -> "Matrix":
         nc, num = self.ncols, self.numerators
@@ -335,10 +331,6 @@ class Matrix:
         _, pivots, swaps = self._pivots()
         return swaps == 0 and len(pivots) == self.nrows and all(p > 0 for p in pivots)
 
-    def denominator_lcm(self) -> int:
-        """Least positive integer N with N * self integral: the denominator."""
-        return self.denominator
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i))
                          for i in range(self.nrows))
@@ -382,6 +374,18 @@ def _is_involution(moved: list) -> bool:
         if image.pop(j, 0) != 1 or any(image.values()):
             return False
     return True
+
+
+def _unimodular_columns(m: Matrix) -> list:
+    """``_moved_columns(m)`` of a square integer matrix m with |det m| = 1,
+    else NonUnimodular. An involution has |det| = 1, so only a matrix that
+    is not one takes the determinant."""
+    if not (m.is_square and m.is_integral()):
+        raise ValueError("square integer matrix required")
+    moved = _moved_columns(m)
+    if not _is_involution(moved) and abs(det := m.det()) != 1:
+        raise NonUnimodular(f"determinant is {det}")
+    return moved
 
 
 # -- exact elimination --------------------------------------------------------

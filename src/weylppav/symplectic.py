@@ -17,12 +17,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .exactmat import (Matrix, Singular, _is_involution, _moved_columns, smith_normal_form,
-                       solve_affine)
-
-
-class NonUnimodular(ValueError):
-    """An integer matrix with |det| = 1 was required."""
+from .exactmat import (Matrix, NonUnimodular, Singular, _is_involution, _moved_columns,
+                       _unimodular_columns, smith_normal_form, solve_affine)
 
 
 class NotSymplectic(ValueError):
@@ -99,8 +95,10 @@ def embed_block_diag(rho: Matrix) -> SymplecticMat:
 
     [[rho, 0], [0, X^t]] is symplectic exactly when X rho = I. An involution
     (rho * rho = I on the columns rho moves, as for every reflection) is its
-    own inverse. Otherwise a Smith form u * rho * v = I decides unimodularity,
-    and rho * (v * u) = I certifies the inverse v * u or raises NotSymplectic.
+    own inverse. Otherwise a Smith form u * rho * v = I decides unimodularity
+    (the refusal is ``exactmat._unimodular_columns``'s: NonUnimodular,
+    "determinant is <d>"), and rho * (v * u) = I certifies the inverse v * u
+    or raises NotSymplectic.
     """
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
@@ -199,7 +197,9 @@ def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:
     Every generator must be block-upper-triangular; for those the fixed
     condition A z A^t + B A^t = z is linear in the n(n+1)/2 upper-triangle
     unknowns of z (``sym_to_vec`` order): one row of integer coefficients and
-    one right-hand side per output coordinate. An equation whose
+    one right-hand side per output coordinate. Coordinate (i, j) of A z A^t
+    sums A_ik * A_jl * z_kl over the nonzeros of rows i and j of A, and
+    z_kl is the unknown z_(min(k, l), max(k, l)). An equation whose
     coefficients and right-hand side are all zero is dropped; for an
     embedded reflection that is all but n of its n(n+1)/2 equations.
     """
@@ -208,6 +208,9 @@ def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:
         raise ValueError("at least one generator required")
     n = gens[0].n
     coords = _sym_index(n)
+    unknown = [[0] * n for _ in range(n)]  # unknown[k][l]: the unknown of z_kl
+    for u, (k, l) in enumerate(coords):
+        unknown[k][l] = unknown[l][k] = u
     rows = []
     rhs = []
     for gen in gens:
@@ -217,19 +220,14 @@ def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:
         if not c.is_zero():
             raise UnsupportedGenerator(
                 "lower-left block must vanish for linear fixed-space solving")
-        a_rows = a.rows()
+        nonzeros = [[(k, x) for k, x in enumerate(r) if x] for r in a.rows()]
         trans = (b * a.T).rows()
-        # row for output coordinate (i, j): coefficients of each unknown z_kl
-        for i, j in coords:
-            a_i, a_j = a_rows[i], a_rows[j]
-            row = []
-            for k, l in coords:
-                coef = a_i[k] * a_j[l]
-                if k != l:
-                    coef += a_i[l] * a_j[k]
-                if (i, j) == (k, l):
-                    coef -= 1
-                row.append(coef)
+        for u, (i, j) in enumerate(coords):
+            row = [0] * len(coords)
+            row[u] = -1  # the - z_ij of A z A^t - z
+            for k, x in nonzeros[i]:
+                for l, y in nonzeros[j]:
+                    row[unknown[k][l]] += x * y
             # 0 = 0 constrains nothing; 0 = c != 0 stays and is inconsistent.
             if any(row) or trans[i][j]:
                 rows.append(row)
@@ -260,26 +258,21 @@ def fixed_symmetric_space(generators: Sequence[SymplecticMat]) -> AffineMatrixSp
 # -- family isomorphism and decomposition witnesses ------------------------------
 
 
-def _require_unimodular(a: Matrix):
-    if not (a.is_square and a.is_integral()):
-        raise ValueError("square integer matrix required")
-    if abs(det := a.det()) != 1:
-        raise NonUnimodular(f"determinant is {det}")
-
-
 def verify_family_isomorphism(a: Matrix, z1: Matrix, z2: Matrix) -> bool:
-    """Check the unimodular change of basis a: does a z1 a^t = z2 hold exactly?
+    """Check the unimodular change of basis a (else NonUnimodular): does
+    a z1 a^t = z2 hold exactly?
 
     For the one-parameter families tau*z1 and tau*z2 this single rational
     identity is equivalent to the block-diagonal symplectic equivalence at
     every parameter value, since tau cancels.
     """
-    _require_unimodular(a)
+    _unimodular_columns(a)
     return a * z1 * a.T == z2
 
 
 def verify_decomposition_witness(f: Matrix, d: Sequence[int], m: Matrix,
                                  z0: Matrix) -> bool:
-    """Check a splitting witness: F z0 = diag(d) M exactly."""
-    _require_unimodular(f)
+    """Check a splitting witness: F z0 = diag(d) M exactly, F unimodular
+    (else NonUnimodular)."""
+    _unimodular_columns(f)
     return f * z0 == Matrix.diagonal(list(d)) * m

@@ -19,14 +19,13 @@ from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, _is_involution, _moved_columns, solve_affine
+from .exactmat import Matrix, NonUnimodular, _is_involution, _moved_columns, solve_affine
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, diagram_automorphisms
 from .symplectic import (SymplecticMat, _sym_index, embed_block_diag, fixed_space_equations,
                          fixed_symmetric_space, is_symplectic, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
-from .weyl import (NonUnimodularGenerator, check_invariance, expected_order, generate_group,
-                   poincare_polynomial)
+from .weyl import check_invariance, expected_order, generate_group, poincare_polynomial
 
 PASS = "pass"
 FAIL = "fail"
@@ -96,7 +95,8 @@ def _catalog(max_rank: int) -> dict:
 
 def _embedded(system, reflections) -> tuple:
     """(the ``embed_block_diag`` of each simple reflection, ""), or (None,
-    "<system>: simple reflection <k>: <error>") for the first it refuses."""
+    "<system>: simple reflection <k>: <error>") for the first it refuses.
+    Every line that a refused reflection fails carries this detail."""
     out = []
     for k, r in enumerate(reflections):
         try:
@@ -231,7 +231,7 @@ def check_levels(max_rank: int, catalog: dict) -> Section:
     for system, family in catalog.items():
         published = reference.expected_level(system)
         via_chain = family.level
-        via_denoms = family.z0.denominator_lcm()
+        via_denoms = family.z0.denominator
         sec.add(f"{system}: level {published} agrees across all three routes",
                 published == via_chain == via_denoms,
                 f"chain {via_chain}, denominators {via_denoms}")
@@ -368,10 +368,11 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     A group of at most ``ENUMERATION_LIMIT`` elements is closed from the
     transposed simple reflections, which keeps each element's length. It
     must have the classical order, and level sizes equal to the Poincare
-    polynomial of the invariant degrees (a failure gives both, a refused
-    reflection its determinant). Every element preserves the Gram form iff
-    the simple reflections do (``check_invariance``; a failure names the
-    first that does not, and its first wrong cell); larger groups get that
+    polynomial of the invariant degrees (a failure gives both; a refused
+    reflection fails it with the detail of ``_embedded``). Every element
+    preserves the Gram form iff the simple reflections do: one
+    ``check_invariance`` call per system, and one per reflection only to name
+    the first that fails, with its first wrong cell. Larger groups get that
     check and g * g == I in one generator-level check.
     """
     sec = Section("reflection-group-orders")
@@ -379,9 +380,10 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
         refl, gram = family.generators, family.form
         order = expected_order(system)
         # The dense image is formed only to name the failing cell.
-        wrong = next((f"simple reflection {k}: "
-                      + _first_wrong_cell("g^t * gram * g", g.T * gram * g, gram)
-                      for k, g in enumerate(refl) if not check_invariance([g], gram)), "")
+        wrong = "" if check_invariance(refl, gram) else next(
+            f"simple reflection {k}: "
+            + _first_wrong_cell("g^t * gram * g", g.T * gram * g, gram)
+            for k, g in enumerate(refl) if not check_invariance([g], gram))
         if order > ENUMERATION_LIMIT:
             # g * g == I forces det(g) = +-1, so no determinant is taken.
             wrong = wrong or next((f"simple reflection {k}: g * g != I"
@@ -392,10 +394,9 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
             continue
         try:
             group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
-        except NonUnimodularGenerator as exc:
-            k = next(k for k, g in enumerate(refl) if abs(g.det()) != 1)
+        except NonUnimodular:
             sec.add(f"{system}: enumerated order = expected {order}", False,
-                    f"{system}: simple reflection {k}: {exc}")
+                    _embedded(system, refl)[1])
         else:
             levels = poincare_polynomial(reference.invariant_degrees(system))
             ok = not group.truncated and group.order == order and group.levels == levels

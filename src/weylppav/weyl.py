@@ -47,12 +47,8 @@ from itertools import chain, filterfalse, product
 from math import factorial
 from struct import Struct
 
-from .exactmat import Matrix, _is_involution, _moved_columns, _row_times
+from .exactmat import Matrix, _moved_columns, _row_times, _unimodular_columns
 from .rootsys import RootSystemId
-
-
-class NonUnimodularGenerator(ValueError):
-    """A generator with |det| != 1 cannot generate a group of lattice symmetries."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,8 @@ class MatrixGroup:
 
 
 def generate_group(generators, cap: int) -> MatrixGroup:
-    """Close a set of unimodular integer matrices under multiplication.
+    """Close a set of unimodular integer matrices under multiplication; a
+    generator with |det| != 1 raises ``exactmat.NonUnimodular``.
 
     The cap is mandatory: if one more element would push the closure past
     it, exploration stops and the result is flagged truncated. The elements
@@ -109,11 +106,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 
     # vec * gens[k] differs from vec only in the columns where gens[k]
     # differs from the identity: one for a transposed reflection.
-    moved = [_moved_columns(g) for g in gens]
-    for g, cols in zip(gens, moved):
-        # An involution has |det| = 1, so only other generators take det.
-        if not _is_involution(cols) and abs(det := g.det()) != 1:
-            raise NonUnimodularGenerator(f"generator has determinant {det}")
+    moved = list(map(_unimodular_columns, gens))
     if cap < 1:
         raise ValueError("cap must be positive")
 

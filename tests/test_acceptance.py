@@ -70,7 +70,7 @@ def test_criterion_3_congruence_levels():
         family = Family.from_system(system)
         ok &= published == family.level
         ok &= published == divisor_chain(gram_matrix(system)).divisors[0]
-        ok &= published == family.z0.denominator_lcm()
+        ok &= published == family.z0.denominator
     report(ok, "criterion 3: congruence levels agree across the published "
                "table, the largest invariant factor, and the z0 denominators")
 

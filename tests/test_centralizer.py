@@ -25,7 +25,7 @@ class TestLevel:
         for system in CATALOG:
             family = Family.from_system(system)
             assert family.level == expected_level(system)
-            assert family.level == family.z0.denominator_lcm()
+            assert family.level == family.z0.denominator
             assert family.level == divisor_chain(gram_matrix(system)).divisors[0]
 
     def test_level_needs_no_inverse(self, monkeypatch, capsys):
@@ -46,7 +46,7 @@ class TestLevel:
             system = RootSystemId(family, rank)
             fam = Family.from_system(system)
             assert fam.level == expected_level(system)
-            assert fam.level == fam.z0.denominator_lcm()
+            assert fam.level == fam.z0.denominator
 
 
 class TestCentralizerElement:
@@ -131,6 +131,6 @@ class TestModularCurveReport:
         for system in CATALOG:
             family = Family.from_system(system)
             level = family.level
-            assert level == family.z0.denominator_lcm()
+            assert level == family.z0.denominator
             assert curve_description(level) == ("H_1/Gamma" if level == 1
                                                 else f"H_1/Gamma^0({level})")

@@ -130,7 +130,7 @@ class TestExponentLevel:
     def test_equals_denominator_lcm_everywhere(self):
         for system in CATALOG:
             family = Family.from_system(system)
-            assert family.level == family.z0.denominator_lcm()
+            assert family.level == family.z0.denominator
             assert family.level == divisor_chain(gram_matrix(system)).divisors[0]
             assert family.level == expected_level(system)
 

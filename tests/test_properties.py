@@ -20,13 +20,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from weylppav import (Family, Matrix, Singular, SymplecticMat, all_systems,  # noqa: E402
-                      diagram_automorphisms, embed_block_diag, fixed_symmetric_space,
-                      gram_matrix, is_symplectic, modular_action, smith_normal_form,
-                      solve_affine, standard_form)
+from weylppav import (Family, Matrix, RootSystemId, Singular, SymplecticMat,  # noqa: E402
+                      all_systems, diagram_automorphisms, embed_block_diag,
+                      fixed_symmetric_space, gram_matrix, is_symplectic, modular_action,
+                      simple_reflections, smith_normal_form, solve_affine, standard_form)
 from weylppav import check_invariance  # noqa: E402
 from weylppav.exactmat import _is_involution, _moved_columns  # noqa: E402
-from weylppav.symplectic import fixed_space_equations, sym_to_vec  # noqa: E402
+from weylppav.symplectic import fixed_space_equations, sym_to_vec, vec_to_sym  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -122,7 +122,7 @@ def rank_deficient(draw):
 @given(rank_deficient())
 def test_rank_matches_smith_rank(rows):
     m = Matrix(rows)
-    q = m.denominator_lcm()
+    q = m.denominator
     expected = sum(1 for x in smith_normal_form(q * m).diagonal() if x)
     assert m.rank() == expected
     assert m.T.rank() == expected
@@ -156,6 +156,11 @@ def test_symmetry_test_finds_any_changed_entry(m, data):
     assert Matrix(flat[k:k + n] for k in range(0, n * n, n)).is_symmetric() == (i == j)
 
 
+def times(m, vec) -> tuple:
+    """m * vec, vec as a column."""
+    return (m * Matrix([[x] for x in vec])).flat
+
+
 @pytest.mark.parametrize("rhs_from_solution", [True, False])
 @PROPERTY
 @given(grids((small, integers, scalars)), st.data())
@@ -163,7 +168,7 @@ def test_solve_affine_by_substitution(rhs_from_solution, rows, data):
     nr, nc = len(rows), len(rows[0])
     coeff = Matrix(rows)
     if rhs_from_solution:  # consistent by construction
-        rhs = coeff.apply([data.draw(scalars) for _ in range(nc)])
+        rhs = times(coeff, [data.draw(scalars) for _ in range(nc)])
     else:  # tall systems are then mostly inconsistent
         rhs = tuple(data.draw(scalars) for _ in range(nr))
     sol = solve_affine(coeff, rhs)
@@ -174,12 +179,12 @@ def test_solve_affine_by_substitution(rhs_from_solution, rows, data):
     if not consistent:
         assert sol.kernel_basis == ()
         return
-    assert coeff.apply(sol.particular) == tuple(rhs)
+    assert times(coeff, sol.particular) == tuple(rhs)
     # a column is free when it does not raise the rank of the columns before it
     free = [j for j in range(nc) if oracle_rank(rows, j + 1) == oracle_rank(rows, j)]
     assert sol.dimension == nc - rank == len(free)
     for k, vec in enumerate(sol.kernel_basis):
-        assert coeff.apply(vec) == (0,) * nr
+        assert times(coeff, vec) == (0,) * nr
         assert [vec[j] for j in free] == [int(i == k) for i in range(len(free))]
     assert all(sol.particular[j] == 0 for j in free)
 
@@ -298,6 +303,45 @@ def test_fixed_space_by_substitution(case):
 
 @PROPERTY
 @given(generators_fixing(), st.data())
+def test_fixed_space_equations_match_the_affine_map(case, data):
+    # Coordinate u of r(z) = A z A^t + B A^t - z is affine in z's upper
+    # triangle: r_u(0) plus the coefficient r_u(E_v) - r_u(0) of each basis
+    # matrix E_v. Its equation is dropped iff all of these are zero, and
+    # otherwise reads (coefficients) . z = -r_u(0), so at any symmetric z its
+    # left side less its right side is r_u(z). Dense generators (B != 0) and
+    # the embedded simple reflections of A_n are drawn.
+    zstar, gens = case
+    n = zstar.nrows
+    size = n * (n + 1) // 2
+    gens = gens + [embed_block_diag(s) for s in simple_reflections(RootSystemId("A", n))]
+    units = [vec_to_sym([int(u == v) for u in range(size)], n) for v in range(size)]
+    upper = [[data.draw(scalars) for _ in range(n)] for _ in range(n)]
+    z = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    zvec = sym_to_vec(z)
+    all_rows, all_rhs = [], []
+    for gen in gens:
+        a, b, _, _ = gen.blocks()
+
+        def r(x):
+            return sym_to_vec(a * x * a.T + b * a.T - x)
+
+        at_zero, at_z = r(Matrix.zeros(n)), r(z)
+        coefficients = [[y - c for y, c in zip(r(e), at_zero)] for e in units]
+        kept = [u for u in range(size)
+                if at_zero[u] or any(column[u] for column in coefficients)]
+        rows, rhs = fixed_space_equations([gen])
+        assert rows == [[column[u] for column in coefficients] for u in kept]
+        assert rhs == [-at_zero[u] for u in kept]
+        assert [sum(c * x for c, x in zip(row, zvec)) - y for row, y in zip(rows, rhs)] == \
+            [at_z[u] for u in kept]
+        assert all(at_z[u] == 0 for u in range(size) if u not in kept)
+        all_rows += rows
+        all_rhs += rhs
+    assert fixed_space_equations(gens) == (all_rows, all_rhs)
+
+
+@PROPERTY
+@given(generators_fixing(), st.data())
 def test_modular_action_without_lower_left_block(case, data):
     # With C = 0 the action is computed on integer numerators as
     # A (A qz + qB)^t / q, q the denominator lcm of z; the definition is
@@ -314,7 +358,7 @@ def test_modular_action_without_lower_left_block(case, data):
     nums[0][0] = 1
     z_over_q = Matrix([[Fraction(nums[min(i, j)][max(i, j)], q) for j in range(n)]
                        for i in range(n)])
-    assert z_over_q.denominator_lcm() == q
+    assert z_over_q.denominator == q
     embedded = [embed_block_diag(data.draw(unimodular_pairs(n))[0])
                 for _ in range(data.draw(st.integers(1, 2)))]
     assert all(gen.blocks()[1].is_zero() for gen in embedded)
@@ -591,7 +635,7 @@ def test_equal_values_by_different_routes_are_one_stored_form(operands, data):
 @given(square_matrices())
 def test_rational_products_that_clear_denominators_are_integral(m):
     n = m.nrows
-    d = m.denominator_lcm()
+    d = m.denominator
     for product in (m * Matrix.diagonal([d] * n), Matrix.diagonal([d] * n) * m):
         assert product == Matrix.from_flat([d * x for x in m.flat], n, n)
         assert product.is_integral() and all(type(x) is int for x in product.flat)

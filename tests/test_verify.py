@@ -304,6 +304,18 @@ class TestFormWitness:
         sec = verify.check_group_orders(6, catalog)
         assert sec.checks and all(c.status == "pass" for c in sec.checks)
 
+    def test_a_passing_system_takes_one_form_check(self, monkeypatch):
+        # All of a system's simple reflections go to check_invariance at
+        # once; one at a time only to name a failure.
+        catalog = verify._catalog(8)
+        calls = []
+        original = verify.check_invariance
+        monkeypatch.setattr(verify, "check_invariance",
+                            lambda gens, form: calls.append(form) or original(gens, form))
+        sec = verify.check_group_orders(8, catalog)
+        assert all(c.status == "pass" for c in sec.checks)
+        assert calls == [family.form for family in catalog.values()]
+
     def test_wrong_form_fails_exactly_one_check(self):
         system = RootSystemId.parse("G2")
         form = skewed_gram(system)
@@ -390,7 +402,7 @@ class TestRefusedGenerator:
                                 if c["status"] == "fail"] for sec in report["sections"]}
         assert failed["reflection-group-orders"] == [
             ("G2: enumerated order = expected 12",
-             "G2: simple reflection 0: generator has determinant -2"),
+             "G2: simple reflection 0: determinant is -2"),
             ("G2: every element preserves the Gram form",
              "simple reflection 0: entry (0, 0) of g^t * gram * g is 12, expected 3")]
         refused = "G2: simple reflection 0: determinant is -2"
@@ -422,9 +434,32 @@ class TestRefusedGenerator:
                   if c.status == "fail"]
         assert failed == [
             ("G2: enumerated order = expected 12",
-             "G2: simple reflection 0: generator has determinant -4"),
+             "G2: simple reflection 0: determinant is -4"),
             ("G2: every element preserves the Gram form",
              "simple reflection 0: entry (0, 0) of g^t * gram * g is 8, expected 2")]
+
+    def test_one_refusal_carries_one_detail_on_every_line_that_needs_it(self):
+        # B3's s1 times diag(1, 1, 3) has determinant -3 and is no
+        # involution, so the closure refuses it by its determinant and the
+        # embedding by its Smith form; both lines name it the same way.
+        b3 = RootSystemId.parse("B3")
+        catalog = verify._catalog(3)
+        s0, s1, s2 = catalog[b3].generators
+        catalog[b3] = dataclasses.replace(
+            catalog[b3], generators=(s0, s1 * Matrix.diagonal([1, 1, 3]), s2))
+        refused = "B3: simple reflection 1: determinant is -3"
+        details = {c.name: c.detail for c in verify.check_group_orders(3, catalog).checks
+                   + verify.check_properties(3, catalog).checks if c.status == "fail"}
+        word = details.pop("embedding is a homomorphism on 100 random words")
+        assert word.startswith("word pair ") and word.endswith(f": {refused}")
+        assert details.pop("every simple reflection fixes z0 under the Siegel action") == \
+            "B3: simple reflection 1 moves z0"
+        assert details.pop("B3: every element preserves the Gram form").startswith(
+            "simple reflection 1: entry ")
+        assert details == {
+            "B3: enumerated order = expected 48": refused,
+            "full reflection set fixes exactly the line through z0 (rank <= 6)": refused,
+            "centralizer elements commute with the embedded action (rank <= 4)": refused}
 
 
 ENUMERATED = [s for s in all_systems(8) if expected_order(s) <= verify.ENUMERATION_LIMIT]

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from weylppav import (Matrix, NonUnimodularGenerator, RootSystemId, all_systems,
+from weylppav import (Matrix, NonUnimodular, RootSystemId, all_systems,
                       check_invariance, diagram_automorphisms, expected_order,
                       generate_group, gram_matrix, reference, simple_reflections)
 from weylppav._kernel import mat_mul_flat_py
@@ -273,10 +273,10 @@ class TestGenerateGroup:
         assert not group.truncated
 
     def test_non_unimodular_rejected(self):
-        with pytest.raises(NonUnimodularGenerator):
+        with pytest.raises(NonUnimodular):
             generate_group([Matrix([[2]])], 10)
         for rows in ([[1, 1], [1, -1]], [[0, 2], [1, 0]], [[-1, 0], [0, 2]]):
-            with pytest.raises(NonUnimodularGenerator):
+            with pytest.raises(NonUnimodular):
                 generate_group([Matrix(rows)], 10)
 
     def test_involutions_take_no_determinant(self, monkeypatch):
@@ -305,7 +305,7 @@ class TestGenerateGroup:
             try:
                 generate_group([g], 3)
                 refused = False
-            except NonUnimodularGenerator:
+            except NonUnimodular:
                 refused = True
             assert (calls == []) == (g * g == ident), g
             assert refused == (abs(original(g)) != 1), g
