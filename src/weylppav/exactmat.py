@@ -28,7 +28,8 @@ q keeps the sign of every minor and scales the determinant by q^n.
 ``inverse`` and ``solve_affine`` keep a Fraction ``_rref``, a forward loop
 and a back pass, until the benchmark stores no outputs (ROADMAP items 1 and
 2). The Smith normal form is one integer reduction loop of unimodular row
-and column operations. No floating point appears anywhere.
+and column operations; each round's pivot search reads the trailing block
+row by row, and a unit ends the scan. No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -504,6 +505,10 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     column are clear, a trailing row with an entry the pivot does not divide
     is added to the pivot row, so the pivot shrinks within two rounds;
     otherwise t is done, and its entry divides every later one.
+
+    The search reads the block row by row, and a unit ends the scan after its
+    row: a Gram matrix holds one near the start of the block in almost every
+    round, so its searches cost O(n^2) steps in all, not O(n^3).
     """
     if not m.is_integral():
         raise ValueError("integer matrix required")
@@ -513,11 +518,16 @@ def smith_normal_form(m: Matrix) -> SnfResult:
 
     for t in range(min(nr, nc)):
         while True:
-            piv = min(((abs(w[i][j]), i, j) for i in range(t, nr)
-                       for j in range(t, nc) if w[i][j]), default=None)
-            if piv is None:
+            least = 0  # the row-major first least nonzero |x|; a unit is least
+            for i in range(t, nr):
+                row = w[i]
+                for j in range(t, nc):
+                    if (x := abs(row[j])) and (x < least or not least):
+                        least, pi, pj = x, i, j
+                if least == 1:
+                    break
+            if not least:
                 break
-            _, pi, pj = piv
             w[t], w[pi] = w[pi], w[t]
             if pj != t:
                 for row in w:

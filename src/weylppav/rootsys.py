@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterator
 
 from .exactmat import Matrix
@@ -162,12 +163,15 @@ def cartan_matrix(system: RootSystemId) -> Matrix:
 def gram_matrix(system: RootSystemId) -> Matrix:
     """Gram matrix S = C * diag(norm_halves) of the invariant inner product.
 
-    Built in O(n^2) by scaling column j of the Cartan matrix by
-    norm_halves[j], which is what the diagonal product does entry by entry.
+    Built once, in O(n^2), on integer numerators: with q the lcm of the
+    half-norm denominators, column j of the Cartan matrix times
+    norm_halves[j] * q is the numerators of S over q.
     """
     data = cartan_data(system)
-    c, d = data.cartan, data.norm_halves
-    s = Matrix([x * d[j] for j, x in enumerate(c.row(i))] for i in range(c.nrows))
+    d, n = data.norm_halves, system.rank
+    q = lcm(*(x.denominator for x in d))  # ints and Fractions both have numerator/denominator
+    w = [x.numerator * (q // x.denominator) for x in d]
+    s = Matrix._from_numerators(tuple(map(mul, data.cartan.numerators, w * n)), q, n, n)
     if not (s.is_integral() and s.is_symmetric()):
         raise AssertionError(f"catalog data for {system} is inconsistent")
     return s
@@ -223,18 +227,17 @@ def diagram_automorphisms(system: RootSystemId) -> list:
 def coroot_gram_matrix(system: RootSystemId) -> Matrix:
     """Gram matrix of the simple coroots, scaled to a primitive integral form.
 
-    The coroot a_i^ = a_i / norm_half_i has pairings S[i][j] / (d_i d_j);
-    the least positive integer multiple making that matrix integral is the
-    natural polarization form on the coroot lattice. With d_i = u_i / v_i
-    and u the lcm of the u_i, each pairing is S[i][j] w_i w_j over u^2,
-    w_i = u / d_i an int. A ``Matrix`` divides out the common factor, and
-    its numerators are that least multiple.
+    The coroot a_i^ = a_i / norm_half_i has pairings S[i][j] / (d_i d_j) =
+    C[i][j] / d_i; the least positive integer multiple making that matrix
+    integral is the natural polarization form on the coroot lattice. With
+    d_i = u_i / v_i and u the lcm of the u_i, each pairing is C[i][j] w_i
+    over u, w_i = u / d_i an int. A ``Matrix`` divides out the common factor,
+    and its numerators are that least multiple.
     """
-    s = gram_matrix(system)
-    d = cartan_data(system).norm_halves  # ints and Fractions both have numerator/denominator
-    n, u = system.rank, lcm(*(x.numerator for x in d))
+    data = cartan_data(system)
+    d, n = data.norm_halves, system.rank
+    u = lcm(*(x.numerator for x in d))
     w = [x.denominator * (u // x.numerator) for x in d]
     pairings = Matrix._from_numerators(
-        tuple(s.numerators[i * n + j] * w[i] * w[j] for i in range(n) for j in range(n)),
-        u * u, n, n)
+        tuple(x * w[k // n] for k, x in enumerate(data.cartan.numerators)), u, n, n)
     return Matrix._from_numerators(pairings.numerators, 1, n, n)

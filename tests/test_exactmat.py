@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -354,6 +356,37 @@ class TestSmithNormalForm:
                 w = w * rng.choice(refl)
             n = w.nrows
             assert embed_block_diag(w).m.submatrix(n, 2 * n, n, 2 * n) == w.inverse().T
+
+    def test_unit_pivot_ties_go_row_major(self):
+        # Units at (0, 2) and (1, 0): the row-major one, in the later column,
+        # is the first pivot, so u starts with e_1 and v with e_3.
+        m = Matrix([[4, 6, 1], [1, 8, 10], [3, 5, 7]])
+        snf = smith_normal_form(m)
+        self.assert_valid(m, snf)
+        assert snf.diagonal() == (1, 1, 143)
+        assert snf.u == Matrix([[1, 0, 0], [3, -1, 1], [29, -12, 13]])
+        assert snf.v == Matrix([[0, -1, 15], [0, 1, -14], [1, -2, 24]])
+
+    def test_factors_are_pinned(self):
+        # One digest over u, d and v of every Gram matrix through rank 16 and
+        # of seeded random matrices: ones with entries in -5..5, most holding
+        # several units, and unit-free ones (even entries in -30..30), whose
+        # first pivot is the least |x|.
+        rng = random.Random(20240601)
+        cases = [gram_matrix(s) for s in all_systems(16)]
+        for k in range(50):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+            cases.append(Matrix([[2 * rng.randint(-15, 15) if k % 2 else rng.randint(-5, 5)
+                                  for _ in range(nc)] for _ in range(nr)]))
+        units = [sum(abs(x) == 1 for x in m.numerators) for m in cases[-50:]]
+        assert sum(n > 1 for n in units[::2]) >= 15 and not any(units[1::2])
+        digest = hashlib.sha256()
+        for m in cases:
+            snf = smith_normal_form(m)
+            digest.update(repr((snf.u.numerators, snf.d.numerators,
+                                snf.v.numerators)).encode())
+        assert digest.hexdigest() == (
+            "ec98221cf088f73e3e458404e785970afd3684a2e2366d6c87e1c348df5abb15")
 
     def test_singular_input(self):
         m = Matrix([[2, 4], [1, 2]])

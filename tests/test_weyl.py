@@ -279,6 +279,14 @@ class TestGenerateGroup:
             with pytest.raises(NonUnimodular):
                 generate_group([Matrix(rows)], 10)
 
+    def test_determinant_minus_one_is_accepted(self):
+        # -P for the 3-cycle P has order 6 and det -1, and is no involution,
+        # so only |det| = 1 (not det = 1) admits it.
+        g = -Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        assert g.det() == -1 and g * g != Matrix.identity(3)
+        group = generate_group([g], 10)
+        assert (group.order, group.levels, group.truncated) == (6, (1,) * 6, False)
+
     def test_involutions_take_no_determinant(self, monkeypatch):
         # g * g == I settles |det g| = 1; any other generator still takes det.
         calls = []
