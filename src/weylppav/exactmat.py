@@ -55,7 +55,11 @@ class NotSymmetric(ValueError):
 
 
 class NonUnimodular(ValueError):
-    """An integer matrix with |det| = 1 was required."""
+    """An integer matrix with |det| = 1 was required. ``generator`` is the
+    refused matrix's position in the generator list of
+    ``weyl.generate_group``, and None elsewhere."""
+
+    generator = None
 
 
 def _canon(x) -> Scalar:

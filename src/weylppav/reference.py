@@ -304,9 +304,26 @@ def sym5_degree6_generators() -> tuple:
         [0, 1, 0, -1, 0, 1],
         [-1, 0, 0, 1, -1, 0],
     ])
+    # r5^{-t} and r2^{-t}, written out; r * (r^{-t})^t = I is tested.
+    r5_inv_t = Matrix([
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [1, 0, 0, -1, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [0, 1, 0, -1, 0, 1],
+        [0, 0, 1, 0, -1, 1],
+    ])
+    r2_inv_t = Matrix([
+        [1, 0, 0, -1, 1, 0],
+        [0, 1, 0, -1, 0, 1],
+        [0, 0, 1, 0, -1, 1],
+        [0, 0, 0, -1, 0, 0],
+        [0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, -1],
+    ])
     zero = Matrix.zeros(6)
-    g1 = Matrix.block2(r5, zero, zero, r5.inverse().T)
-    g2 = Matrix.block2(r2, off, zero, r2.inverse().T)
+    g1 = Matrix.block2(r5, zero, zero, r5_inv_t)
+    g2 = Matrix.block2(r2, off, zero, r2_inv_t)
     return g1, g2
 
 

@@ -19,9 +19,9 @@ from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, NonUnimodular, _is_involution, _moved_columns, solve_affine
+from .exactmat import Matrix, NonUnimodular, _is_involution, _moved_columns
 from .ppav import Family, coroot_polarization_degree, group_divisors
-from .rootsys import RootSystemId, all_systems, diagram_automorphisms
+from .rootsys import RootSystemId, all_systems, cartan_data, diagram_automorphisms
 from .symplectic import (SymplecticMat, _sym_index, embed_block_diag, fixed_space_equations,
                          fixed_symmetric_space, is_symplectic, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
@@ -56,11 +56,11 @@ class Section:
 
 
 def _spanned_by(vec, basis_vecs) -> bool:
-    """Is vec a rational combination of basis_vecs? (exact)"""
+    """Is vec a rational combination of basis_vecs? Exactly when adding it
+    leaves the rank unchanged."""
     if not basis_vecs:
         return all(x == 0 for x in vec)
-    coeff = Matrix(list(zip(*basis_vecs)))
-    return solve_affine(coeff, list(vec)).particular is not None
+    return Matrix([*basis_vecs, vec]).rank() == Matrix(list(basis_vecs)).rank()
 
 
 def _span_witness(computed, published, n: int) -> str:
@@ -96,7 +96,8 @@ def _catalog(max_rank: int) -> dict:
 def _embedded(system, reflections) -> tuple:
     """(the ``embed_block_diag`` of each simple reflection, ""), or (None,
     "<system>: simple reflection <k>: <error>") for the first it refuses.
-    Every line that a refused reflection fails carries this detail."""
+    Every line that a refused reflection fails carries this detail; the
+    closure line builds it from ``generate_group``'s refusal."""
     out = []
     for k, r in enumerate(reflections):
         try:
@@ -362,6 +363,18 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
     return sec
 
 
+def _half_norm_conjugate(b_gens, c_gens, rank: int) -> bool:
+    """The certificate g_B,i * D == D * g_C,i for every pair of transposed
+    simple reflections of B_n and C_n, with D the diagonal of B_n's
+    half-norms (``rootsys.cartan_data``), each nonzero. It makes
+    <g_C> = D^{-1} <g_B> D generator for generator, so the two closures
+    have one order, truncation and breadth-first level sizes."""
+    halves = cartan_data(RootSystemId("B", rank)).norm_halves
+    d = Matrix.diagonal(list(halves))
+    return (all(halves) and len(b_gens) == len(c_gens)
+            and all(gb * d == d * gc for gb, gc in zip(b_gens, c_gens)))
+
+
 def check_group_orders(max_rank: int, catalog: dict) -> Section:
     """Orders and length grading by closure; the Gram form by generators.
 
@@ -369,13 +382,21 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     transposed simple reflections, which keeps each element's length. It
     must have the classical order, and level sizes equal to the Poincare
     polynomial of the invariant degrees (a failure gives both; a refused
-    reflection fails it with the detail of ``_embedded``). Every element
-    preserves the Gram form iff the simple reflections do: one
+    reflection fails it with "<system>: simple reflection <k>: <error>").
+    B_n and C_n share one Weyl group (a root system and its dual do), and
+    in simple-root coordinates their reflections are conjugate by the
+    diagonal D of B_n's half-norms. So C_n's line reads the order,
+    truncation and level sizes of B_n's closure from the same pass once
+    ``_half_norm_conjugate`` certifies that conjugacy exactly; C_n is closed
+    itself when B_n is not in the catalog, its closure was refused, or the
+    certificate fails. Class functions, such as traces, agree under D too.
+    Every element preserves the Gram form iff the simple reflections do: one
     ``check_invariance`` call per system, and one per reflection only to name
     the first that fails, with its first wrong cell. Larger groups get that
     check and g * g == I in one generator-level check.
     """
     sec = Section("reflection-group-orders")
+    closed_b = {}  # n -> (B_n's transposed reflections, (order, truncated, levels))
     for system, family in catalog.items():
         refl, gram = family.generators, family.form
         order = expected_order(system)
@@ -392,16 +413,25 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
             sec.add(f"{system}: generator-level checks (order {order} not enumerated)",
                     not wrong, wrong)
             continue
+        gens = [g.T for g in refl]
+        b = closed_b.get(system.rank) if system.family == "C" else None
         try:
-            group = generate_group([g.T for g in refl], ENUMERATION_LIMIT + 1)
-        except NonUnimodular:
+            if b and _half_norm_conjugate(b[0], gens, system.rank):
+                closure = b[1]
+            else:
+                group = generate_group(gens, ENUMERATION_LIMIT + 1)
+                closure = group.order, group.truncated, group.levels
+        except NonUnimodular as exc:
             sec.add(f"{system}: enumerated order = expected {order}", False,
-                    _embedded(system, refl)[1])
+                    f"{system}: simple reflection {exc.generator}: {exc}")
         else:
+            if system.family == "B":
+                closed_b[system.rank] = gens, closure
+            found, truncated, grading = closure
             levels = poincare_polynomial(reference.invariant_degrees(system))
-            ok = not group.truncated and group.order == order and group.levels == levels
-            sec.add(f"{system}: enumerated order {group.order} = expected {order}", ok,
-                    "" if ok else f"levels {group.levels}, expected {levels}")
+            ok = not truncated and found == order and grading == levels
+            sec.add(f"{system}: enumerated order {found} = expected {order}", ok,
+                    "" if ok else f"levels {grading}, expected {levels}")
         sec.add(f"{system}: every element preserves the Gram form", not wrong, wrong)
     return sec
 

@@ -47,7 +47,7 @@ from itertools import chain, filterfalse, product
 from math import factorial
 from struct import Struct
 
-from .exactmat import Matrix, _moved_columns, _row_times, _unimodular_columns
+from .exactmat import Matrix, NonUnimodular, _moved_columns, _row_times, _unimodular_columns
 from .rootsys import RootSystemId
 
 
@@ -90,7 +90,8 @@ class MatrixGroup:
 
 def generate_group(generators, cap: int) -> MatrixGroup:
     """Close a set of unimodular integer matrices under multiplication; a
-    generator with |det| != 1 raises ``exactmat.NonUnimodular``.
+    generator with |det| != 1 raises ``exactmat.NonUnimodular``, whose
+    ``generator`` is the first such generator's position.
 
     The cap is mandatory: if one more element would push the closure past
     it, exploration stops and the result is flagged truncated. The elements
@@ -106,7 +107,13 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 
     # vec * gens[k] differs from vec only in the columns where gens[k]
     # differs from the identity: one for a transposed reflection.
-    moved = list(map(_unimodular_columns, gens))
+    moved = []
+    for k, g in enumerate(gens):
+        try:
+            moved.append(_unimodular_columns(g))
+        except NonUnimodular as exc:
+            exc.generator = k
+            raise
     if cap < 1:
         raise ValueError("cap must be positive")
 

@@ -208,6 +208,12 @@ class TestIsSymplectic:
         assert is_symplectic(g1)
         assert is_symplectic(g2)
 
+    def test_sym5_inverse_transposes_are_exact(self):
+        # The lower-right blocks are written out as r^{-t}: r * (r^{-t})^t = I.
+        for g in sym5_degree6_generators():
+            r, r_inv_t = g.submatrix(0, 6, 0, 6), g.submatrix(6, 12, 6, 12)
+            assert r * r_inv_t.T == Matrix.identity(6)
+
     def test_diagonal_scaling_fails(self):
         assert not is_symplectic(Matrix.diagonal([2, 2, 1, 1]))
 

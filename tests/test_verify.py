@@ -11,7 +11,7 @@ from weylppav import (DivisorChain, Family, LevelViolation, Matrix, RootSystemId
                       SymplecticMat, all_systems, centralizer_element, embed_block_diag,
                       expected_order, fixed_symmetric_space, generate_group, gram_matrix,
                       simple_reflections)
-from weylppav import ppav, reference, rootsys
+from weylppav import exactmat, ppav, reference, rootsys
 from weylppav.exactmat import SnfResult
 from weylppav.ppav import EllipticDecomposition
 from weylppav.symplectic import AffineMatrixSpace
@@ -109,6 +109,17 @@ class TestRunVerification:
 
 
 class TestOnePass:
+    def test_a_pass_solves_only_the_two_fixed_spaces(self, monkeypatch):
+        # The reference generators are literal matrices and span membership
+        # is decided by rank, so Fraction elimination runs only where it is
+        # what is checked: once per worked fixed-space example.
+        calls = []
+        original = exactmat._rref
+        monkeypatch.setattr(exactmat, "_rref",
+                            lambda aug, ncols: calls.append(ncols) or original(aug, ncols))
+        assert run_verification(8)["status"] == "pass"
+        assert len(calls) == 2
+
     def test_each_system_gets_its_exact_data_once(self, monkeypatch):
         # The catalog takes exactly one Smith form per Gram matrix, which
         # gives both the divisor chain and z0, and no other; a pass inverts
@@ -266,9 +277,13 @@ def with_form(catalog, system, form):
     return catalog
 
 
+def transposed(system):
+    return [s.T for s in simple_reflections(system)]
+
+
 def transposed_group(system, cap=1000):
     """The closure of the transposed simple reflections, as verify builds it."""
-    return generate_group([s.T for s in simple_reflections(system)], cap)
+    return generate_group(transposed(system), cap)
 
 
 class TestFormWitness:
@@ -493,6 +508,95 @@ class TestLengthGrading:
         assert [c.name for c in failed] == ["A2: enumerated order 6 = expected 6"]
         assert failed[0].detail == "levels (1, 1, 1, 1, 1, 1), expected (1, 2, 2, 1)"
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
+
+
+def recorded_closures(monkeypatch):
+    """The generator lists ``verify`` closes, recorded as it closes them."""
+    calls = []
+    original = verify.generate_group
+    monkeypatch.setattr(verify, "generate_group",
+                        lambda gens, cap: calls.append(gens) or original(gens, cap))
+    return calls
+
+
+def closure_line(system, refl):
+    """The enumerated-order line of ``system`` closed from ``refl`` itself:
+    the line a pass gives when it closes the group on its own."""
+    order = expected_order(system)
+    group = generate_group([g.T for g in refl], verify.ENUMERATION_LIMIT + 1)
+    levels = poincare_polynomial(reference.invariant_degrees(system))
+    ok = not group.truncated and group.order == order and group.levels == levels
+    return (f"{system}: enumerated order {group.order} = expected {order}",
+            "pass" if ok else "fail", "" if ok else f"levels {group.levels}, expected {levels}")
+
+
+class TestSharedClosure:
+    """C_n's order line reads B_n's closure once g_B,i * D == D * g_C,i
+    certifies the conjugacy by D = diag(B_n's half-norms)."""
+
+    def test_rank8_pass_closes_nineteen_groups(self, monkeypatch):
+        calls = recorded_closures(monkeypatch)
+        assert run_verification(8)["status"] == "pass"
+        assert len(calls) == 19
+        assert not any(transposed(RootSystemId("C", n)) in calls for n in range(2, 7))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_c_closure_has_the_b_closure_figures(self, n):
+        b, c = RootSystemId("B", n), RootSystemId("C", n)
+        assert verify._half_norm_conjugate(transposed(b), transposed(c), n)
+        cap = verify.ENUMERATION_LIMIT + 1
+        closures = [transposed_group(system, cap) for system in (b, c)]
+        assert len({(g.order, g.truncated, g.levels) for g in closures}) == 1
+        # One element short of the order, both are cut at the same place.
+        short = [transposed_group(system, expected_order(b) - 1) for system in (b, c)]
+        assert len({(g.order, g.truncated, g.levels) for g in short}) == 1
+        assert short[0].truncated
+
+    @pytest.mark.parametrize("tag", ["B3", "C3"])
+    def test_refused_reflection_fails_its_own_line(self, monkeypatch, tag):
+        # s1 * diag(1, 1, 3) has determinant -3; the other of B3 and C3
+        # still passes, by its own closure or by the shared one.
+        catalog = verify._catalog(3)
+        system = RootSystemId.parse(tag)
+        s0, s1, s2 = catalog[system].generators
+        catalog[system] = dataclasses.replace(
+            catalog[system], generators=(s0, s1 * Matrix.diagonal([1, 1, 3]), s2))
+        calls = recorded_closures(monkeypatch)
+        failed = [(c.name, c.detail) for c in verify.check_group_orders(3, catalog).checks
+                  if c.status == "fail"]
+        assert failed[0] == (f"{tag}: enumerated order = expected 48",
+                             f"{tag}: simple reflection 1: determinant is -3")
+        assert [name for name, _ in failed[1:]] == [f"{tag}: every element preserves the Gram form"]
+        closed_c = transposed(RootSystemId.parse("C3")) in calls
+        assert closed_c == (tag == "B3")
+
+    @pytest.mark.parametrize("tag", ["B4", "C4"])
+    def test_regenerated_reflection_set_fails_its_own_line(self, monkeypatch, tag):
+        # s0 is replaced by s0 * s1, which preserves the form and generates
+        # the same group with other lengths: the perturbed system fails its
+        # order line with its own closure's levels, and the other passes.
+        catalog = verify._catalog(4)
+        system = RootSystemId.parse(tag)
+        refl = catalog[system].generators
+        perturbed = (refl[0] * refl[1], *refl[1:])
+        catalog[system] = dataclasses.replace(catalog[system], generators=perturbed)
+        calls = recorded_closures(monkeypatch)
+        checks = {c.name: (c.name, c.status, c.detail)
+                  for c in verify.check_group_orders(4, catalog).checks}
+        name, status, detail = closure_line(system, perturbed)
+        assert status == "fail" and checks[name] == (name, status, detail)
+        assert [c for c in checks.values() if c[1] == "fail"] == [(name, status, detail)]
+        other = RootSystemId.parse("C4" if tag == "B4" else "B4")
+        assert checks[closure_line(other, simple_reflections(other))[0]][1] == "pass"
+        assert (transposed(RootSystemId.parse("C4")) in calls) == (tag == "B4")
+
+    def test_c_without_b_is_closed(self, monkeypatch):
+        catalog = {system: family for system, family in verify._catalog(5).items()
+                   if system.family == "C"}
+        calls = recorded_closures(monkeypatch)
+        sec = verify.check_group_orders(5, catalog)
+        assert all(c.status == "pass" for c in sec.checks)
+        assert calls == [transposed(RootSystemId("C", n)) for n in range(2, 6)]
 
 
 def root_orbit(reflections):

@@ -279,6 +279,15 @@ class TestGenerateGroup:
             with pytest.raises(NonUnimodular):
                 generate_group([Matrix(rows)], 10)
 
+    def test_refusal_names_the_first_refused_generator(self):
+        # The exception carries the position of the first generator refused,
+        # and its message the determinant; elsewhere the position is None.
+        gens = [Matrix([[0, 1], [1, 0]]), Matrix([[1, 1], [0, 3]]), Matrix([[2, 0], [0, 1]])]
+        with pytest.raises(NonUnimodular, match="^determinant is 3$") as info:
+            generate_group(gens, 10)
+        assert info.value.generator == 1
+        assert NonUnimodular("determinant is 2").generator is None
+
     def test_determinant_minus_one_is_accepted(self):
         # -P for the 3-cycle P has order 6 and det -1, and is no involution,
         # so only |det| = 1 (not det = 1) admits it.
