@@ -25,7 +25,8 @@ from .rootsys import RootSystemId, all_systems, cartan_data, diagram_automorphis
 from .symplectic import (SymplecticMat, _sym_index, embed_block_diag, fixed_space_equations,
                          fixed_symmetric_space, is_symplectic, sym_to_vec,
                          verify_decomposition_witness, verify_family_isomorphism)
-from .weyl import check_invariance, expected_order, generate_group, poincare_polynomial
+from .weyl import (check_invariance, coset_closure, expected_order, generate_group,
+                   poincare_polynomial)
 
 PASS = "pass"
 FAIL = "fail"
@@ -383,6 +384,10 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     must have the classical order, and level sizes equal to the Poincare
     polynomial of the invariant degrees (a failure gives both; a refused
     reflection fails it with "<system>: simple reflection <k>: <error>").
+    ``weyl.coset_closure`` gives them first, as W_J * T for the smallest
+    orbit T of a vector fixed by all but one reflection, checked exactly to
+    be the group with distinct products and the breadth-first grading; when
+    it returns None (A1, no involution, a failed check), ``generate_group``.
     B_n and C_n share one Weyl group (a root system and its dual do), and
     in simple-root coordinates their reflections are conjugate by the
     diagonal D of B_n's half-norms. So C_n's line reads the order,
@@ -418,7 +423,7 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
         try:
             if b and _half_norm_conjugate(b[0], gens, system.rank):
                 closure = b[1]
-            else:
+            elif not (closure := coset_closure(gens, ENUMERATION_LIMIT + 1)):
                 group = generate_group(gens, ENUMERATION_LIMIT + 1)
                 closure = group.order, group.truncated, group.levels
         except NonUnimodular as exc:

@@ -37,6 +37,19 @@ the generators, so for a Weyl group closed from its simple reflections the
 level sizes are the coefficients of the Poincare polynomial (Humphreys,
 *Reflection Groups and Coxeter Groups*, 1.11), which
 ``poincare_polynomial`` computes from the invariant degrees.
+
+``coset_closure`` gives the same figures when every generator is an
+involution. For one generator g_k, omega spans the kernel of omega * (g_j -
+I) = 0 over j != k (a Smith form), W_J = <g_j : j != k> is closed as above,
+and each point mu of omega's orbit T gets a representative t_mu = t_parent
+* g. The certificate: omega * g_j == omega for j != k and, for each mu and
+generator g, t_mu * g == t_(mu g) if mu g != mu, else t_mu * g == g_j * t_mu
+for some j != k. Then W_J * T is closed under the generators, so it is the
+group; u * t maps omega to mu, so the products are distinct; l_J(u) +
+depth(t) is the breadth-first length, as it moves by at most 1 under a
+generator and only the identity has no generator that lowers it. So the
+levels are W_J's convolved with the orbit depths (Humphreys, 1.10), with
+no Coxeter-group theorem assumed; a failed check returns None.
 """
 
 from __future__ import annotations
@@ -47,7 +60,8 @@ from itertools import chain, filterfalse, product
 from math import factorial
 from struct import Struct
 
-from .exactmat import Matrix, NonUnimodular, _moved_columns, _row_times, _unimodular_columns
+from .exactmat import (Matrix, NonUnimodular, _is_involution, _moved_columns, _row_times,
+                       _unimodular_columns, smith_normal_form)
 from .rootsys import RootSystemId
 
 
@@ -198,6 +212,95 @@ def generate_group(generators, cap: int) -> MatrixGroup:
     return MatrixGroup(dimension=n, found=tuple(found), vectors=tuple(vectors),
                        generators=tuple(gens), truncated=truncated,
                        levels=tuple(levels))
+
+
+def coset_closure(generators, cap: int):
+    """``(order, truncated, levels)`` of ``generate_group(generators, cap)``
+    through one parabolic coset table (see the module docstring); the order
+    counts the elements listed, W_J's translated through each coset's row
+    table. None when a generator is no involution, there are fewer than
+    two, a closure or |W_J| * |T| passes the cap, the row table passes 256
+    rows, or any certificate check fails.
+    """
+    gens = list(generators)
+    n, m = gens[0].nrows if gens else 0, len(gens)
+    if m < 2 or not all(g.is_square and g.nrows == n and g.is_integral() for g in gens):
+        return None
+    moved = [_moved_columns(g) for g in gens]
+    if not all(map(_is_involution, moved)):
+        return None
+
+    def grow(orb, bound):
+        """Extend the breadth-first orbit ``orb``: True once complete, False
+        when a point's images would pass ``bound`` points. images[i][g]
+        indexes point i * gens[g]; tree[i] is (parent, g, depth)."""
+        index, points, images, tree = orb
+        while len(images) < len(points):
+            i = len(images)
+            nus = [_row_times(points[i], cols) for cols in moved]
+            if len(points) + len(set(nus) - index.keys()) > bound:
+                return False
+            for g, nu in enumerate(nus):
+                if nu not in index:
+                    index[nu] = len(points)
+                    points.append(nu)
+                    tree.append((i, g, tree[i][2] + 1))
+            images.append([index[nu] for nu in nus])
+        return True
+
+    orbits = []  # omega_k spans the kernel of omega . (moved column b of g_j - e_b), j != k
+    for k in range(m):
+        eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
+               for j, cols in enumerate(moved) if j != k for b, terms in cols]
+        omega = smith_normal_form(Matrix(eqs or [[0] * n])).v.numerators[n - 1::n]
+        orbits.append(({omega: 0}, [omega], [], [(0, 0, 0)]))
+    bound = 8
+    while not (done := [k for k, orb in enumerate(orbits) if grow(orb, bound)]):
+        if bound >= cap:
+            return None
+        bound *= 2
+    k = min(done, key=lambda k: len(orbits[k][1]))  # the smallest orbit, then the lowest k
+    _, _, images, tree = orbits[k]
+    if any(images[0][j] for j in range(m) if j != k):  # omega * g_j != omega
+        return None
+    wj = generate_group(gens[:k] + gens[k + 1:], cap)
+    if wj.truncated or wj.order * len(images) > cap:
+        return None
+
+    # acts[g][r] is the id of vectors[r] * gens[g], on a row table that
+    # starts with W_J's (so its elements keep their ids, and the identity's
+    # rows are 0..n-1) and is closed under every generator.
+    vectors = list(wj.vectors)
+    ids = {vec: r for r, vec in enumerate(vectors)}
+    acts = [[] for _ in gens]
+    for vec in vectors:
+        for cols, act in zip(moved, acts):
+            act.append(ids.setdefault(img := _row_times(vec, cols), len(ids)))
+            if len(ids) > len(vectors):
+                vectors.append(img)
+        if len(vectors) > 256:
+            return None
+    acts = [bytes(act).ljust(256, b"\0") for act in acts]
+    # tables[i] maps row id r to the id of vectors[r] * t_i; its first n
+    # bytes are t_i itself.
+    tables = [bytes(range(256))]
+    for p, g, _ in tree[1:]:
+        tables.append(tables[p].translate(acts[g]))
+    for i, (table, row) in enumerate(zip(tables, images)):
+        left = {acts[j][:n].translate(table) for j in range(m) if j != k}  # each g_j * t_i
+        for g, to in enumerate(row):
+            tg = table[:n].translate(acts[g])  # t_i * g
+            if (tg != tables[to][:n]) if to != i else (tg not in left):
+                return None
+
+    joined, cut, elements = b"".join(wj.found), Struct(f"{n}s" * wj.order).unpack, set()
+    for table in tables:
+        elements.update(cut(joined.translate(table)))
+    levels = [0] * (len(wj.levels) + tree[-1][2])
+    for a, x in enumerate(wj.levels):
+        for *_, depth in tree:
+            levels[a + depth] += x
+    return len(elements), False, tuple(levels)
 
 
 def check_invariance(generators, form: Matrix) -> bool:

@@ -16,7 +16,7 @@ from weylppav.exactmat import SnfResult
 from weylppav.ppav import EllipticDecomposition
 from weylppav.symplectic import AffineMatrixSpace
 from weylppav import symplectic
-from weylppav import verify
+from weylppav import verify, weyl
 from weylppav.cli import main
 from weylppav.verify import _span_witness, _spanned_by, run_verification
 from weylppav.weyl import poincare_polynomial
@@ -494,16 +494,18 @@ class TestLengthGrading:
         assert 2 * sum(d - 1 for d in degrees) == len(group.vectors)
         assert group.levels == poincare_polynomial(degrees)
 
-    def test_cyclic_group_of_the_same_order_fails(self, monkeypatch):
+    def test_cyclic_group_of_the_same_order_fails(self):
         # -(s1 s2) generates a cyclic group of isometries of A2's form with
         # A2's order 6, but one element of each length 0..5 instead of A2's
-        # grading 1 + 2q + 2q^2 + q^3.
-        a2 = [s.T for s in simple_reflections(RootSystemId.parse("A2"))]
-        rotation = -(a2[0] * a2[1])
-        original = verify.generate_group
-        monkeypatch.setattr(verify, "generate_group", lambda gens, cap: original(
-            [rotation] if gens == a2 else gens, cap))
-        sec = verify.check_group_orders(2, verify._catalog(2))
+        # grading 1 + 2q + 2q^2 + q^3. It is the catalog's one generator of
+        # A2, so the coset route declines it and the closure decides.
+        a2 = RootSystemId.parse("A2")
+        s0, s1 = transposed(a2)
+        rotation = -(s0 * s1)
+        catalog = verify._catalog(2)
+        catalog[a2] = dataclasses.replace(catalog[a2], generators=(rotation.T,))
+        assert weyl.coset_closure([rotation], verify.ENUMERATION_LIMIT + 1) is None
+        sec = verify.check_group_orders(2, catalog)
         failed = [c for c in sec.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["A2: enumerated order 6 = expected 6"]
         assert failed[0].detail == "levels (1, 1, 1, 1, 1, 1), expected (1, 2, 2, 1)"
@@ -511,12 +513,17 @@ class TestLengthGrading:
 
 
 def recorded_closures(monkeypatch):
-    """The generator lists ``verify`` closes, recorded as it closes them."""
-    calls = []
-    original = verify.generate_group
+    """The generator lists ``verify`` closes, recorded as it closes them:
+    ``calls`` gets each list handed to ``coset_closure``, the first route of
+    every closure, and ``fallbacks`` each list handed to ``generate_group``
+    after the coset route declined it."""
+    calls, fallbacks = [], []
+    coset, closure = verify.coset_closure, verify.generate_group
+    monkeypatch.setattr(verify, "coset_closure",
+                        lambda gens, cap: calls.append(gens) or coset(gens, cap))
     monkeypatch.setattr(verify, "generate_group",
-                        lambda gens, cap: calls.append(gens) or original(gens, cap))
-    return calls
+                        lambda gens, cap: fallbacks.append(gens) or closure(gens, cap))
+    return calls, fallbacks
 
 
 def closure_line(system, refl):
@@ -535,10 +542,13 @@ class TestSharedClosure:
     certifies the conjugacy by D = diag(B_n's half-norms)."""
 
     def test_rank8_pass_closes_nineteen_groups(self, monkeypatch):
-        calls = recorded_closures(monkeypatch)
+        calls, fallbacks = recorded_closures(monkeypatch)
         assert run_verification(8)["status"] == "pass"
         assert len(calls) == 19
-        assert not any(transposed(RootSystemId("C", n)) in calls for n in range(2, 7))
+        assert not any(transposed(RootSystemId("C", n)) in calls + fallbacks
+                       for n in range(2, 7))
+        # Only A1, with one generator, is closed breadth first.
+        assert fallbacks == [transposed(RootSystemId("A", 1))]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_c_closure_has_the_b_closure_figures(self, n):
@@ -561,7 +571,7 @@ class TestSharedClosure:
         s0, s1, s2 = catalog[system].generators
         catalog[system] = dataclasses.replace(
             catalog[system], generators=(s0, s1 * Matrix.diagonal([1, 1, 3]), s2))
-        calls = recorded_closures(monkeypatch)
+        calls, _ = recorded_closures(monkeypatch)
         failed = [(c.name, c.detail) for c in verify.check_group_orders(3, catalog).checks
                   if c.status == "fail"]
         assert failed[0] == (f"{tag}: enumerated order = expected 48",
@@ -580,7 +590,7 @@ class TestSharedClosure:
         refl = catalog[system].generators
         perturbed = (refl[0] * refl[1], *refl[1:])
         catalog[system] = dataclasses.replace(catalog[system], generators=perturbed)
-        calls = recorded_closures(monkeypatch)
+        calls, _ = recorded_closures(monkeypatch)
         checks = {c.name: (c.name, c.status, c.detail)
                   for c in verify.check_group_orders(4, catalog).checks}
         name, status, detail = closure_line(system, perturbed)
@@ -593,10 +603,11 @@ class TestSharedClosure:
     def test_c_without_b_is_closed(self, monkeypatch):
         catalog = {system: family for system, family in verify._catalog(5).items()
                    if system.family == "C"}
-        calls = recorded_closures(monkeypatch)
+        calls, fallbacks = recorded_closures(monkeypatch)
         sec = verify.check_group_orders(5, catalog)
         assert all(c.status == "pass" for c in sec.checks)
         assert calls == [transposed(RootSystemId("C", n)) for n in range(2, 6)]
+        assert fallbacks == []
 
 
 def root_orbit(reflections):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import accumulate, product
 from math import prod
@@ -9,7 +10,7 @@ from weylppav import (Matrix, NonUnimodular, RootSystemId, all_systems,
                       check_invariance, diagram_automorphisms, expected_order,
                       generate_group, gram_matrix, reference, simple_reflections)
 from weylppav._kernel import mat_mul_flat_py
-from weylppav.weyl import poincare_polynomial
+from weylppav.weyl import coset_closure, poincare_polynomial
 
 
 def refl(tag):
@@ -330,6 +331,118 @@ class TestGenerateGroup:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             generate_group([Matrix([[-1]])], 0)
+
+
+def closure_figures(gens, cap):
+    group = generate_group(gens, cap)
+    return group.order, group.truncated, group.levels
+
+
+def signed_transposition(n, rng):
+    """A random involution that swaps two coordinates or negates one, each
+    with a random sign."""
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    sign = rng.choice((1, -1))
+    if i == j:
+        rows[i][i] = -1
+    else:
+        rows[i][i] = rows[j][j] = 0
+        rows[i][j] = rows[j][i] = sign
+    return Matrix(rows)
+
+
+def fuzz_generators(rng):
+    """One of four kinds of involution generator sets, drawn from ``rng``."""
+    system = rng.choice([s for s in all_systems(4) if s.rank >= 2])
+    gens = [g.T for g in simple_reflections(system)]
+    kind = rng.randrange(4)
+    i, j = rng.sample(range(len(gens)), 2)
+    if kind == 0:  # one generator conjugated by another
+        gens[i] = gens[j] * gens[i] * gens[j]
+    elif kind == 1:  # an added conjugate reflection
+        gens.insert(rng.randrange(len(gens) + 1), gens[j] * gens[i] * gens[j])
+    elif kind == 2:
+        n = rng.randrange(2, 5)
+        gens = [signed_transposition(n, rng) for _ in range(rng.randrange(2, 4))]
+    else:
+        rng.shuffle(gens)
+    return gens
+
+
+class TestCosetClosure:
+    """The coset table gives the closure's order, truncation and levels, or
+    None; it never gives other figures."""
+
+    @pytest.mark.parametrize("system", [s for s in all_systems(8)
+                                        if s.rank >= 2 and expected_order(s) <= 100_000],
+                             ids=str)
+    def test_enumerated_systems_match_the_closure(self, system):
+        gens = [g.T for g in simple_reflections(system)]
+        assert coset_closure(gens, 100_001) == closure_figures(gens, 100_001)
+
+    @pytest.mark.parametrize("tag", ["B4", "F4", "D5"])
+    def test_cap_at_and_below_the_order(self, tag):
+        gens = [g.T for g in refl(tag)]
+        order = expected_order(RootSystemId.parse(tag))
+        assert coset_closure(gens, order) == closure_figures(gens, order)
+        assert coset_closure(gens, order - 1) is None
+
+    def test_a_generator_fixing_omega_outside_w_j_declines(self):
+        # Both sign changes fix omega = e_2, so T is one point, and the
+        # other sign change is no element of W_J: mu g == mu fails its
+        # comparison. The group has 4 elements, not |W_J| * |T| = 2.
+        gens = [Matrix.diagonal([-1, 1, 1]), Matrix.diagonal([1, -1, 1])]
+        assert closure_figures(gens, 100) == (4, False, (1, 2, 1))
+        assert coset_closure(gens, 100) is None
+
+    def test_a_duplicated_generator_declines(self):
+        # With f0 given twice the other two generators fix only 0, so the
+        # last column of v is no fixed vector and omega * g_j == omega fails.
+        f0, f1 = Matrix.diagonal([-1, 1]), Matrix.diagonal([1, -1])
+        gens = [f0, f1, f0]
+        assert closure_figures(gens, 100) == (4, False, (1, 2, 1))
+        assert coset_closure(gens, 100) is None
+
+    def test_a_non_tree_edge_outside_w_j_declines(self):
+        # A3's s0, s1, s2 beside A2's t1, t0, t1: the A2 block is S4's image
+        # in S3, so the group has A3's 24 elements, but omega's stabilizer
+        # is larger than W_J. Some orbit edge mu -> mu g that is no tree
+        # edge has t_mu * g != t_(mu g); without that comparison the table
+        # would give 12 elements.
+        t0, t1 = [g.T for g in refl("A2")]
+        gens = [Matrix([list(a.row(i)) + [0, 0] for i in range(3)]
+                       + [[0, 0, 0, *b.row(i)] for i in range(2)])
+                for a, b in zip([g.T for g in refl("A3")], (t1, t0, t1))]
+        assert closure_figures(gens, 100) == (24, False, (1, 3, 5, 6, 5, 3, 1))
+        assert coset_closure(gens, 100) is None
+
+    def test_fuzzed_involutions_agree_or_decline(self):
+        rng = random.Random(37)
+        outcomes = {"agree": 0, "none": 0}
+        for case in range(400):
+            gens = fuzz_generators(rng)
+            cap = (60, 500, 100_001)[case % 3]
+            got = coset_closure(gens, cap)
+            if got is None:
+                outcomes["none"] += 1
+            else:
+                assert got == closure_figures(gens, cap), (case, gens, cap)
+                outcomes["agree"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_refused_sets_decline_and_the_closure_raises(self):
+        a2 = [g.T for g in refl("A2")]
+        assert coset_closure(a2[:1], 10) is None
+        assert coset_closure([-(a2[0] * a2[1])], 10) is None
+        assert coset_closure([a2[0], -(a2[0] * a2[1])], 10) is None
+        # s1 * diag(1, 1, 3) has determinant -3 and is no involution.
+        s0, s1, s2 = [g.T for g in refl("B3")]
+        gens = [s0, s1 * Matrix.diagonal([1, 1, 3]), s2]
+        assert coset_closure(gens, 100) is None
+        with pytest.raises(NonUnimodular, match="^determinant is -3$") as info:
+            generate_group(gens, 100)
+        assert info.value.generator == 1
 
 
 class TestCheckInvariance:
