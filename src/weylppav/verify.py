@@ -32,8 +32,8 @@ PASS = "pass"
 FAIL = "fail"
 DOCUMENTED = "documented-discrepancy"
 
-# Largest groups enumerated element by element; bigger ones get
-# generator-level checks only.
+# Largest groups checked whole, by coset certificate or closure; bigger
+# ones get generator-level checks only.
 ENUMERATION_LIMIT = 100_000
 
 
@@ -386,8 +386,9 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     reflection fails it with "<system>: simple reflection <k>: <error>").
     ``weyl.coset_closure`` gives them first, as W_J * T for the smallest
     orbit T of a vector fixed by all but one reflection, checked exactly to
-    be the group with distinct products and the breadth-first grading; when
-    it returns None (A1, no involution, a failed check), ``generate_group``.
+    be the group with distinct products and the breadth-first grading, W_J
+    by the same certificate; when it returns None (A1, no involution, a
+    failed check), ``generate_group``.
     B_n and C_n share one Weyl group (a root system and its dual do), and
     in simple-root coordinates their reflections are conjugate by the
     diagonal D of B_n's half-norms. So C_n's line reads the order,

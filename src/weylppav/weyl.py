@@ -39,17 +39,18 @@ level sizes are the coefficients of the Poincare polynomial (Humphreys,
 ``poincare_polynomial`` computes from the invariant degrees.
 
 ``coset_closure`` gives the same figures when every generator is an
-involution. For one generator g_k, omega spans the kernel of omega * (g_j -
-I) = 0 over j != k (a Smith form), W_J = <g_j : j != k> is closed as above,
-and each point mu of omega's orbit T gets a representative t_mu = t_parent
-* g. The certificate: omega * g_j == omega for j != k and, for each mu and
-generator g, t_mu * g == t_(mu g) if mu g != mu, else t_mu * g == g_j * t_mu
-for some j != k. Then W_J * T is closed under the generators, so it is the
-group; u * t maps omega to mu, so the products are distinct; l_J(u) +
+involution, and lists no element. For one generator g_k, omega spans the
+kernel of omega * (g_j - I) = 0 over j != k (a Smith form), and each point
+mu of omega's orbit T gets a representative t_mu = t_parent * g. The
+certificate: omega * g_j == omega for j != k and, for each mu and generator
+g, t_mu * g == t_(mu g) if mu g != mu, else t_mu * g == g_j * t_mu for some
+j != k. Then W_J * T, W_J = <g_j : j != k>, is closed under the generators,
+so it is the group; u * t maps omega to mu, so |W| = |W_J| * |T|; l_J(u) +
 depth(t) is the breadth-first length, as it moves by at most 1 under a
 generator and only the identity has no generator that lowers it. So the
-levels are W_J's convolved with the orbit depths (Humphreys, 1.10), with
-no Coxeter-group theorem assumed; a failed check returns None.
+levels are W_J's convolved with the orbit depths (Humphreys, 1.10); W_J's
+figures come by the same certificate, one generator fewer each time, down
+to {I, g}. No Coxeter-group theorem is assumed; a failed check gives None.
 """
 
 from __future__ import annotations
@@ -216,11 +217,10 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 
 def coset_closure(generators, cap: int):
     """``(order, truncated, levels)`` of ``generate_group(generators, cap)``
-    through one parabolic coset table (see the module docstring); the order
-    counts the elements listed, W_J's translated through each coset's row
-    table. None when a generator is no involution, there are fewer than
-    two, a closure or |W_J| * |T| passes the cap, the row table passes 256
-    rows, or any certificate check fails.
+    by the coset certificate of the module docstring, taken again on W_J,
+    one generator fewer each time; no element is listed. None when a
+    generator is no involution, there are fewer than two, the order passes
+    the cap, the row table passes 256 rows, or any check fails.
     """
     gens = list(generators)
     n, m = gens[0].nrows if gens else 0, len(gens)
@@ -230,47 +230,8 @@ def coset_closure(generators, cap: int):
     if not all(map(_is_involution, moved)):
         return None
 
-    def grow(orb, bound):
-        """Extend the breadth-first orbit ``orb``: True once complete, False
-        when a point's images would pass ``bound`` points. images[i][g]
-        indexes point i * gens[g]; tree[i] is (parent, g, depth)."""
-        index, points, images, tree = orb
-        while len(images) < len(points):
-            i = len(images)
-            nus = [_row_times(points[i], cols) for cols in moved]
-            if len(points) + len(set(nus) - index.keys()) > bound:
-                return False
-            for g, nu in enumerate(nus):
-                if nu not in index:
-                    index[nu] = len(points)
-                    points.append(nu)
-                    tree.append((i, g, tree[i][2] + 1))
-            images.append([index[nu] for nu in nus])
-        return True
-
-    orbits = []  # omega_k spans the kernel of omega . (moved column b of g_j - e_b), j != k
-    for k in range(m):
-        eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
-               for j, cols in enumerate(moved) if j != k for b, terms in cols]
-        omega = smith_normal_form(Matrix(eqs or [[0] * n])).v.numerators[n - 1::n]
-        orbits.append(({omega: 0}, [omega], [], [(0, 0, 0)]))
-    bound = 8
-    while not (done := [k for k, orb in enumerate(orbits) if grow(orb, bound)]):
-        if bound >= cap:
-            return None
-        bound *= 2
-    k = min(done, key=lambda k: len(orbits[k][1]))  # the smallest orbit, then the lowest k
-    _, _, images, tree = orbits[k]
-    if any(images[0][j] for j in range(m) if j != k):  # omega * g_j != omega
-        return None
-    wj = generate_group(gens[:k] + gens[k + 1:], cap)
-    if wj.truncated or wj.order * len(images) > cap:
-        return None
-
-    # acts[g][r] is the id of vectors[r] * gens[g], on a row table that
-    # starts with W_J's (so its elements keep their ids, and the identity's
-    # rows are 0..n-1) and is closed under every generator.
-    vectors = list(wj.vectors)
+    # acts[g][r] is the id of vectors[r] * gens[g]: the identity's rows closed under gens.
+    vectors = list(Matrix.identity(n).rows())
     ids = {vec: r for r, vec in enumerate(vectors)}
     acts = [[] for _ in gens]
     for vec in vectors:
@@ -281,26 +242,64 @@ def coset_closure(generators, cap: int):
         if len(vectors) > 256:
             return None
     acts = [bytes(act).ljust(256, b"\0") for act in acts]
-    # tables[i] maps row id r to the id of vectors[r] * t_i; its first n
-    # bytes are t_i itself.
-    tables = [bytes(range(256))]
-    for p, g, _ in tree[1:]:
-        tables.append(tables[p].translate(acts[g]))
-    for i, (table, row) in enumerate(zip(tables, images)):
-        left = {acts[j][:n].translate(table) for j in range(m) if j != k}  # each g_j * t_i
-        for g, to in enumerate(row):
-            tg = table[:n].translate(acts[g])  # t_i * g
-            if (tg != tables[to][:n]) if to != i else (tg not in left):
-                return None
 
-    joined, cut, elements = b"".join(wj.found), Struct(f"{n}s" * wj.order).unpack, set()
-    for table in tables:
-        elements.update(cut(joined.translate(table)))
-    levels = [0] * (len(wj.levels) + tree[-1][2])
-    for a, x in enumerate(wj.levels):
-        for *_, depth in tree:
+    def grow(orb, sub, bound):
+        """Extend the breadth-first orbit ``orb`` under gens[j], j in ``sub``:
+        True once complete, False past ``bound`` points. images[i][g]
+        indexes point i * gens[sub[g]]; tree[i] is (parent, g, depth)."""
+        index, points, images, tree = orb
+        while len(images) < len(points):
+            i = len(images)
+            nus = [_row_times(points[i], moved[j]) for j in sub]
+            if len(points) + len(set(nus) - index.keys()) > bound:
+                return False
+            for g, nu in enumerate(nus):
+                if nu not in index:
+                    index[nu] = len(points)
+                    points.append(nu)
+                    tree.append((i, g, tree[i][2] + 1))
+            images.append([index[nu] for nu in nus])
+        return True
+
+    # The group of gens[j], j in sub, is W_J * T: one step per generator
+    # removed, each convolving the levels with T's depths, down to {I, g}.
+    order, levels, sub = 1, [1], tuple(range(m))
+    while sub:
+        if len(sub) == 1:  # {I, g}, or {I} when g = I
+            depths, sub = ((0, 1) if moved[sub[0]] else (0,)), ()
+        else:
+            orbits = []  # omega_k: kernel of omega . (moved column b of g_j - e_b), j != k
+            for k in range(len(sub)):
+                eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
+                       for j in sub if j != sub[k] for b, terms in moved[j]]
+                omega = smith_normal_form(Matrix(eqs or [[0] * n])).v.numerators[n - 1::n]
+                orbits.append(({omega: 0}, [omega], [], [(0, 0, 0)]))
+            bound = 8
+            while not (done := [k for k, orb in enumerate(orbits) if grow(orb, sub, bound)]):
+                if bound >= cap:
+                    return None
+                bound *= 2
+            k = min(done, key=lambda k: len(orbits[k][1]))  # the smallest orbit, then the lowest k
+            _, _, images, tree = orbits[k]
+            if any(images[0][g] for g in range(len(sub)) if g != k):  # omega * g_j != omega
+                return None
+            # tables[i] takes row id r to the id of vectors[r] * t_i; t_i is its first n bytes.
+            tables = [bytes(range(256))]
+            for p, g, _ in tree[1:]:
+                tables.append(tables[p].translate(acts[sub[g]]))
+            for i, (table, row) in enumerate(zip(tables, images)):
+                left = {acts[j][:n].translate(table) for j in sub if j != sub[k]}  # g_j * t_i
+                for g, to in enumerate(row):
+                    tg = table[:n].translate(acts[sub[g]])  # t_i * g
+                    if (tg != tables[to][:n]) if to != i else (tg not in left):
+                        return None
+            depths, sub = [depth for *_, depth in tree], sub[:k] + sub[k + 1:]
+        if (order := order * len(depths)) > cap:
+            return None
+        levels, below = [0] * (len(levels) + max(depths)), levels
+        for (a, x), depth in product(enumerate(below), depths):
             levels[a + depth] += x
-    return len(elements), False, tuple(levels)
+    return order, False, tuple(levels)
 
 
 def check_invariance(generators, form: Matrix) -> bool:

@@ -1,6 +1,7 @@
 """Property tests of exact products and blocks, the elimination routines,
-the Smith form, the symplectic test, fixed symmetric spaces and the
-catalog's z0 and fixed-point tests.
+the Smith form, the symplectic test, fixed symmetric spaces, the
+catalog's z0 and fixed-point tests and the coset certificate of parabolic
+subgroups.
 
 Inputs are matrices up to 5 x 5 with int or Fraction entries, or the
 catalog's through rank 16. Every expected value comes from the cofactor
@@ -22,11 +23,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylppav import (Family, Matrix, RootSystemId, Singular, SymplecticMat,  # noqa: E402
                       all_systems, diagram_automorphisms, embed_block_diag,
-                      fixed_symmetric_space, gram_matrix, is_symplectic, modular_action,
-                      simple_reflections, smith_normal_form, solve_affine, standard_form)
+                      fixed_symmetric_space, generate_group, gram_matrix, is_symplectic,
+                      modular_action, simple_reflections, smith_normal_form, solve_affine,
+                      standard_form)
 from weylppav import check_invariance  # noqa: E402
 from weylppav.exactmat import _is_involution, _moved_columns  # noqa: E402
 from weylppav.symplectic import fixed_space_equations, sym_to_vec, vec_to_sym  # noqa: E402
+from weylppav.weyl import coset_closure  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -507,6 +510,20 @@ def test_moved_columns_decide_identity_and_involution(m):
     assert all(terms == [(k, x) for k, x in enumerate(m.col(j)) if x] for j, terms in moved)
     assert (not moved) == (m == ident)
     assert _is_involution(moved) == (m * m == ident), m
+
+
+@PROPERTY
+@given(st.sampled_from([s for s in all_systems(6) if s.rank >= 2]), st.data())
+def test_coset_closure_of_a_parabolic_subgroup_matches_the_closure_or_declines(system, data):
+    # Two or more simple reflections, in any order: the generator sets the
+    # certificate's lower levels see, reducible ones such as A2 x A1 among
+    # them.
+    gens = [g.T for g in simple_reflections(system)]
+    size = data.draw(st.integers(2, len(gens)))
+    sub = [gens[k] for k in data.draw(st.permutations(range(len(gens))))[:size]]
+    got = coset_closure(sub, 100_001)
+    group = generate_group(sub, 100_001)
+    assert got in (None, (group.order, group.truncated, group.levels)), (system, sub)
 
 
 def canonical(x) -> bool:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -549,6 +550,18 @@ class TestSharedClosure:
                        for n in range(2, 7))
         # Only A1, with one generator, is closed breadth first.
         assert fallbacks == [transposed(RootSystemId("A", 1))]
+
+    def test_rank8_closures_list_no_element(self):
+        # The certificates hold orbits and row tables only: 0.1-0.3 MB at
+        # the peak, where E6's 51,840 listed elements alone took about 4 MB.
+        catalog = verify._catalog(8)
+        tracemalloc.start()
+        try:
+            verify.check_group_orders(8, catalog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_c_closure_has_the_b_closure_figures(self, n):

@@ -2,13 +2,14 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import accumulate, product
-from math import prod
+from math import factorial, prod
 
 import pytest
 
 from weylppav import (Matrix, NonUnimodular, RootSystemId, all_systems,
                       check_invariance, diagram_automorphisms, expected_order,
                       generate_group, gram_matrix, reference, simple_reflections)
+from weylppav import weyl
 from weylppav._kernel import mat_mul_flat_py
 from weylppav.weyl import coset_closure, poincare_polynomial
 
@@ -377,16 +378,41 @@ class TestCosetClosure:
     @pytest.mark.parametrize("system", [s for s in all_systems(8)
                                         if s.rank >= 2 and expected_order(s) <= 100_000],
                              ids=str)
-    def test_enumerated_systems_match_the_closure(self, system):
+    def test_enumerated_systems_match_the_closure(self, system, monkeypatch):
         gens = [g.T for g in simple_reflections(system)]
-        assert coset_closure(gens, 100_001) == closure_figures(gens, 100_001)
+        figures = closure_figures(gens, 100_001)
 
-    @pytest.mark.parametrize("tag", ["B4", "F4", "D5"])
+        def listed(*args):
+            raise AssertionError("an element was listed")
+
+        # The certificate reaches the figures at every level without
+        # closing or holding a group.
+        monkeypatch.setattr(weyl, "generate_group", listed)
+        monkeypatch.setattr(weyl, "MatrixGroup", listed)
+        assert coset_closure(gens, 100_001) == figures
+
+    @pytest.mark.parametrize("tag", ["B4", "F4", "D5", "E6", "A7"])
     def test_cap_at_and_below_the_order(self, tag):
         gens = [g.T for g in refl(tag)]
         order = expected_order(RootSystemId.parse(tag))
         assert coset_closure(gens, order) == closure_figures(gens, order)
         assert coset_closure(gens, order - 1) is None
+
+    def test_an_identity_generator_is_a_group_of_one(self):
+        # W_J = <I> is the last level's group, of order 1; s = (-1) moves
+        # omega = (1) to -1, so |T| = 2 and the group is {I, s}.
+        s, ident = Matrix([[-1]]), Matrix.identity(1)
+        assert closure_figures([s, ident], 10) == (2, False, (1, 1))
+        assert coset_closure([s, ident], 10) == (2, False, (1, 1))
+
+    def test_a_row_table_past_256_rows_declines(self):
+        # The transposed reflections intern the roots as rows: A15's 240
+        # fit one byte per row id, and the certificate gives the order and
+        # grading of a group far past enumeration; A16's 272 do not.
+        a15, a16 = ([g.T for g in refl(tag)] for tag in ("A15", "A16"))
+        assert coset_closure(a15, factorial(16)) == (
+            factorial(16), False, poincare_polynomial(range(2, 17)))
+        assert coset_closure(a16, factorial(17)) is None
 
     def test_a_generator_fixing_omega_outside_w_j_declines(self):
         # Both sign changes fix omega = e_2, so T is one point, and the
