@@ -49,8 +49,8 @@ BROKEN_PIPE = 141
 # The generators are rank dense rank x rank matrices beside it: group-order
 # A200 --cap 125 takes about 0.3 s and 80 MB max RSS (a fresh process, the
 # EPYC VM), most of it the 8 million reflection entries. verify-all at rank 32
-# takes about 2.5 times its rank-16 time: 0.85-0.89 s against 0.34-0.41 s in
-# a fresh process, and rank 8 0.25-0.33 s (median of 5, two rounds, 2-vCPU
+# takes about 2.5 times its rank-16 time: 0.87-0.97 s against 0.30-0.34 s in
+# a fresh process, and rank 8 0.19-0.23 s (median of 5, two rounds, 2-vCPU
 # Intel Xeon VM, Python 3.11.7, about half as fast as the EPYC VM).
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from . import reference
@@ -22,9 +22,9 @@ from .centralizer import centralizer_element, curve_description
 from .exactmat import Matrix, NonUnimodular, _is_involution, _moved_columns
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, cartan_data, diagram_automorphisms
-from .symplectic import (SymplecticMat, _sym_index, embed_block_diag, fixed_space_equations,
-                         fixed_symmetric_space, is_symplectic, sym_to_vec,
-                         verify_decomposition_witness, verify_family_isomorphism)
+from .symplectic import (AffineMatrixSpace, SymplecticMat, _sym_index, embed_block_diag,
+                         fixed_space_equations, fixed_symmetric_space, is_symplectic,
+                         sym_to_vec, verify_decomposition_witness, verify_family_isomorphism)
 from .weyl import (check_invariance, coset_closure, expected_order, generate_group,
                    poincare_polynomial)
 
@@ -82,6 +82,46 @@ def _span_witness(computed, published, n: int) -> str:
                      for k, v in enumerate(vecs_b) if not _spanned_by(v, vecs_a)), "")
             or ("" if len(vecs_a) == len(vecs_b)
                 else f"{len(vecs_a)} computed matrices, {len(vecs_b)} published"))
+
+
+def _certified_fixed_space(gens, particular: Matrix, basis) -> bool:
+    """Do substitution and two integer ranks prove that the symmetric
+    matrices fixed by ``gens`` are exactly particular + span(basis), with
+    independent basis matrices?
+
+    Every published matrix must be a symmetric n x n matrix. In the
+    coordinates of ``sym_to_vec``, the particular part must satisfy the
+    integer equations of ``fixed_space_equations`` and each basis matrix
+    their homogeneous part, so particular + span(basis) lies in the
+    solution set. The equations' Bareiss rank must be n(n+1)/2 less the
+    number of basis matrices, and one Bareiss rank must find those matrices
+    independent; then they span the whole kernel, and the two sets are one.
+    """
+    n = gens[0].n
+    size = n * (n + 1) // 2
+    if not all(m.nrows == n and m.is_symmetric() for m in (particular, *basis)):
+        return False
+    rows, rhs = fixed_space_equations(gens)
+    p, vecs = sym_to_vec(particular), [sym_to_vec(m) for m in basis]
+
+    def dot(row, vec):
+        return sum(c * x for c, x in zip(row, vec) if c)
+
+    return (all(dot(row, p) == r and not any(dot(row, v) for v in vecs)
+                for row, r in zip(rows, rhs))
+            and Matrix(rows or [[0] * size]).rank() == size - len(vecs)
+            and (not vecs or Matrix(vecs).rank() == len(vecs)))
+
+
+def _solver_line(constant: Matrix, linear: Matrix) -> bool:
+    """Are ``linear`` and ``constant``, a certified line and a point on it,
+    the kernel vector and particular part that ``fixed_symmetric_space``
+    gives: L integral and primitive with a positive leading entry, and the
+    constant 0 at f, the last nonzero coordinate of L (its free column)?"""
+    lv = sym_to_vec(linear)
+    f = max(k for k, x in enumerate(lv) if x)  # L != 0, as it is certified independent
+    return (linear.is_integral() and gcd(*lv) == 1 and next(filter(None, lv)) > 0
+            and sym_to_vec(constant)[f] == 0)
 
 
 def _catalog(max_rank: int) -> dict:
@@ -312,7 +352,17 @@ def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
 def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
     """The forms fixed by the order-5 generator. A failing line names the
     dimension found, the first nonzero cell of the particular part, the
-    first matrix outside the other span, or the first wrong cell."""
+    first matrix outside the other span, or the first wrong cell.
+
+    The published answer is 0 + span(m1, m2). ``_certified_fixed_space``
+    proves it by substitution and two Bareiss ranks: the right-hand side is
+    0, m1 and m2 are independent solutions, and the kernel has dimension 2.
+    The solver's particular part is then 0 and its basis spans the same
+    two-dimensional space, so every line below reads the same on the
+    published answer as on the solver's. Only when the certificate declines
+    does ``fixed_symmetric_space`` run, so that each failing line names its
+    witness.
+    """
     sec = Section("fixed-space-rank4-order5")
     if max_rank < 4:
         return sec
@@ -323,7 +373,10 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
         sec.add("order-5 generator embeds symplectically", False,
                 f"reference.cyclic5_generator(): {exc}")
     else:
-        space = fixed_symmetric_space([gen])
+        zero = Matrix.zeros(gen.n)
+        space = (AffineMatrixSpace(n=gen.n, particular=zero, basis=(m1, m2))
+                 if _certified_fixed_space([gen], zero, (m1, m2))
+                 else fixed_symmetric_space([gen]))
         ok = space.dimension == 2
         sec.add("fixed space is 2-dimensional", ok,
                 "" if ok else f"dimension {space.dimension}")
@@ -339,7 +392,25 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
 
 def check_sym5_fixed_family(max_rank: int) -> Section:
     """The family fixed by the degree-6 generators. A failing line names the
-    generator, the dimension found, "no solution" or the first wrong cell."""
+    generator, the dimension found, "no solution" or the first wrong cell.
+
+    The published answer is constant + span(L), which the lines compare
+    with the solver's particular part and its one basis matrix.
+    ``_certified_fixed_space`` proves that it is the fixed set, with L
+    spanning the kernel. That fixes what the solver returns. Its reduced
+    row echelon form leaves column c free exactly when column c of the
+    equations is a combination of the columns before it, that is, when
+    some kernel vector has its last nonzero coordinate at c. The kernel is
+    the line through L, so the one free column is f, the last nonzero
+    coordinate of L. The solver's kernel vector is the one with a 1 at f,
+    L / L_f, scaled to the primitive integer vector with a positive leading
+    entry: L itself, when L is integral and primitive with a positive
+    leading entry. Its particular part is the solution that is 0 at f:
+    the constant part, when that is 0 at f. So when all of this holds,
+    the solver would return exactly the published answer, and it is not
+    run. Otherwise ``fixed_symmetric_space`` runs, so that each failing
+    line names its witness.
+    """
     sec = Section("fixed-family-rank6-sym5")
     if max_rank < 6:
         return sec
@@ -350,8 +421,11 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
                 "" if ok else f"reference.sym5_degree6_generators()[{k}]: m^t J m != J")
     if any(c.status == FAIL for c in sec.checks):
         return sec  # a fixed family needs symplectic generators
-    space = fixed_symmetric_space([SymplecticMat(6, g) for g in gens])
+    gens = [SymplecticMat._certified(g.nrows // 2, g) for g in gens]  # symplectic, above
     constant, linear = reference.sym5_fixed_family()
+    space = (AffineMatrixSpace(n=gens[0].n, particular=constant, basis=(linear,))
+             if _certified_fixed_space(gens, constant, (linear,))
+             and _solver_line(constant, linear) else fixed_symmetric_space(gens))
     line = space.dimension == 1
     sec.add("fixed family is a line (one basis matrix)", line,
             "" if line else f"dimension {space.dimension}")

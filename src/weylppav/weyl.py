@@ -50,7 +50,10 @@ depth(t) is the breadth-first length, as it moves by at most 1 under a
 generator and only the identity has no generator that lowers it. So the
 levels are W_J's convolved with the orbit depths (Humphreys, 1.10); W_J's
 figures come by the same certificate, one generator fewer each time, down
-to {I, g}. No Coxeter-group theorem is assumed; a failed check gives None.
+to {I, g}. Each omega_k is taken once, from all the other generators, and
+serves at every step: the g_j left beside g_k still fix it, and for an
+irreducible group g_k does not. No Coxeter-group theorem is assumed; a
+failed check gives None.
 """
 
 from __future__ import annotations
@@ -261,6 +264,14 @@ def coset_closure(generators, cap: int):
             images.append([index[nu] for nu in nus])
         return True
 
+    # omegas[k] spans the kernel of omega . (moved column b of g_j - e_b) over
+    # every j != k, so it is fixed by each g_j, j != k, of every subset.
+    omegas = []
+    for k in range(m):
+        eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
+               for j in range(m) if j != k for b, terms in moved[j]]
+        omegas.append(smith_normal_form(Matrix(eqs or [[0] * n])).v.numerators[n - 1::n])
+
     # The group of gens[j], j in sub, is W_J * T: one step per generator
     # removed, each convolving the levels with T's depths, down to {I, g}.
     order, levels, sub = 1, [1], tuple(range(m))
@@ -268,12 +279,7 @@ def coset_closure(generators, cap: int):
         if len(sub) == 1:  # {I, g}, or {I} when g = I
             depths, sub = ((0, 1) if moved[sub[0]] else (0,)), ()
         else:
-            orbits = []  # omega_k: kernel of omega . (moved column b of g_j - e_b), j != k
-            for k in range(len(sub)):
-                eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
-                       for j in sub if j != sub[k] for b, terms in moved[j]]
-                omega = smith_normal_form(Matrix(eqs or [[0] * n])).v.numerators[n - 1::n]
-                orbits.append(({omega: 0}, [omega], [], [(0, 0, 0)]))
+            orbits = [({omegas[j]: 0}, [omegas[j]], [], [(0, 0, 0)]) for j in sub]
             bound = 8
             while not (done := [k for k, orb in enumerate(orbits) if grow(orb, sub, bound)]):
                 if bound >= cap:

@@ -110,16 +110,20 @@ class TestRunVerification:
 
 
 class TestOnePass:
-    def test_a_pass_solves_only_the_two_fixed_spaces(self, monkeypatch):
-        # The reference generators are literal matrices and span membership
-        # is decided by rank, so Fraction elimination runs only where it is
-        # what is checked: once per worked fixed-space example.
-        calls = []
+    def test_a_passing_pass_solves_no_fixed_space(self, monkeypatch):
+        # The reference generators are literal matrices, span membership is
+        # decided by rank, and both worked fixed-space examples are proven
+        # by substitution and Bareiss ranks: a passing pass runs no Fraction
+        # elimination, and the solver only names a failing example.
+        calls, solves = [], []
         original = exactmat._rref
         monkeypatch.setattr(exactmat, "_rref",
                             lambda aug, ncols: calls.append(ncols) or original(aug, ncols))
+        solver = verify.fixed_symmetric_space
+        monkeypatch.setattr(verify, "fixed_symmetric_space",
+                            lambda gens: solves.append(gens) or solver(gens))
         assert run_verification(8)["status"] == "pass"
-        assert len(calls) == 2
+        assert (calls, solves) == ([], [])
 
     def test_each_system_gets_its_exact_data_once(self, monkeypatch):
         # The catalog takes exactly one Smith form per Gram matrix, which
@@ -172,12 +176,12 @@ class TestOnePass:
         assert not reflections.intersection(embedded)
 
     def test_embeddings_are_not_rechecked(self, monkeypatch):
-        # Embeddings are symplectic by the product that builds them, so a
-        # pass tests m^t J m = J only where it means to: 100 word-pair
-        # products, 7 B_n splitting blocks (B2..B8), 2 sym5 generators and
-        # the 2 + 42 matrices that SymplecticMat(n, m) checks (the sym5
-        # generators again and 3 centralizer elements per system of rank
-        # <= 4).
+        # Embeddings are symplectic by the product that builds them, and the
+        # sym5 generators by their own report lines, so a pass tests
+        # m^t J m = J only where it means to: 100 word-pair products, 7 B_n
+        # splitting blocks (B2..B8), 2 sym5 generators and the 42 matrices
+        # that SymplecticMat(n, m) checks (3 centralizer elements per system
+        # of rank <= 4).
         calls = []
         original = symplectic.is_symplectic
 
@@ -188,7 +192,7 @@ class TestOnePass:
         monkeypatch.setattr(symplectic, "is_symplectic", counted)
         monkeypatch.setattr(verify, "is_symplectic", counted)
         assert run_verification(8)["status"] == "pass"
-        assert len(calls) == 153
+        assert len(calls) == 151
 
     def test_sections_alone_equal_the_pass(self):
         report = run_verification(5)
@@ -550,6 +554,16 @@ class TestSharedClosure:
                        for n in range(2, 7))
         # Only A1, with one generator, is closed breadth first.
         assert fallbacks == [transposed(RootSystemId("A", 1))]
+
+    def test_rank8_closures_take_one_smith_form_per_generator(self, monkeypatch):
+        # The 18 coset-certified groups (A2-A7, B2-B6, D3-D6, E6, F4, G2)
+        # have 77 simple reflections between them: one omega_k each.
+        calls = []
+        original = weyl.smith_normal_form
+        monkeypatch.setattr(weyl, "smith_normal_form",
+                            lambda m: calls.append(m) or original(m))
+        verify.check_group_orders(8, verify._catalog(8))
+        assert len(calls) == 77
 
     def test_rank8_closures_list_no_element(self):
         # The certificates hold orbits and row tables only: 0.1-0.3 MB at
@@ -999,6 +1013,8 @@ class TestFixedSpaceWitness:
                 "basis matrix is 6 x 6, expected 5 x 5"}
 
     def test_empty_space_gives_dimension_and_no_solution(self, monkeypatch):
+        # The certificate declines first, so the injected solver is read.
+        monkeypatch.setattr(verify, "_certified_fixed_space", lambda *args: False)
         monkeypatch.setattr(verify, "fixed_symmetric_space", lambda gens: AffineMatrixSpace(
             n=gens[0].n, particular=None, basis=()))
         sections = (verify.check_cyclic5_fixed_space(4, verify._catalog(4)),
@@ -1023,6 +1039,7 @@ class TestFixedSpaceWitness:
             return AffineMatrixSpace(n=4, particular=Matrix.diagonal([0, 0, 1, 0]),
                                      basis=space.basis)
 
+        monkeypatch.setattr(verify, "_certified_fixed_space", lambda *args: False)
         monkeypatch.setattr(verify, "fixed_symmetric_space", shifted)
         sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
         assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
@@ -1037,3 +1054,91 @@ class TestFixedSpaceWitness:
             "fixed space equals the published span (both inclusions)":
                 "computed basis matrix 0 lies outside the published span",
         }
+
+
+def solver_calls(monkeypatch):
+    """The generator lists ``verify`` hands to ``fixed_symmetric_space``."""
+    calls = []
+    original = verify.fixed_symmetric_space
+    monkeypatch.setattr(verify, "fixed_symmetric_space",
+                        lambda gens: calls.append(gens) or original(gens))
+    return calls
+
+
+class TestFixedSpaceCertificate:
+    """A worked fixed-space example that substitution and integer ranks
+    prove runs no solver; any other falls back to the solver, whose answer
+    names the failure exactly as it does without the certificate."""
+
+    def test_a_declined_certificate_gives_the_same_report(self, monkeypatch):
+        report = json.dumps(run_verification(8))
+        calls = solver_calls(monkeypatch)
+        monkeypatch.setattr(verify, "_certified_fixed_space", lambda *args: False)
+        assert json.dumps(run_verification(8)) == report
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("publish, name, detail", [
+        (lambda c, lin: (c + lin, lin), "particular part equals the published constant part",
+         "entry (0, 0) of particular part is 0, expected 3"),
+        (lambda c, lin: (c, -lin), "basis matrix equals the published linear part",
+         "entry (0, 0) of basis matrix is 3, expected -3"),
+        (lambda c, lin: (c, 2 * lin), "basis matrix equals the published linear part",
+         "entry (0, 0) of basis matrix is 3, expected 6"),
+        (lambda c, lin: changed_cell((c, lin), 1, 1, 0, 1),
+         "basis matrix equals the published linear part",
+         "entry (1, 0) of basis matrix is -1, expected 0"),
+        (lambda c, lin: (c, lin.submatrix(0, 5, 0, 5)),
+         "basis matrix equals the published linear part",
+         "basis matrix is 6 x 6, expected 5 x 5"),
+    ], ids=["constant-shifted-by-L", "L-negated", "2L", "L-not-symmetric", "L-5x5"])
+    def test_a_family_off_the_solver_basis_falls_back(self, monkeypatch, publish, name,
+                                                      detail):
+        # The shifted constant is a solution, but not 0 at L's last nonzero
+        # coordinate; -L and 2L span the line, but are not its primitive
+        # vector with a positive leading entry.
+        original = reference.sym5_fixed_family
+        monkeypatch.setattr(reference, "sym5_fixed_family", lambda: publish(*original()))
+        calls = solver_calls(monkeypatch)
+        sec = verify.check_sym5_fixed_family(6)
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {name: detail}
+        assert len(calls) == 1
+
+    def test_a_repeated_generator_widens_the_kernel_and_falls_back(self, monkeypatch):
+        # The published family is fixed by g1 alone too, but so is a
+        # five-dimensional space: the rank test declines.
+        g1, _ = reference.sym5_degree6_generators()
+        monkeypatch.setattr(reference, "sym5_degree6_generators", lambda: (g1, g1))
+        calls = solver_calls(monkeypatch)
+        sec = verify.check_sym5_fixed_family(6)
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "fixed family is a line (one basis matrix)": "dimension 5",
+            "basis matrix equals the published linear part": "dimension 5",
+            "particular part equals the published constant part":
+                "entry (0, 5) of particular part is 0, expected -1/2",
+        }
+        assert len(calls) == 1
+
+    def test_a_dependent_span_falls_back(self, monkeypatch):
+        # m1 twice solves the equations, and the kernel has dimension 2,
+        # but the two published matrices do not span it.
+        m1, _ = reference.cyclic5_fixed_span()
+        monkeypatch.setattr(reference, "cyclic5_fixed_span", lambda: (m1, m1))
+        calls = solver_calls(monkeypatch)
+        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "fixed space equals the published span (both inclusions)":
+                "computed basis matrix 0 lies outside the published span"}
+        assert len(calls) == 1
+
+    def test_another_basis_of_the_span_is_certified(self, monkeypatch):
+        # (m1 + m2, m2) spans the same space, so no solver runs; only the
+        # line that compares the first published matrix with 5 * z0(A4)
+        # fails.
+        m1, m2 = reference.cyclic5_fixed_span()
+        monkeypatch.setattr(reference, "cyclic5_fixed_span", lambda: (m1 + m2, m2))
+        calls = solver_calls(monkeypatch)
+        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
+        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+            "5 * z0(A4) equals the first published span matrix":
+                "entry (0, 0) of 5 * z0(A4) is 4, expected 6"}
+        assert calls == []

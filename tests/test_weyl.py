@@ -398,6 +398,29 @@ class TestCosetClosure:
         assert coset_closure(gens, order) == closure_figures(gens, order)
         assert coset_closure(gens, order - 1) is None
 
+    @pytest.mark.parametrize("tag", ["E7", "E8"])
+    def test_e7_and_e8_are_certified_past_enumeration(self, tag):
+        # At E7's W_J = <s1..s4> and E8's <s0..s5> the kernel of all but
+        # one reflection's equations has dimension >= 2, so a vector read
+        # off it could be fixed by the remaining reflection too: a one-point
+        # orbit, which fails the certificate. Each omega_k comes from all
+        # the other reflections of the group, which fix only its line, and
+        # g_k moves it.
+        system = RootSystemId.parse(tag)
+        order = expected_order(system)
+        assert coset_closure([g.T for g in refl(tag)], order) == (
+            order, False, poincare_polynomial(reference.invariant_degrees(system)))
+
+    @pytest.mark.parametrize("tag", ["B4", "E6", "E8"])
+    def test_one_smith_form_per_generator(self, tag, monkeypatch):
+        calls = []
+        original = weyl.smith_normal_form
+        monkeypatch.setattr(weyl, "smith_normal_form",
+                            lambda m: calls.append(m) or original(m))
+        gens = [g.T for g in refl(tag)]
+        assert coset_closure(gens, expected_order(RootSystemId.parse(tag)))
+        assert len(calls) == len(gens)
+
     def test_an_identity_generator_is_a_group_of_one(self):
         # W_J = <I> is the last level's group, of order 1; s = (-1) moves
         # omega = (1) to -1, so |T| = 2 and the group is {I, s}.
