@@ -21,7 +21,7 @@ from . import reference
 from .centralizer import centralizer_element, curve_description
 from .exactmat import Matrix, NonUnimodular, _is_involution, _moved_columns
 from .ppav import Family, coroot_polarization_degree, group_divisors
-from .rootsys import RootSystemId, all_systems, cartan_data, diagram_automorphisms
+from .rootsys import RootSystemId, all_systems, diagram_automorphisms
 from .symplectic import (AffineMatrixSpace, SymplecticMat, _sym_index, embed_block_diag,
                          fixed_space_equations, fixed_symmetric_space, is_symplectic,
                          sym_to_vec, verify_decomposition_witness, verify_family_isomorphism)
@@ -438,18 +438,6 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
     return sec
 
 
-def _half_norm_conjugate(b_gens, c_gens, rank: int) -> bool:
-    """The certificate g_B,i * D == D * g_C,i for every pair of transposed
-    simple reflections of B_n and C_n, with D the diagonal of B_n's
-    half-norms (``rootsys.cartan_data``), each nonzero. It makes
-    <g_C> = D^{-1} <g_B> D generator for generator, so the two closures
-    have one order, truncation and breadth-first level sizes."""
-    halves = cartan_data(RootSystemId("B", rank)).norm_halves
-    d = Matrix.diagonal(list(halves))
-    return (all(halves) and len(b_gens) == len(c_gens)
-            and all(gb * d == d * gc for gb, gc in zip(b_gens, c_gens)))
-
-
 def check_group_orders(max_rank: int, catalog: dict) -> Section:
     """Orders and length grading by closure; the Gram form by generators.
 
@@ -458,25 +446,18 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
     must have the classical order, and level sizes equal to the Poincare
     polynomial of the invariant degrees (a failure gives both; a refused
     reflection fails it with "<system>: simple reflection <k>: <error>").
-    ``weyl.coset_closure`` gives them first, as W_J * T for the smallest
-    orbit T of a vector fixed by all but one reflection, checked exactly to
-    be the group with distinct products and the breadth-first grading, W_J
-    by the same certificate; when it returns None (A1, no involution, a
-    failed check), ``generate_group``.
-    B_n and C_n share one Weyl group (a root system and its dual do), and
-    in simple-root coordinates their reflections are conjugate by the
-    diagonal D of B_n's half-norms. So C_n's line reads the order,
-    truncation and level sizes of B_n's closure from the same pass once
-    ``_half_norm_conjugate`` certifies that conjugacy exactly; C_n is closed
-    itself when B_n is not in the catalog, its closure was refused, or the
-    certificate fails. Class functions, such as traces, agree under D too.
+    Every system's own ``weyl.coset_closure`` gives them, as W_J * T for
+    the orbit T of a vector fixed by all reflections but the first, checked
+    exactly to be the group with distinct products and the breadth-first
+    grading, W_J by the same certificate. ``generate_group`` runs only when
+    the certificate declines (no involution, a failed check), to name the
+    failing line.
     Every element preserves the Gram form iff the simple reflections do: one
     ``check_invariance`` call per system, and one per reflection only to name
     the first that fails, with its first wrong cell. Larger groups get that
     check and g * g == I in one generator-level check.
     """
     sec = Section("reflection-group-orders")
-    closed_b = {}  # n -> (B_n's transposed reflections, (order, truncated, levels))
     for system, family in catalog.items():
         refl, gram = family.generators, family.form
         order = expected_order(system)
@@ -494,19 +475,14 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
                     not wrong, wrong)
             continue
         gens = [g.T for g in refl]
-        b = closed_b.get(system.rank) if system.family == "C" else None
         try:
-            if b and _half_norm_conjugate(b[0], gens, system.rank):
-                closure = b[1]
-            elif not (closure := coset_closure(gens, ENUMERATION_LIMIT + 1)):
+            if not (closure := coset_closure(gens, ENUMERATION_LIMIT + 1)):
                 group = generate_group(gens, ENUMERATION_LIMIT + 1)
                 closure = group.order, group.truncated, group.levels
         except NonUnimodular as exc:
             sec.add(f"{system}: enumerated order = expected {order}", False,
                     f"{system}: simple reflection {exc.generator}: {exc}")
         else:
-            if system.family == "B":
-                closed_b[system.rank] = gens, closure
             found, truncated, grading = closure
             levels = poincare_polynomial(reference.invariant_degrees(system))
             ok = not truncated and found == order and grading == levels

@@ -39,9 +39,9 @@ level sizes are the coefficients of the Poincare polynomial (Humphreys,
 ``poincare_polynomial`` computes from the invariant degrees.
 
 ``coset_closure`` gives the same figures when every generator is an
-involution, and lists no element. For one generator g_k, omega spans the
-kernel of omega * (g_j - I) = 0 over j != k (a Smith form), and each point
-mu of omega's orbit T gets a representative t_mu = t_parent * g. The
+involution, and lists no element. For the first generator g_k, omega lies
+in the kernel of omega * (g_j - I) = 0 over j != k (a Smith form), and each
+point mu of omega's orbit T gets a representative t_mu = t_parent * g. The
 certificate: omega * g_j == omega for j != k and, for each mu and generator
 g, t_mu * g == t_(mu g) if mu g != mu, else t_mu * g == g_j * t_mu for some
 j != k. Then W_J * T, W_J = <g_j : j != k>, is closed under the generators,
@@ -49,11 +49,14 @@ so it is the group; u * t maps omega to mu, so |W| = |W_J| * |T|; l_J(u) +
 depth(t) is the breadth-first length, as it moves by at most 1 under a
 generator and only the identity has no generator that lowers it. So the
 levels are W_J's convolved with the orbit depths (Humphreys, 1.10); W_J's
-figures come by the same certificate, one generator fewer each time, down
-to {I, g}. Each omega_k is taken once, from all the other generators, and
-serves at every step: the g_j left beside g_k still fix it, and for an
-irreducible group g_k does not. No Coxeter-group theorem is assumed; a
-failed check gives None.
+figures come by the same certificate, its first generator removed each
+time, down to {I, g}, which is also the whole answer for a single
+generator. Each omega_k is taken once, from all the other generators, and
+serves at the step that removes g_k: the g_j left beside it still fix it.
+Of the kernel's Smith basis vectors omega_k is the last one that g_k
+moves, so a kernel of dimension >= 2 (generators that fix a common
+nonzero vector) gives a one-point orbit only when g_k fixes all of it. No
+Coxeter-group theorem is assumed; a failed check gives None.
 """
 
 from __future__ import annotations
@@ -221,13 +224,14 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 def coset_closure(generators, cap: int):
     """``(order, truncated, levels)`` of ``generate_group(generators, cap)``
     by the coset certificate of the module docstring, taken again on W_J,
-    one generator fewer each time; no element is listed. None when a
-    generator is no involution, there are fewer than two, the order passes
-    the cap, the row table passes 256 rows, or any check fails.
+    the first remaining generator removed each time; no element is listed.
+    None when there is no generator, a generator is no involution, the
+    order or one orbit passes the cap, the row table passes 256 rows, or
+    any check fails.
     """
     gens = list(generators)
     n, m = gens[0].nrows if gens else 0, len(gens)
-    if m < 2 or not all(g.is_square and g.nrows == n and g.is_integral() for g in gens):
+    if not m or not all(g.is_square and g.nrows == n and g.is_integral() for g in gens):
         return None
     moved = [_moved_columns(g) for g in gens]
     if not all(map(_is_involution, moved)):
@@ -246,65 +250,60 @@ def coset_closure(generators, cap: int):
             return None
     acts = [bytes(act).ljust(256, b"\0") for act in acts]
 
-    def grow(orb, sub, bound):
-        """Extend the breadth-first orbit ``orb`` under gens[j], j in ``sub``:
-        True once complete, False past ``bound`` points. images[i][g]
-        indexes point i * gens[sub[g]]; tree[i] is (parent, g, depth)."""
-        index, points, images, tree = orb
-        while len(images) < len(points):
-            i = len(images)
-            nus = [_row_times(points[i], moved[j]) for j in sub]
-            if len(points) + len(set(nus) - index.keys()) > bound:
-                return False
-            for g, nu in enumerate(nus):
-                if nu not in index:
-                    index[nu] = len(points)
-                    points.append(nu)
-                    tree.append((i, g, tree[i][2] + 1))
-            images.append([index[nu] for nu in nus])
-        return True
-
-    # omegas[k] spans the kernel of omega . (moved column b of g_j - e_b) over
-    # every j != k, so it is fixed by each g_j, j != k, of every subset.
+    # The columns of v past the Smith rank span the solutions of
+    # omega . (moved column b of g_j - e_b) = 0 over every j != k, which each
+    # g_j, j != k, fixes; omegas[k] is the last of them that g_k moves, else
+    # v's last column, which the certificate then rejects.
     omegas = []
     for k in range(m):
         eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
                for j in range(m) if j != k for b, terms in moved[j]]
-        omegas.append(smith_normal_form(Matrix(eqs or [[0] * n])).v.numerators[n - 1::n])
+        snf = smith_normal_form(Matrix(eqs or [[0] * n]))
+        kernel = [snf.v.numerators[c::n] for c in range(sum(map(bool, snf.diagonal())), n)]
+        omegas.append(next((w for w in reversed(kernel) if _row_times(w, moved[k]) != w),
+                           snf.v.numerators[n - 1::n]))
 
-    # The group of gens[j], j in sub, is W_J * T: one step per generator
-    # removed, each convolving the levels with T's depths, down to {I, g}.
+    # The group of gens[j], j in sub, is W_J * T, T the orbit of omega_k for
+    # the first k in sub: one step per generator removed, each convolving the
+    # levels with T's depths, down to {I, g}.
     order, levels, sub = 1, [1], tuple(range(m))
     while sub:
         if len(sub) == 1:  # {I, g}, or {I} when g = I
-            depths, sub = ((0, 1) if moved[sub[0]] else (0,)), ()
+            depths = (0, 1) if moved[sub[0]] else (0,)
         else:
-            orbits = [({omegas[j]: 0}, [omegas[j]], [], [(0, 0, 0)]) for j in sub]
-            bound = 8
-            while not (done := [k for k, orb in enumerate(orbits) if grow(orb, sub, bound)]):
-                if bound >= cap:
+            # The breadth-first orbit: images[i][g] indexes point i * gens[sub[g]];
+            # tree[i] is (parent, g, depth).
+            index, points, images, tree = {omegas[sub[0]]: 0}, [omegas[sub[0]]], [], [(0, 0, 0)]
+            while len(images) < len(points):
+                i = len(images)
+                nus = [_row_times(points[i], moved[j]) for j in sub]
+                for g, nu in enumerate(nus):
+                    if nu not in index:
+                        index[nu] = len(points)
+                        points.append(nu)
+                        tree.append((i, g, tree[i][2] + 1))
+                if len(points) > cap:
                     return None
-                bound *= 2
-            k = min(done, key=lambda k: len(orbits[k][1]))  # the smallest orbit, then the lowest k
-            _, _, images, tree = orbits[k]
-            if any(images[0][g] for g in range(len(sub)) if g != k):  # omega * g_j != omega
+                images.append([index[nu] for nu in nus])
+            if any(images[0][1:]):  # omega * g_j != omega
                 return None
             # tables[i] takes row id r to the id of vectors[r] * t_i; t_i is its first n bytes.
             tables = [bytes(range(256))]
             for p, g, _ in tree[1:]:
                 tables.append(tables[p].translate(acts[sub[g]]))
             for i, (table, row) in enumerate(zip(tables, images)):
-                left = {acts[j][:n].translate(table) for j in sub if j != sub[k]}  # g_j * t_i
+                left = {acts[j][:n].translate(table) for j in sub[1:]}  # g_j * t_i
                 for g, to in enumerate(row):
                     tg = table[:n].translate(acts[sub[g]])  # t_i * g
                     if (tg != tables[to][:n]) if to != i else (tg not in left):
                         return None
-            depths, sub = [depth for *_, depth in tree], sub[:k] + sub[k + 1:]
+            depths = [depth for *_, depth in tree]
         if (order := order * len(depths)) > cap:
             return None
         levels, below = [0] * (len(levels) + max(depths)), levels
         for (a, x), depth in product(enumerate(below), depths):
             levels[a + depth] += x
+        sub = sub[1:]
     return order, False, tuple(levels)
 
 

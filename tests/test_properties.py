@@ -513,17 +513,16 @@ def test_moved_columns_decide_identity_and_involution(m):
 
 
 @PROPERTY
-@given(st.sampled_from([s for s in all_systems(6) if s.rank >= 2]), st.data())
-def test_coset_closure_of_a_parabolic_subgroup_matches_the_closure_or_declines(system, data):
-    # Two or more simple reflections, in any order: the generator sets the
+@given(st.sampled_from(list(all_systems(6))), st.data())
+def test_coset_closure_of_a_parabolic_subgroup_matches_the_closure(system, data):
+    # One or more simple reflections, in any order: the generator sets the
     # certificate's lower levels see, reducible ones such as A2 x A1 among
     # them.
     gens = [g.T for g in simple_reflections(system)]
-    size = data.draw(st.integers(2, len(gens)))
+    size = data.draw(st.integers(1, len(gens)))
     sub = [gens[k] for k in data.draw(st.permutations(range(len(gens))))[:size]]
-    got = coset_closure(sub, 100_001)
     group = generate_group(sub, 100_001)
-    assert got in (None, (group.order, group.truncated, group.levels)), (system, sub)
+    assert coset_closure(sub, 100_001) == (group.order, group.truncated, group.levels), (system, sub)
 
 
 def canonical(x) -> bool:

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import factorial, prod
 
 import pytest
@@ -334,6 +334,13 @@ class TestGenerateGroup:
             generate_group([Matrix([[-1]])], 0)
 
 
+def block_diagonal(a, b):
+    """The square matrix with blocks a and b on its diagonal."""
+    na, nb = a.nrows, b.nrows
+    return Matrix([[*a.row(i), *[0] * nb] for i in range(na)]
+                  + [[*[0] * na, *b.row(i)] for i in range(nb)])
+
+
 def closure_figures(gens, cap):
     group = generate_group(gens, cap)
     return group.order, group.truncated, group.levels
@@ -376,7 +383,7 @@ class TestCosetClosure:
     None; it never gives other figures."""
 
     @pytest.mark.parametrize("system", [s for s in all_systems(8)
-                                        if s.rank >= 2 and expected_order(s) <= 100_000],
+                                        if expected_order(s) <= 100_000],
                              ids=str)
     def test_enumerated_systems_match_the_closure(self, system, monkeypatch):
         gens = [g.T for g in simple_reflections(system)]
@@ -397,6 +404,18 @@ class TestCosetClosure:
         order = expected_order(RootSystemId.parse(tag))
         assert coset_closure(gens, order) == closure_figures(gens, order)
         assert coset_closure(gens, order - 1) is None
+
+    def test_an_orbit_past_the_cap_stops_growing(self, monkeypatch):
+        # E8's first orbit has 2,160 points; at cap 100 it stops once it
+        # holds more than 100, before the order test could decline. Row
+        # products: 240 roots x 8 reflections for the row table, one test
+        # per omega_k, then 8 per orbit point grown.
+        calls = []
+        original = weyl._row_times
+        monkeypatch.setattr(weyl, "_row_times",
+                            lambda vec, cols: calls.append(vec) or original(vec, cols))
+        assert coset_closure([g.T for g in refl("E8")], 100) is None
+        assert len(calls) <= 240 * 8 + 8 + 100 * 8
 
     @pytest.mark.parametrize("tag", ["E7", "E8"])
     def test_e7_and_e8_are_certified_past_enumeration(self, tag):
@@ -428,6 +447,17 @@ class TestCosetClosure:
         assert closure_figures([s, ident], 10) == (2, False, (1, 1))
         assert coset_closure([s, ident], 10) == (2, False, (1, 1))
 
+    def test_every_parabolic_subset_through_rank_6_is_certified(self):
+        # The 464 sets of two or more simple reflections of the systems
+        # through rank 6, each in its Bourbaki order. A proper subset fixes
+        # a common nonzero vector, so a kernel of dimension >= 2 is common.
+        sets = [subset for system in all_systems(6)
+                for size in range(2, system.rank + 1)
+                for subset in combinations([g.T for g in simple_reflections(system)], size)]
+        assert len(sets) == 464
+        for gens in sets:
+            assert coset_closure(gens, 100_001) == closure_figures(gens, 100_001), gens
+
     def test_a_row_table_past_256_rows_declines(self):
         # The transposed reflections intern the roots as rows: A15's 240
         # fit one byte per row id, and the certificate gives the order and
@@ -438,12 +468,18 @@ class TestCosetClosure:
         assert coset_closure(a16, factorial(17)) is None
 
     def test_a_generator_fixing_omega_outside_w_j_declines(self):
-        # Both sign changes fix omega = e_2, so T is one point, and the
-        # other sign change is no element of W_J: mu g == mu fails its
-        # comparison. The group has 4 elements, not |W_J| * |T| = 2.
-        gens = [Matrix.diagonal([-1, 1, 1]), Matrix.diagonal([1, -1, 1])]
+        # g1 fixes only the line through omega = (0, 1, 2), which g0 fixes
+        # too, so T is one point and g0 is no element of W_J = <g1>: mu g0
+        # == mu finds no g_j * t_mu. The group has 4 elements, not
+        # |W_J| * |T| = 2.
+        gens = [Matrix.diagonal([-1, 1, 1]), Matrix([[-1, 0, 0], [0, -1, 0], [0, 1, 1]])]
         assert closure_figures(gens, 100) == (4, False, (1, 2, 1))
         assert coset_closure(gens, 100) is None
+        # The second sign change fixes e_0 and e_2. omega is the last of
+        # those kernel vectors that the first one moves, e_0, so its orbit
+        # has two points and the table is certified.
+        gens = [Matrix.diagonal([-1, 1, 1]), Matrix.diagonal([1, -1, 1])]
+        assert coset_closure(gens, 100) == closure_figures(gens, 100) == (4, False, (1, 2, 1))
 
     def test_a_duplicated_generator_declines(self):
         # With f0 given twice the other two generators fix only 0, so the
@@ -454,17 +490,23 @@ class TestCosetClosure:
         assert coset_closure(gens, 100) is None
 
     def test_a_non_tree_edge_outside_w_j_declines(self):
-        # A3's s0, s1, s2 beside A2's t1, t0, t1: the A2 block is S4's image
-        # in S3, so the group has A3's 24 elements, but omega's stabilizer
-        # is larger than W_J. Some orbit edge mu -> mu g that is no tree
-        # edge has t_mu * g != t_(mu g); without that comparison the table
-        # would give 12 elements.
+        # A2's t0, t1 in two blocks: the generators diag(t0, t1),
+        # diag(t1, t0) and diag(t1, I) give S3 x S3. omega = (2, 1, 0, 0)
+        # lies in the first block, where both g_j act as t1, so T has 3
+        # points and omega's stabilizer <t1> x S3 has 12 elements against
+        # W_J's 4. The extra ones are t_mu * g * t_(mu g)^-1 for orbit edges
+        # mu -> mu g that are no tree edges; without that comparison the
+        # table would give 12 elements.
         t0, t1 = [g.T for g in refl("A2")]
-        gens = [Matrix([list(a.row(i)) + [0, 0] for i in range(3)]
-                       + [[0, 0, 0, *b.row(i)] for i in range(2)])
-                for a, b in zip([g.T for g in refl("A3")], (t1, t0, t1))]
-        assert closure_figures(gens, 100) == (24, False, (1, 3, 5, 6, 5, 3, 1))
+        gens = [block_diagonal(a, b) for a, b in ((t0, t1), (t1, t0), (t1, Matrix.identity(2)))]
+        assert closure_figures(gens, 100) == (36, False, (1, 3, 5, 7, 9, 8, 3))
         assert coset_closure(gens, 100) is None
+        # A3's s0, s1, s2 beside A2's t1, t0, t1, the A2 block being S4's
+        # image in S3: omega lies in the A3 block, where W_J = <s1, s2> is
+        # its whole stabilizer, and the table gives A3's figures.
+        gens = [block_diagonal(a, b) for a, b in zip([g.T for g in refl("A3")], (t1, t0, t1))]
+        assert coset_closure(gens, 100) == closure_figures(gens, 100) == (
+            24, False, (1, 3, 5, 6, 5, 3, 1))
 
     def test_fuzzed_involutions_agree_or_decline(self):
         rng = random.Random(37)
@@ -482,7 +524,9 @@ class TestCosetClosure:
 
     def test_refused_sets_decline_and_the_closure_raises(self):
         a2 = [g.T for g in refl("A2")]
-        assert coset_closure(a2[:1], 10) is None
+        assert coset_closure([], 10) is None
+        # One reflection is no refused set: it is the base case {I, g}.
+        assert coset_closure(a2[:1], 10) == (2, False, (1, 1))
         assert coset_closure([-(a2[0] * a2[1])], 10) is None
         assert coset_closure([a2[0], -(a2[0] * a2[1])], 10) is None
         # s1 * diag(1, 1, 3) has determinant -3 and is no involution.
