@@ -45,7 +45,8 @@ BROKEN_PIPE = 141
 # memory is at most about 4 bytes per cap * rank^2 entry (tracemalloc,
 # transposed reflections: E6, A7, B6 closed, E7, E8, A8, A100, A200, D30
 # truncated at the limit; D30 is the largest at 3.7 and E7 next at 2.5), so
-# about 18 MB. The limit admits verify-all's own cap (100,001) up to rank 7.
+# about 18 MB. verify-all runs no closure (it certifies each group by coset
+# tables), so group-order is the only command this limit bounds.
 # The generators are rank dense rank x rank matrices beside it: group-order
 # A200 --cap 125 takes about 0.3 s and 80 MB max RSS (a fresh process, the
 # EPYC VM), most of it the 8 million reflection entries. verify-all at rank 32

@@ -55,11 +55,7 @@ class NotSymmetric(ValueError):
 
 
 class NonUnimodular(ValueError):
-    """An integer matrix with |det| = 1 was required. ``generator`` is the
-    refused matrix's position in the generator list of
-    ``weyl.generate_group``, and None elsewhere."""
-
-    generator = None
+    """An integer matrix with |det| = 1 was required."""
 
 
 def _canon(x) -> Scalar:

@@ -19,21 +19,20 @@ from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, NonUnimodular, _is_involution, _moved_columns
+from .exactmat import Matrix, _is_involution, _moved_columns
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, diagram_automorphisms
 from .symplectic import (AffineMatrixSpace, SymplecticMat, _sym_index, embed_block_diag,
                          fixed_space_equations, fixed_symmetric_space, is_symplectic,
                          sym_to_vec, verify_decomposition_witness, verify_family_isomorphism)
-from .weyl import (check_invariance, coset_closure, expected_order, generate_group,
-                   poincare_polynomial)
+from .weyl import check_invariance, coset_closure, expected_order, poincare_polynomial
 
 PASS = "pass"
 FAIL = "fail"
 DOCUMENTED = "documented-discrepancy"
 
-# Largest groups checked whole, by coset certificate or closure; bigger
-# ones get generator-level checks only.
+# Largest groups checked whole, by their coset certificates; bigger ones
+# get generator-level checks only.
 ENUMERATION_LIMIT = 100_000
 
 
@@ -137,8 +136,8 @@ def _catalog(max_rank: int) -> dict:
 def _embedded(system, reflections) -> tuple:
     """(the ``embed_block_diag`` of each simple reflection, ""), or (None,
     "<system>: simple reflection <k>: <error>") for the first it refuses.
-    Every line that a refused reflection fails carries this detail; the
-    closure line builds it from ``generate_group``'s refusal."""
+    Every line that a refused reflection fails carries this detail, the
+    order line too when the coset certificate declines."""
     out = []
     for k, r in enumerate(reflections):
         try:
@@ -439,19 +438,19 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
 
 
 def check_group_orders(max_rank: int, catalog: dict) -> Section:
-    """Orders and length grading by closure; the Gram form by generators.
+    """Orders and length grading by coset certificate; the Gram form by generators.
 
-    A group of at most ``ENUMERATION_LIMIT`` elements is closed from the
+    A group of at most ``ENUMERATION_LIMIT`` elements is certified from the
     transposed simple reflections, which keeps each element's length. It
     must have the classical order, and level sizes equal to the Poincare
-    polynomial of the invariant degrees (a failure gives both; a refused
-    reflection fails it with "<system>: simple reflection <k>: <error>").
-    Every system's own ``weyl.coset_closure`` gives them, as W_J * T for
-    the orbit T of a vector fixed by all reflections but the first, checked
+    polynomial of the invariant degrees (a failure gives both). Every
+    system's own ``weyl.coset_closure`` gives them, as W_J * T for the
+    orbit T of a vector fixed by all reflections but the first, checked
     exactly to be the group with distinct products and the breadth-first
-    grading, W_J by the same certificate. ``generate_group`` runs only when
-    the certificate declines (no involution, a failed check), to name the
-    failing line.
+    grading, W_J by the same certificate. When the certificate declines,
+    the order line fails with "<system>: simple reflection <k>: <error>"
+    for a reflection ``_embedded`` refuses, else with "<system>: <reason>",
+    the check that ``coset_closure`` names.
     Every element preserves the Gram form iff the simple reflections do: one
     ``check_invariance`` call per system, and one per reflection only to name
     the first that fails, with its first wrong cell. Larger groups get that
@@ -474,18 +473,14 @@ def check_group_orders(max_rank: int, catalog: dict) -> Section:
             sec.add(f"{system}: generator-level checks (order {order} not enumerated)",
                     not wrong, wrong)
             continue
-        gens = [g.T for g in refl]
-        try:
-            if not (closure := coset_closure(gens, ENUMERATION_LIMIT + 1)):
-                group = generate_group(gens, ENUMERATION_LIMIT + 1)
-                closure = group.order, group.truncated, group.levels
-        except NonUnimodular as exc:
+        closure = coset_closure([g.T for g in refl], ENUMERATION_LIMIT)
+        if isinstance(closure, str):
             sec.add(f"{system}: enumerated order = expected {order}", False,
-                    f"{system}: simple reflection {exc.generator}: {exc}")
+                    _embedded(system, refl)[1] or f"{system}: {closure}")
         else:
-            found, truncated, grading = closure
+            found, grading = closure
             levels = poincare_polynomial(reference.invariant_degrees(system))
-            ok = not truncated and found == order and grading == levels
+            ok = found == order and grading == levels
             sec.add(f"{system}: enumerated order {found} = expected {order}", ok,
                     "" if ok else f"levels {grading}, expected {levels}")
         sec.add(f"{system}: every element preserves the Gram form", not wrong, wrong)

@@ -38,25 +38,27 @@ level sizes are the coefficients of the Poincare polynomial (Humphreys,
 *Reflection Groups and Coxeter Groups*, 1.11), which
 ``poincare_polynomial`` computes from the invariant degrees.
 
-``coset_closure`` gives the same figures when every generator is an
-involution, and lists no element. For the first generator g_k, omega lies
-in the kernel of omega * (g_j - I) = 0 over j != k (a Smith form), and each
-point mu of omega's orbit T gets a representative t_mu = t_parent * g. The
-certificate: omega * g_j == omega for j != k and, for each mu and generator
-g, t_mu * g == t_(mu g) if mu g != mu, else t_mu * g == g_j * t_mu for some
-j != k. Then W_J * T, W_J = <g_j : j != k>, is closed under the generators,
-so it is the group; u * t maps omega to mu, so |W| = |W_J| * |T|; l_J(u) +
-depth(t) is the breadth-first length, as it moves by at most 1 under a
-generator and only the identity has no generator that lowers it. So the
-levels are W_J's convolved with the orbit depths (Humphreys, 1.10); W_J's
-figures come by the same certificate, its first generator removed each
-time, down to {I, g}, which is also the whole answer for a single
-generator. Each omega_k is taken once, from all the other generators, and
-serves at the step that removes g_k: the g_j left beside it still fix it.
-Of the kernel's Smith basis vectors omega_k is the last one that g_k
-moves, so a kernel of dimension >= 2 (generators that fix a common
-nonzero vector) gives a one-point orbit only when g_k fixes all of it. No
-Coxeter-group theorem is assumed; a failed check gives None.
+``coset_closure`` gives the same order and levels when every generator
+is an involution, and lists no element. For the first generator g_k,
+omega lies in the kernel of omega * (g_j - I) = 0 over j != k (a Smith
+form), and each point mu of omega's orbit T gets a representative t_mu =
+t_parent * g. The certificate: omega * g_j == omega for j != k and, for
+each mu and generator g, t_mu * g == t_(mu g) if mu g != mu, else t_mu * g
+== g_j * t_mu for some j != k. Then W_J * T, W_J = <g_j : j != k>, is
+closed under the generators, so it is the group; u * t maps omega to mu,
+so |W| = |W_J| * |T|; l_J(u) + depth(t) is the breadth-first length, as
+it moves by at most 1 under a generator and only the identity has no
+generator that lowers it. So the levels are W_J's convolved with the
+orbit depths (Humphreys, 1.10); W_J's figures come by the same
+certificate, its first generator removed each time, down to {I, g}, which
+is also the whole answer for a single generator. omega_k is taken at the
+level that removes g_k, from the equations of all the other generators,
+those removed before it too, so the g_j left beside it fix it; the last
+level, {I, g}, takes none. Of the kernel's Smith basis vectors omega_k is
+the last one that g_k moves, so a kernel of dimension >= 2 (generators
+that fix a common nonzero vector) gives a one-point orbit only when g_k
+fixes all of it. No Coxeter-group theorem is assumed; a failed check gives
+a reason naming it in place of the figures.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ from itertools import chain, filterfalse, product
 from math import factorial
 from struct import Struct
 
-from .exactmat import (Matrix, NonUnimodular, _is_involution, _moved_columns, _row_times,
-                       _unimodular_columns, smith_normal_form)
+from .exactmat import (Matrix, _is_involution, _moved_columns, _row_times, _unimodular_columns,
+                       smith_normal_form)
 from .rootsys import RootSystemId
 
 
@@ -111,8 +113,7 @@ class MatrixGroup:
 
 def generate_group(generators, cap: int) -> MatrixGroup:
     """Close a set of unimodular integer matrices under multiplication; a
-    generator with |det| != 1 raises ``exactmat.NonUnimodular``, whose
-    ``generator`` is the first such generator's position.
+    generator with |det| != 1 raises ``exactmat.NonUnimodular``.
 
     The cap is mandatory: if one more element would push the closure past
     it, exploration stops and the result is flagged truncated. The elements
@@ -128,13 +129,7 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 
     # vec * gens[k] differs from vec only in the columns where gens[k]
     # differs from the identity: one for a transposed reflection.
-    moved = []
-    for k, g in enumerate(gens):
-        try:
-            moved.append(_unimodular_columns(g))
-        except NonUnimodular as exc:
-            exc.generator = k
-            raise
+    moved = [_unimodular_columns(g) for g in gens]
     if cap < 1:
         raise ValueError("cap must be positive")
 
@@ -222,20 +217,24 @@ def generate_group(generators, cap: int) -> MatrixGroup:
 
 
 def coset_closure(generators, cap: int):
-    """``(order, truncated, levels)`` of ``generate_group(generators, cap)``
-    by the coset certificate of the module docstring, taken again on W_J,
-    the first remaining generator removed each time; no element is listed.
-    None when there is no generator, a generator is no involution, the
-    order or one orbit passes the cap, the row table passes 256 rows, or
-    any check fails.
+    """``(order, levels)`` of ``generate_group(generators, cap)`` by the
+    coset certificate of the module docstring, taken again on W_J, one
+    generator removed at each level in list order; no element is listed.
+    When the certificate declines it returns, in place of the figures, a
+    short reason that names the check that failed: the generators' shape,
+    a generator with g * g != I, the 256-row table, the orbit or order
+    passing ``cap``, omega * g_j != omega or a table check; each level's
+    reason names the generator it removes, and a table check the orbit
+    point and generator.
     """
     gens = list(generators)
     n, m = gens[0].nrows if gens else 0, len(gens)
     if not m or not all(g.is_square and g.nrows == n and g.is_integral() for g in gens):
-        return None
+        return "generators must be one or more square integer matrices of equal size"
     moved = [_moved_columns(g) for g in gens]
-    if not all(map(_is_involution, moved)):
-        return None
+    for k, cols in enumerate(moved):
+        if not _is_involution(cols):
+            return f"generator {k}: g * g != I"
 
     # acts[g][r] is the id of vectors[r] * gens[g]: the identity's rows closed under gens.
     vectors = list(Matrix.identity(n).rows())
@@ -247,64 +246,66 @@ def coset_closure(generators, cap: int):
             if len(ids) > len(vectors):
                 vectors.append(img)
         if len(vectors) > 256:
-            return None
+            return "the row table passes 256 rows"
     acts = [bytes(act).ljust(256, b"\0") for act in acts]
 
-    # The columns of v past the Smith rank span the solutions of
-    # omega . (moved column b of g_j - e_b) = 0 over every j != k, which each
-    # g_j, j != k, fixes; omegas[k] is the last of them that g_k moves, else
-    # v's last column, which the certificate then rejects.
-    omegas = []
+    # The group of gens[k:] is W_J * T, W_J the group of gens[k + 1:] and T
+    # the orbit of omega_k: one level per generator removed, each convolving
+    # the levels with T's depths, down to {I, g}.
+    order, levels = 1, [1]
     for k in range(m):
-        eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
-               for j in range(m) if j != k for b, terms in moved[j]]
-        snf = smith_normal_form(Matrix(eqs or [[0] * n]))
-        kernel = [snf.v.numerators[c::n] for c in range(sum(map(bool, snf.diagonal())), n)]
-        omegas.append(next((w for w in reversed(kernel) if _row_times(w, moved[k]) != w),
-                           snf.v.numerators[n - 1::n]))
-
-    # The group of gens[j], j in sub, is W_J * T, T the orbit of omega_k for
-    # the first k in sub: one step per generator removed, each convolving the
-    # levels with T's depths, down to {I, g}.
-    order, levels, sub = 1, [1], tuple(range(m))
-    while sub:
-        if len(sub) == 1:  # {I, g}, or {I} when g = I
-            depths = (0, 1) if moved[sub[0]] else (0,)
+        sub, removing = range(k, m), f"removing generator {k}: "
+        if k == m - 1:  # {I, g}, or {I} when g = I
+            depths = (0, 1) if moved[k] else (0,)
         else:
+            # The columns of v past the Smith rank span the solutions of
+            # omega . (moved column b of g_j - e_b) = 0 over every j != k,
+            # which each g_j, j != k, fixes; omega is the last of them that
+            # g_k moves, else v's last column, which the certificate then
+            # rejects.
+            eqs = [[dict(terms).get(i, 0) - (i == b) for i in range(n)]
+                   for j in range(m) if j != k for b, terms in moved[j]]
+            snf = smith_normal_form(Matrix(eqs or [[0] * n]))
+            kernel = [snf.v.numerators[c::n] for c in range(sum(map(bool, snf.diagonal())), n)]
+            omega = next((w for w in reversed(kernel) if _row_times(w, moved[k]) != w),
+                         snf.v.numerators[n - 1::n])
             # The breadth-first orbit: images[i][g] indexes point i * gens[sub[g]];
-            # tree[i] is (parent, g, depth).
-            index, points, images, tree = {omegas[sub[0]]: 0}, [omegas[sub[0]]], [], [(0, 0, 0)]
+            # tree[i] is (parent, generator, depth).
+            index, points, images, tree = {omega: 0}, [omega], [], [(0, k, 0)]
             while len(images) < len(points):
                 i = len(images)
                 nus = [_row_times(points[i], moved[j]) for j in sub]
-                for g, nu in enumerate(nus):
+                for j, nu in zip(sub, nus):
                     if nu not in index:
                         index[nu] = len(points)
                         points.append(nu)
-                        tree.append((i, g, tree[i][2] + 1))
+                        tree.append((i, j, tree[i][2] + 1))
                 if len(points) > cap:
-                    return None
+                    return removing + f"the orbit of omega passes {cap} points"
                 images.append([index[nu] for nu in nus])
-            if any(images[0][1:]):  # omega * g_j != omega
-                return None
+            for j, to in zip(sub[1:], images[0][1:]):
+                if to:
+                    return removing + f"omega * g_{j} != omega"
             # tables[i] takes row id r to the id of vectors[r] * t_i; t_i is its first n bytes.
             tables = [bytes(range(256))]
-            for p, g, _ in tree[1:]:
-                tables.append(tables[p].translate(acts[sub[g]]))
+            for p, j, _ in tree[1:]:
+                tables.append(tables[p].translate(acts[j]))
             for i, (table, row) in enumerate(zip(tables, images)):
                 left = {acts[j][:n].translate(table) for j in sub[1:]}  # g_j * t_i
-                for g, to in enumerate(row):
-                    tg = table[:n].translate(acts[sub[g]])  # t_i * g
-                    if (tg != tables[to][:n]) if to != i else (tg not in left):
-                        return None
+                for j, to in zip(sub, row):
+                    tg = table[:n].translate(acts[j])  # t_i * g_j
+                    if to != i and tg != tables[to][:n]:
+                        return removing + f"t_{i} * g_{j} != t_{to}"
+                    if to == i and tg not in left:
+                        return removing + (f"g_{j} fixes orbit point {i}, "
+                                           f"but t_{i} * g_{j} is no g_l * t_{i}")
             depths = [depth for *_, depth in tree]
         if (order := order * len(depths)) > cap:
-            return None
+            return removing + f"the order passes {cap}"
         levels, below = [0] * (len(levels) + max(depths)), levels
         for (a, x), depth in product(enumerate(below), depths):
             levels[a + depth] += x
-        sub = sub[1:]
-    return order, False, tuple(levels)
+    return order, tuple(levels)
 
 
 def check_invariance(generators, form: Matrix) -> bool:

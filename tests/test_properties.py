@@ -522,7 +522,8 @@ def test_coset_closure_of_a_parabolic_subgroup_matches_the_closure(system, data)
     size = data.draw(st.integers(1, len(gens)))
     sub = [gens[k] for k in data.draw(st.permutations(range(len(gens))))[:size]]
     group = generate_group(sub, 100_001)
-    assert coset_closure(sub, 100_001) == (group.order, group.truncated, group.levels), (system, sub)
+    assert not group.truncated
+    assert coset_closure(sub, 100_001) == (group.order, group.levels), (system, sub)
 
 
 def canonical(x) -> bool:

@@ -503,65 +503,59 @@ class TestLengthGrading:
         # -(s1 s2) generates a cyclic group of isometries of A2's form with
         # A2's order 6, but one element of each length 0..5 instead of A2's
         # grading 1 + 2q + 2q^2 + q^3. It is the catalog's one generator of
-        # A2, so the coset route declines it and the closure decides.
+        # A2 and no involution, so the certificate declines it, and the
+        # order line names that check.
         a2 = RootSystemId.parse("A2")
         s0, s1 = transposed(a2)
         rotation = -(s0 * s1)
         catalog = verify._catalog(2)
         catalog[a2] = dataclasses.replace(catalog[a2], generators=(rotation.T,))
-        assert weyl.coset_closure([rotation], verify.ENUMERATION_LIMIT + 1) is None
+        assert generate_group([rotation], 10).levels == (1, 1, 1, 1, 1, 1)
         sec = verify.check_group_orders(2, catalog)
         failed = [c for c in sec.checks if c.status == "fail"]
-        assert [c.name for c in failed] == ["A2: enumerated order 6 = expected 6"]
-        assert failed[0].detail == "levels (1, 1, 1, 1, 1, 1), expected (1, 2, 2, 1)"
+        assert [c.name for c in failed] == ["A2: enumerated order = expected 6"]
+        assert failed[0].detail == "A2: generator 0: g * g != I"
         assert all(c.detail == "" for c in sec.checks if c.status == "pass")
 
 
 def recorded_closures(monkeypatch):
-    """The generator lists ``verify`` closes, recorded as it closes them:
-    ``calls`` gets each list handed to ``coset_closure``, the first route of
-    every closure, and ``fallbacks`` each list handed to ``generate_group``
-    after the coset route declined it."""
-    calls, fallbacks = [], []
-    coset, closure = verify.coset_closure, verify.generate_group
+    """The generator lists ``verify`` hands to ``coset_closure``, the one
+    route of every enumerated order line, recorded as it hands them."""
+    calls = []
+    coset = verify.coset_closure
     monkeypatch.setattr(verify, "coset_closure",
                         lambda gens, cap: calls.append(gens) or coset(gens, cap))
-    monkeypatch.setattr(verify, "generate_group",
-                        lambda gens, cap: fallbacks.append(gens) or closure(gens, cap))
-    return calls, fallbacks
+    return calls
 
 
-def closure_line(system, refl):
-    """The enumerated-order line of ``system`` closed from ``refl`` itself:
-    the line a pass gives when it closes the group on its own."""
+def order_line(system):
+    """The enumerated-order line that ``system``'s own reflections pass."""
     order = expected_order(system)
-    group = generate_group([g.T for g in refl], verify.ENUMERATION_LIMIT + 1)
-    levels = poincare_polynomial(reference.invariant_degrees(system))
-    ok = not group.truncated and group.order == order and group.levels == levels
-    return (f"{system}: enumerated order {group.order} = expected {order}",
-            "pass" if ok else "fail", "" if ok else f"levels {group.levels}, expected {levels}")
+    return f"{system}: enumerated order {order} = expected {order}"
 
 
 class TestSharedClosure:
     """Every enumerated order line comes from its own system's coset
-    certificate, C_n's and A1's included; a passing pass closes no group
-    breadth first."""
+    certificate, C_n's and A1's included, and a declined certificate names
+    its own failed check; no group is closed breadth first."""
 
     def test_rank8_pass_certifies_every_group(self, monkeypatch):
-        calls, fallbacks = recorded_closures(monkeypatch)
+        assert not hasattr(verify, "generate_group")
+        assert not hasattr(verify, "NonUnimodular")
+        calls = recorded_closures(monkeypatch)
         assert run_verification(8)["status"] == "pass"
         assert calls == [transposed(system) for system in ENUMERATED]
-        assert fallbacks == []
 
     def test_rank8_closures_take_one_smith_form_per_generator(self, monkeypatch):
         # The 24 enumerated groups (A1-A7, B2-B6, C2-C6, D3-D6, E6, F4, G2)
-        # have 98 simple reflections between them: one omega_k each.
+        # have 98 simple reflections between them: one omega_k for each but
+        # the last of each group, whose level {I, g} needs none.
         calls = []
         original = weyl.smith_normal_form
         monkeypatch.setattr(weyl, "smith_normal_form",
                             lambda m: calls.append(m) or original(m))
         verify.check_group_orders(8, verify._catalog(8))
-        assert len(calls) == 98
+        assert len(calls) == 98 - 24 == 74
 
     def test_rank8_closures_list_no_element(self):
         # The certificates hold orbits and row tables only: 0.1-0.3 MB at
@@ -593,29 +587,52 @@ class TestSharedClosure:
     @pytest.mark.parametrize("tag", ["B4", "C4"])
     def test_regenerated_reflection_set_fails_its_own_line(self, tag):
         # s0 is replaced by s0 * s1, which preserves the form and generates
-        # the same group with other lengths: the perturbed system fails its
-        # order line with its own closure's levels, and the other passes.
+        # the same group with other lengths: it is no involution, so the
+        # perturbed system fails its order line with that check, and the
+        # other passes.
         catalog = verify._catalog(4)
         system = RootSystemId.parse(tag)
         refl = catalog[system].generators
         perturbed = (refl[0] * refl[1], *refl[1:])
         catalog[system] = dataclasses.replace(catalog[system], generators=perturbed)
-        checks = {c.name: (c.name, c.status, c.detail)
-                  for c in verify.check_group_orders(4, catalog).checks}
-        name, status, detail = closure_line(system, perturbed)
-        assert status == "fail" and checks[name] == (name, status, detail)
-        assert [c for c in checks.values() if c[1] == "fail"] == [(name, status, detail)]
+        checks = [(c.name, c.status, c.detail)
+                  for c in verify.check_group_orders(4, catalog).checks]
+        assert [c for c in checks if c[1] == "fail"] == [
+            (f"{tag}: enumerated order = expected 384", "fail", f"{tag}: generator 0: g * g != I")]
         other = RootSystemId.parse("C4" if tag == "B4" else "B4")
-        assert checks[closure_line(other, simple_reflections(other))[0]][1] == "pass"
+        assert (order_line(other), "pass", "") in checks
+
+    @pytest.mark.parametrize("replace, reason", [
+        # -I fixes no nonzero vector, so the level that removes s1 finds no
+        # omega fixed by -I and s2: v's last column, which s2 moves.
+        (0, "B3: removing generator 1: omega * g_2 != omega"),
+        # s0 given twice: every vector fixed by the first is fixed by the
+        # second, so the level that removes it finds a one-point orbit, and
+        # t_0 * s0 = s0 is no element of W_J = <s2>.
+        (1, "B3: removing generator 1: g_1 fixes orbit point 0, but t_0 * g_1 is no g_l * t_0")],
+        ids=["s0-is-minus-identity", "s1-is-s0"])
+    def test_a_declined_involution_fails_only_its_order_line(self, replace, reason):
+        # Both sets are involutions that preserve the form, so the
+        # certificate declines at a check of its own, and the order line
+        # names it; every other line passes.
+        catalog = verify._catalog(3)
+        b3 = RootSystemId.parse("B3")
+        refl = list(catalog[b3].generators)
+        refl[replace] = -Matrix.identity(3) if replace == 0 else refl[0]
+        catalog[b3] = dataclasses.replace(catalog[b3], generators=tuple(refl))
+        checks = [(c.name, c.status, c.detail)
+                  for c in verify.check_group_orders(3, catalog).checks]
+        assert [c for c in checks if c[1] == "fail"] == [
+            ("B3: enumerated order = expected 48", "fail", reason)]
+        assert ("B3: every element preserves the Gram form", "pass", "") in checks
 
     def test_c_without_b_is_closed(self, monkeypatch):
         catalog = {system: family for system, family in verify._catalog(5).items()
                    if system.family == "C"}
-        calls, fallbacks = recorded_closures(monkeypatch)
+        calls = recorded_closures(monkeypatch)
         sec = verify.check_group_orders(5, catalog)
         assert all(c.status == "pass" for c in sec.checks)
         assert calls == [transposed(RootSystemId("C", n)) for n in range(2, 6)]
-        assert fallbacks == []
 
 
 def root_orbit(reflections):

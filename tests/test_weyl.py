@@ -282,13 +282,10 @@ class TestGenerateGroup:
                 generate_group([Matrix(rows)], 10)
 
     def test_refusal_names_the_first_refused_generator(self):
-        # The exception carries the position of the first generator refused,
-        # and its message the determinant; elsewhere the position is None.
+        # The message carries the first refused generator's determinant.
         gens = [Matrix([[0, 1], [1, 0]]), Matrix([[1, 1], [0, 3]]), Matrix([[2, 0], [0, 1]])]
-        with pytest.raises(NonUnimodular, match="^determinant is 3$") as info:
+        with pytest.raises(NonUnimodular, match="^determinant is 3$"):
             generate_group(gens, 10)
-        assert info.value.generator == 1
-        assert NonUnimodular("determinant is 2").generator is None
 
     def test_determinant_minus_one_is_accepted(self):
         # -P for the 3-cycle P has order 6 and det -1, and is no involution,
@@ -342,8 +339,10 @@ def block_diagonal(a, b):
 
 
 def closure_figures(gens, cap):
+    """``(order, levels)`` of the breadth-first closure, or None when it is
+    truncated at ``cap``: the figures ``coset_closure`` must give or decline."""
     group = generate_group(gens, cap)
-    return group.order, group.truncated, group.levels
+    return None if group.truncated else (group.order, group.levels)
 
 
 def signed_transposition(n, rng):
@@ -379,8 +378,8 @@ def fuzz_generators(rng):
 
 
 class TestCosetClosure:
-    """The coset table gives the closure's order, truncation and levels, or
-    None; it never gives other figures."""
+    """The coset table gives the closure's order and levels, or declines
+    with the reason of the check that failed; it never gives other figures."""
 
     @pytest.mark.parametrize("system", [s for s in all_systems(8)
                                         if expected_order(s) <= 100_000],
@@ -403,19 +402,23 @@ class TestCosetClosure:
         gens = [g.T for g in refl(tag)]
         order = expected_order(RootSystemId.parse(tag))
         assert coset_closure(gens, order) == closure_figures(gens, order)
-        assert coset_closure(gens, order - 1) is None
+        # Each level before the last keeps at most half the order.
+        assert closure_figures(gens, order - 1) is None
+        assert coset_closure(gens, order - 1) == (
+            f"removing generator {len(gens) - 1}: the order passes {order - 1}")
 
     def test_an_orbit_past_the_cap_stops_growing(self, monkeypatch):
         # E8's first orbit has 2,160 points; at cap 100 it stops once it
         # holds more than 100, before the order test could decline. Row
         # products: 240 roots x 8 reflections for the row table, one test
-        # per omega_k, then 8 per orbit point grown.
+        # of the first level's omega, then 8 per orbit point grown.
         calls = []
         original = weyl._row_times
         monkeypatch.setattr(weyl, "_row_times",
                             lambda vec, cols: calls.append(vec) or original(vec, cols))
-        assert coset_closure([g.T for g in refl("E8")], 100) is None
-        assert len(calls) <= 240 * 8 + 8 + 100 * 8
+        assert coset_closure([g.T for g in refl("E8")], 100) == (
+            "removing generator 0: the orbit of omega passes 100 points")
+        assert len(calls) <= 240 * 8 + 1 + 100 * 8
 
     @pytest.mark.parametrize("tag", ["E7", "E8"])
     def test_e7_and_e8_are_certified_past_enumeration(self, tag):
@@ -428,24 +431,25 @@ class TestCosetClosure:
         system = RootSystemId.parse(tag)
         order = expected_order(system)
         assert coset_closure([g.T for g in refl(tag)], order) == (
-            order, False, poincare_polynomial(reference.invariant_degrees(system)))
+            order, poincare_polynomial(reference.invariant_degrees(system)))
 
     @pytest.mark.parametrize("tag", ["B4", "E6", "E8"])
     def test_one_smith_form_per_generator(self, tag, monkeypatch):
+        # One per level that grows an orbit; the last level, {I, g}, takes none.
         calls = []
         original = weyl.smith_normal_form
         monkeypatch.setattr(weyl, "smith_normal_form",
                             lambda m: calls.append(m) or original(m))
         gens = [g.T for g in refl(tag)]
         assert coset_closure(gens, expected_order(RootSystemId.parse(tag)))
-        assert len(calls) == len(gens)
+        assert len(calls) == len(gens) - 1
 
     def test_an_identity_generator_is_a_group_of_one(self):
         # W_J = <I> is the last level's group, of order 1; s = (-1) moves
         # omega = (1) to -1, so |T| = 2 and the group is {I, s}.
         s, ident = Matrix([[-1]]), Matrix.identity(1)
-        assert closure_figures([s, ident], 10) == (2, False, (1, 1))
-        assert coset_closure([s, ident], 10) == (2, False, (1, 1))
+        assert closure_figures([s, ident], 10) == (2, (1, 1))
+        assert coset_closure([s, ident], 10) == (2, (1, 1))
 
     def test_every_parabolic_subset_through_rank_6_is_certified(self):
         # The 464 sets of two or more simple reflections of the systems
@@ -464,8 +468,8 @@ class TestCosetClosure:
         # grading of a group far past enumeration; A16's 272 do not.
         a15, a16 = ([g.T for g in refl(tag)] for tag in ("A15", "A16"))
         assert coset_closure(a15, factorial(16)) == (
-            factorial(16), False, poincare_polynomial(range(2, 17)))
-        assert coset_closure(a16, factorial(17)) is None
+            factorial(16), poincare_polynomial(range(2, 17)))
+        assert coset_closure(a16, factorial(17)) == "the row table passes 256 rows"
 
     def test_a_generator_fixing_omega_outside_w_j_declines(self):
         # g1 fixes only the line through omega = (0, 1, 2), which g0 fixes
@@ -473,21 +477,22 @@ class TestCosetClosure:
         # == mu finds no g_j * t_mu. The group has 4 elements, not
         # |W_J| * |T| = 2.
         gens = [Matrix.diagonal([-1, 1, 1]), Matrix([[-1, 0, 0], [0, -1, 0], [0, 1, 1]])]
-        assert closure_figures(gens, 100) == (4, False, (1, 2, 1))
-        assert coset_closure(gens, 100) is None
+        assert closure_figures(gens, 100) == (4, (1, 2, 1))
+        assert coset_closure(gens, 100) == (
+            "removing generator 0: g_0 fixes orbit point 0, but t_0 * g_0 is no g_l * t_0")
         # The second sign change fixes e_0 and e_2. omega is the last of
         # those kernel vectors that the first one moves, e_0, so its orbit
         # has two points and the table is certified.
         gens = [Matrix.diagonal([-1, 1, 1]), Matrix.diagonal([1, -1, 1])]
-        assert coset_closure(gens, 100) == closure_figures(gens, 100) == (4, False, (1, 2, 1))
+        assert coset_closure(gens, 100) == closure_figures(gens, 100) == (4, (1, 2, 1))
 
     def test_a_duplicated_generator_declines(self):
         # With f0 given twice the other two generators fix only 0, so the
         # last column of v is no fixed vector and omega * g_j == omega fails.
         f0, f1 = Matrix.diagonal([-1, 1]), Matrix.diagonal([1, -1])
         gens = [f0, f1, f0]
-        assert closure_figures(gens, 100) == (4, False, (1, 2, 1))
-        assert coset_closure(gens, 100) is None
+        assert closure_figures(gens, 100) == (4, (1, 2, 1))
+        assert coset_closure(gens, 100) == "removing generator 0: omega * g_2 != omega"
 
     def test_a_non_tree_edge_outside_w_j_declines(self):
         # A2's t0, t1 in two blocks: the generators diag(t0, t1),
@@ -499,24 +504,24 @@ class TestCosetClosure:
         # table would give 12 elements.
         t0, t1 = [g.T for g in refl("A2")]
         gens = [block_diagonal(a, b) for a, b in ((t0, t1), (t1, t0), (t1, Matrix.identity(2)))]
-        assert closure_figures(gens, 100) == (36, False, (1, 3, 5, 7, 9, 8, 3))
-        assert coset_closure(gens, 100) is None
+        assert closure_figures(gens, 100) == (36, (1, 3, 5, 7, 9, 8, 3))
+        assert coset_closure(gens, 100) == "removing generator 0: t_1 * g_2 != t_2"
         # A3's s0, s1, s2 beside A2's t1, t0, t1, the A2 block being S4's
         # image in S3: omega lies in the A3 block, where W_J = <s1, s2> is
         # its whole stabilizer, and the table gives A3's figures.
         gens = [block_diagonal(a, b) for a, b in zip([g.T for g in refl("A3")], (t1, t0, t1))]
         assert coset_closure(gens, 100) == closure_figures(gens, 100) == (
-            24, False, (1, 3, 5, 6, 5, 3, 1))
+            24, (1, 3, 5, 6, 5, 3, 1))
 
     def test_fuzzed_involutions_agree_or_decline(self):
         rng = random.Random(37)
-        outcomes = {"agree": 0, "none": 0}
+        outcomes = {"agree": 0, "decline": 0}
         for case in range(400):
             gens = fuzz_generators(rng)
             cap = (60, 500, 100_001)[case % 3]
             got = coset_closure(gens, cap)
-            if got is None:
-                outcomes["none"] += 1
+            if isinstance(got, str):
+                outcomes["decline"] += 1
             else:
                 assert got == closure_figures(gens, cap), (case, gens, cap)
                 outcomes["agree"] += 1
@@ -524,18 +529,19 @@ class TestCosetClosure:
 
     def test_refused_sets_decline_and_the_closure_raises(self):
         a2 = [g.T for g in refl("A2")]
-        assert coset_closure([], 10) is None
+        shape = "generators must be one or more square integer matrices of equal size"
+        assert coset_closure([], 10) == shape
+        assert coset_closure([Matrix([[-1]]), a2[0]], 10) == shape
         # One reflection is no refused set: it is the base case {I, g}.
-        assert coset_closure(a2[:1], 10) == (2, False, (1, 1))
-        assert coset_closure([-(a2[0] * a2[1])], 10) is None
-        assert coset_closure([a2[0], -(a2[0] * a2[1])], 10) is None
+        assert coset_closure(a2[:1], 10) == (2, (1, 1))
+        assert coset_closure([-(a2[0] * a2[1])], 10) == "generator 0: g * g != I"
+        assert coset_closure([a2[0], -(a2[0] * a2[1])], 10) == "generator 1: g * g != I"
         # s1 * diag(1, 1, 3) has determinant -3 and is no involution.
         s0, s1, s2 = [g.T for g in refl("B3")]
         gens = [s0, s1 * Matrix.diagonal([1, 1, 3]), s2]
-        assert coset_closure(gens, 100) is None
-        with pytest.raises(NonUnimodular, match="^determinant is -3$") as info:
+        assert coset_closure(gens, 100) == "generator 1: g * g != I"
+        with pytest.raises(NonUnimodular, match="^determinant is -3$"):
             generate_group(gens, 100)
-        assert info.value.generator == 1
 
 
 class TestCheckInvariance:
