@@ -50,9 +50,9 @@ BROKEN_PIPE = 141
 # The generators are rank dense rank x rank matrices beside it: group-order
 # A200 --cap 125 takes about 0.3 s and 80 MB max RSS (a fresh process, the
 # EPYC VM), most of it the 8 million reflection entries. verify-all at rank 32
-# takes about 2.5 times its rank-16 time: 0.87-0.97 s against 0.30-0.34 s in
-# a fresh process, and rank 8 0.19-0.23 s (median of 5, two rounds, 2-vCPU
-# Intel Xeon VM, Python 3.11.7, about half as fast as the EPYC VM).
+# takes about 3 times its rank-16 time: 0.68-0.69 s against 0.22-0.24 s in
+# a fresh process, and rank 8 0.14-0.15 s (median of 5, two rounds, 2-vCPU
+# Intel Xeon VM, Python 3.11.7).
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

@@ -27,9 +27,10 @@ Algorithms are the classical exact ones. ``det``, ``rank`` and
 q keeps the sign of every minor and scales the determinant by q^n.
 ``inverse`` and ``solve_affine`` keep a Fraction ``_rref``, a forward loop
 and a back pass, until the benchmark stores no outputs (ROADMAP items 1 and
-2). The Smith normal form is one integer reduction loop of unimodular row
-and column operations; each round's pivot search reads the trailing block
-row by row, and a unit ends the scan. No floating point appears anywhere.
+2). The Smith normal form is one loop of unimodular row and column
+operations whose pivot search reads the trailing block row by row and stops
+at a unit; the Hermite normal form (Cohen 1993, section 2.4.2) takes row
+operations only. No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -562,6 +563,29 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     return SnfResult(u=Matrix._from_numerators(u, 1, nr, nr),
                      d=Matrix._from_numerators(d, 1, nr, nc),
                      v=Matrix._from_numerators(v, 1, nc, nc))
+
+
+def hermite_normal_form(m: Matrix) -> tuple:
+    """(H, u): u * m = H, u unimodular, H the row Hermite normal form of the
+    integer m (Cohen 1993, 2.4.2): positive pivots moving right, entries above
+    a pivot in [0, pivot), zero rows last; H = I iff a square m is unimodular,
+    and then u = m^-1. Each round on [m | I] lifts the least nonzero |x| at or
+    below row r to a positive pivot and floor-reduces every other row by it."""
+    if not m.is_integral():
+        raise ValueError("integer matrix required")
+    nr, nc, num, r = m.nrows, m.ncols, m.numerators, 0
+    w = [list(num[i * nc:(i + 1) * nc]) + [int(i == j) for j in range(nr)] for i in range(nr)]
+    for c in range(nc):
+        while nonzero := [i for i in range(r, nr) if w[i][c]]:
+            k = min(nonzero, key=lambda i: abs(w[i][c]))
+            top = w[k] if w[k][c] > 0 else [-x for x in w[k]]
+            w[k], w[r] = w[r], top
+            for i in range(nr):
+                if i != r and (f := w[i][c] // top[c]):
+                    w[i] = [x - f * y for x, y in zip(w[i], top)]
+            r += not any(w[i][c] for i in range(r + 1, nr))  # the column is done
+    hu = Matrix._from_numerators(tuple(chain.from_iterable(w)), 1, nr, nc + nr)
+    return hu.submatrix(0, nr, 0, nc), hu.submatrix(0, nr, nc, nc + nr)
 
 
 # -- affine solving ---------------------------------------------------------------

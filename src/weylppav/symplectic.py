@@ -14,11 +14,13 @@ computation a linear problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
 
+from ._kernel import mat_mul_flat
 from .exactmat import (Matrix, NonUnimodular, Singular, _is_involution, _moved_columns,
-                       _unimodular_columns, smith_normal_form, solve_affine)
+                       _unimodular_columns, hermite_normal_form, solve_affine)
 
 
 class NotSymplectic(ValueError):
@@ -35,29 +37,29 @@ class UnsupportedGenerator(ValueError):
 
 def standard_form(n: int) -> Matrix:
     """The alternating form J = [[0, I], [-I, 0]] of size 2n."""
-    ident = Matrix.identity(n)
-    zero = Matrix.zeros(n)
-    return Matrix.block2(zero, ident, -ident, zero)
+    return Matrix.block2(Matrix.zeros(n), Matrix.identity(n), -Matrix.identity(n), Matrix.zeros(n))
 
 
 def is_symplectic(m: Matrix) -> bool:
     """True iff m^t J m = J exactly; m must be square of even size 2n.
 
-    With m = [[A, B], [C, D]] and B = C = 0, m^t J m = [[0, A^t D],
-    [-D^t A, 0]], so the test is the n x n product A^t D = I. Otherwise
-    J m = [[C, D], [-A, -B]] is m's rows moved and the top half negated,
-    which the product J * m forms as row copies and negations (each row of
-    J holds one nonzero), so only one dense 2n x 2n product is formed.
+    Both tests read the numerators N = q * m: N^t J N = q^2 J. With B = C = 0
+    in m = [[A, B], [C, D]] it is the n x n product A^t D = q^2 I of numerator
+    slices; otherwise J N = [[C, D], [-A, -B]] is N's bottom half over its
+    negated top half, built with no product, and one product N^t (J N) decides.
     """
     if not m.is_square or m.nrows % 2:
         raise ValueError("even-sized square matrix required")
-    n = m.nrows // 2
-    rows = m.rows()
-    if not any(any(r[n:]) for r in rows[:n]) and not any(any(r[:n]) for r in rows[n:]):
-        return m.submatrix(0, n, 0, n).T * m.submatrix(n, 2 * n, n, 2 * n) == \
-            Matrix.identity(n)
-    j = standard_form(n)
-    return m.T * (j * m) == j
+    s, n, num, q2 = m.nrows, m.nrows // 2, m.numerators, m.denominator ** 2
+    top, bottom, starts = num[:n * s], num[n * s:], range(0, n * s, s)
+    if not any(chain.from_iterable(top[i + n:i + s] + bottom[i:i + n] for i in starts)):
+        a_t = tuple(chain.from_iterable(top[j::s] for j in range(n)))
+        d = tuple(chain.from_iterable(bottom[i + n:i + s] for i in starts))
+        eye = tuple(q2 * (k % (n + 1) == 0) for k in range(n * n))  # q^2 I
+        return mat_mul_flat(a_t, d, n, n, n) == eye
+    m_t = tuple(chain.from_iterable(num[j::s] for j in range(s)))
+    form = tuple(q2 * ((j == i + n) - (i == j + n)) for i in range(s) for j in range(s))
+    return mat_mul_flat(m_t, bottom + tuple(-x for x in top), s, s, s) == form
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,7 @@ class SymplecticMat:
 
     def blocks(self):
         """The four n x n blocks (A, B, C, D)."""
-        n = self.n
-        m = self.m
+        n, m = self.n, self.m
         return (m.submatrix(0, n, 0, n), m.submatrix(0, n, n, 2 * n),
                 m.submatrix(n, 2 * n, 0, n), m.submatrix(n, 2 * n, n, 2 * n))
 
@@ -95,24 +96,25 @@ def embed_block_diag(rho: Matrix) -> SymplecticMat:
 
     [[rho, 0], [0, X^t]] is symplectic exactly when X rho = I. An involution
     (rho * rho = I on the columns rho moves, as for every reflection) is its
-    own inverse. Otherwise a Smith form u * rho * v = I decides unimodularity
-    (the refusal is ``exactmat._unimodular_columns``'s: NonUnimodular,
-    "determinant is <d>"), and rho * (v * u) = I certifies the inverse v * u
-    or raises NotSymplectic.
+    own inverse. Otherwise the Hermite form u * rho = H decides: rho is
+    unimodular iff H = I (else NonUnimodular, "determinant is <d>", as from
+    ``exactmat._unimodular_columns``), and rho * u = I certifies its inverse
+    u or raises NotSymplectic. The result is assembled from numerators.
     """
     if not (rho.is_square and rho.is_integral()):
         raise ValueError("square integer matrix required")
-    n = rho.nrows
-    inverse = rho
+    n, num, inverse = rho.nrows, rho.numerators, rho.numerators
     if not _is_involution(_moved_columns(rho)):
-        snf = smith_normal_form(rho)
-        if any(x != 1 for x in snf.diagonal()):
+        h, u = hermite_normal_form(rho)
+        if _moved_columns(h):
             raise NonUnimodular(f"determinant is {rho.det()}")
-        inverse = snf.v * snf.u
-        if _moved_columns(rho * inverse):
-            raise NotSymplectic("Smith inverse fails rho * (v * u) = I")
-    zero = Matrix.zeros(n)
-    return SymplecticMat._certified(n, Matrix.block2(rho, zero, zero, inverse.T))
+        if _moved_columns(rho * u):
+            raise NotSymplectic("Hermite inverse fails rho * u = I")
+        inverse = u.numerators
+    zero = (0,) * n
+    flat = tuple(chain(*(num[i:i + n] + zero for i in range(0, n * n, n)),
+                       *(zero + inverse[i::n] for i in range(n))))
+    return SymplecticMat._certified(n, Matrix._from_numerators(flat, 1, 2 * n, 2 * n))
 
 
 def modular_action(m: SymplecticMat, z: Matrix) -> Matrix:
@@ -201,7 +203,8 @@ def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:
     sums A_ik * A_jl * z_kl over the nonzeros of rows i and j of A, and
     z_kl is the unknown z_(min(k, l), max(k, l)). An equation whose
     coefficients and right-hand side are all zero is dropped; for an
-    embedded reflection that is all but n of its n(n+1)/2 equations.
+    embedded reflection that is all but n of its n(n+1)/2 equations, and
+    none is built where rows i, j of A are e_i, e_j and (B A^t)_ij = 0.
     """
     gens = list(generators)
     if not gens:
@@ -221,17 +224,20 @@ def fixed_space_equations(generators: Sequence[SymplecticMat]) -> tuple:
             raise UnsupportedGenerator(
                 "lower-left block must vanish for linear fixed-space solving")
         nonzeros = [[(k, x) for k, x in enumerate(r) if x] for r in a.rows()]
-        trans = (b * a.T).rows()
+        unit = [nz == [(i, 1)] for i, nz in enumerate(nonzeros)]
+        trans = (0,) * (n * n) if b.is_zero() else (b * a.T).flat
         for u, (i, j) in enumerate(coords):
+            if not (t := trans[i * n + j]) and unit[i] and unit[j]:
+                continue  # z_ij = z_ij
             row = [0] * len(coords)
             row[u] = -1  # the - z_ij of A z A^t - z
             for k, x in nonzeros[i]:
                 for l, y in nonzeros[j]:
                     row[unknown[k][l]] += x * y
             # 0 = 0 constrains nothing; 0 = c != 0 stays and is inconsistent.
-            if any(row) or trans[i][j]:
+            if any(row) or t:
                 rows.append(row)
-                rhs.append(-trans[i][j])
+                rhs.append(-t)
     return rows, rhs
 
 

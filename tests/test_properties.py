@@ -1,5 +1,5 @@
 """Property tests of exact products and blocks, the elimination routines,
-the Smith form, the symplectic test, fixed symmetric spaces, the
+the Smith and Hermite forms, the symplectic test, fixed symmetric spaces, the
 catalog's z0 and fixed-point tests and the coset certificate of parabolic
 subgroups.
 
@@ -27,7 +27,7 @@ from weylppav import (Family, Matrix, RootSystemId, Singular, SymplecticMat,  # 
                       modular_action, simple_reflections, smith_normal_form, solve_affine,
                       standard_form)
 from weylppav import check_invariance  # noqa: E402
-from weylppav.exactmat import _is_involution, _moved_columns  # noqa: E402
+from weylppav.exactmat import _is_involution, _moved_columns, hermite_normal_form  # noqa: E402
 from weylppav.symplectic import fixed_space_equations, sym_to_vec, vec_to_sym  # noqa: E402
 from weylppav.weyl import coset_closure  # noqa: E402
 from conftest import oracle_det, oracle_inverse  # noqa: E402
@@ -240,6 +240,35 @@ def unimodular_pairs(draw, n):
             for row in inv:
                 row[i] = -row[i]
     return Matrix(a), Matrix(inv)
+
+
+def in_hermite_form(h: Matrix) -> bool:
+    """Is h in row Hermite normal form: each nonzero row's first nonzero
+    entry positive and right of the one above, the entries above it in
+    [0, pivot), and the zero rows last?"""
+    leads = [next((j for j, x in enumerate(h.row(i)) if x), None) for i in range(h.nrows)]
+    pivots = [j for j in leads if j is not None]
+    return (leads[:len(pivots)] == pivots
+            and all(a < b for a, b in zip(pivots, pivots[1:]))
+            and all(h[i, j] > 0 and all(0 <= h[k, j] < h[i, j] for k in range(i))
+                    for i, j in enumerate(pivots)))
+
+
+@PROPERTY
+@given(st.one_of(grids((small, integers, sparse)), grids((small, integers, sparse), square=True)),
+       st.data())
+def test_hermite_form_invariants(rows, data):
+    m = Matrix(rows)
+    h, u = hermite_normal_form(m)
+    assert u * m == h
+    assert abs(u.det()) == 1  # Bareiss
+    assert in_hermite_form(h)
+    # the Hermite form is unique on the row lattice: any unimodular w keeps it
+    w, _ = data.draw(unimodular_pairs(m.nrows))
+    assert hermite_normal_form(w * m)[0] == h
+    assert smith_normal_form(h).diagonal() == smith_normal_form(m).diagonal()
+    if m.is_square and (det := oracle_det(m)):
+        assert prod(h[i, i] for i in range(m.nrows)) == abs(det)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from weylppav import (Family, Matrix, NonUnimodular, NotSymplectic, RootSystemId
                       verify_decomposition_witness, verify_family_isomorphism)
 import weylppav
 from weylppav import symplectic
-from weylppav.exactmat import SnfResult, smith_normal_form
+from weylppav.exactmat import smith_normal_form
 from weylppav.reference import (an_alternate_base_printed, an_alternate_witness,
                                 bn_split_witness, cyclic5_fixed_span,
                                 cyclic5_generator, d4_to_f4_witness,
@@ -48,6 +48,26 @@ class TestEmbedBlockDiag:
     def test_non_unimodular_rejected(self):
         with pytest.raises(NonUnimodular):
             embed_block_diag(Matrix([[2]]))
+
+    @pytest.mark.parametrize("rho, det", [
+        (Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 0),  # singular, no zero row
+        (Matrix([[0, 0], [0, 0]]), 0),
+        (Matrix.diagonal([2, 2]), 4),
+        (Matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 2),
+    ])
+    def test_refusal_names_the_determinant(self, rho, det):
+        assert rho * rho != Matrix.identity(rho.nrows)  # so the Hermite form decides
+        with pytest.raises(NonUnimodular) as exc:
+            embed_block_diag(rho)
+        assert str(exc.value) == f"determinant is {det}"
+
+    @pytest.mark.parametrize("rho", [Matrix([[F(1, 2), 0], [0, 2]]), Matrix([[F(1, 2)]]),
+                                     Matrix([[1, 0, 0], [0, 1, 0]])])
+    def test_rational_or_rectangular_rejected(self, rho):
+        with pytest.raises(ValueError) as exc:
+            embed_block_diag(rho)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "square integer matrix required"
 
     def test_catalog_embeds_without_fraction_inverse(self, monkeypatch):
         def no_inverse(self):
@@ -100,7 +120,7 @@ def random_word(rng, refl, n, lo=1, hi=6):
 
 
 class TestInvolutionEmbedding:
-    """Involutions embed as [[rho, 0], [0, rho^t]] without a Smith form."""
+    """Involutions embed as [[rho, 0], [0, rho^t]] without a Hermite form."""
 
     def involutions(self):
         rng = random.Random(8642)
@@ -119,23 +139,25 @@ class TestInvolutionEmbedding:
         expected = [smith_embedding(rho) for rho in cases]
 
         def refuse(m):
-            raise AssertionError("smith_normal_form called")
+            raise AssertionError("hermite_normal_form called")
 
-        monkeypatch.setattr(symplectic, "smith_normal_form", refuse)
+        monkeypatch.setattr(symplectic, "hermite_normal_form", refuse)
         for rho, block in zip(cases, expected):
             assert rho * rho == Matrix.identity(rho.nrows)
             assert embed_block_diag(rho).m == block
 
-    def test_other_words_take_the_smith_route(self, monkeypatch):
+    def test_other_words_take_the_hermite_route(self, monkeypatch):
+        # Each word that is no involution takes exactly one Hermite form, and
+        # its embedding equals the one built from the Smith form's v * u.
         rng = random.Random(9753)
         calls = []
-        original = symplectic.smith_normal_form
+        original = symplectic.hermite_normal_form
 
         def counted(m):
             calls.append(m)
             return original(m)
 
-        monkeypatch.setattr(symplectic, "smith_normal_form", counted)
+        monkeypatch.setattr(symplectic, "hermite_normal_form", counted)
         words = []
         for system in all_systems(8):
             refl = simple_reflections(system)
@@ -146,24 +168,26 @@ class TestInvolutionEmbedding:
         words = [w for w in words if w * w != Matrix.identity(w.nrows)]
         assert len(words) > 30
         for w in words:
-            assert embed_block_diag(w).m == smith_embedding(w)
-            assert calls[-1] is w
+            expected = smith_embedding(w)
+            before = len(calls)
+            assert embed_block_diag(w).m == expected
+            assert calls[before:] == [w] and calls[-1] is w
 
 
 class TestCertifiedEmbedding:
     """An embedding is certified by an exact product, not by m^t J m = J."""
 
-    def test_wrong_smith_inverse_raises(self, monkeypatch):
-        # -u is unimodular and keeps d = I, so only rho * (v * u) = I can
-        # tell that the Smith form was wrong.
-        original = symplectic.smith_normal_form
+    def test_wrong_hermite_inverse_raises(self, monkeypatch):
+        # -u is unimodular and H is forced to I, so only rho * u = I can
+        # tell that the Hermite transform was wrong.
+        original = symplectic.hermite_normal_form
 
         def wrong_u(m):
-            snf = original(m)
-            assert snf.d == Matrix.identity(m.nrows)
-            return SnfResult(u=-snf.u, d=snf.d, v=snf.v)
+            h, u = original(m)
+            assert h == Matrix.identity(m.nrows)
+            return Matrix.identity(m.nrows), -u
 
-        monkeypatch.setattr(symplectic, "smith_normal_form", wrong_u)
+        monkeypatch.setattr(symplectic, "hermite_normal_form", wrong_u)
         a3 = simple_reflections(RootSystemId.parse("A3"))
         for rho in (Matrix([[1, 1], [0, 1]]), a3[0] * a3[1], a3[0] * a3[1] * a3[2]):
             assert rho * rho != Matrix.identity(rho.nrows)
@@ -235,7 +259,10 @@ class TestIsSymplectic:
 
 
 def dense_symplectic(m):
-    form = standard_form(m.nrows // 2)
+    """m^t J m == J, with J = [[0, I], [-I, 0]] written out entry by entry and
+    both 2n x 2n products formed in full."""
+    s, n = m.nrows, m.nrows // 2
+    form = Matrix([[(j == i + n) - (i == j + n) for j in range(s)] for i in range(s)])
     return m.T * form * m == form
 
 
@@ -275,21 +302,23 @@ class TestBlockDiagonalShortcut:
                 yield Matrix(rows), None, False
 
     def test_agrees_with_dense_product(self, monkeypatch):
-        dense_calls = []
-        original = symplectic.standard_form
+        # One product per test: n x n (A^t D) for a block-diagonal matrix,
+        # 2n x 2n (m^t J m) otherwise.
+        shapes = []
+        original = symplectic.mat_mul_flat
 
-        def counted(n):
-            dense_calls.append(n)
-            return original(n)
+        def counted(a, b, n, k, m):
+            shapes.append((n, k, m))
+            return original(a, b, n, k, m)
 
-        monkeypatch.setattr(symplectic, "standard_form", counted)
+        monkeypatch.setattr(symplectic, "mat_mul_flat", counted)
         outcomes = set()
         for m, other, block_diagonal in self.cases():
             for mat in (m, other) if other is not None else (m,):
-                before = len(dense_calls)
+                before = len(shapes)
                 got = is_symplectic(mat)
-                took_dense = len(dense_calls) > before
-                assert took_dense != block_diagonal
+                size = mat.nrows // 2 if block_diagonal else mat.nrows
+                assert shapes[before:] == [(size, size, size)]
                 assert got == dense_symplectic(mat)
                 outcomes.add((block_diagonal, got))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
@@ -442,6 +471,101 @@ class TestFixedSymmetricSpace:
         space = fixed_symmetric_space([gen])
         assert space.particular is None
         assert space.dimension == 0
+
+
+def dense_fixed_space_equations(gens):
+    """The equations as built before identity pairs were skipped: a row for
+    every coordinate (i, j) of every generator, dropped only when it and its
+    right-hand side are both zero, and B A^t formed even when B = 0."""
+    n = gens[0].n
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    unknown = [[0] * n for _ in range(n)]
+    for u, (k, l) in enumerate(coords):
+        unknown[k][l] = unknown[l][k] = u
+    rows, rhs = [], []
+    for gen in gens:
+        a, b, _, _ = gen.blocks()
+        nonzeros = [[(k, x) for k, x in enumerate(r) if x] for r in a.rows()]
+        trans = (b * a.T).rows()
+        for u, (i, j) in enumerate(coords):
+            row = [0] * len(coords)
+            row[u] = -1
+            for k, x in nonzeros[i]:
+                for l, y in nonzeros[j]:
+                    row[unknown[k][l]] += x * y
+            if any(row) or trans[i][j]:
+                rows.append(row)
+                rhs.append(-trans[i][j])
+    return rows, rhs
+
+
+def elementary_pair(rng, n, steps):
+    """(A, A^{-1}) for A a product of ``steps`` row additions and sign flips;
+    most rows of A stay unit rows when steps is small."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.choice((-2, -1, 1, 2))
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            for row in inv:
+                row[j] -= q * row[i]
+        else:
+            a[i] = [-x for x in a[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return Matrix(a), Matrix(inv)
+
+
+class TestSkippedIdentityPairs:
+    """``fixed_space_equations`` skips coordinates whose rows of A are unit
+    rows with (B A^t)_ij = 0 and returns exactly what building every row
+    returned."""
+
+    def check(self, gens):
+        expected = dense_fixed_space_equations(gens)
+        assert fixed_space_equations(gens) == expected
+        for gen in gens:
+            assert fixed_space_equations([gen]) == dense_fixed_space_equations([gen])
+        return expected
+
+    def test_embedded_reflections_through_rank_8(self):
+        for system in all_systems(8):
+            gens = [embed_block_diag(r) for r in simple_reflections(system)]
+            rows, _ = self.check(gens)
+            assert len(rows) == system.rank * len(gens) - (system.rank == 1)
+
+    def test_random_block_upper_triangular_generators(self):
+        # [[A, S A^{-t}], [0, A^{-t}]] has B A^t = S; S is sparse, so B != 0
+        # meets unit rows of A both where S_ij = 0 and where it is not.
+        rng = random.Random(31415)
+        seen = set()
+        unit_pair_with_rhs = 0  # rows i, j of A are e_i, e_j but S_ij != 0
+        for trial in range(80):
+            n = rng.randint(1, 6)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                a, a_inv = elementary_pair(rng, n, rng.randint(0, 3))
+                cells = [[0] * n for _ in range(n)]
+                if trial % 2:
+                    for _ in range(rng.randint(1, 3)):
+                        i, j = rng.randrange(n), rng.randrange(n)
+                        cells[i][j] = cells[j][i] = rng.choice((-2, -1, 1, 3))
+                s = Matrix(cells)
+                gens.append(SymplecticMat(n, Matrix.block2(a, s * a_inv.T, Matrix.zeros(n),
+                                                           a_inv.T)))
+                seen.add(s.is_zero())
+                unit = [a.row(i) == tuple(int(i == k) for k in range(n)) for i in range(n)]
+                unit_pair_with_rhs += sum(1 for i in range(n) for j in range(i, n)
+                                          if unit[i] and unit[j] and s[i, j])
+            self.check(gens)
+        assert seen == {True, False}
+        assert unit_pair_with_rhs > 10
+
+    def test_worked_examples(self):
+        self.check([embed_block_diag(cyclic5_generator())])
+        self.check([SymplecticMat(6, g) for g in sym5_degree6_generators()])
 
 
 class TestFamilyIsomorphism:

@@ -128,8 +128,8 @@ class TestOnePass:
     def test_each_system_gets_its_exact_data_once(self, monkeypatch):
         # The catalog takes exactly one Smith form per Gram matrix, which
         # gives both the divisor chain and z0, and no other; a pass inverts
-        # no Gram matrix. No simple reflection is embedded through a Smith
-        # form; random words that are not involutions still take that route.
+        # no Gram matrix. No simple reflection is embedded through a Hermite
+        # form; random words that are not involutions take that route.
         grams = Counter(gram_matrix(system) for system in all_systems(8))
         inverted = []
         original_inverse = Matrix.inverse
@@ -158,14 +158,18 @@ class TestOnePass:
                 in_catalog[m] += 1
             return original_smith(m)
 
-        def embedding_smith(m):
+        original_hermite = symplectic.hermite_normal_form
+
+        def embedding_hermite(m):
             embedded.append(m)
-            return recorded_smith(m)
+            if inside:
+                in_catalog[m] += 1
+            return original_hermite(m)
 
         monkeypatch.setattr(Matrix, "inverse", counted_inverse)
         monkeypatch.setattr(verify, "_catalog", catalog)
         monkeypatch.setattr(ppav, "smith_normal_form", recorded_smith)
-        monkeypatch.setattr(symplectic, "smith_normal_form", embedding_smith)
+        monkeypatch.setattr(symplectic, "hermite_normal_form", embedding_hermite)
         report = run_verification(8)
         assert report["status"] == "pass"
         assert not inverted
@@ -210,18 +214,21 @@ class TestOnePass:
     def test_each_system_takes_its_smith_form_once(self, monkeypatch):
         # The catalog's, which gives the divisor chain and z0 and whose u and
         # v the u * gram * v = d check certifies; the level, the curve and
-        # the centralizer read the chain.
+        # the centralizer read the chain. No Gram matrix is embedded, so
+        # none takes the embedding's Hermite form either.
         grams = {gram_matrix(system): system for system in all_systems(8)}
         per_system = Counter()
-        original = ppav.smith_normal_form
 
-        def counted(m):
-            if m in grams:
-                per_system[grams[m]] += 1
-            return original(m)
+        def counted(original):
+            def form(m):
+                if m in grams:
+                    per_system[grams[m]] += 1
+                return original(m)
+            return form
 
-        for module in (ppav, symplectic):
-            monkeypatch.setattr(module, "smith_normal_form", counted)
+        monkeypatch.setattr(ppav, "smith_normal_form", counted(ppav.smith_normal_form))
+        monkeypatch.setattr(symplectic, "hermite_normal_form",
+                            counted(symplectic.hermite_normal_form))
         assert run_verification(8)["status"] == "pass"
         assert set(per_system) == set(grams.values())
         assert set(per_system.values()) == {1}
