@@ -32,8 +32,9 @@ UNSUPPORTED_INPUT = 3
 BROKEN_PIPE = 141
 
 # Input size limits; larger input exits with USAGE_ERROR. Exact elimination
-# time grows like rank^3.5 (in a fresh process on a 2-vCPU AMD EPYC VM,
-# z0 A150 takes about 4.6 s and z0 A200 about 11 s), and a fixed-space
+# time grows like rank^3.5 (in a fresh process on a 2-vCPU Intel Xeon VM,
+# Python 3.11.7, median of 3: z0 A150 takes about 14 s and z0 A200 about
+# 29 s, 13-15 s and 24-31 s across the runs), and a fixed-space
 # problem of size n is a dense system in n(n+1)/2 unknowns with n(n+1)/2
 # rows per generator. At n = 16, dense random block-upper-triangular
 # generators (entries up to 18) take about 8 s for one, 95 s for 8, 165 s
@@ -48,11 +49,11 @@ BROKEN_PIPE = 141
 # about 18 MB. verify-all runs no closure (it certifies each group by coset
 # tables), so group-order is the only command this limit bounds.
 # The generators are rank dense rank x rank matrices beside it: group-order
-# A200 --cap 125 takes about 0.3 s and 80 MB max RSS (a fresh process, the
-# EPYC VM), most of it the 8 million reflection entries. verify-all at rank 32
-# takes about 3 times its rank-16 time: 0.68-0.69 s against 0.22-0.24 s in
-# a fresh process, and rank 8 0.14-0.15 s (median of 5, two rounds, 2-vCPU
-# Intel Xeon VM, Python 3.11.7).
+# A200 --cap 125 takes about 0.86 s and 80 MB max RSS (a fresh process, the
+# Intel Xeon VM, median of 3), most of it the 8 million reflection entries.
+# verify-all at rank 32 takes about 3 times its rank-16 time: 0.68-0.69 s
+# against 0.22-0.24 s in a fresh process, and rank 8 0.14-0.15 s (median of
+# 5, two rounds, 2-vCPU Intel Xeon VM, Python 3.11.7).
 MAX_QUERY_RANK = 200
 MAX_FIXED_SPACE_N = 16
 MAX_FIXED_SPACE_GENERATORS = 64

@@ -27,10 +27,12 @@ Algorithms are the classical exact ones. ``det``, ``rank`` and
 q keeps the sign of every minor and scales the determinant by q^n.
 ``inverse`` and ``solve_affine`` keep a Fraction ``_rref``, a forward loop
 and a back pass, until the benchmark stores no outputs (ROADMAP items 1 and
-2). The Smith normal form is one loop of unimodular row and column
-operations whose pivot search reads the trailing block row by row and stops
-at a unit; the Hermite normal form (Cohen 1993, section 2.4.2) takes row
-operations only. No floating point appears anywhere.
+2); the verification harness runs neither, and certifies its fixed spaces
+by substitution and one ``_echelon`` pass instead. The Smith normal form is
+one loop of unimodular row and column operations whose pivot search reads
+the trailing block row by row and stops at a unit; the Hermite normal form
+(Cohen 1993, section 2.4.2) takes row operations only. No floating point
+appears anywhere.
 """
 
 from __future__ import annotations

@@ -14,17 +14,17 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd, prod
+from math import prod
 from operator import mul
 
 from . import reference
 from .centralizer import centralizer_element, curve_description
-from .exactmat import Matrix, _is_involution, _moved_columns
+from .exactmat import Matrix, _echelon, _is_involution, _moved_columns
 from .ppav import Family, coroot_polarization_degree, group_divisors
 from .rootsys import RootSystemId, all_systems, diagram_automorphisms
-from .symplectic import (AffineMatrixSpace, SymplecticMat, _sym_index, embed_block_diag,
-                         fixed_space_equations, fixed_symmetric_space, is_symplectic,
-                         sym_to_vec, verify_decomposition_witness, verify_family_isomorphism)
+from .symplectic import (SymplecticMat, _primitive, _sym_index, embed_block_diag,
+                         fixed_space_equations, is_symplectic, sym_to_vec,
+                         verify_decomposition_witness, verify_family_isomorphism)
 from .weyl import check_invariance, coset_closure, expected_order, poincare_polynomial
 
 PASS = "pass"
@@ -55,72 +55,50 @@ class Section:
         self.checks.append(Check(name, DOCUMENTED, detail))
 
 
-def _spanned_by(vec, basis_vecs) -> bool:
-    """Is vec a rational combination of basis_vecs? Exactly when adding it
-    leaves the rank unchanged."""
-    if not basis_vecs:
-        return all(x == 0 for x in vec)
-    return Matrix([*basis_vecs, vec]).rank() == Matrix(list(basis_vecs)).rank()
+def _fixed_space(gens, particular: Matrix, basis) -> tuple:
+    """(dimension, free coordinates, failure of the particular part, failure
+    of the basis) of the symmetric matrices fixed by ``gens``, against the
+    published answer particular + span(basis).
 
-
-def _span_witness(computed, published, n: int) -> str:
-    """Why two lists of symmetric n x n matrices do not span one space with
-    equally many matrices: the first published matrix of another size, else
-    the first matrix, computed side first, outside the other side's span,
-    else the two counts; empty if they do."""
-    wrong_size = next((f"published span matrix {k} is {m.nrows} x {m.ncols}, "
-                       f"expected {n} x {n}" for k, m in enumerate(published)
-                       if (m.nrows, m.ncols) != (n, n)), "")
-    if wrong_size:
-        return wrong_size
-    vecs_a = [sym_to_vec(m) for m in computed]
-    vecs_b = [sym_to_vec(m) for m in published]
-    return (next((f"computed basis matrix {k} lies outside the published span"
-                  for k, v in enumerate(vecs_a) if not _spanned_by(v, vecs_b)), "")
-            or next((f"published span matrix {k} lies outside the computed span"
-                     for k, v in enumerate(vecs_b) if not _spanned_by(v, vecs_a)), "")
-            or ("" if len(vecs_a) == len(vecs_b)
-                else f"{len(vecs_a)} computed matrices, {len(vecs_b)} published"))
-
-
-def _certified_fixed_space(gens, particular: Matrix, basis) -> bool:
-    """Do substitution and two integer ranks prove that the symmetric
-    matrices fixed by ``gens`` are exactly particular + span(basis), with
-    independent basis matrices?
-
-    Every published matrix must be a symmetric n x n matrix. In the
-    coordinates of ``sym_to_vec``, the particular part must satisfy the
-    integer equations of ``fixed_space_equations`` and each basis matrix
-    their homogeneous part, so particular + span(basis) lies in the
-    solution set. The equations' Bareiss rank must be n(n+1)/2 less the
-    number of basis matrices, and one Bareiss rank must find those matrices
-    independent; then they span the whole kernel, and the two sets are one.
+    One ``_echelon`` pass over ``fixed_space_equations`` gives the kernel;
+    its free coordinates (i, j) are the columns without a pivot, as in the
+    reduced row echelon form: those that combine the columns before them.
+    Each published matrix, read by its numerators, must be symmetric n x n,
+    the particular part a solution, each basis matrix a homogeneous one, and
+    the basis independent and as large as the dimension. A failure is the
+    first check of its part that fails: "<matrix> is r x c, expected n x n",
+    "<matrix> is not symmetric", "<matrix> fails equation k", "the basis
+    matrices are dependent" or "fixed space has dimension d, not k"; empty
+    if none does.
     """
     n = gens[0].n
-    size = n * (n + 1) // 2
-    if not all(m.nrows == n and m.is_symmetric() for m in (particular, *basis)):
-        return False
+    coords = _sym_index(n)
     rows, rhs = fixed_space_equations(gens)
-    p, vecs = sym_to_vec(particular), [sym_to_vec(m) for m in basis]
 
-    def dot(row, vec):
-        return sum(c * x for c, x in zip(row, vec) if c)
+    def failure(label, m, target):
+        if (m.nrows, m.ncols) != (n, n):
+            return f"{label} is {m.nrows} x {m.ncols}, expected {n} x {n}"
+        if not m.is_symmetric():
+            return f"{label} is not symmetric"
+        num, q = m.numerators, m.denominator
+        terms = [(u, x) for u, (i, j) in enumerate(coords) if (x := num[i * n + j])]
+        return next((f"{label} fails equation {k}" for k, (row, r) in enumerate(zip(rows, target))
+                     if sum(row[u] * x for u, x in terms) != q * r), "")
 
-    return (all(dot(row, p) == r and not any(dot(row, v) for v in vecs)
-                for row, r in zip(rows, rhs))
-            and Matrix(rows or [[0] * size]).rank() == size - len(vecs)
-            and (not vecs or Matrix(vecs).rank() == len(vecs)))
-
-
-def _solver_line(constant: Matrix, linear: Matrix) -> bool:
-    """Are ``linear`` and ``constant``, a certified line and a point on it,
-    the kernel vector and particular part that ``fixed_symmetric_space``
-    gives: L integral and primitive with a positive leading entry, and the
-    constant 0 at f, the last nonzero coordinate of L (its free column)?"""
-    lv = sym_to_vec(linear)
-    f = max(k for k, x in enumerate(lv) if x)  # L != 0, as it is certified independent
-    return (linear.is_integral() and gcd(*lv) == 1 and next(filter(None, lv)) > 0
-            and sym_to_vec(constant)[f] == 0)
+    wrong_particular = failure("particular part", particular, rhs)
+    wrong_basis = next(filter(None, (failure(f"basis matrix {k}", m, [0] * len(rows))
+                                     for k, m in enumerate(basis))), "")
+    size = len(coords)
+    pivots, _ = _echelon(rows, size)  # in place: the substitutions are done
+    dimension = size - len(pivots)
+    if not wrong_basis:
+        vecs = [[m.numerators[i * n + j] for i, j in coords] for m in basis]
+        if len(_echelon(vecs, size)[0]) < len(vecs):
+            wrong_basis = "the basis matrices are dependent"
+        elif len(vecs) != dimension:
+            wrong_basis = f"fixed space has dimension {dimension}, not {len(vecs)}"
+    free = sorted(set(coords).difference(coords[c] for _, c in pivots))
+    return dimension, free, wrong_particular, wrong_basis
 
 
 def _catalog(max_rank: int) -> dict:
@@ -349,18 +327,12 @@ def check_bn_splitting(max_rank: int, catalog: dict) -> Section:
 
 
 def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
-    """The forms fixed by the order-5 generator. A failing line names the
-    dimension found, the first nonzero cell of the particular part, the
-    first matrix outside the other span, or the first wrong cell.
-
-    The published answer is 0 + span(m1, m2). ``_certified_fixed_space``
-    proves it by substitution and two Bareiss ranks: the right-hand side is
-    0, m1 and m2 are independent solutions, and the kernel has dimension 2.
-    The solver's particular part is then 0 and its basis spans the same
-    two-dimensional space, so every line below reads the same on the
-    published answer as on the solver's. Only when the certificate declines
-    does ``fixed_symmetric_space`` run, so that each failing line names its
-    witness.
+    """The forms fixed by the order-5 generator, against the published
+    answer 0 + span(m1, m2), by ``_fixed_space``. An embedded generator has
+    B = 0, so 0 solves its equations, and the span is the fixed space when
+    m1 and m2 are independent solutions and the kernel has dimension 2. A
+    failing line names the dimension found, the first failed check of the
+    particular part or of the span, or the first wrong cell.
     """
     sec = Section("fixed-space-rank4-order5")
     if max_rank < 4:
@@ -372,43 +344,25 @@ def check_cyclic5_fixed_space(max_rank: int, catalog: dict) -> Section:
         sec.add("order-5 generator embeds symplectically", False,
                 f"reference.cyclic5_generator(): {exc}")
     else:
-        zero = Matrix.zeros(gen.n)
-        space = (AffineMatrixSpace(n=gen.n, particular=zero, basis=(m1, m2))
-                 if _certified_fixed_space([gen], zero, (m1, m2))
-                 else fixed_symmetric_space([gen]))
-        ok = space.dimension == 2
-        sec.add("fixed space is 2-dimensional", ok,
-                "" if ok else f"dimension {space.dimension}")
-        wrong = ("no solution" if space.particular is None
-                 else _first_wrong_cell("particular", space.particular, Matrix.zeros(space.n)))
-        sec.add("fixed space is homogeneous (particular = 0)", not wrong, wrong)
-        wrong = _span_witness(space.basis, (m1, m2), space.n)
-        sec.add("fixed space equals the published span (both inclusions)", not wrong, wrong)
+        dimension, _, wrong_zero, wrong_span = _fixed_space([gen], Matrix.zeros(gen.n), (m1, m2))
+        sec.add("fixed space is 2-dimensional", dimension == 2,
+                "" if dimension == 2 else f"dimension {dimension}")
+        sec.add("fixed space is homogeneous (particular = 0)", not wrong_zero, wrong_zero)
+        sec.add("fixed space equals the published span (both inclusions)", not wrong_span,
+                wrong_span)
     wrong = _first_wrong_cell("5 * z0(A4)", 5 * catalog[RootSystemId("A", 4)].z0, m1)
     sec.add("5 * z0(A4) equals the first published span matrix", not wrong, wrong)
     return sec
 
 
 def check_sym5_fixed_family(max_rank: int) -> Section:
-    """The family fixed by the degree-6 generators. A failing line names the
-    generator, the dimension found, "no solution" or the first wrong cell.
-
-    The published answer is constant + span(L), which the lines compare
-    with the solver's particular part and its one basis matrix.
-    ``_certified_fixed_space`` proves that it is the fixed set, with L
-    spanning the kernel. That fixes what the solver returns. Its reduced
-    row echelon form leaves column c free exactly when column c of the
-    equations is a combination of the columns before it, that is, when
-    some kernel vector has its last nonzero coordinate at c. The kernel is
-    the line through L, so the one free column is f, the last nonzero
-    coordinate of L. The solver's kernel vector is the one with a 1 at f,
-    L / L_f, scaled to the primitive integer vector with a positive leading
-    entry: L itself, when L is integral and primitive with a positive
-    leading entry. Its particular part is the solution that is 0 at f:
-    the constant part, when that is 0 at f. So when all of this holds,
-    the solver would return exactly the published answer, and it is not
-    run. Otherwise ``fixed_symmetric_space`` runs, so that each failing
-    line names its witness.
+    """The family fixed by the degree-6 generators, against the published
+    answer constant + span(L), by ``_fixed_space``. The lines compare it
+    with the normal form of ``fixed_symmetric_space``, read off the free
+    coordinates: its particular part is the solution that is 0 at each of
+    them, and on a line its basis matrix is the kernel vector made
+    primitive and integral with a positive leading entry. A failing line
+    names the generator, the dimension found, or the first failed check.
     """
     sec = Section("fixed-family-rank6-sym5")
     if max_rank < 6:
@@ -422,18 +376,18 @@ def check_sym5_fixed_family(max_rank: int) -> Section:
         return sec  # a fixed family needs symplectic generators
     gens = [SymplecticMat._certified(g.nrows // 2, g) for g in gens]  # symplectic, above
     constant, linear = reference.sym5_fixed_family()
-    space = (AffineMatrixSpace(n=gens[0].n, particular=constant, basis=(linear,))
-             if _certified_fixed_space(gens, constant, (linear,))
-             and _solver_line(constant, linear) else fixed_symmetric_space(gens))
-    line = space.dimension == 1
-    sec.add("fixed family is a line (one basis matrix)", line,
-            "" if line else f"dimension {space.dimension}")
-    wrong = (_first_wrong_cell("basis matrix", space.basis[0], linear) if line
-             else f"dimension {space.dimension}")
-    sec.add("basis matrix equals the published linear part", not wrong, wrong)
-    wrong = ("no solution" if space.particular is None
-             else _first_wrong_cell("particular part", space.particular, constant))
-    sec.add("particular part equals the published constant part", not wrong, wrong)
+    dimension, free, wrong_constant, wrong_linear = _fixed_space(gens, constant, (linear,))
+    sec.add("fixed family is a line (one basis matrix)", dimension == 1,
+            "" if dimension == 1 else f"dimension {dimension}")
+    if not wrong_linear and (lv := sym_to_vec(linear)) != (p := _primitive(lv)):
+        ratio = next(Fraction(x) / y for x, y in zip(lv, p) if y)  # L != 0 lies on the line
+        wrong_linear = f"basis matrix 0 is {ratio} times the primitive kernel vector"
+    sec.add("basis matrix equals the published linear part", not wrong_linear, wrong_linear)
+    if not wrong_constant:
+        wrong_constant = next((f"particular part is {x} at free coordinate {ij}"
+                               for ij in free if (x := constant[ij])), "")
+    sec.add("particular part equals the published constant part", not wrong_constant,
+            wrong_constant)
     return sec
 
 
@@ -562,17 +516,13 @@ def check_properties(max_rank: int, catalog: dict) -> Section:
         embs, failure = embedded[system]
         if failure:
             break
-        # The fixed space is the kernel of the integer equations (an embedded
-        # reflection has B = 0), its dimension the unknowns less their rank.
-        # A nonzero z0 in a one-dimensional kernel spans it.
-        size = system.rank * (system.rank + 1) // 2
-        rows, _ = fixed_space_equations(embs)
-        dimension = size - Matrix(rows or [[0] * size]).rank()
-        qz = catalog[system].z0.numerators
-        z0 = [qz[i * system.rank + j] for i, j in _sym_index(system.rank)]
+        # An embedded reflection has B = 0, so the fixed space is a kernel, and
+        # a nonzero solution z0 spans it when it has dimension 1.
+        dimension, _, _, wrong = _fixed_space(embs, Matrix.zeros(system.rank),
+                                              (catalog[system].z0,))
         if dimension != 1:
             failure = f"{system}: fixed space has dimension {dimension}"
-        elif not any(z0) or any(sum(c * x for c, x in zip(row, z0)) for row in rows):
+        elif wrong:
             failure = f"{system}: fixed line is not spanned by z0"
         if failure:
             break

@@ -17,7 +17,6 @@ from weylppav import (Family, Matrix, RootSystemId, SymplecticMat, all_systems,
                       simple_reflections, verify_decomposition_witness,
                       verify_family_isomorphism)
 from weylppav import reference
-from weylppav.verify import _span_witness
 from weylppav.weyl import expected_order, generate_group
 from conftest import proportional
 
@@ -122,8 +121,14 @@ def test_criterion_5_bn_principal_splitting():
 def test_criterion_6_order5_fixed_space():
     space = fixed_symmetric_space([embed_block_diag(reference.cyclic5_generator())])
     m1, m2 = reference.cyclic5_fixed_span()
-    ok = space.dimension == 2
-    ok &= not _span_witness(space.basis, (m1, m2), space.n)
+    ok = space.dimension == 2 and (m1.nrows, m1.ncols) == (m2.nrows, m2.ncols) == (4, 4)
+    # One span: the solver's pair, the published pair and all four matrices
+    # have rank 2, each matrix read whole as a row of 16 entries.
+
+    def rank(mats):
+        return Matrix([m.flat for m in mats]).rank()
+
+    ok &= rank(space.basis) == rank((m1, m2)) == rank((*space.basis, m1, m2)) == 2
     ok &= 5 * Family.from_system(RootSystemId("A", 4)).z0 == m1
     report(ok, "criterion 6: the order-5 action fixes exactly the published "
                "2-dimensional span, whose first matrix is 5 * z0(A4)")

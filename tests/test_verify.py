@@ -15,38 +15,15 @@ from weylppav import (DivisorChain, Family, LevelViolation, Matrix, RootSystemId
 from weylppav import exactmat, ppav, reference, rootsys
 from weylppav.exactmat import SnfResult
 from weylppav.ppav import EllipticDecomposition
-from weylppav.symplectic import AffineMatrixSpace
 from weylppav import symplectic
 from weylppav import verify, weyl
 from weylppav.cli import main
-from weylppav.verify import _span_witness, _spanned_by, run_verification
+from weylppav.verify import run_verification
 from weylppav.weyl import poincare_polynomial
 from conftest import proportional
 
 
 class TestHelpers:
-    def test_spanned_by(self):
-        assert _spanned_by((2, 4), [(1, 2)])
-        assert not _spanned_by((2, 5), [(1, 2)])
-        assert _spanned_by((0, 0), [])
-        assert not _spanned_by((1, 0), [])
-
-    def test_same_span(self):
-        a = Matrix([[2, 0], [0, 0]])
-        b = Matrix([[0, 0], [0, 3]])
-        assert _span_witness((a, b), (a + b, a - b), 2) == ""
-        assert _span_witness((a,), (b,), 2) == \
-            "computed basis matrix 0 lies outside the published span"
-        assert _span_witness((a,), (a, b), 2) == \
-            "published span matrix 1 lies outside the computed span"
-        assert _span_witness((a, b), (a, b, a + b), 2) == "2 computed matrices, 3 published"
-        # A published matrix of another size is named before any span is
-        # solved, also against an empty computed side.
-        assert _span_witness((a,), (a, Matrix.identity(3)), 2) == \
-            "published span matrix 1 is 3 x 3, expected 2 x 2"
-        assert _span_witness((), (Matrix([[1, 0, 0], [0, 1, 0]]),), 2) == \
-            "published span matrix 0 is 2 x 3, expected 2 x 2"
-
     def test_proportional(self):
         z0 = Family.from_system(RootSystemId.parse("A2")).z0
         assert proportional(3 * z0, z0)
@@ -111,19 +88,15 @@ class TestRunVerification:
 
 class TestOnePass:
     def test_a_passing_pass_solves_no_fixed_space(self, monkeypatch):
-        # The reference generators are literal matrices, span membership is
-        # decided by rank, and both worked fixed-space examples are proven
-        # by substitution and Bareiss ranks: a passing pass runs no Fraction
-        # elimination, and the solver only names a failing example.
-        calls, solves = [], []
-        original = exactmat._rref
-        monkeypatch.setattr(exactmat, "_rref",
-                            lambda aug, ncols: calls.append(ncols) or original(aug, ncols))
-        solver = verify.fixed_symmetric_space
-        monkeypatch.setattr(verify, "fixed_symmetric_space",
-                            lambda gens: solves.append(gens) or solver(gens))
+        # The reference generators are literal matrices, and both worked
+        # fixed-space examples are proven by substitution and one integer
+        # elimination: a pass runs no Fraction elimination, and verify holds
+        # no solver to fall back on.
+        calls = rref_calls(monkeypatch)
         assert run_verification(8)["status"] == "pass"
-        assert (calls, solves) == ([], [])
+        assert calls == []
+        assert not hasattr(verify, "fixed_symmetric_space")
+        assert not hasattr(verify, "AffineMatrixSpace")
 
     def test_each_system_gets_its_exact_data_once(self, monkeypatch):
         # The catalog takes exactly one Smith form per Gram matrix, which
@@ -832,7 +805,7 @@ class TestBrokenReferenceGenerators:
         assert (code, err) == (1, "")
         assert failed == [
             {"name": "fixed space equals the published span (both inclusions)",
-             "status": "fail", "detail": "published span matrix 0 is 5 x 5, expected 4 x 4"},
+             "status": "fail", "detail": "basis matrix 0 is 5 x 5, expected 4 x 4"},
             {"name": "5 * z0(A4) equals the first published span matrix",
              "status": "fail", "detail": "5 * z0(A4) is 4 x 4, expected 5 x 5"},
         ]
@@ -981,169 +954,123 @@ def changed_cell(mats, which, i, j, delta):
     return tuple(Matrix(r) for r in rows)
 
 
-class TestFixedSpaceWitness:
-    def test_changed_span_matrix(self, monkeypatch):
-        original = reference.cyclic5_fixed_span
-        monkeypatch.setattr(reference, "cyclic5_fixed_span",
-                            lambda: changed_cell(original(), 0, 0, 0, 1))
-        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
-        failed = {c.name: c.detail for c in sec.checks if c.status == "fail"}
-        assert failed == {
-            "fixed space equals the published span (both inclusions)":
-                "computed basis matrix 0 lies outside the published span",
-            "5 * z0(A4) equals the first published span matrix":
-                "entry (0, 0) of 5 * z0(A4) is 4, expected 5",
-        }
-
-    @pytest.mark.parametrize("which, name, detail", [
-        (0, "particular part equals the published constant part",
-         "entry (0, 0) of particular part is 0, expected 1"),
-        (1, "basis matrix equals the published linear part",
-         "entry (0, 0) of basis matrix is 3, expected 4"),
-    ], ids=["constant", "linear"])
-    def test_changed_sym5_family(self, monkeypatch, which, name, detail):
-        original = reference.sym5_fixed_family
-        monkeypatch.setattr(reference, "sym5_fixed_family",
-                            lambda: changed_cell(original(), which, 0, 0, 1))
-        sec = verify.check_sym5_fixed_family(6)
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {name: detail}
-
-    def test_wrong_sized_sym5_family_names_both_shapes(self, monkeypatch):
-        original = reference.sym5_fixed_family
-        monkeypatch.setattr(reference, "sym5_fixed_family", lambda: (
-            original()[0], original()[1].submatrix(0, 5, 0, 5)))
-        sec = verify.check_sym5_fixed_family(6)
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
-            "basis matrix equals the published linear part":
-                "basis matrix is 6 x 6, expected 5 x 5"}
-
-    def test_empty_space_gives_dimension_and_no_solution(self, monkeypatch):
-        # The certificate declines first, so the injected solver is read.
-        monkeypatch.setattr(verify, "_certified_fixed_space", lambda *args: False)
-        monkeypatch.setattr(verify, "fixed_symmetric_space", lambda gens: AffineMatrixSpace(
-            n=gens[0].n, particular=None, basis=()))
-        sections = (verify.check_cyclic5_fixed_space(4, verify._catalog(4)),
-                    verify.check_sym5_fixed_family(6))
-        assert [{c.name: c.detail for c in sec.checks if c.status == "fail"}
-                for sec in sections] == [{
-                    "fixed space is 2-dimensional": "dimension 0",
-                    "fixed space is homogeneous (particular = 0)": "no solution",
-                    "fixed space equals the published span (both inclusions)":
-                        "published span matrix 0 lies outside the computed span",
-                }, {
-                    "fixed family is a line (one basis matrix)": "dimension 0",
-                    "basis matrix equals the published linear part": "dimension 0",
-                    "particular part equals the published constant part": "no solution",
-                }]
-
-    def test_nonzero_particular_names_its_first_nonzero_cell(self, monkeypatch):
-        original = verify.fixed_symmetric_space
-
-        def shifted(gens):
-            space = original(gens)
-            return AffineMatrixSpace(n=4, particular=Matrix.diagonal([0, 0, 1, 0]),
-                                     basis=space.basis)
-
-        monkeypatch.setattr(verify, "_certified_fixed_space", lambda *args: False)
-        monkeypatch.setattr(verify, "fixed_symmetric_space", shifted)
-        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
-            "fixed space is homogeneous (particular = 0)":
-                "entry (2, 2) of particular is 1, expected 0"}
-
-    def test_identity_generator_fixes_every_form(self, monkeypatch):
-        monkeypatch.setattr(reference, "cyclic5_generator", lambda: Matrix.identity(4))
-        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
-            "fixed space is 2-dimensional": "dimension 10",
-            "fixed space equals the published span (both inclusions)":
-                "computed basis matrix 0 lies outside the published span",
-        }
-
-
-def solver_calls(monkeypatch):
-    """The generator lists ``verify`` hands to ``fixed_symmetric_space``."""
+def rref_calls(monkeypatch):
+    """The column counts of every ``exactmat._rref`` run from here on."""
     calls = []
-    original = verify.fixed_symmetric_space
-    monkeypatch.setattr(verify, "fixed_symmetric_space",
-                        lambda gens: calls.append(gens) or original(gens))
+    original = exactmat._rref
+    monkeypatch.setattr(exactmat, "_rref",
+                        lambda aug, ncols: calls.append(ncols) or original(aug, ncols))
     return calls
 
 
-class TestFixedSpaceCertificate:
-    """A worked fixed-space example that substitution and integer ranks
-    prove runs no solver; any other falls back to the solver, whose answer
-    names the failure exactly as it does without the certificate."""
+def fixed_space_failures(monkeypatch, name, mutate):
+    """The failing lines (name -> detail) of the worked example that reads
+    ``reference.<name>``, with that function returning ``mutate`` of its own
+    value, and the ``_rref`` runs of the section."""
+    original = getattr(reference, name)()
+    monkeypatch.setattr(reference, name, lambda: mutate(original))
+    calls = rref_calls(monkeypatch)
+    sec = (verify.check_sym5_fixed_family(6) if name.startswith("sym5")
+           else verify.check_cyclic5_fixed_space(4, verify._catalog(4)))
+    return {c.name: c.detail for c in sec.checks if c.status == "fail"}, calls
 
-    def test_a_declined_certificate_gives_the_same_report(self, monkeypatch):
-        report = json.dumps(run_verification(8))
-        calls = solver_calls(monkeypatch)
-        monkeypatch.setattr(verify, "_certified_fixed_space", lambda *args: False)
-        assert json.dumps(run_verification(8)) == report
-        assert len(calls) == 2
 
-    @pytest.mark.parametrize("publish, name, detail", [
-        (lambda c, lin: (c + lin, lin), "particular part equals the published constant part",
-         "entry (0, 0) of particular part is 0, expected 3"),
-        (lambda c, lin: (c, -lin), "basis matrix equals the published linear part",
-         "entry (0, 0) of basis matrix is 3, expected -3"),
-        (lambda c, lin: (c, 2 * lin), "basis matrix equals the published linear part",
-         "entry (0, 0) of basis matrix is 3, expected 6"),
-        (lambda c, lin: changed_cell((c, lin), 1, 1, 0, 1),
-         "basis matrix equals the published linear part",
-         "entry (1, 0) of basis matrix is -1, expected 0"),
-        (lambda c, lin: (c, lin.submatrix(0, 5, 0, 5)),
-         "basis matrix equals the published linear part",
-         "basis matrix is 6 x 6, expected 5 x 5"),
-    ], ids=["constant-shifted-by-L", "L-negated", "2L", "L-not-symmetric", "L-5x5"])
-    def test_a_family_off_the_solver_basis_falls_back(self, monkeypatch, publish, name,
-                                                      detail):
-        # The shifted constant is a solution, but not 0 at L's last nonzero
-        # coordinate; -L and 2L span the line, but are not its primitive
-        # vector with a positive leading entry.
-        original = reference.sym5_fixed_family
-        monkeypatch.setattr(reference, "sym5_fixed_family", lambda: publish(*original()))
-        calls = solver_calls(monkeypatch)
-        sec = verify.check_sym5_fixed_family(6)
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {name: detail}
-        assert len(calls) == 1
-
-    def test_a_repeated_generator_widens_the_kernel_and_falls_back(self, monkeypatch):
-        # The published family is fixed by g1 alone too, but so is a
-        # five-dimensional space: the rank test declines.
-        g1, _ = reference.sym5_degree6_generators()
-        monkeypatch.setattr(reference, "sym5_degree6_generators", lambda: (g1, g1))
-        calls = solver_calls(monkeypatch)
-        sec = verify.check_sym5_fixed_family(6)
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
-            "fixed family is a line (one basis matrix)": "dimension 5",
-            "basis matrix equals the published linear part": "dimension 5",
-            "particular part equals the published constant part":
-                "entry (0, 5) of particular part is 0, expected -1/2",
-        }
-        assert len(calls) == 1
-
-    def test_a_dependent_span_falls_back(self, monkeypatch):
-        # m1 twice solves the equations, and the kernel has dimension 2,
-        # but the two published matrices do not span it.
-        m1, _ = reference.cyclic5_fixed_span()
-        monkeypatch.setattr(reference, "cyclic5_fixed_span", lambda: (m1, m1))
-        calls = solver_calls(monkeypatch)
-        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
+class TestFixedSpaceWitness:
+    def test_changed_span_matrix(self, monkeypatch):
+        failed, calls = fixed_space_failures(monkeypatch, "cyclic5_fixed_span",
+                                             lambda span: changed_cell(span, 0, 0, 0, 1))
+        assert failed == {
             "fixed space equals the published span (both inclusions)":
-                "computed basis matrix 0 lies outside the published span"}
-        assert len(calls) == 1
+                "basis matrix 0 fails equation 0",
+            "5 * z0(A4) equals the first published span matrix":
+                "entry (0, 0) of 5 * z0(A4) is 4, expected 5",
+        }
+        assert calls == []
+
+    @pytest.mark.parametrize("which, name, detail", [
+        (0, "particular part equals the published constant part",
+         "particular part fails equation 1"),
+        (1, "basis matrix equals the published linear part", "basis matrix 0 fails equation 1"),
+    ], ids=["constant", "linear"])
+    def test_changed_sym5_family(self, monkeypatch, which, name, detail):
+        failed, calls = fixed_space_failures(monkeypatch, "sym5_fixed_family",
+                                             lambda pair: changed_cell(pair, which, 0, 0, 1))
+        assert (failed, calls) == ({name: detail}, [])
+
+    def test_wrong_sized_sym5_family_names_both_shapes(self, monkeypatch):
+        failed, calls = fixed_space_failures(monkeypatch, "sym5_fixed_family", lambda pair: (
+            pair[0], pair[1].submatrix(0, 5, 0, 5)))
+        assert (failed, calls) == ({"basis matrix equals the published linear part":
+                                    "basis matrix 0 is 5 x 5, expected 6 x 6"}, [])
+
+    def test_identity_generator_fixes_every_form(self, monkeypatch):
+        failed, calls = fixed_space_failures(monkeypatch, "cyclic5_generator",
+                                             lambda gen: Matrix.identity(4))
+        assert failed == {
+            "fixed space is 2-dimensional": "dimension 10",
+            "fixed space equals the published span (both inclusions)":
+                "fixed space has dimension 10, not 2",
+        }
+        assert calls == []
+
+
+class TestFixedSpaceCertificate:
+    """A worked fixed-space example is proven by substitution and one
+    integer elimination; a published answer that is not the fixed set, or
+    not the solver's normal form of it, fails the lines that name its first
+    failed check, with no solver run."""
+
+    @pytest.mark.parametrize("name, mutate, failed", [
+        ("cyclic5_fixed_span", lambda span: changed_cell(span, 1, 3, 0, 1),
+         {"fixed space equals the published span (both inclusions)":
+          "basis matrix 1 is not symmetric"}),
+        ("cyclic5_fixed_span", lambda span: (span[0], span[0]),
+         {"fixed space equals the published span (both inclusions)":
+          "the basis matrices are dependent"}),
+        ("cyclic5_fixed_span", lambda span: (span[0], Fraction(1, 2) * span[1]), {}),
+        ("sym5_fixed_family", lambda pair: (pair[0].submatrix(0, 5, 0, 5), pair[1]),
+         {"particular part equals the published constant part":
+          "particular part is 5 x 5, expected 6 x 6"}),
+        ("sym5_fixed_family", lambda pair: changed_cell(pair, 0, 5, 0, 1),
+         {"particular part equals the published constant part":
+          "particular part is not symmetric"}),
+        ("sym5_fixed_family", lambda pair: (pair[0] + pair[1], pair[1]),
+         {"particular part equals the published constant part":
+          "particular part is 3 at free coordinate (5, 5)"}),
+        ("sym5_fixed_family", lambda pair: (pair[0], -pair[1]),
+         {"basis matrix equals the published linear part":
+          "basis matrix 0 is -1 times the primitive kernel vector"}),
+        ("sym5_fixed_family", lambda pair: (pair[0], 2 * pair[1]),
+         {"basis matrix equals the published linear part":
+          "basis matrix 0 is 2 times the primitive kernel vector"}),
+        ("sym5_fixed_family", lambda pair: (pair[0], Fraction(1, 3) * pair[1]),
+         {"basis matrix equals the published linear part":
+          "basis matrix 0 is 1/3 times the primitive kernel vector"}),
+        ("sym5_fixed_family", lambda pair: (pair[0], 0 * pair[1]),
+         {"basis matrix equals the published linear part": "the basis matrices are dependent"}),
+        ("sym5_fixed_family", lambda pair: changed_cell(pair, 1, 1, 0, 1),
+         {"basis matrix equals the published linear part": "basis matrix 0 is not symmetric"}),
+        ("sym5_degree6_generators", lambda gens: (gens[0], gens[0]),
+         {"fixed family is a line (one basis matrix)": "dimension 5",
+          "basis matrix equals the published linear part": "fixed space has dimension 5, not 1",
+          "particular part equals the published constant part":
+              "particular part is -1/2 at free coordinate (2, 3)"}),
+    ], ids=["m2-not-symmetric", "m1-twice", "m2-halved", "constant-5x5", "constant-not-symmetric",
+            "constant-shifted-by-L", "L-negated", "2L", "L-over-3", "L-zero", "L-not-symmetric",
+            "g1-twice"])
+    def test_a_mutant_fails_exactly_its_lines(self, monkeypatch, name, mutate, failed):
+        # m2 with cell (3, 0) raised is not symmetric, though its upper
+        # triangle is m2's; m2 / 2 spans the same plane as m2, so it passes.
+        # The shifted constant solves the equations but is not 0 at the free
+        # coordinate; -L, 2L and L/3 span the line but are not its primitive
+        # integral vector with a positive leading entry; 0 spans nothing;
+        # g1 alone fixes a five-dimensional space.
+        assert fixed_space_failures(monkeypatch, name, mutate) == (failed, [])
 
     def test_another_basis_of_the_span_is_certified(self, monkeypatch):
-        # (m1 + m2, m2) spans the same space, so no solver runs; only the
-        # line that compares the first published matrix with 5 * z0(A4)
-        # fails.
-        m1, m2 = reference.cyclic5_fixed_span()
-        monkeypatch.setattr(reference, "cyclic5_fixed_span", lambda: (m1 + m2, m2))
-        calls = solver_calls(monkeypatch)
-        sec = verify.check_cyclic5_fixed_space(4, verify._catalog(4))
-        assert {c.name: c.detail for c in sec.checks if c.status == "fail"} == {
-            "5 * z0(A4) equals the first published span matrix":
-                "entry (0, 0) of 5 * z0(A4) is 4, expected 6"}
-        assert calls == []
+        # (m1 + m2, m2) spans the same space, so only the line that compares
+        # the first published matrix with 5 * z0(A4) fails.
+        failed, calls = fixed_space_failures(monkeypatch, "cyclic5_fixed_span",
+                                             lambda span: (span[0] + span[1], span[1]))
+        assert (failed, calls) == ({"5 * z0(A4) equals the first published span matrix":
+                                    "entry (0, 0) of 5 * z0(A4) is 4, expected 6"}, [])
