@@ -1050,6 +1050,9 @@ class TestFixedSpaceCertificate:
          {"basis matrix equals the published linear part": "the basis matrices are dependent"}),
         ("sym5_fixed_family", lambda pair: changed_cell(pair, 1, 1, 0, 1),
          {"basis matrix equals the published linear part": "basis matrix 0 is not symmetric"}),
+        ("sym5_fixed_family", lambda pair: (pair[0], pair[1].submatrix(0, 5, 0, 5)),
+         {"basis matrix equals the published linear part":
+          "basis matrix 0 is 5 x 5, expected 6 x 6"}),
         ("sym5_degree6_generators", lambda gens: (gens[0], gens[0]),
          {"fixed family is a line (one basis matrix)": "dimension 5",
           "basis matrix equals the published linear part": "fixed space has dimension 5, not 1",
@@ -1057,7 +1060,7 @@ class TestFixedSpaceCertificate:
               "particular part is -1/2 at free coordinate (2, 3)"}),
     ], ids=["m2-not-symmetric", "m1-twice", "m2-halved", "constant-5x5", "constant-not-symmetric",
             "constant-shifted-by-L", "L-negated", "2L", "L-over-3", "L-zero", "L-not-symmetric",
-            "g1-twice"])
+            "L-5x5", "g1-twice"])
     def test_a_mutant_fails_exactly_its_lines(self, monkeypatch, name, mutate, failed):
         # m2 with cell (3, 0) raised is not symmetric, though its upper
         # triangle is m2's; m2 / 2 spans the same plane as m2, so it passes.
